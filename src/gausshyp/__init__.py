@@ -48,7 +48,7 @@ from .onepoint import (
 from .raster import RasterSpec, raster_to_csv, region_raster
 from .reference import classify_region, euler_integral, maclaurin, region_moduli
 from .results import MethodId, RegionVerdict, SeriesResult
-from .select import evaluate, hyp2f1, method_margin, select_method
+from .select import ROUTES, evaluate, hyp2f1, method_margin, select_method
 from .tables import TABLES, TableSpec, format_rel_error, run_table, table_to_csv, table_to_json
 from .threepoint import (
     ThreePointCoeffs,
@@ -82,6 +82,7 @@ __all__ = [
     "OutsideDomain",
     "ParamDomainError",
     "PoleError",
+    "ROUTES",
     "RasterSpec",
     "RecurrenceBreakdown",
     "RegionVerdict",

@@ -22,7 +22,14 @@ b - a is allowed, but the reported error estimate is inflated by
 import math
 from dataclasses import dataclass
 
-from .core import EPS, HypParams, cpow_principal, gamma_real, recip_gamma_real, require_finite_complex
+from .core import (
+    HypParams,
+    cpow_principal,
+    gamma_real,
+    recip_gamma_real,
+    require_finite_complex,
+    tail_estimate,
+)
 from .errors import BranchCutError, IntegerDifferenceError, OutsideDomain
 from .results import SeriesResult
 
@@ -131,10 +138,5 @@ def buhring_eval(
 
     value = fac_a * s_a + fac_b * s_b
     inflation = 1.0 / abs(math.sin(math.pi * diff))
-    denom = abs(value)
-    if denom == 0.0:
-        est = math.inf
-    else:
-        cond = abs_sum / denom
-        est = max(last / denom, EPS * (cond + n_terms + 1)) * max(1.0, inflation)
+    est = tail_estimate(abs(value), abs_sum, last, n_terms + 1) * max(1.0, inflation)
     return SeriesResult(value=value, terms_used=n_terms, est_error=est, converged=est <= tol)

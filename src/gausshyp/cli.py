@@ -175,6 +175,7 @@ def _cmd_eval(args) -> int:
             "method": method.value,
             "terms": res.terms_used,
             "est_error": res.est_error,
+            "converged": res.converged,
             "in_region_margin": margin,
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)

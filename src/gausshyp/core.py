@@ -27,6 +27,19 @@ def require_finite_complex(z: complex, name: str = "z") -> complex:
     return z
 
 
+def tail_estimate(total_abs: float, abs_sum: float, last: float, n_summed: int) -> float:
+    """Relative error estimate of a truncated series with |sum| = total_abs.
+
+    The last-term ratio last/total_abs, floored at the rounding level
+    EPS * (cond + n_summed) of n_summed additions whose condition number
+    is cond = abs_sum/total_abs.  A zero sum gives inf.
+    """
+    if total_abs == 0.0:
+        return math.inf
+    cond = abs_sum / total_abs
+    return max(last / total_abs, EPS * (cond + n_summed))
+
+
 def cpow_principal(base: complex, exponent: float) -> complex:
     """Principal-branch power base**exponent = exp(exponent * Log base).
 
@@ -105,3 +118,11 @@ class HypParams:
     def euler_valid(self) -> bool:
         """True when c > b > 0, the validity condition of the Euler integral."""
         return self.c > self.b > 0
+
+    def require_euler_valid(self, needs: str) -> None:
+        """Raise ParamDomainError unless c > b > 0.
+
+        needs opens the message and names the route, e.g. "Euler integral needs".
+        """
+        if not self.euler_valid:
+            raise ParamDomainError(f"{needs} c > b > 0, got b={self.b}, c={self.c}")

@@ -16,12 +16,10 @@ from Phi_0 = 1, Phi_1 = 1 - b/(cw), which at w = 1/2 reduces to
 (c+n) Phi_{n+1} + (2b-c) Phi_n - n Phi_{n-1} = 0 with Phi_1 = 1 - 2b/c.
 """
 
-import math
-
 import mpmath
 
-from .core import EPS, HypParams, cpow_principal, require_finite_complex
-from .errors import DomainError, OutsideDomain, ParamDomainError, PoleError
+from .core import HypParams, cpow_principal, require_finite_complex, tail_estimate
+from .errors import DomainError, OutsideDomain, PoleError
 from .results import RegionVerdict, SeriesResult
 
 #: Default truncation index; forward recurrence accuracy is verified up to here.
@@ -138,10 +136,7 @@ def eval_onepoint(
     w = require_finite_complex(w, "w")
     if w == 0:
         raise DomainError("expansion point w must be nonzero")
-    if not params.euler_valid:
-        raise ParamDomainError(
-            f"expansion derived under c > b > 0, got b={params.b}, c={params.c}"
-        )
+    params.require_euler_valid("expansion derived under")
     verdict = in_region_onepoint(z, w)
     if not verdict.inside:
         raise OutsideDomain(f"z = {z} outside the w = {w} expansion region (margin {verdict.margin})")
@@ -169,10 +164,5 @@ def eval_onepoint(
         abs_sum += last
         term *= (a + n) / (n + 1.0) * ratio
     value = cpow_principal(1.0 - w * z, -a) * s
-    denom = abs(s)
-    if denom == 0.0:
-        est = math.inf
-    else:
-        cond = abs_sum / denom
-        est = max(last / denom, EPS * (cond + n_terms + 1))
+    est = tail_estimate(abs(s), abs_sum, last, n_terms + 1)
     return SeriesResult(value=value, terms_used=n_terms, est_error=est, converged=est <= tol)

@@ -14,12 +14,12 @@ from typing import Iterator
 
 from .buhring import DEFAULT_Z0
 from .errors import ConfigError
-from .onepoint import in_region_onepoint
 from .reference import region_moduli
 from .results import MethodId
-from .select import method_margin
-from .threepoint import in_region_threepoint
-from .twopoint import in_region_twopoint
+from .select import ROUTES
+
+# Not called here; perfbench/tracing.py wraps these names in this module.
+from .select import in_region_onepoint, in_region_threepoint, in_region_twopoint, method_margin
 
 MAX_RESOLUTION = 4096
 
@@ -51,35 +51,28 @@ class RasterSpec:
 
 
 def _margin_fn(spec: RasterSpec):
-    m = spec.method
-    if m is MethodId.MACLAURIN:
+    """The margin of spec.method as a function of (z, w, z0)."""
+    if spec.method is MethodId.MACLAURIN:
         rho = spec.rho
 
-        def f(z: complex) -> float:
+        def f(z: complex, w: complex | None, z0: complex) -> float:
             return rho - min(region_moduli(z).values())
 
         return f
-    if m is MethodId.ONEPOINT_HALF:
-        return lambda z: in_region_onepoint(z, 0.5).margin
-    if m is MethodId.ONEPOINT_W:
-        return lambda z: in_region_onepoint(z, spec.w).margin
-    if m is MethodId.TWOPOINT:
-        return lambda z: in_region_twopoint(z).margin
-    if m is MethodId.THREEPOINT:
-        return lambda z: in_region_threepoint(z).margin
-    return lambda z: method_margin(m, z, w=spec.w, z0=spec.z0)
+    return ROUTES[spec.method].margin
 
 
 def region_raster(spec: RasterSpec) -> Iterator[tuple[float, float, bool, float]]:
     """Yield (x, y, inside, margin) over the res x res grid, row-major."""
     margin_of = _margin_fn(spec)
+    w, z0 = spec.w, spec.z0
     dx = (spec.xmax - spec.xmin) / (spec.res - 1)
     dy = (spec.ymax - spec.ymin) / (spec.res - 1)
     for j in range(spec.res):
         y = spec.ymin + j * dy
         for i in range(spec.res):
             x = spec.xmin + i * dx
-            margin = margin_of(complex(x, y))
+            margin = margin_of(complex(x, y), w, z0)
             yield x, y, margin > 0.0, margin
 
 

@@ -23,8 +23,8 @@ import warnings
 
 from scipy.integrate import IntegrationWarning, quad
 
-from .core import EPS, HypParams, cpow_principal, gamma_real, require_finite_complex
-from .errors import BranchCutError, DomainError, OutsideDomain, ParamDomainError
+from .core import EPS, HypParams, cpow_principal, gamma_real, require_finite_complex, tail_estimate
+from .errors import BranchCutError, DomainError, OutsideDomain
 from .results import SeriesResult
 
 #: Labels of the six classical series regions, in a fixed order.
@@ -67,12 +67,7 @@ def maclaurin(
                 break
         else:
             below = 0
-    denom = abs(s)
-    if denom == 0.0:
-        est = math.inf
-    else:
-        cond = abs_sum / denom
-        est = max(last / denom, EPS * (cond + n))
+    est = tail_estimate(abs(s), abs_sum, last, n)
     return SeriesResult(
         value=s,
         terms_used=n,
@@ -103,8 +98,7 @@ def euler_integral(params: HypParams, z: complex, tol: float = 1e-13) -> SeriesR
     half is regularized by the substitution s = t^b (mirrored s = (1-t)^(c-b)),
     which turns t^(b-1) dt into ds/b exactly.
     """
-    if not params.euler_valid:
-        raise ParamDomainError(f"Euler integral needs c > b > 0, got b={params.b}, c={params.c}")
+    params.require_euler_valid("Euler integral needs")
     z = require_finite_complex(z)
     if z.imag == 0.0 and z.real >= 1.0:
         raise BranchCutError(f"z = {z} lies on the branch cut [1, inf)")

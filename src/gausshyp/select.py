@@ -1,4 +1,6 @@
-"""Method selection and the one-call evaluation front end."""
+"""Method selection, the route table and the one-call evaluation front end."""
+
+from typing import Callable, NamedTuple
 
 from .buhring import DEFAULT_Z0, INTEGER_DIFF_TOL, buhring_eval
 from .core import HypParams
@@ -12,12 +14,80 @@ from .twopoint import eval_twopoint, in_region_twopoint
 #: |z| below which the plain power series is preferred outright.
 MACLAURIN_RADIUS = 0.5
 
+#: Series routes judge converged against max(tol, SERIES_TOL_FLOOR).
+SERIES_TOL_FLOOR = 1e-12
+
+
+class Route(NamedTuple):
+    """One evaluation route: its signed region margin and its evaluator."""
+
+    margin: Callable[[complex, complex | None, complex], float]
+    run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0, max_terms)
+
+
+def _series_tol(tol: float) -> float:
+    return max(tol, SERIES_TOL_FLOOR)
+
+
+def _need_w(w: complex | None) -> complex:
+    if w is None:
+        raise ConfigError("method onepoint-w needs the expansion point w")
+    return w
+
+
+def _buhring_margin(z: complex, w: complex | None, z0: complex) -> float:
+    z0 = complex(z0)
+    return abs(z - z0) - max(abs(z0), abs(z0 - 1.0))
+
+
+# Entries resolve this module's globals at call time, so a wrapper installed
+# on, e.g., gausshyp.select.eval_threepoint sees every call.
+ROUTES: dict[MethodId, Route] = {
+    MethodId.MACLAURIN: Route(
+        lambda z, w, z0: 1.0 - abs(z),
+        lambda p, z, n, tol, w, z0, max_terms: maclaurin(p, z, tol=tol, max_terms=max_terms),
+    ),
+    MethodId.EULER: Route(
+        lambda z, w, z0: abs(z.imag) if z.real >= 1.0 else abs(z - 1.0),  # distance from [1, inf)
+        lambda p, z, n, tol, w, z0, max_terms: euler_integral(p, z, tol=tol),
+    ),
+    MethodId.BUHRING: Route(
+        _buhring_margin,
+        lambda p, z, n, tol, w, z0, _: buhring_eval(p, z, z0=z0, n_terms=n, tol=_series_tol(tol)),
+    ),
+    MethodId.ONEPOINT_HALF: Route(
+        lambda z, w, z0: in_region_onepoint(z, 0.5).margin,
+        lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, w=0.5, n_terms=n, tol=_series_tol(tol)),
+    ),
+    MethodId.ONEPOINT_W: Route(
+        lambda z, w, z0: in_region_onepoint(z, _need_w(w)).margin,
+        lambda p, z, n, tol, w, z0, _: eval_onepoint(
+            p, z, w=_need_w(w), n_terms=n, tol=_series_tol(tol)
+        ),
+    ),
+    MethodId.TWOPOINT: Route(
+        lambda z, w, z0: in_region_twopoint(z).margin,
+        lambda p, z, n, tol, w, z0, _: eval_twopoint(p, z, n_terms=n, tol=_series_tol(tol)),
+    ),
+    MethodId.THREEPOINT: Route(
+        lambda z, w, z0: in_region_threepoint(z).margin,
+        lambda p, z, n, tol, w, z0, _: eval_threepoint(p, z, n_terms=n, tol=_series_tol(tol)),
+    ),
+}
+
+
+def _route(method: MethodId) -> Route:
+    try:
+        return ROUTES[method]
+    except KeyError:
+        raise ConfigError(f"unknown method {method}") from None
+
 
 def _buhring_applicable(params: HypParams, z: complex, z0: complex) -> bool:
     diff = params.b - params.a
     if abs(diff - round(diff)) < INTEGER_DIFF_TOL:
         return False
-    return abs(z - z0) > max(abs(z0), abs(z0 - 1.0))
+    return _buhring_margin(z, None, z0) > 0.0
 
 
 def select_method(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> MethodId:
@@ -52,26 +122,7 @@ def method_margin(
     z0: complex = DEFAULT_Z0,
 ) -> float:
     """Signed margin of the method's own region predicate at z."""
-    z = complex(z)
-    if method is MethodId.MACLAURIN:
-        return 1.0 - abs(z)
-    if method is MethodId.EULER:
-        # distance from the cut [1, inf)
-        return abs(z.imag) if z.real >= 1.0 else abs(z - 1.0)
-    if method is MethodId.BUHRING:
-        z0 = complex(z0)
-        return abs(z - z0) - max(abs(z0), abs(z0 - 1.0))
-    if method is MethodId.ONEPOINT_HALF:
-        return in_region_onepoint(z, 0.5).margin
-    if method is MethodId.ONEPOINT_W:
-        if w is None:
-            raise ConfigError("onepoint-w margin needs the expansion point w")
-        return in_region_onepoint(z, w).margin
-    if method is MethodId.TWOPOINT:
-        return in_region_twopoint(z).margin
-    if method is MethodId.THREEPOINT:
-        return in_region_threepoint(z).margin
-    raise ConfigError(f"unknown method {method}")
+    return _route(method).margin(complex(z), w, z0)
 
 
 def evaluate(
@@ -84,32 +135,19 @@ def evaluate(
     z0: complex = DEFAULT_Z0,
     max_terms: int = 2000,
 ) -> tuple[SeriesResult, MethodId]:
-    """Evaluate 2F1(params; z) by the chosen (or auto-selected) route."""
+    """Evaluate 2F1(params; z) by the chosen (or auto-selected) route.
+
+    The route comes from ROUTES.  maclaurin and euler-oracle judge
+    converged against tol itself; the series routes (buhring, onepoint-*,
+    twopoint, threepoint) sum indices 0 .. n_terms and judge it against
+    max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12).
+    """
     z = complex(z)
     if isinstance(method, str):
         method_id = select_method(params, z, z0) if method == "auto" else MethodId.from_string(method)
     else:
         method_id = method
-
-    if method_id is MethodId.MACLAURIN:
-        res = maclaurin(params, z, tol=tol, max_terms=max_terms)
-    elif method_id is MethodId.EULER:
-        res = euler_integral(params, z, tol=tol)
-    elif method_id is MethodId.BUHRING:
-        res = buhring_eval(params, z, z0=z0, n_terms=n_terms, tol=max(tol, 1e-12))
-    elif method_id is MethodId.ONEPOINT_HALF:
-        res = eval_onepoint(params, z, w=0.5, n_terms=n_terms, tol=max(tol, 1e-12))
-    elif method_id is MethodId.ONEPOINT_W:
-        if w is None:
-            raise ConfigError("method onepoint-w needs the expansion point w")
-        res = eval_onepoint(params, z, w=w, n_terms=n_terms, tol=max(tol, 1e-12))
-    elif method_id is MethodId.TWOPOINT:
-        res = eval_twopoint(params, z, n_terms=n_terms, tol=max(tol, 1e-12))
-    elif method_id is MethodId.THREEPOINT:
-        res = eval_threepoint(params, z, n_terms=n_terms, tol=max(tol, 1e-12))
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown method {method_id}")
-    return res, method_id
+    return _route(method_id).run(params, z, n_terms, tol, w, z0, max_terms), method_id
 
 
 def hyp2f1(

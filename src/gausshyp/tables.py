@@ -14,16 +14,15 @@ carries index_rule="half", and run_table maps labels accordingly.
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .buhring import buhring_eval
 from .core import HypParams
 from .errors import GaussHypError
-from .onepoint import eval_onepoint
 from .reference import euler_integral
 from .results import MethodId
-from .threepoint import eval_threepoint
-from .twopoint import eval_twopoint
+from .select import evaluate
+
+# Not called here; perfbench/tracing.py wraps these names in this module.
+from .select import buhring_eval, eval_onepoint, eval_threepoint, eval_twopoint
 
 Z_EXC = complex(0.5, math.sqrt(3.0) / 2.0)  # exp(i pi/3)
 
@@ -141,44 +140,25 @@ class TableResult:
     cells: tuple[dict, ...]
 
 
-def _featured_eval(spec: TableSpec) -> Callable:
-    if spec.featured is MethodId.ONEPOINT_HALF:
-        return lambda p, z, n: eval_onepoint(p, z, w=0.5, n_terms=n)
-    if spec.featured is MethodId.ONEPOINT_W:
-        return lambda p, z, n: eval_onepoint(p, z, w=spec.w, n_terms=n)
-    if spec.featured is MethodId.TWOPOINT:
-        return lambda p, z, n: eval_twopoint(p, z, n_terms=n)
-    if spec.featured is MethodId.THREEPOINT:
-        return lambda p, z, n: eval_threepoint(p, z, n_terms=n)
-    raise ValueError(f"table cannot feature method {spec.featured}")
-
-
 def run_table(spec: TableSpec | int, oracle_tol: float = 1e-13) -> TableResult:
     """Relative errors of (buhring, featured expansion) against the oracle."""
     if isinstance(spec, int):
         spec = TABLES[spec]
-    featured = _featured_eval(spec)
+    methods = (MethodId.BUHRING, spec.featured)
     cells = []
     for row in spec.rows:
         reference = euler_integral(row.params, row.z, tol=oracle_tol).value
         ref_abs = abs(reference)
-        row_cells: dict = {MethodId.BUHRING.value: {}, spec.featured.value: {}}
+        row_cells: dict = {method.value: {} for method in methods}
         for n in spec.n_values:
             idx = spec.series_index(n)
-            try:
-                v = buhring_eval(row.params, row.z, n_terms=idx).value
-                row_cells[MethodId.BUHRING.value][n] = abs(v - reference) / ref_abs
-            except GaussHypError as exc:
-                row_cells[MethodId.BUHRING.value][n] = ERROR_LABELS.get(
-                    type(exc).__name__, type(exc).__name__
-                )
-            try:
-                v = featured(row.params, row.z, idx).value
-                row_cells[spec.featured.value][n] = abs(v - reference) / ref_abs
-            except GaussHypError as exc:
-                row_cells[spec.featured.value][n] = ERROR_LABELS.get(
-                    type(exc).__name__, type(exc).__name__
-                )
+            for method in methods:
+                try:
+                    v = evaluate(row.params, row.z, method, n_terms=idx, w=spec.w)[0].value
+                    row_cells[method.value][n] = abs(v - reference) / ref_abs
+                except GaussHypError as exc:
+                    name = type(exc).__name__
+                    row_cells[method.value][n] = ERROR_LABELS.get(name, name)
         cells.append(row_cells)
     return TableResult(spec=spec, cells=tuple(cells))
 

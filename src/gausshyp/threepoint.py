@@ -40,14 +40,8 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .core import EPS, HypParams, cpow_principal, pochhammer, require_finite_complex
-from .errors import (
-    OutsideDomain,
-    ParamDomainError,
-    PoleError,
-    RecurrenceBreakdown,
-    SingularityError,
-)
+from .core import HypParams, cpow_principal, pochhammer, require_finite_complex, tail_estimate
+from .errors import OutsideDomain, PoleError, RecurrenceBreakdown, SingularityError
 from .results import RegionVerdict, SeriesResult
 
 DEFAULT_TERMS = 40
@@ -240,10 +234,7 @@ def eval_threepoint(
     z = require_finite_complex(z)
     if z == 1.0 or z == 2.0:
         raise SingularityError(f"z = {z}: coefficient recursion is singular")
-    if not params.euler_valid:
-        raise ParamDomainError(
-            f"expansion derived under c > b > 0, got b={params.b}, c={params.c}"
-        )
+    params.require_euler_valid("expansion derived under")
     verdict = in_region_threepoint(z)
     if not verdict.inside:
         raise OutsideDomain(
@@ -273,10 +264,5 @@ def eval_threepoint(
         s += contrib
         last = abs(contrib)
         abs_sum += last
-    denom = abs(s)
-    if denom == 0.0:
-        est = math.inf
-    else:
-        cond = abs_sum / denom
-        est = max(last / denom, EPS * (cond + n_terms + 1))
+    est = tail_estimate(abs(s), abs_sum, last, n_terms + 1)
     return SeriesResult(value=s, terms_used=n_terms, est_error=est, converged=est <= tol)

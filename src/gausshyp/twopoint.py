@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .core import EPS, HypParams, cpow_principal, pochhammer, require_finite_complex
-from .errors import OutsideDomain, ParamDomainError, PoleError, SingularityError
+from .core import HypParams, cpow_principal, pochhammer, require_finite_complex, tail_estimate
+from .errors import OutsideDomain, PoleError, SingularityError
 from .results import RegionVerdict, SeriesResult
 
 DEFAULT_TERMS = 40
@@ -191,10 +191,7 @@ def eval_twopoint(
     z = require_finite_complex(z)
     if z == 1.0:
         raise SingularityError("z = 1: coefficient recursion is singular")
-    if not params.euler_valid:
-        raise ParamDomainError(
-            f"expansion derived under c > b > 0, got b={params.b}, c={params.c}"
-        )
+    params.require_euler_valid("expansion derived under")
     verdict = in_region_twopoint(z)
     if not verdict.inside:
         raise OutsideDomain(f"z = {z} outside |z|^2 < 4|1-z| (margin {verdict.margin})")
@@ -212,10 +209,5 @@ def eval_twopoint(
         last = abs(contrib)
         abs_sum += last
         moment *= (b + n) * (c - b + n) / ((c + 2.0 * n + 1.0) * (c + 2.0 * n + 2.0))
-    denom = abs(s)
-    if denom == 0.0:
-        est = math.inf
-    else:
-        cond = abs_sum / denom
-        est = max(last / denom, EPS * (cond + n_terms + 1))
+    est = tail_estimate(abs(s), abs_sum, last, n_terms + 1)
     return SeriesResult(value=s, terms_used=n_terms, est_error=est, converged=est <= tol)

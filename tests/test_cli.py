@@ -49,9 +49,22 @@ class TestEvalCommand:
         code = main(["eval", "--a", "1", "--b", "1", "--c", "2", "--z", "0.5"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"value", "method", "terms", "est_error", "in_region_margin"}
+        assert set(payload) == {
+            "value", "method", "terms", "est_error", "converged", "in_region_margin"
+        }
         assert abs(payload["value"]["re"] - 2.0 * math.log(2.0)) <= 1e-7
         assert payload["method"] == "maclaurin"
+        assert payload["converged"] is True
+
+    def test_json_reports_unconverged_result(self, capsys):
+        # integer b - a at z = -50: auto takes onepoint-half, which stops
+        # well short of tol at the default 40 terms
+        code = main(["eval", "--a", "1.2", "--b", "2.2", "--c", "3", "--z", "-50"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "onepoint-half"
+        assert payload["converged"] is False
+        assert payload["est_error"] > 1e-12
 
     def test_threepoint_at_exceptional_point(self, capsys):
         code = main(

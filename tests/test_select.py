@@ -7,18 +7,40 @@ from gausshyp import (
     HypParams,
     MethodId,
     NoMethodError,
+    ROUTES,
+    buhring_eval,
     euler_integral,
+    eval_onepoint,
+    eval_threepoint,
+    eval_twopoint,
     evaluate,
     hyp2f1,
     in_region_onepoint,
     in_region_threepoint,
     in_region_twopoint,
+    maclaurin,
     method_margin,
     select_method,
 )
 from conftest import Z_EXC, rel_err
 
 PARAMS = HypParams(1.2, 2.1, 3.0)
+
+#: Non-default arguments for the route-forwarding test.  No route reaches
+#: the default tol at n = 8, so dropping tol, like dropping n, w or z0,
+#: changes the result.
+N, TOL, W, Z0 = 8, 0.5, complex(0.5, 0.5), complex(0.5, 0.1)
+
+#: method -> (in-region z, the direct call evaluate must reproduce)
+DIRECT_CALLS = {
+    MethodId.MACLAURIN: (0.3 + 0.2j, lambda z: maclaurin(PARAMS, z, tol=TOL)),
+    MethodId.EULER: (Z_EXC, lambda z: euler_integral(PARAMS, z, tol=TOL)),
+    MethodId.BUHRING: (2.0 + 1.0j, lambda z: buhring_eval(PARAMS, z, z0=Z0, n_terms=N, tol=TOL)),
+    MethodId.ONEPOINT_HALF: (-1.0 + 1.0j, lambda z: eval_onepoint(PARAMS, z, n_terms=N, tol=TOL)),
+    MethodId.ONEPOINT_W: (Z_EXC, lambda z: eval_onepoint(PARAMS, z, w=W, n_terms=N, tol=TOL)),
+    MethodId.TWOPOINT: (-1.0 + 0j, lambda z: eval_twopoint(PARAMS, z, n_terms=N, tol=TOL)),
+    MethodId.THREEPOINT: (Z_EXC, lambda z: eval_threepoint(PARAMS, z, n_terms=N, tol=TOL)),
+}
 
 
 class TestSelectMethod:
@@ -84,6 +106,23 @@ class TestMethodMargin:
         with pytest.raises(ConfigError):
             method_margin(MethodId.ONEPOINT_W, 0.5 + 0j)
         assert method_margin(MethodId.ONEPOINT_W, 0j, w=1j) == 1.0
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("method", list(MethodId), ids=str)
+    def test_evaluate_forwards_every_argument(self, method):
+        assert set(ROUTES) == set(MethodId) == set(DIRECT_CALLS)
+        z, direct = DIRECT_CALLS[method]
+        res, used = evaluate(PARAMS, z, method, n_terms=N, tol=TOL, w=W, z0=Z0)
+        assert used is method
+        assert method_margin(method, z, w=W, z0=Z0) > 0
+        assert res == direct(z)
+        assert res.converged
+
+    def test_evaluate_forwards_max_terms(self):
+        res, _ = evaluate(PARAMS, 0.9 + 0j, MethodId.MACLAURIN, max_terms=5)
+        assert res == maclaurin(PARAMS, 0.9 + 0j, max_terms=5)
+        assert res.terms_used == 5
 
 
 class TestEvaluate:
