@@ -39,7 +39,6 @@ from .errors import (
 from .onepoint import (
     eval_onepoint,
     in_region_onepoint,
-    phi_brute,
     phi_half,
     phi_half_sequence,
     phi_w,
@@ -63,9 +62,9 @@ from .twopoint import (
     eval_twopoint,
     in_region_twopoint,
     phi_psi_moments,
-    twopoint_coeffs_explicit,
     twopoint_coeffs_recursive,
 )
+from .verify import phi_brute, twopoint_coeffs_explicit
 
 __version__ = "0.1.0"
 

@@ -82,6 +82,12 @@ def buhring_coeffs(s: float, z0: complex, params: HypParams, n_max: int) -> Buhr
     return BuhringCoeffs(s=s, z0=complex(z0), d=tuple(_d_sequence(s, z0, params, n_max)))
 
 
+def is_integer_difference(params: HypParams) -> bool:
+    """True when b - a is within INTEGER_DIFF_TOL of an integer."""
+    diff = params.b - params.a
+    return abs(diff - round(diff)) < INTEGER_DIFF_TOL
+
+
 def buhring_eval(
     params: HypParams,
     z: complex,
@@ -97,7 +103,7 @@ def buhring_eval(
     """
     a, b, c = params.a, params.b, params.c
     diff = b - a
-    if abs(diff - round(diff)) < INTEGER_DIFF_TOL:
+    if is_integer_difference(params):
         raise IntegerDifferenceError(
             f"b - a = {diff} is an integer (within {INTEGER_DIFF_TOL}); "
             "the continuation coefficients are indeterminate"

@@ -21,45 +21,27 @@ from . import __version__
 from .buhring import buhring_eval, d_coeff
 from .core import HypParams, cpow_principal, gamma_real, pochhammer
 from .errors import (
-    BranchCutError,
     ConfigError,
-    DomainError,
     GaussHypError,
     IntegerDifferenceError,
-    NoMethodError,
-    OutsideDomain,
-    ParamDomainError,
     PoleError,
     RecurrenceBreakdown,
-    SingularityError,
 )
-from .onepoint import eval_onepoint, in_region_onepoint, phi_brute, phi_half, phi_w
+from .onepoint import eval_onepoint, in_region_onepoint, phi_half, phi_w
 from .raster import RasterSpec, raster_to_csv
 from .reference import classify_region, euler_integral, maclaurin
 from .results import MethodId
 from .select import evaluate, method_margin
 from .tables import TABLES, run_table, table_to_csv, table_to_json
-from .threepoint import eval_threepoint, in_region_threepoint, phi3, threepoint_coeffs
-from .twopoint import (
-    eval_twopoint,
-    in_region_twopoint,
-    twopoint_coeffs_explicit,
-    twopoint_coeffs_recursive,
-)
+from .threepoint import eval_threepoint, in_region_threepoint, phi3_sequence, threepoint_coeffs
+from .twopoint import eval_twopoint, in_region_twopoint, twopoint_coeffs_recursive
+from .verify import phi3_direct_sequence, phi_brute, twopoint_coeffs_explicit
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
-_DOMAIN_ERRORS = (
-    DomainError,
-    OutsideDomain,
-    ParamDomainError,
-    BranchCutError,
-    SingularityError,
-    NoMethodError,
-)
 _NUMERIC_ERRORS = (PoleError, IntegerDifferenceError, RecurrenceBreakdown)
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -264,11 +246,9 @@ def _selftest_checks():
         return True
 
     def phi3_paths_agree():
-        return all(
-            abs(phi3(n, 2.1, 3.0, mode="recurrence") - phi3(n, 2.1, 3.0, mode="direct", dps=40))
-            <= 1e-9 * abs(phi3(n, 2.1, 3.0, mode="direct", dps=40))
-            for n in range(1, 16)
-        )
+        rec = phi3_sequence(15, 2.1, 3.0)
+        direct = phi3_direct_sequence(15, 2.1, 3.0, dps=40)
+        return all(abs(rec[n] - direct[n]) <= 1e-9 * abs(direct[n]) for n in range(1, 16))
 
     def threepoint_reconstructs():
         co = threepoint_coeffs(1.2, z_exc, 35)
@@ -355,10 +335,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _DOMAIN_ERRORS as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except GaussHypError as exc:  # any library error not classified above
+    except GaussHypError as exc:  # domain, region and any other library error
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

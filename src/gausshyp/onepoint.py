@@ -14,9 +14,8 @@ depending on Re w.  The moments satisfy the three-term recurrence
 
 from Phi_0 = 1, Phi_1 = 1 - b/(cw), which at w = 1/2 reduces to
 (c+n) Phi_{n+1} + (2b-c) Phi_n - n Phi_{n-1} = 0 with Phi_1 = 1 - 2b/c.
+The terminating sum itself is the verification route (gausshyp.verify.phi_brute).
 """
-
-import mpmath
 
 from .core import HypParams, cpow_principal, require_finite_complex, tail_estimate
 from .errors import DomainError, OutsideDomain, PoleError
@@ -74,37 +73,6 @@ def phi_w(n: int, b: float, c: float, w: complex) -> complex:
     return phi_w_sequence(n, b, c, w)[n]
 
 
-def phi_brute(n: int, b: float, c: float, w: complex = 0.5, dps: int | None = None) -> complex:
-    """Terminating-series definition of Phi_n, the correctness oracle.
-
-    Sums 2F1(-n, b, c; 1/w) = sum_{k<=n} (-n)_k (b)_k (1/w)^k / ((c)_k k!)
-    directly.  The sum cancels heavily for large n (the terms reach
-    ~(1+|1/w|)^n while the value stays O(1)), so pass dps to evaluate in
-    extended precision when n is beyond ~15.
-    """
-    w = complex(w)
-    if w == 0:
-        raise DomainError("expansion point w must be nonzero")
-    x = 1.0 / w
-    if dps is None:
-        s = 0j
-        term = 1.0 + 0j
-        for k in range(n + 1):
-            s += term
-            term *= (-n + k) * (b + k) * x / ((c + k) * (k + 1))
-        return s
-    with mpmath.workdps(dps):
-        xm = mpmath.mpc(x)
-        bm = mpmath.mpf(b)
-        cm = mpmath.mpf(c)
-        s = mpmath.mpc(0)
-        term = mpmath.mpc(1)
-        for k in range(n + 1):
-            s += term
-            term *= (-n + k) * (bm + k) * xm / ((cm + k) * (k + 1))
-        return complex(s)
-
-
 def in_region_onepoint(z: complex, w: complex = 0.5) -> RegionVerdict:
     """Membership in S via the fundamental inequality |1-wz| > |z| max(|w|, |1-w|).
 
@@ -124,13 +92,11 @@ def eval_onepoint(
     w: complex = 0.5,
     n_terms: int = DEFAULT_TERMS,
     tol: float = 1e-12,
-    use_half_path: bool | None = None,
 ) -> SeriesResult:
     """Truncated single-point expansion, indices 0 .. n_terms inclusive.
 
-    w = 1/2 is routed through the real-arithmetic moment recurrence unless
-    use_half_path=False forces the generic complex path (the two agree to
-    rounding; the flag exists so tests can compare them).
+    w = 1/2 takes the real-arithmetic moment recurrence, which agrees with
+    the generic complex one to rounding.
     """
     z = require_finite_complex(z)
     w = require_finite_complex(w, "w")
@@ -141,12 +107,8 @@ def eval_onepoint(
     if not verdict.inside:
         raise OutsideDomain(f"z = {z} outside the w = {w} expansion region (margin {verdict.margin})")
 
-    if use_half_path is None:
-        use_half_path = w == 0.5
-    if use_half_path and w != 0.5:
-        raise DomainError("use_half_path requires w = 1/2")
     phis: list[complex] | list[float]
-    if use_half_path:
+    if w == 0.5:
         phis = phi_half_sequence(n_terms, params.b, params.c)
     else:
         phis = phi_w_sequence(n_terms, params.b, params.c, w)

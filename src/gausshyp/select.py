@@ -2,7 +2,7 @@
 
 from typing import Callable, NamedTuple
 
-from .buhring import DEFAULT_Z0, INTEGER_DIFF_TOL, buhring_eval
+from .buhring import DEFAULT_Z0, buhring_eval, is_integer_difference
 from .core import HypParams
 from .errors import ConfigError, NoMethodError
 from .onepoint import eval_onepoint, in_region_onepoint
@@ -84,10 +84,7 @@ def _route(method: MethodId) -> Route:
 
 
 def _buhring_applicable(params: HypParams, z: complex, z0: complex) -> bool:
-    diff = params.b - params.a
-    if abs(diff - round(diff)) < INTEGER_DIFF_TOL:
-        return False
-    return _buhring_margin(z, None, z0) > 0.0
+    return not is_integer_difference(params) and _buhring_margin(z, None, z0) > 0.0
 
 
 def select_method(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> MethodId:

@@ -25,22 +25,19 @@ with moments
 
     Phi_n(b, c) = (-1)^n (b)_n (c-b)_n / (2^n (c)_{2n}) 2F1(-n, b+n; c+2n; 2).
 
-Phi_n can be computed two ways: "direct" evaluates the terminating closed
-form, "recurrence" runs a three-term recurrence (Zeilberger-derived) with
-polynomial coefficients X_n, Y_n, Z_n.  In double precision the direct sum
-cancels heavily for n beyond ~12 (Phi_n decays superexponentially while
-the 2^k terms do not), whereas the recurrence tracks Phi_n to machine
-accuracy; the recurrence is therefore the default and the direct form is
-the definitional oracle, evaluated in extended precision when comparing
-the two routes at large n.
+Phi_n is computed by a three-term recurrence (Zeilberger-derived) with
+polynomial coefficients X_n, Y_n, Z_n, which tracks Phi_n to machine
+accuracy in double precision.  The terminating closed form above is the
+verification route (gausshyp.verify.phi3_direct_sequence): in double
+precision its sum cancels heavily for n beyond ~12 (Phi_n decays
+superexponentially while the 2^k terms do not), so it is evaluated in
+extended precision when the two routes are compared at large n.
 """
 
 import math
 from dataclasses import dataclass
 
-import mpmath
-
-from .core import HypParams, cpow_principal, pochhammer, require_finite_complex, tail_estimate
+from .core import HypParams, cpow_principal, require_finite_complex, tail_estimate
 from .errors import OutsideDomain, PoleError, RecurrenceBreakdown, SingularityError
 from .results import RegionVerdict, SeriesResult
 
@@ -147,11 +144,11 @@ def _phi1_closed(b, c):
     return -b * (b - c) * (2 * b - c) / den
 
 
-def _phi3_recurrence_seq(n_max: int, b, c, one):
-    """Forward recurrence from Phi_0 = 1, Phi_1; `one` fixes the arithmetic type."""
-    vals = [one]
+def phi3_sequence(n_max: int, b: float, c: float) -> list[float]:
+    """Phi_0 .. Phi_{n_max} by the three-term recurrence, run forward from Phi_0 = 1, Phi_1."""
+    vals = [1.0]
     if n_max >= 1:
-        vals.append(_phi1_closed(b, c) * one)
+        vals.append(_phi1_closed(b, c))
     for n in range(1, n_max):
         x, y, z = _recurrence_xyz(n, b, c)
         if z == 0:
@@ -160,57 +157,11 @@ def _phi3_recurrence_seq(n_max: int, b, c, one):
     return vals
 
 
-def _phi3_direct(n: int, b, c, use_mp: bool):
-    if use_mp:
-        f = mpmath.mpf(1)
-        term = mpmath.mpf(1)
-        for k in range(n):
-            term *= mpmath.mpf(2) * (-n + k) * (b + n + k) / ((c + 2 * n + k) * (k + 1))
-            f += term
-        pref = mpmath.rf(b, n) * mpmath.rf(c - b, n) / (mpmath.mpf(2) ** n * mpmath.rf(c, 2 * n))
-        return (-1) ** n * pref * f
-    den = pochhammer(c, 2 * n)
-    if den == 0.0:
-        raise PoleError(f"(c)_{2 * n} = 0 for c = {c}")
-    f = 1.0
-    term = 1.0
-    for k in range(n):
-        term *= 2.0 * (-n + k) * (b + n + k) / ((c + 2 * n + k) * (k + 1))
-        f += term
-    sign = -1.0 if n % 2 else 1.0
-    return sign * pochhammer(b, n) * pochhammer(c - b, n) / (2.0**n * den) * f
-
-
-def phi3_sequence(
-    n_max: int, b: float, c: float, mode: str = "recurrence", dps: int | None = None
-) -> list[float]:
-    """Phi_0 .. Phi_{n_max} by the selected route.
-
-    mode="recurrence" runs the three-term recurrence forward (machine
-    accurate in double); mode="direct" evaluates the terminating closed
-    form for each index (pass dps for extended precision beyond n ~ 12,
-    where the direct sum cancels in double).
-    """
-    if mode not in ("recurrence", "direct"):
-        raise ValueError(f"unknown phi3 mode {mode!r}")
-    if mode == "recurrence":
-        if dps is None:
-            return _phi3_recurrence_seq(n_max, b, c, 1.0)
-        with mpmath.workdps(dps):
-            seq = _phi3_recurrence_seq(n_max, mpmath.mpf(b), mpmath.mpf(c), mpmath.mpf(1))
-            return [float(v) for v in seq]
-    if dps is None:
-        return [_phi3_direct(n, b, c, use_mp=False) for n in range(n_max + 1)]
-    with mpmath.workdps(dps):
-        bm, cm = mpmath.mpf(b), mpmath.mpf(c)
-        return [float(_phi3_direct(n, bm, cm, use_mp=True)) for n in range(n_max + 1)]
-
-
-def phi3(n: int, b: float, c: float, mode: str = "recurrence", dps: int | None = None) -> float:
+def phi3(n: int, b: float, c: float) -> float:
     """Moment Phi_n(b, c) of the three-point expansion."""
     if n < 0:
         raise ValueError("moment index must be non-negative")
-    return phi3_sequence(n, b, c, mode=mode, dps=dps)[n]
+    return phi3_sequence(n, b, c)[n]
 
 
 def in_region_threepoint(z: complex) -> RegionVerdict:
@@ -228,8 +179,8 @@ def eval_threepoint(
 ) -> SeriesResult:
     """Truncated three-point expansion, indices 0 .. n_terms inclusive.
 
-    Uses recurrence-mode moments for the three shifted parameter pairs,
-    falling back to the direct closed form if the recurrence breaks down.
+    The moment recurrence cannot break down here: under c > b > 0 the last
+    factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0.
     """
     z = require_finite_complex(z)
     if z == 1.0 or z == 2.0:
@@ -243,13 +194,7 @@ def eval_threepoint(
 
     a, b, c = params.a, params.b, params.c
     coeffs = threepoint_coeffs(a, z, n_terms)
-    shifted = []
-    for j in range(3):
-        try:
-            shifted.append(phi3_sequence(n_terms, b + j, c + j, mode="recurrence"))
-        except RecurrenceBreakdown:
-            shifted.append(phi3_sequence(n_terms, b + j, c + j, mode="direct"))
-    phi0, phi1, phi2 = shifted
+    phi0, phi1, phi2 = (phi3_sequence(n_terms, b + j, c + j) for j in range(3))
     wb = b / c
     wc = b * (b + 1.0) / (c * (c + 1.0))
 

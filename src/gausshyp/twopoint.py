@@ -21,20 +21,18 @@ recursion obtained from (1-zt) f' = a z f:
     A_{n+1} = (-z (a+2n) A_n + [1 + n(2-z)] B_n) / (n+1)
     B_{n+1} = (z (2-z)(a+2n) A_n + [z(a+2) + n(6z - z^2 - 4) - 2] B_n) / ((n+1)(1-z)).
 
-The verification route is the explicit double sum (twopoint_coeffs_explicit).
-Both routes are exact formula-wise, but at coefficient level both lose
-relative accuracy in fixed precision as n grows: the explicit sum cancels
-(its terms reach ~4^n |z|^n while A_n ~ |1/z (1/z - 1)|^(-n)), and the
-recursion admits a parasitic solution growing like 4^n relative to A_n.
-The series value is unaffected (the moments decay like 4^(-n)), so the
-explicit route evaluates in extended precision and the dual-path
-comparison is done at a matched precision.
+The verification route, the explicit double sum, lives in gausshyp.verify
+(twopoint_coeffs_explicit).  Both routes are exact formula-wise, but at
+coefficient level both lose relative accuracy in fixed precision as n
+grows: the explicit sum cancels (its terms reach ~4^n |z|^n while
+A_n ~ |1/z (1/z - 1)|^(-n)), and the recursion admits a parasitic solution
+growing like 4^n relative to A_n.  The series value is unaffected (the
+moments decay like 4^(-n)), so the explicit route evaluates in extended
+precision and the dual-path comparison runs this module's recursion at a
+matched precision (gausshyp.verify.twopoint_coeffs_mp).
 """
 
-import math
 from dataclasses import dataclass
-
-import mpmath
 
 from .core import HypParams, cpow_principal, pochhammer, require_finite_complex, tail_estimate
 from .errors import OutsideDomain, PoleError, SingularityError
@@ -57,39 +55,8 @@ def _initial_pair(a: float, z: complex) -> tuple[complex, complex]:
     return 1.0 + 0j, cpow_principal(1.0 - z, -a) - 1.0
 
 
-def twopoint_coeffs_recursive(
-    a: float, z: complex, n_max: int, dps: int | None = None
-) -> TwoPointCoeffs:
-    """A and B streams up to n_max by the forward recursion; z = 1 is singular.
-
-    dps switches the recursion to extended precision; the returned values
-    are rounded back to complex.  Used when comparing against the explicit
-    route at large n, where double-precision coefficients of either route
-    have lost relative accuracy.
-    """
-    z = complex(z)
-    if z == 1.0:
-        raise SingularityError("z = 1: recursion divides by 1 - z")
-    if dps is not None:
-        with mpmath.workdps(dps):
-            am = mpmath.mpf(a)
-            zm = mpmath.mpc(z.real, 0.0 if z.imag == 0.0 else z.imag)
-            A = [mpmath.mpc(1)]
-            B = [(1 - zm) ** (-am) - 1]
-            for n in range(n_max):
-                An, Bn = A[-1], B[-1]
-                A.append((-zm * (am + 2 * n) * An + (1 + n * (2 - zm)) * Bn) / (n + 1))
-                B.append(
-                    (
-                        zm * (2 - zm) * (am + 2 * n) * An
-                        + (zm * (am + 2) + n * (6 * zm - zm * zm - 4) - 2) * Bn
-                    )
-                    / ((n + 1) * (1 - zm))
-                )
-            return TwoPointCoeffs(
-                a=a, z=z, A=tuple(complex(v) for v in A), B=tuple(complex(v) for v in B)
-            )
-    A0, B0 = _initial_pair(a, z)
+def _recursion(a, z, A0, B0, n_max: int) -> tuple[list, list]:
+    """A_0..A_{n_max}, B_0..B_{n_max} from (A0, B0) in the arithmetic of a and z."""
     A = [A0]
     B = [B0]
     for n in range(n_max):
@@ -102,54 +69,17 @@ def twopoint_coeffs_recursive(
             )
             / ((n + 1.0) * (1.0 - z))
         )
-    return TwoPointCoeffs(a=a, z=z, A=tuple(A), B=tuple(B))
+    return A, B
 
 
-def _auto_dps(z: complex, n: int) -> int:
-    # Cancellation in the explicit sum is ~n * log10(4 R) digits, where
-    # R = |1/z (1/z - 1)| is the coefficient decay rate.
-    if z == 0:
-        return 30
-    r = abs(1.0 - z) / (abs(z) * abs(z))
-    extra = max(0.0, math.log10(max(r, 1.0)))
-    return min(300, 40 + int(n * (0.65 + extra)))
-
-
-def twopoint_coeffs_explicit(
-    a: float, z: complex, n: int, dps: int | None = None
-) -> tuple[complex, complex]:
-    """(A_n, B_n) by the explicit double sum, the verification route.
-
-    Evaluated in extended precision (mpmath) because the sum cancels to
-    roughly 4^n below its largest term; dps=None picks a working precision
-    from n and z.  n = 0 returns the initial pair.
-    """
+def twopoint_coeffs_recursive(a: float, z: complex, n_max: int) -> TwoPointCoeffs:
+    """A and B streams up to n_max by the forward recursion; z = 1 is singular."""
     z = complex(z)
     if z == 1.0:
-        raise SingularityError("z = 1 is a singular point of the coefficient formulas")
-    if n < 0:
-        raise ValueError("coefficient index must be non-negative")
-    if n == 0:
-        return _initial_pair(a, z)
-    if dps is None:
-        dps = _auto_dps(z, n)
-    with mpmath.workdps(dps):
-        am = mpmath.mpf(a)
-        zm = mpmath.mpc(z.real, 0.0 if z.imag == 0.0 else z.imag)
-        one_m_z = 1 - zm
-        A = mpmath.mpc(0)
-        B = mpmath.mpc(0)
-        sign_n = (-1) ** n
-        for k in range(n + 1):
-            common = mpmath.rf(am, n - k) * zm ** (n - k)
-            binA = mpmath.factorial(n + k - 1) / (mpmath.factorial(k) * mpmath.factorial(n - k))
-            binB = binA * (n + k)
-            pw = one_m_z ** (k - am - n)
-            sign_k = (-1) ** k
-            A += binA * (sign_n * n - sign_k * k * pw) * common
-            B += binB * (sign_k * pw - sign_n) * common
-        fact = mpmath.factorial(n)
-        return complex(A / fact), complex(B / fact)
+        raise SingularityError("z = 1: recursion divides by 1 - z")
+    A0, B0 = _initial_pair(a, z)
+    A, B = _recursion(a, z, A0, B0, n_max)
+    return TwoPointCoeffs(a=a, z=z, A=tuple(A), B=tuple(B))
 
 
 def phi_psi_moments(n: int, b: float, c: float) -> tuple[float, float]:

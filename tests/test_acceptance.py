@@ -32,6 +32,7 @@ from gausshyp import (
     twopoint_coeffs_explicit,
     twopoint_coeffs_recursive,
 )
+from gausshyp.verify import phi3_direct_sequence, twopoint_coeffs_mp
 from conftest import TABLE_PARAM_SETS, Z_EXC, rel_err, sample_in_region, within_factor
 
 PARAMS_MAIN = HypParams(1.2, 2.1, 3.0)
@@ -137,7 +138,7 @@ def test_criterion_6_dual_path_equivalence():
     )
     worst_two = 0.0
     for z in samples:
-        rec = twopoint_coeffs_recursive(1.2, z, 20, dps=70)
+        rec = twopoint_coeffs_mp(1.2, z, 20, dps=70)
         for n in (1, 5, 10, 15, 20):
             ae, be = twopoint_coeffs_explicit(1.2, z, n, dps=70)
             da = abs(ae - rec.A[n]) / abs(ae)
@@ -148,8 +149,8 @@ def test_criterion_6_dual_path_equivalence():
     # three-point moments: three-term recurrence route vs terminating closed form
     worst_three = 0.0
     for b, c in ((2.1, 3.0), (2.5, 3.0), (2.01, 3.0), (2.1, 3.5)):
-        rec = phi3_sequence(25, b, c, mode="recurrence")
-        direct = phi3_sequence(25, b, c, mode="direct", dps=60)
+        rec = phi3_sequence(25, b, c)
+        direct = phi3_direct_sequence(25, b, c, dps=60)
         for n in range(26):
             d = abs(rec[n] - direct[n]) / max(abs(direct[n]), 1e-300)
             worst_three = max(worst_three, d)

@@ -10,6 +10,16 @@ from gausshyp import HypParams, euler_integral
 from gausshyp.cli import main, parse_complex
 from conftest import Z_EXC, rel_err
 
+#: One eval command line per library error class that maps to exit code 3.
+DOMAIN_ERROR_ARGV = {
+    "OutsideDomain": "--a 1.2 --b 2.1 --c 3 --z 3 --method maclaurin",
+    "BranchCutError": "--a 1.2 --b 2.1 --c 3 --z 3 --method euler-oracle",
+    "SingularityError": "--a 1.2 --b 2.1 --c 3 --z 1 --method twopoint",
+    "ParamDomainError": "--a 1 --b 2.5 --c 2 --z -1 --method threepoint",
+    "NoMethodError": "--a 1 --b 2 --c 1.5 --z 3",
+    "DomainError": "--a 1.2 --b 2.1 --c 3 --z -1 --method onepoint-w --w 0",
+}
+
 
 class TestParseComplex:
     def test_plain_real(self):
@@ -98,11 +108,10 @@ class TestEvalCommand:
         assert code == 4
         assert "IntegerDifferenceError" in capsys.readouterr().err
 
-    def test_domain_error_exit_code(self, capsys):
-        code = main(
-            ["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z", "3", "--method", "maclaurin"]
-        )
-        assert code == 3
+    @pytest.mark.parametrize("error", list(DOMAIN_ERROR_ARGV))
+    def test_domain_error_exit_code(self, capsys, error):
+        assert main(["eval", *DOMAIN_ERROR_ARGV[error].split()]) == 3
+        assert f"error ({error}):" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["eval", "--a", "1", "--b", "1", "--c", "2", "--z", "nonsense"]) == 2

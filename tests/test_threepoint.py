@@ -1,6 +1,8 @@
 """Three-point expansion tests: coefficients, moment routes, region, evaluation."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +20,8 @@ from gausshyp import (
     phi3_sequence,
     threepoint_coeffs,
 )
+from gausshyp.threepoint import _recurrence_xyz
+from gausshyp.verify import phi3_direct_sequence
 from conftest import Z_EXC, rel_err, sample_in_region
 
 PARAMS = HypParams(1.2, 2.1, 3.0)
@@ -71,37 +75,38 @@ class TestCoefficients:
 
 class TestPhi3:
     def test_order_zero_both_modes(self):
-        assert phi3(0, 2.1, 3.0, mode="recurrence") == 1.0
-        assert phi3(0, 2.1, 3.0, mode="direct") == 1.0
+        assert phi3(0, 2.1, 3.0) == 1.0
+        assert phi3_direct_sequence(0, 2.1, 3.0)[0] == 1.0
 
     def test_order_one_closed_form(self):
         want = phi1_closed(2.1, 3.0)
         assert abs(want - 0.0189) <= 1e-15  # -2.1 (-0.9)(1.2) / 120
-        assert abs(phi3(1, 2.1, 3.0, mode="direct") - want) <= 1e-14
-        assert abs(phi3(1, 2.1, 3.0, mode="recurrence") - want) <= 1e-14
+        assert abs(phi3_direct_sequence(1, 2.1, 3.0)[1] - want) <= 1e-14
+        assert abs(phi3(1, 2.1, 3.0) - want) <= 1e-14
 
     @pytest.mark.parametrize("b,c", [(2.1, 3.0), (2.5, 3.0), (2.01, 3.0), (3.1, 4.0)])
     def test_dual_route_agreement(self, b, c):
         # recurrence in double vs the terminating closed form in extended
         # precision (the direct sum cancels in double beyond n ~ 12)
-        rec = phi3_sequence(25, b, c, mode="recurrence")
-        direct = phi3_sequence(25, b, c, mode="direct", dps=50)
+        rec = phi3_sequence(25, b, c)
+        direct = phi3_direct_sequence(25, b, c, dps=50)
         for n in range(26):
             assert abs(rec[n] - direct[n]) <= 1e-9 * max(abs(direct[n]), 1e-300), (b, c, n)
 
     def test_direct_double_accurate_at_small_n(self):
+        direct = phi3_direct_sequence(8, 2.1, 3.0)
         for n in range(9):
-            d = phi3(n, 2.1, 3.0, mode="direct")
-            r = phi3(n, 2.1, 3.0, mode="recurrence")
+            d = direct[n]
+            r = phi3(n, 2.1, 3.0)
             assert abs(d - r) <= 1e-10 * max(abs(r), 1e-300)
 
     def test_contiguous_relation(self):
         # Phi_{n+1}(b,c) = b(b+1)(c-b)/(c(c+1)(c+2)) Phi_n(b+2,c+3)
         #                - b(c-b)/(2c(c+1)) Phi_n(b+1,c+2)
         b, c = 2.1, 3.0
-        base = phi3_sequence(16, b, c, mode="recurrence")
-        s23 = phi3_sequence(16, b + 2.0, c + 3.0, mode="recurrence")
-        s12 = phi3_sequence(16, b + 1.0, c + 2.0, mode="recurrence")
+        base = phi3_sequence(16, b, c)
+        s23 = phi3_sequence(16, b + 2.0, c + 3.0)
+        s12 = phi3_sequence(16, b + 1.0, c + 2.0)
         w1 = b * (b + 1.0) * (c - b) / (c * (c + 1.0) * (c + 2.0))
         w2 = b * (c - b) / (2.0 * c * (c + 1.0))
         for n in range(16):
@@ -112,13 +117,31 @@ class TestPhi3:
     def test_recurrence_breakdown_raises_and_direct_works(self):
         # Z_1 vanishes at b = 1, c = 4/5
         with pytest.raises(RecurrenceBreakdown):
-            phi3_sequence(5, 1.0, 0.8, mode="recurrence")
-        vals = phi3_sequence(5, 1.0, 0.8, mode="direct")
+            phi3_sequence(5, 1.0, 0.8)
+        vals = phi3_direct_sequence(5, 1.0, 0.8)
         assert len(vals) == 6 and all(math.isfinite(v) for v in vals)
 
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            phi3(3, 2.1, 3.0, mode="bogus")
+
+    def test_recurrence_cannot_break_down_when_c_above_b_above_zero(self):
+        # eval_threepoint relies on this: for c > b > 0 and n >= 1 the last
+        # factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0
+        rng = random.Random(2013)
+        for _ in range(300):
+            b = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            c = b + Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            n = rng.randint(1, 200)
+            last = -((4 * b + 5 * n - 4) * (c - b) + b * (5 * n - 4) + 2 * (3 * n - 2) * (n - 1))
+            assert last < 0
+            z = 16 * (3 * n + c) * (3 * n + 1 + c) * (3 * n + 2 + c) * last
+            assert _recurrence_xyz(n, b, c)[2] == z, (b, c, n)
+        # and in floating point no Z_n rounds to zero on the shifted pairs
+        # that eval_threepoint passes
+        for _ in range(150):
+            b = 10.0 ** rng.uniform(-12.0, 12.0)
+            c = b * (1.0 + 10.0 ** rng.uniform(-12.0, 3.0))
+            assert c > b > 0.0
+            for j in range(3):
+                phi3_sequence(200, b + j, c + j)
 
 
 class TestRegion:
@@ -182,11 +205,12 @@ class TestEvalThreepoint:
             res = eval_threepoint(params, z, n_terms=20)
             b, c = params.b, params.c
             co = threepoint_coeffs(params.a, z, 20)
+            d0, d1, d2 = (phi3_direct_sequence(20, b + j, c + j, dps=40) for j in range(3))
             alt = 0j
             for n in range(21):
-                w0 = (-1.0) ** n * phi3(n, b, c, mode="direct", dps=40)
-                w1 = (-1.0) ** n * phi3(n, b + 1.0, c + 1.0, mode="direct", dps=40)
-                w2 = (-1.0) ** n * phi3(n, b + 2.0, c + 2.0, mode="direct", dps=40)
+                w0 = (-1.0) ** n * d0[n]
+                w1 = (-1.0) ** n * d1[n]
+                w2 = (-1.0) ** n * d2[n]
                 alt += (
                     co.A[n] * w0
                     + (b / c) * co.B[n] * w1
