@@ -64,7 +64,6 @@ from .twopoint import (
     phi_psi_moments,
     twopoint_coeffs_recursive,
 )
-from .verify import phi_brute, twopoint_coeffs_explicit
 
 __version__ = "0.1.0"
 
@@ -111,7 +110,6 @@ __all__ = [
     "method_margin",
     "phi3",
     "phi3_sequence",
-    "phi_brute",
     "phi_half",
     "phi_half_sequence",
     "phi_psi_moments",
@@ -126,6 +124,5 @@ __all__ = [
     "table_to_csv",
     "table_to_json",
     "threepoint_coeffs",
-    "twopoint_coeffs_explicit",
     "twopoint_coeffs_recursive",
 ]

@@ -88,6 +88,16 @@ def is_integer_difference(params: HypParams) -> bool:
     return abs(diff - round(diff)) < INTEGER_DIFF_TOL
 
 
+def exclusion_radius(z0: complex) -> float:
+    """Radius max(|z0|, |z0 - 1|) of the disk around z0 where the continuation diverges."""
+    return max(abs(z0), abs(z0 - 1.0))
+
+
+def exclusion_margin(z: complex, z0: complex) -> float:
+    """|z - z0| minus the exclusion radius; positive where the continuation converges."""
+    return abs(z - z0) - exclusion_radius(z0)
+
+
 def buhring_eval(
     params: HypParams,
     z: complex,
@@ -110,10 +120,9 @@ def buhring_eval(
         )
     z = require_finite_complex(z)
     z0 = require_finite_complex(z0, "z0")
-    radius = max(abs(z0), abs(z0 - 1.0))
-    if abs(z - z0) <= radius:
+    if exclusion_margin(z, z0) <= 0.0:
         raise OutsideDomain(
-            f"|z - z0| = {abs(z - z0)} <= {radius}: inside the excluded disk around z0"
+            f"|z - z0| = {abs(z - z0)} <= {exclusion_radius(z0)}: inside the excluded disk around z0"
         )
     w = z0 - z
     if w.imag == 0.0 and w.real < 0.0:

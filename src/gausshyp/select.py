@@ -2,7 +2,7 @@
 
 from typing import Callable, NamedTuple
 
-from .buhring import DEFAULT_Z0, buhring_eval, is_integer_difference
+from .buhring import DEFAULT_Z0, buhring_eval, exclusion_margin, is_integer_difference
 from .core import HypParams
 from .errors import ConfigError, NoMethodError
 from .onepoint import eval_onepoint, in_region_onepoint
@@ -35,11 +35,6 @@ def _need_w(w: complex | None) -> complex:
     return w
 
 
-def _buhring_margin(z: complex, w: complex | None, z0: complex) -> float:
-    z0 = complex(z0)
-    return abs(z - z0) - max(abs(z0), abs(z0 - 1.0))
-
-
 # Entries resolve this module's globals at call time, so a wrapper installed
 # on, e.g., gausshyp.select.eval_threepoint sees every call.
 ROUTES: dict[MethodId, Route] = {
@@ -52,7 +47,7 @@ ROUTES: dict[MethodId, Route] = {
         lambda p, z, n, tol, w, z0, max_terms: euler_integral(p, z, tol=tol),
     ),
     MethodId.BUHRING: Route(
-        _buhring_margin,
+        lambda z, w, z0: exclusion_margin(z, z0),
         lambda p, z, n, tol, w, z0, _: buhring_eval(p, z, z0=z0, n_terms=n, tol=_series_tol(tol)),
     ),
     MethodId.ONEPOINT_HALF: Route(
@@ -84,7 +79,7 @@ def _route(method: MethodId) -> Route:
 
 
 def _buhring_applicable(params: HypParams, z: complex, z0: complex) -> bool:
-    return not is_integer_difference(params) and _buhring_margin(z, None, z0) > 0.0
+    return not is_integer_difference(params) and exclusion_margin(z, z0) > 0.0
 
 
 def select_method(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> MethodId:

@@ -65,7 +65,6 @@ class TableSpec:
     featured: MethodId
     w: complex | None = None
     index_rule: str = "identity"  # "identity" or "half" (index = ceil(n/2))
-    n_values: tuple[int, ...] = N_LABELS
 
     def series_index(self, n: int) -> int:
         if self.index_rule == "half":
@@ -77,33 +76,28 @@ def _rows(entries) -> tuple[TableRow, ...]:
     return tuple(TableRow(*e) for e in entries)
 
 
+#: Tables 1 and 2 compare the two one-point expansions on the same rows.
+ONEPOINT_ROWS = _rows(
+    [
+        (1.2, 2.1, 3.0, Z_EXC, "exp(i*pi/3)"),
+        (1.2, 2.5, 3.0, Z_EXC, "exp(i*pi/3)"),
+        (1.2, 2.1, 3.0, -1.0 + 0j, "-1"),
+        (1.2, 2.1, 3.0, -1.0 + 1j, "-1+1i"),
+        (1.2, 2.1, 3.5, -5.0 + 0j, "-5"),
+    ]
+)
+
 TABLES: dict[int, TableSpec] = {
     1: TableSpec(
         table_id=1,
         featured=MethodId.ONEPOINT_HALF,
-        rows=_rows(
-            [
-                (1.2, 2.1, 3.0, Z_EXC, "exp(i*pi/3)"),
-                (1.2, 2.5, 3.0, Z_EXC, "exp(i*pi/3)"),
-                (1.2, 2.1, 3.0, -1.0 + 0j, "-1"),
-                (1.2, 2.1, 3.0, -1.0 + 1j, "-1+1i"),
-                (1.2, 2.1, 3.5, -5.0 + 0j, "-5"),
-            ]
-        ),
+        rows=ONEPOINT_ROWS,
     ),
     2: TableSpec(
         table_id=2,
         featured=MethodId.ONEPOINT_W,
         w=complex(0.5, 0.5),
-        rows=_rows(
-            [
-                (1.2, 2.1, 3.0, Z_EXC, "exp(i*pi/3)"),
-                (1.2, 2.5, 3.0, Z_EXC, "exp(i*pi/3)"),
-                (1.2, 2.1, 3.0, -1.0 + 0j, "-1"),
-                (1.2, 2.1, 3.0, -1.0 + 1j, "-1+1i"),
-                (1.2, 2.1, 3.5, -5.0 + 0j, "-5"),
-            ]
-        ),
+        rows=ONEPOINT_ROWS,
     ),
     3: TableSpec(
         table_id=3,
@@ -150,7 +144,7 @@ def run_table(spec: TableSpec | int, oracle_tol: float = 1e-13) -> TableResult:
         reference = euler_integral(row.params, row.z, tol=oracle_tol).value
         ref_abs = abs(reference)
         row_cells: dict = {method.value: {} for method in methods}
-        for n in spec.n_values:
+        for n in N_LABELS:
             idx = spec.series_index(n)
             for method in methods:
                 try:
@@ -181,12 +175,12 @@ def format_rel_error(x: float, digits: int = 3) -> str:
 
 def table_to_csv(result: TableResult) -> str:
     """Deterministic CSV: one line per (row, method), n-labels as columns."""
-    header = "row,method," + ",".join(str(n) for n in result.spec.n_values)
+    header = "row,method," + ",".join(str(n) for n in N_LABELS)
     lines = [header]
     for row, row_cells in zip(result.spec.rows, result.cells):
         for method in (MethodId.BUHRING.value, result.spec.featured.value):
             vals = []
-            for n in result.spec.n_values:
+            for n in N_LABELS:
                 cell = row_cells[method][n]
                 vals.append(format_rel_error(cell) if isinstance(cell, float) else cell)
             lines.append(f'"{row.caption}",{method},' + ",".join(vals))
@@ -197,7 +191,7 @@ def table_to_json(result: TableResult) -> str:
     """Deterministic JSON with raw float errors (or failure labels)."""
     payload = {
         "table": result.spec.table_id,
-        "n_values": list(result.spec.n_values),
+        "n_values": list(N_LABELS),
         "featured": result.spec.featured.value,
         "index_rule": result.spec.index_rule,
         "rows": [
@@ -208,7 +202,7 @@ def table_to_json(result: TableResult) -> str:
                 "c": row.c,
                 "z": {"re": row.z.real, "im": row.z.imag},
                 "errors": {
-                    method: {str(n): row_cells[method][n] for n in result.spec.n_values}
+                    method: {str(n): row_cells[method][n] for n in N_LABELS}
                     for method in row_cells
                 },
             }

@@ -29,10 +29,9 @@ from gausshyp import (
     pochhammer,
     run_table,
     threepoint_coeffs,
-    twopoint_coeffs_explicit,
     twopoint_coeffs_recursive,
 )
-from gausshyp.verify import phi3_direct_sequence, twopoint_coeffs_mp
+from gausshyp.verify import phi3_direct_sequence, twopoint_coeffs_explicit, twopoint_coeffs_mp
 from conftest import TABLE_PARAM_SETS, Z_EXC, rel_err, sample_in_region, within_factor
 
 PARAMS_MAIN = HypParams(1.2, 2.1, 3.0)

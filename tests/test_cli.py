@@ -1,12 +1,14 @@
 """CLI tests: parsing, output schema, exit codes, selftest."""
 
 import cmath
+import dataclasses
 import json
 import math
 
 import pytest
 
-from gausshyp import HypParams, euler_integral
+import gausshyp.select
+from gausshyp import HypParams, MethodId, euler_integral
 from gausshyp.cli import main, parse_complex
 from conftest import Z_EXC, rel_err
 
@@ -187,3 +189,17 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.strip().endswith("checks passed")
+        checked = {line.split()[1] for line in out.splitlines()}
+        assert {m.value for m in MethodId} - checked == {"euler-oracle"}
+
+    def test_perturbed_route_fails(self, capsys, monkeypatch):
+        real = gausshyp.select.eval_threepoint
+
+        def perturbed(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, value=res.value * (1.0 + 1e-6))
+
+        monkeypatch.setattr(gausshyp.select, "eval_threepoint", perturbed)
+        assert main(["selftest"]) == 4
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1 and "threepoint" in fails[0]

@@ -13,13 +13,13 @@ from gausshyp import (
     euler_integral,
     eval_onepoint,
     in_region_onepoint,
-    phi_brute,
     phi_half,
     phi_half_sequence,
     phi_w,
     phi_w_sequence,
     pochhammer,
 )
+from gausshyp.verify import phi_brute
 from conftest import Z_EXC, rel_err, within_factor
 
 PARAMS = HypParams(1.2, 2.1, 3.0)

@@ -17,10 +17,9 @@ from gausshyp import (
     in_region_twopoint,
     phi_psi_moments,
     pochhammer,
-    twopoint_coeffs_explicit,
     twopoint_coeffs_recursive,
 )
-from gausshyp.verify import twopoint_coeffs_mp
+from gausshyp.verify import twopoint_coeffs_explicit, twopoint_coeffs_mp
 from conftest import Z_EXC, rel_err, sample_in_region, within_factor
 
 PARAMS = HypParams(1.2, 2.1, 3.0)

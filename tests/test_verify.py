@@ -1,13 +1,15 @@
 """The extended-precision references stay apart from the production routes."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gausshyp"
 
-#: The package root re-exports phi_brute and twopoint_coeffs_explicit, and
-#: the CLI selftest compares against the references.
-VERIFY_CLIENTS = {"__init__.py", "cli.py"}
+#: The CLI selftest compares the routes against the references.
+VERIFY_CLIENTS = {"cli.py"}
 
 
 def _imports(path):
@@ -41,3 +43,16 @@ def test_production_modules_do_not_import_verify():
         or (module == "gausshyp" and "verify" in names)
     )
     assert importers <= VERIFY_CLIENTS
+
+
+def test_package_and_cli_import_without_mpmath():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, gausshyp, gausshyp.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
