@@ -9,7 +9,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParamDomainError, PoleError
+from .errors import DomainError, ParamDomainError, PoleError, RecurrenceBreakdown
 
 #: Unit roundoff of IEEE double precision.
 EPS = 2.220446049250313e-16
@@ -32,8 +32,14 @@ def tail_estimate(total_abs: float, abs_sum: float, last: float, n_summed: int) 
 
     The last-term ratio last/total_abs, floored at the rounding level
     EPS * (cond + n_summed) of n_summed additions whose condition number
-    is cond = abs_sum/total_abs.  A zero sum gives inf.
+    is cond = abs_sum/total_abs.  A zero sum gives inf.  A sum that is not
+    finite raises RecurrenceBreakdown; at large n_summed, coefficients that
+    overflowed to inf times moments that underflowed to 0 give NaN.
     """
+    if not math.isfinite(total_abs):
+        raise RecurrenceBreakdown(
+            f"series sum is {total_abs} after {n_summed} terms: a term overflowed double precision"
+        )
     if total_abs == 0.0:
         return math.inf
     cond = abs_sum / total_abs

@@ -34,7 +34,7 @@ class IntegerDifferenceError(GaussHypError):
 
 
 class RecurrenceBreakdown(GaussHypError):
-    """A forward recurrence hit a vanishing leading coefficient."""
+    """A forward recurrence hit a vanishing leading coefficient, or a series sum overflowed."""
 
 
 class SingularityError(GaussHypError):

@@ -21,8 +21,6 @@ rho < 1.
 import math
 import warnings
 
-from scipy.integrate import IntegrationWarning, quad
-
 from .core import EPS, HypParams, cpow_principal, gamma_real, require_finite_complex, tail_estimate
 from .errors import BranchCutError, DomainError, OutsideDomain
 from .results import SeriesResult
@@ -78,6 +76,10 @@ def maclaurin(
 
 def _quad_complex(f, lo: float, hi: float, tol: float):
     """Integrate a complex-valued function, returning (value, abs_err, neval, warned)."""
+    # scipy.integrate takes most of a second to import and only the oracle
+    # uses it, so it loads on the first call rather than with the package.
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IntegrationWarning)
         re_val, re_err, re_info = quad(

@@ -132,8 +132,11 @@ def evaluate(
     The route comes from ROUTES.  maclaurin and euler-oracle judge
     converged against tol itself; the series routes (buhring, onepoint-*,
     twopoint, threepoint) sum indices 0 .. n_terms and judge it against
-    max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12).
+    max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12).  A negative n_terms
+    raises ConfigError.
     """
+    if n_terms < 0:
+        raise ConfigError(f"n_terms must be >= 0, got {n_terms}")
     z = complex(z)
     if isinstance(method, str):
         method_id = select_method(params, z, z0) if method == "auto" else MethodId.from_string(method)

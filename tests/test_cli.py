@@ -115,6 +115,19 @@ class TestEvalCommand:
         assert main(["eval", *DOMAIN_ERROR_ARGV[error].split()]) == 3
         assert f"error ({error}):" in capsys.readouterr().err
 
+    def test_series_overflow_exit_code(self, capsys):
+        # threepoint coefficients overflow at this many terms; no NaN JSON
+        argv = "--a 1.2 --b 2.1 --c 3 --z exp(i*pi/3) --method threepoint --terms 300"
+        assert main(["eval", *argv.split()]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error (RecurrenceBreakdown):" in captured.err
+
+    def test_negative_terms_exit_code(self, capsys):
+        argv = "--a 1.2 --b 2.1 --c 3 --z exp(i*pi/3) --terms -1"
+        assert main(["eval", *argv.split()]) == 2
+        assert "n_terms must be >= 0" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["eval", "--a", "1", "--b", "1", "--c", "2", "--z", "nonsense"]) == 2
         assert main(["eval", "--a", "1"]) == 2

@@ -145,6 +145,11 @@ class TestEvaluate:
         ref = euler_integral(PARAMS, Z_EXC).value
         assert rel_err(res.value, ref) <= 1e-6
 
+    @pytest.mark.parametrize("method", ["auto", *MethodId], ids=str)
+    def test_negative_n_terms_rejected(self, method):
+        with pytest.raises(ConfigError, match="n_terms"):
+            evaluate(PARAMS, Z_EXC, method, n_terms=-1, w=W)
+
     def test_unknown_method_string(self):
         with pytest.raises(ValueError):
             evaluate(PARAMS, Z_EXC, method="pade")

@@ -248,6 +248,12 @@ class TestEvalThreepoint:
         with pytest.raises(OutsideDomain):
             eval_threepoint(PARAMS, 3.0 + 0j, n_terms=10)
 
+    def test_overflow_raises_instead_of_nan(self):
+        # from n = 244 the coefficients overflow to inf and the moments
+        # underflow to 0, so a term is inf * 0 = nan
+        with pytest.raises(RecurrenceBreakdown):
+            eval_threepoint(PARAMS, Z_EXC, n_terms=250)
+
     def test_singularities(self):
         for z in (1.0 + 0j, 2.0 + 0j):
             with pytest.raises(SingularityError):

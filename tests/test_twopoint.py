@@ -10,6 +10,7 @@ from gausshyp import (
     OutsideDomain,
     ParamDomainError,
     PoleError,
+    RecurrenceBreakdown,
     SingularityError,
     cpow_principal,
     euler_integral,
@@ -175,6 +176,12 @@ class TestEvalTwopoint:
     def test_outside_region(self):
         with pytest.raises(OutsideDomain):
             eval_twopoint(PARAMS, 3.0 + 0j, n_terms=10)
+
+    def test_overflow_raises_instead_of_nan(self):
+        # from n = 536 the coefficients overflow to inf and the moments
+        # underflow to 0, so a term is inf * 0 = nan
+        with pytest.raises(RecurrenceBreakdown):
+            eval_twopoint(PARAMS, Z_EXC, n_terms=800)
 
     def test_singularity(self):
         with pytest.raises(SingularityError):

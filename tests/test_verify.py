@@ -1,6 +1,11 @@
-"""The extended-precision references stay apart from the production routes."""
+"""Heavy dependencies stay apart from the production routes.
+
+The extended-precision references (mpmath) live in gausshyp.verify, and
+scipy loads only when the quadrature oracle first runs.
+"""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -11,10 +16,24 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gausshyp"
 #: The CLI selftest compares the routes against the references.
 VERIFY_CLIENTS = {"cli.py"}
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
-def _imports(path):
-    """(absolute module, imported names) for every import statement in path."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+
+def _module_level(node):
+    """ast.walk, but without descending into function bodies."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, _FUNCTIONS):
+            yield from _module_level(child)
+
+
+def _imports(path, module_level=False):
+    """(absolute module, imported names) for every import statement in path.
+
+    With module_level, only the imports that run when the module is imported.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for node in _module_level(tree) if module_level else ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, ()
@@ -25,16 +44,37 @@ def _imports(path):
             yield module, tuple(alias.name for alias in node.names)
 
 
-def _importers(pred):
+def _importers(pred, module_level=False):
     return {
         path.name
         for path in SRC.glob("*.py")
-        if any(pred(module, names) for module, names in _imports(path))
+        if any(pred(module, names) for module, names in _imports(path, module_level))
     }
+
+
+def _run_python(code):
+    """stdout of code run in a fresh interpreter that imports gausshyp from src."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout
 
 
 def test_only_verify_imports_mpmath():
     assert _importers(lambda module, _: module.split(".")[0] == "mpmath") == {"verify.py"}
+
+
+def test_only_reference_imports_scipy_and_never_at_module_level():
+    def is_scipy(module, _):
+        return module.split(".")[0] == "scipy"
+
+    assert _importers(is_scipy) == {"reference.py"}
+    assert _importers(is_scipy, module_level=True) == set()
 
 
 def test_production_modules_do_not_import_verify():
@@ -46,13 +86,30 @@ def test_production_modules_do_not_import_verify():
 
 
 def test_package_and_cli_import_without_mpmath():
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    code = "import sys, gausshyp, gausshyp.cli; print('mpmath' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
+    code = (
+        "import sys, gausshyp, gausshyp.cli\n"
+        "print([m for m in ('mpmath', 'scipy', 'numpy') if m in sys.modules])"
     )
-    assert out.stdout.strip() == "False"
+    assert _run_python(code).strip() == "[]"
+
+
+def test_only_the_quadrature_oracle_loads_scipy():
+    # auto takes threepoint at 0.5+0.87i, near exp(i*pi/3); table 4 compares
+    # against the quadrature oracle
+    code = """
+import json, os, sys
+from gausshyp.cli import main
+out = ["--out", os.devnull]
+codes = [
+    main(["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z", "0.5+0.87i", *out]),
+    main(["region", "--method", "threepoint", "--xmin", "-4", "--xmax", "4",
+          "--ymin", "-4", "--ymax", "4", "--res", "33", *out]),
+]
+before = "scipy.integrate" in sys.modules
+codes.append(main(["table", "--id", "4", *out]))
+print(json.dumps([codes, before, "scipy.integrate" in sys.modules]))
+"""
+    codes, loaded_before_table, loaded_after_table = json.loads(_run_python(code))
+    assert codes == [0, 0, 0]
+    assert not loaded_before_table
+    assert loaded_after_table
