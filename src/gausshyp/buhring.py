@@ -28,6 +28,7 @@ from .core import (
     gamma_real,
     recip_gamma_real,
     require_finite_complex,
+    require_n_max,
     tail_estimate,
 )
 from .errors import BranchCutError, IntegerDifferenceError, OutsideDomain
@@ -51,22 +52,27 @@ class BuhringCoeffs:
 
 
 def _d_sequence(s: float, z0: complex, params: HypParams, n_max: int) -> list[complex]:
+    require_n_max(n_max)
     a, b, c = params.a, params.b, params.c
     z0 = complex(z0)
-    d = [1.0 + 0j]
+    s2 = 2.0 * s
+    z0_one_z0 = z0 * (1.0 - z0)
+    one_2z0 = 1.0 - 2.0 * z0
+    abz0 = (a + b + 1.0) * z0
+    d_prev = 1.0 + 0j
+    d = [d_prev]
     d_prev2 = 0j
     for n in range(1, n_max + 1):
-        den = n * (n + 2.0 * s - a - b)
+        den = n * (n + s2 - a - b)
         if den == 0.0:
             raise IntegerDifferenceError(
                 f"recurrence denominator vanishes at n={n} for s={s} (b-a integer)"
             )
-        d_new = (n + s - 1.0) / den * (
-            z0 * (1.0 - z0) * (n + s - 2.0) * d_prev2
-            + ((n + s) * (1.0 - 2.0 * z0) + (a + b + 1.0) * z0 - c) * d[-1]
+        ns = n + s
+        d_prev2, d_prev = d_prev, (ns - 1.0) / den * (
+            z0_one_z0 * (ns - 2.0) * d_prev2 + (ns * one_2z0 + abz0 - c) * d_prev
         )
-        d_prev2 = d[-1]
-        d.append(d_new)
+        d.append(d_prev)
     return d
 
 

@@ -27,6 +27,12 @@ def require_finite_complex(z: complex, name: str = "z") -> complex:
     return z
 
 
+def require_n_max(n_max: int) -> None:
+    """Reject a negative last index of a coefficient or moment stream."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
+
+
 def tail_estimate(total_abs: float, abs_sum: float, last: float, n_summed: int) -> float:
     """Relative error estimate of a truncated series with |sum| = total_abs.
 

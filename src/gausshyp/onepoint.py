@@ -17,7 +17,7 @@ from Phi_0 = 1, Phi_1 = 1 - b/(cw), which at w = 1/2 reduces to
 The terminating sum itself is the verification route (gausshyp.verify.phi_brute).
 """
 
-from .core import HypParams, cpow_principal, require_finite_complex, tail_estimate
+from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, tail_estimate
 from .errors import DomainError, OutsideDomain, PoleError
 from .results import RegionVerdict, SeriesResult
 
@@ -27,15 +27,19 @@ DEFAULT_TERMS = 40
 
 def phi_half_sequence(n_max: int, b: float, c: float) -> list[float]:
     """Phi_0 .. Phi_{n_max} at w = 1/2 by forward recurrence (real arithmetic)."""
+    require_n_max(n_max)
     if c == 0.0:
         raise PoleError("c = 0 is a pole of Phi_1")
     vals = [1.0]
     if n_max >= 1:
         vals.append(1.0 - 2.0 * b / c)
+    two_b_c = 2.0 * b - c
+    prev, cur = vals[0], vals[-1]
     for n in range(1, n_max):
         if c + n == 0.0:
             raise PoleError(f"c + {n} = 0: recurrence pole")
-        vals.append((n * vals[n - 1] - (2.0 * b - c) * vals[n]) / (c + n))
+        prev, cur = cur, (n * prev - two_b_c * cur) / (c + n)
+        vals.append(cur)
     return vals
 
 
@@ -48,6 +52,7 @@ def phi_half(n: int, b: float, c: float) -> float:
 
 def phi_w_sequence(n_max: int, b: float, c: float, w: complex) -> list[complex]:
     """Phi_0 .. Phi_{n_max} at generic w by forward recurrence."""
+    require_n_max(n_max)
     w = complex(w)
     if w == 0:
         raise DomainError("expansion point w must be nonzero")
@@ -56,13 +61,13 @@ def phi_w_sequence(n_max: int, b: float, c: float, w: complex) -> list[complex]:
     vals: list[complex] = [1.0 + 0j]
     if n_max >= 1:
         vals.append(1.0 - b / (c * w))
+    one_w = 1.0 - 1.0 / w
+    prev, cur = vals[0], vals[-1]
     for n in range(1, n_max):
         if c + n == 0.0:
             raise PoleError(f"c + {n} = 0: recurrence pole")
-        vals.append(
-            -(((b + n) / w - 2.0 * n - c) * vals[n] + n * (1.0 - 1.0 / w) * vals[n - 1])
-            / (c + n)
-        )
+        prev, cur = cur, -(((b + n) / w - 2.0 * n - c) * cur + n * one_w * prev) / (c + n)
+        vals.append(cur)
     return vals
 
 

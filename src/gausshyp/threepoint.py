@@ -37,7 +37,7 @@ extended precision when the two routes are compared at large n.
 import math
 from dataclasses import dataclass
 
-from .core import HypParams, cpow_principal, require_finite_complex, tail_estimate
+from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, tail_estimate
 from .errors import OutsideDomain, PoleError, RecurrenceBreakdown, SingularityError
 from .results import RegionVerdict, SeriesResult
 
@@ -59,82 +59,86 @@ class ThreePointCoeffs:
 
 def threepoint_coeffs(a: float, z: complex, n_max: int) -> ThreePointCoeffs:
     """A, B, C streams up to n_max by forward recursion; z in {1, 2} is singular."""
+    require_n_max(n_max)
     z = complex(z)
     if z == 1.0 or z == 2.0:
         raise SingularityError(f"z = {z}: recursion divides by (z-1)(z-2)")
-    A = [1.0 + 0j]
     pow_half = cpow_principal(1.0 - z / 2.0, -a)
     pow_one = cpow_principal(1.0 - z, -a)
-    B = [4.0 * pow_half - pow_one - 3.0]
-    C = [2.0 + 2.0 * pow_one - 4.0 * pow_half]
+    An = 1.0 + 0j
+    Bn = 4.0 * pow_half - pow_one - 3.0
+    Cn = 2.0 + 2.0 * pow_one - 4.0 * pow_half
+    A, B, C = [An], [Bn], [Cn]
     q = z * z - 3.0 * z + 2.0
     z2 = z * z
     z3 = z2 * z
+    # The factors free of n, named <row>_<stream> after the row they sit in
+    # and the stream they multiply (0 and 1 mark the n^0 and n^1 parts).
+    # Each is grouped exactly as the step formula groups it, so the streams
+    # are bit-for-bit those of the formula with every factor in the loop.
+    z4 = 4.0 * z
+    a_b = z - 2.0
+    a_c = 5.0 * z - 6.0
+    b_a = 26.0 * z - 3.0 * z2 - 24.0
+    b_b0 = 48.0 - 4.0 * z * (18.0 + 5.0 * a) + 6.0 * z2 * (4.0 + 3.0 * a)
+    b_b1 = 48.0 - 96.0 * z + 50.0 * z2 - 3.0 * z3
+    b_c0 = 4.0 * (20.0 - 6.0 * z * (5.0 + a) + 5.0 * z2 * (2.0 + a))
+    b_c1 = 264.0 - 516.0 * z + 262.0 * z2 - 15.0 * z3
+    c_a = 12.0 - 12.0 * z + z2
+    c_b0 = 2.0 * (6.0 * (3.0 + a) * z - (6.0 + 5.0 * a) * z2 - 12.0)
+    c_b1 = z3 - 24.0 * z2 + 48.0 * z - 24.0
+    c_c0 = 4.0 * (2.0 * z * (9.0 + 2.0 * a) - 3.0 * z2 * (2.0 + a) - 12.0)
+    c_c1 = 5.0 * z3 - 132.0 * z2 + 276.0 * z - 144.0
     for n in range(n_max):
-        An, Bn, Cn = A[-1], B[-1], C[-1]
-        A.append(
-            (
-                2.0 * (3.0 * n * (z - 2.0) - 2.0) * Bn
-                + 4.0 * z * (3.0 * n + a) * An
-                + n * (5.0 * z - 6.0) * Cn
-            )
-            / (2.0 * (n + 1.0))
+        n1 = n + 1.0
+        n3 = 3.0 * n
+        za = z4 * (n3 + a)
+        den = 2.0 * n1
+        An, Bn, Cn = (
+            (2.0 * (n3 * a_b - 2.0) * Bn + za * An + n * a_c * Cn) / den,
+            (za * b_a * An + 2.0 * (b_b0 + n3 * b_b1) * Bn + (b_c0 + n * b_c1) * Cn) / (den * q),
+            (za * c_a * An + 2.0 * (c_b0 + n3 * c_b1) * Bn + (c_c0 + n * c_c1) * Cn) / (n1 * q),
         )
-        B.append(
-            (
-                4.0 * z * (3.0 * n + a) * (26.0 * z - 3.0 * z2 - 24.0) * An
-                + 2.0
-                * (
-                    48.0
-                    - 4.0 * z * (18.0 + 5.0 * a)
-                    + 6.0 * z2 * (4.0 + 3.0 * a)
-                    + 3.0 * n * (48.0 - 96.0 * z + 50.0 * z2 - 3.0 * z3)
-                )
-                * Bn
-                + (
-                    4.0 * (20.0 - 6.0 * z * (5.0 + a) + 5.0 * z2 * (2.0 + a))
-                    + n * (264.0 - 516.0 * z + 262.0 * z2 - 15.0 * z3)
-                )
-                * Cn
-            )
-            / (2.0 * (n + 1.0) * q)
-        )
-        C.append(
-            (
-                4.0 * z * (3.0 * n + a) * (12.0 - 12.0 * z + z2) * An
-                + 2.0
-                * (
-                    2.0 * (6.0 * (3.0 + a) * z - (6.0 + 5.0 * a) * z2 - 12.0)
-                    + 3.0 * n * (z3 - 24.0 * z2 + 48.0 * z - 24.0)
-                )
-                * Bn
-                + (
-                    4.0 * (2.0 * z * (9.0 + 2.0 * a) - 3.0 * z2 * (2.0 + a) - 12.0)
-                    + n * (5.0 * z3 - 132.0 * z2 + 276.0 * z - 144.0)
-                )
-                * Cn
-            )
-            / ((n + 1.0) * q)
-        )
+        A.append(An)
+        B.append(Bn)
+        C.append(Cn)
     return ThreePointCoeffs(a=a, z=z, A=tuple(A), B=tuple(B), C=tuple(C))
 
 
-def _recurrence_xyz(n: int, b, c):
-    """Coefficients X_n, Y_n, Z_n of X_n Phi_{n-1} + Y_n Phi_n + Z_n Phi_{n+1} = 0."""
-    x = n * (-c - 2 * n - 5 * n * c - 6 * n * n - 4 * b * c + 4 * b * b) * (-n + b - c + 1) * (n + b - 1)
+def _recurrence_in_n(b, c):
+    """n -> (X_n, Y_n, Z_n) of X_n Phi_{n-1} + Y_n Phi_n + Z_n Phi_{n+1} = 0.
+
+    The factors that depend on (b, c) alone are evaluated here once.
+    """
+    neg_c = -c
+    bb4 = 4 * b * b
+    bc4 = 4 * b * c
+    c4 = 4 * c
+    y_lead = 2 * (2 * b - c)
     p0 = 16 * b * (b - 1) * (b - c + 1) * (b - c)
     p1 = -4 + 21 * c + 40 * b * b - 17 * c * c - 32 * b * b * c + 32 * b * c * c - 40 * b * c
     p2 = 24 * b * c + 24 - 24 * b * b + 15 * c * c - 57 * c
     p3 = 18 * (c - 2)
-    y = 2 * (2 * b - c) * (p0 + p1 * n + p2 * n * n + p3 * n**3)
-    z = (
-        16
-        * (3 * n + c)
-        * (3 * n + 1 + c)
-        * (3 * n + 2 + c)
-        * (-5 * n * c - 6 * n * n + 10 * n + 4 * b * b - 4 * b * c + 4 * c - 4)
-    )
-    return x, y, z
+
+    def xyz(n: int):
+        n3 = 3 * n
+        x = n * (neg_c - 2 * n - 5 * n * c - 6 * n * n - bc4 + bb4) * (-n + b - c + 1) * (n + b - 1)
+        y = y_lead * (p0 + p1 * n + p2 * n * n + p3 * n**3)
+        z = (
+            16
+            * (n3 + c)
+            * (n3 + 1 + c)
+            * (n3 + 2 + c)
+            * (-5 * n * c - 6 * n * n + 10 * n + bb4 - bc4 + c4 - 4)
+        )
+        return x, y, z
+
+    return xyz
+
+
+def _recurrence_xyz(n: int, b, c):
+    """Coefficients X_n, Y_n, Z_n of X_n Phi_{n-1} + Y_n Phi_n + Z_n Phi_{n+1} = 0."""
+    return _recurrence_in_n(b, c)(n)
 
 
 def _phi1_closed(b, c):
@@ -146,14 +150,18 @@ def _phi1_closed(b, c):
 
 def phi3_sequence(n_max: int, b: float, c: float) -> list[float]:
     """Phi_0 .. Phi_{n_max} by the three-term recurrence, run forward from Phi_0 = 1, Phi_1."""
+    require_n_max(n_max)
     vals = [1.0]
     if n_max >= 1:
         vals.append(_phi1_closed(b, c))
+    xyz = _recurrence_in_n(b, c)
+    prev, cur = vals[0], vals[-1]
     for n in range(1, n_max):
-        x, y, z = _recurrence_xyz(n, b, c)
+        x, y, z = xyz(n)
         if z == 0:
             raise RecurrenceBreakdown(f"Z_{n} = 0 for b={b}, c={c}")
-        vals.append(-(x * vals[n - 1] + y * vals[n]) / z)
+        prev, cur = cur, -(x * prev + y * cur) / z
+        vals.append(cur)
     return vals
 
 

@@ -34,7 +34,14 @@ matched precision (gausshyp.verify.twopoint_coeffs_mp).
 
 from dataclasses import dataclass
 
-from .core import HypParams, cpow_principal, pochhammer, require_finite_complex, tail_estimate
+from .core import (
+    HypParams,
+    cpow_principal,
+    pochhammer,
+    require_finite_complex,
+    require_n_max,
+    tail_estimate,
+)
 from .errors import OutsideDomain, PoleError, SingularityError
 from .results import RegionVerdict, SeriesResult
 
@@ -57,23 +64,30 @@ def _initial_pair(a: float, z: complex) -> tuple[complex, complex]:
 
 def _recursion(a, z, A0, B0, n_max: int) -> tuple[list, list]:
     """A_0..A_{n_max}, B_0..B_{n_max} from (A0, B0) in the arithmetic of a and z."""
-    A = [A0]
-    B = [B0]
+    neg_z = -z
+    two_z = 2.0 - z
+    z_two_z = z * two_z
+    za2 = z * (a + 2.0)
+    b_b = 6.0 * z - z * z - 4.0
+    one_z = 1.0 - z
+    An, Bn = A0, B0
+    A = [An]
+    B = [Bn]
     for n in range(n_max):
-        An, Bn = A[-1], B[-1]
-        A.append((-z * (a + 2.0 * n) * An + (1.0 + n * (2.0 - z)) * Bn) / (n + 1.0))
-        B.append(
-            (
-                z * (2.0 - z) * (a + 2.0 * n) * An
-                + (z * (a + 2.0) + n * (6.0 * z - z * z - 4.0) - 2.0) * Bn
-            )
-            / ((n + 1.0) * (1.0 - z))
+        an = a + 2.0 * n
+        n1 = n + 1.0
+        An, Bn = (
+            (neg_z * an * An + (1.0 + n * two_z) * Bn) / n1,
+            (z_two_z * an * An + (za2 + n * b_b - 2.0) * Bn) / (n1 * one_z),
         )
+        A.append(An)
+        B.append(Bn)
     return A, B
 
 
 def twopoint_coeffs_recursive(a: float, z: complex, n_max: int) -> TwoPointCoeffs:
     """A and B streams up to n_max by the forward recursion; z = 1 is singular."""
+    require_n_max(n_max)
     z = complex(z)
     if z == 1.0:
         raise SingularityError("z = 1: recursion divides by 1 - z")

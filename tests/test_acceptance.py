@@ -8,6 +8,7 @@ import math
 import random
 import time
 
+import mpmath
 import pytest
 
 from gausshyp import (
@@ -242,4 +243,28 @@ def test_criterion_9_integer_difference_handling():
         "criterion 9: integer b-a raises IntegerDifferenceError; b-a = 1+1e-6 "
         f"evaluates with est_error inflated to {res.est_error:.2e} "
         f"(vs {base.est_error:.2e} far from integer)"
+    )
+
+
+def test_criterion_10_near_integer_b_minus_a():
+    # The abstract's closing claim: near exp(i pi/3) the three-point
+    # expansion beats the continuation, above all when b - a nears an
+    # integer.  Reference: mpmath.hyp2f1 at 30 digits.
+    def err(res, p):
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(p.a, p.b, p.c, mpmath.mpc(Z_EXC.real, Z_EXC.imag)))
+        return rel_err(res.value, ref)
+
+    buhring, three = {}, {}
+    for delta in (1e-1, 1e-3, 1e-5, 1e-7):
+        p = HypParams(1.2, 2.2 + delta, 3.5)
+        buhring[delta] = err(buhring_eval(p, Z_EXC, n_terms=40), p)
+        three[delta] = err(eval_threepoint(p, Z_EXC, n_terms=20), p)
+        assert three[delta] <= 1e-14, (delta, three[delta])
+    growth = buhring[1e-5] / buhring[1e-1]
+    assert growth >= 1e4, (buhring, growth)
+    _report(
+        "criterion 10: b - a = 1 + delta at exp(i pi/3): continuation error "
+        f"{buhring[1e-1]:.1e} -> {buhring[1e-5]:.1e} (x{growth:.0e}) from delta 1e-1 to 1e-5 "
+        f"at n=40; three-point <= {max(three.values()):.1e} at n=20"
     )

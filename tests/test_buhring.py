@@ -44,6 +44,10 @@ class TestDCoeff:
         assert len(co.d) == 9
         assert co.d[1] == d_coeff(1.2, 0.5, PARAMS, 1)
 
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            buhring_coeffs(1.2, 0.5, PARAMS, -1)
+
     def test_vanishing_denominator(self):
         p = HypParams(1.2, 2.2, 3.0)  # b - a = 1: denominator dies at n = 1, s = a
         with pytest.raises(IntegerDifferenceError):

@@ -64,6 +64,10 @@ class TestPhiHalf:
         with pytest.raises(PoleError):
             phi_half(3, 1.0, -2.0)
 
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            phi_half_sequence(-1, 2.1, 3.0)
+
 
 class TestPhiW:
     def test_order_zero_and_one(self):
@@ -87,6 +91,10 @@ class TestPhiW:
         for n in range(31):
             want = phi_brute(n, 2.1, 3.0, W_GEN, dps=50)
             assert abs(seq[n] - want) <= 1e-10 * max(abs(want), 1e-300)
+
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            phi_w_sequence(-1, 2.1, 3.0, W_GEN)
 
     def test_w_zero_rejected(self):
         with pytest.raises(DomainError):

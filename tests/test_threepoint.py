@@ -72,11 +72,19 @@ class TestCoefficients:
             with pytest.raises(SingularityError):
                 threepoint_coeffs(1.2, z, 3)
 
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            threepoint_coeffs(1.2, Z_EXC, -1)
+
 
 class TestPhi3:
     def test_order_zero_both_modes(self):
         assert phi3(0, 2.1, 3.0) == 1.0
         assert phi3_direct_sequence(0, 2.1, 3.0)[0] == 1.0
+
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            phi3_sequence(-3, 2.1, 3.0)
 
     def test_order_one_closed_form(self):
         want = phi1_closed(2.1, 3.0)

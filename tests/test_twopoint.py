@@ -67,6 +67,10 @@ class TestCoefficients:
         with pytest.raises(SingularityError):
             twopoint_coeffs_explicit(1.2, 1.0 + 0j, 3)
 
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            twopoint_coeffs_recursive(1.2, Z_EXC, -1)
+
     def test_taylor_reconstruction(self):
         # partial sums of sum (A_n + B_n t)(t(t-1))^n converge to (1-zt)^(-a)
         for z in (Z_EXC, -1.0 + 0j, -0.8 + 1.1j):
