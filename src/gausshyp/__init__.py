@@ -3,7 +3,7 @@
 Evaluation routes:
 
 * maclaurin        -- defining power series, |z| < 1
-* euler-oracle     -- adaptive quadrature of the integral representation
+* euler-oracle     -- tanh-sinh quadrature of the integral representation
                       (c > b > 0, z off [1, inf)); the reference baseline
 * buhring          -- analytic continuation around z0 in powers of 1/(z-z0)
 * onepoint-half    -- rational expansion from the Taylor series of
@@ -30,6 +30,7 @@ from .errors import (
     GaussHypError,
     IntegerDifferenceError,
     NoMethodError,
+    NotConvergedWarning,
     OutsideDomain,
     ParamDomainError,
     PoleError,
@@ -77,6 +78,7 @@ __all__ = [
     "IntegerDifferenceError",
     "MethodId",
     "NoMethodError",
+    "NotConvergedWarning",
     "OutsideDomain",
     "ParamDomainError",
     "PoleError",

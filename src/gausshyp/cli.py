@@ -4,8 +4,9 @@ Subcommands:
   eval      single evaluation with explicit or auto-selected method
   table     reproduce one of the four built-in relative-error tables
   region    rasterize a method's convergence region to CSV
-  selftest  check every route against the quadrature oracle, and the
-            double-precision recursions against their extended-precision references
+  selftest  check every route against the quadrature oracle, the oracle
+            against the power series, and the double-precision recursions
+            against their extended-precision references
 
 Exit codes: 0 success, 2 usage/config error, 3 domain or region error,
 4 numerical breakdown.
@@ -204,20 +205,26 @@ def _selftest_checks():
 
     z_exc = cmath.exp(1j * math.pi / 3.0)
     params = HypParams(1.2, 2.1, 3.0)
-    # (route, z, label, n_terms, relative tolerance against the quadrature oracle)
+    # (route, params, z, label, n_terms, relative tolerance against the quadrature oracle)
     routes = [
-        (MethodId.MACLAURIN, 0.55 + 0.4j, "0.55+0.4i", 40, 1e-11),
-        (MethodId.BUHRING, z_exc, "exp(i*pi/3)", 25, 1e-1),
-        (MethodId.ONEPOINT_HALF, z_exc, "exp(i*pi/3)", 25, 1e-5),
-        (MethodId.ONEPOINT_W, z_exc, "exp(i*pi/3)", 20, 1.5e-6),
-        (MethodId.TWOPOINT, z_exc, "exp(i*pi/3)", 20, 1e-10),
-        (MethodId.THREEPOINT, z_exc, "exp(i*pi/3)", 20, 1e-10),
+        (MethodId.MACLAURIN, params, 0.55 + 0.4j, "0.55+0.4i", 40, 1e-11),
+        (MethodId.MACLAURIN, params, -0.6 + 0.5j, "-0.6+0.5i", 40, 1e-12),
+        (MethodId.MACLAURIN, HypParams(0.7, 0.4, 0.9), 0.35 + 0.2j, "0.35+0.2i, b<1, c-b<1", 40, 1e-12),
+        (MethodId.BUHRING, params, z_exc, "exp(i*pi/3)", 25, 1e-1),
+        (MethodId.ONEPOINT_HALF, params, z_exc, "exp(i*pi/3)", 25, 1e-5),
+        (MethodId.ONEPOINT_W, params, z_exc, "exp(i*pi/3)", 20, 1.5e-6),
+        (MethodId.TWOPOINT, params, z_exc, "exp(i*pi/3)", 20, 1e-10),
+        (MethodId.THREEPOINT, params, z_exc, "exp(i*pi/3)", 20, 1e-10),
     ]
 
-    def route_matches_oracle(method, z, n, tol):
-        value = evaluate(params, z, method, n_terms=n, w=complex(0.5, 0.5))[0].value
-        ref = euler_integral(params, z).value
+    def route_matches_oracle(method, p, z, n, tol):
+        value = evaluate(p, z, method, n_terms=n, w=complex(0.5, 0.5))[0].value
+        ref = euler_integral(p, z).value
         return abs(value - ref) <= tol * abs(ref)
+
+    def oracle_conjugate_symmetric(z=3 + 0.5j):
+        v, vc = (euler_integral(params, x).value for x in (z, z.conjugate()))
+        return abs(vc - v.conjugate()) <= 1e-14 * abs(v)
 
     def exceptional_point_covered():
         new = (MethodId.ONEPOINT_HALF, MethodId.TWOPOINT, MethodId.THREEPOINT)
@@ -247,9 +254,10 @@ def _selftest_checks():
 
     return [
         *(
-            (f"{m.value} vs euler integral at z = {label}", partial(route_matches_oracle, m, z, n, tol))
-            for m, z, label, n, tol in routes
+            (f"{m.value} vs euler integral at z = {label}", partial(route_matches_oracle, m, p, z, n, tol))
+            for m, p, z, label, n, tol in routes
         ),
+        ("euler integral conjugate symmetry at z = 3+0.5i", oracle_conjugate_symmetric),
         ("exp(i*pi/3) covered by new regions only", exceptional_point_covered),
         ("phi recurrence matches terminating series", phi_matches_definition),
         ("twopoint explicit vs recursive", twopoint_paths_agree),

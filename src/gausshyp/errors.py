@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one warning.
 
 Every error raised by the library derives from GaussHypError so callers
 (and the CLI exit-code mapping) can distinguish library failures from bugs.
@@ -34,7 +34,7 @@ class IntegerDifferenceError(GaussHypError):
 
 
 class RecurrenceBreakdown(GaussHypError):
-    """A forward recurrence hit a vanishing leading coefficient, or a series sum overflowed."""
+    """A forward recurrence hit a vanishing leading coefficient, or a sum or integrand broke down."""
 
 
 class SingularityError(GaussHypError):
@@ -47,3 +47,7 @@ class NoMethodError(GaussHypError):
 
 class ConfigError(GaussHypError):
     """Invalid run configuration (grid bounds, resolution, missing options)."""
+
+
+class NotConvergedWarning(RuntimeWarning):
+    """hyp2f1 returned a value whose route did not reach the tolerance."""

@@ -8,8 +8,9 @@ converges inside the unit disk.  The integral representation
 
     2F1(a, b, c; z) = G(c)/(G(b) G(c-b)) * int_0^1 t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) dt
 
-holds for c > b > 0 and z off the cut [1, inf), and is evaluated by
-adaptive quadrature; it is the reference against which every expansion's
+holds for c > b > 0 and z off the cut [1, inf).  euler_integral evaluates
+it by the double-exponential (tanh-sinh) rule of Takahasi and Mori, in
+pure Python, and is the reference against which every expansion's
 relative error is measured.
 
 classify_region reports which of the six classical series regions
@@ -18,11 +19,11 @@ a point; their union misses neighborhoods of exp(+-i pi/3) for every
 rho < 1.
 """
 
+import cmath
 import math
-import warnings
 
-from .core import EPS, HypParams, cpow_principal, gamma_real, require_finite_complex, tail_estimate
-from .errors import BranchCutError, DomainError, OutsideDomain
+from .core import EPS, HypParams, gamma_real, require_finite_complex, tail_estimate
+from .errors import BranchCutError, DomainError, OutsideDomain, RecurrenceBreakdown
 from .results import SeriesResult
 
 #: Labels of the six classical series regions, in a fixed order.
@@ -74,31 +75,22 @@ def maclaurin(
     )
 
 
-def _quad_complex(f, lo: float, hi: float, tol: float):
-    """Integrate a complex-valued function, returning (value, abs_err, neval, warned)."""
-    # scipy.integrate takes most of a second to import and only the oracle
-    # uses it, so it loads on the first call rather than with the package.
-    from scipy.integrate import IntegrationWarning, quad
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        re_val, re_err, re_info = quad(
-            lambda t: f(t).real, lo, hi, epsabs=1e-15, epsrel=tol, limit=200, full_output=1
-        )[:3]
-        im_val, im_err, im_info = quad(
-            lambda t: f(t).imag, lo, hi, epsabs=1e-15, epsrel=tol, limit=200, full_output=1
-        )[:3]
-    warned = any(issubclass(w.category, IntegrationWarning) for w in caught)
-    return complex(re_val, im_val), re_err + im_err, re_info["neval"] + im_info["neval"], warned
+#: Each side of u = 0 ends at its first term below this share of the running sum.
+_TAIL = 1e-18
 
 
 def euler_integral(params: HypParams, z: complex, tol: float = 1e-13) -> SeriesResult:
-    """Adaptive quadrature of the integral representation; requires c > b > 0.
+    """Tanh-sinh quadrature of the integral representation; requires c > b > 0.
 
-    The integrand has algebraic endpoint singularities when b < 1 (at t=0)
-    or c-b < 1 (at t=1); the integral is split at t=1/2 and the singular
-    half is regularized by the substitution s = t^b (mirrored s = (1-t)^(c-b)),
-    which turns t^(b-1) dt into ds/b exactly.
+    Each piece of [0, 1] maps to x = 1/(1 + exp(-2s)), s = (pi/2) sinh u.
+    An integrand value, weight and kernel together, is one exp of a sum of
+    logs, with log x and log(1-x) free of cancellation, so b < 1 or c-b < 1
+    needs no special case.  A branch point 1/z near (0, 1) splits [0, 1] at
+    t0 = Re(1/z), where the nodes cluster, and 1 - zt = z (t0 - t + i Im(1/z))
+    is formed without cancellation.  The step in u halves from 1/2, reusing
+    the earlier nodes, until two levels differ by at most tol, seven times at
+    most; est_error is that relative difference, floored at EPS.  terms_used
+    counts integrand evaluations.
     """
     params.require_euler_valid("Euler integral needs")
     z = require_finite_complex(z)
@@ -106,48 +98,60 @@ def euler_integral(params: HypParams, z: complex, tol: float = 1e-13) -> SeriesR
         raise BranchCutError(f"z = {z} lies on the branch cut [1, inf)")
     a, b, c = params.a, params.b, params.c
     beta = c - b
+    # Per piece: the log of its constant factor, the exponents of x and 1-x, a
+    # smooth factor (s0 (1-x) + s1 x)^sc and the kernel base 1 - zt = k0 (1-x) + k1 x.
+    pieces = [(0.0, b, beta, 0.0, 1.0, 1.0, 1.0, 1.0 - z)]
+    r = 1.0 / z if z else 0j
+    t0, r0 = r.real, 1.0 - r.real
+    if 0.0 < t0 < 1.0 and abs(r.imag) < min(t0, r0) / 2.0 + 0.25:
+        zy = z * complex(0.0, r.imag)  # t = t0 x on [0, t0], 1 - t = r0 (1-x) on [t0, 1]
+        pieces = [
+            (b * math.log(t0), b, 1.0, beta - 1.0, 1.0, r0, z * t0 + zy, zy),
+            (beta * math.log(r0), 1.0, beta, b - 1.0, t0, 1.0, zy, zy - z * r0),
+        ]
 
-    def kernel(t: float) -> complex:
-        return cpow_principal(1.0 - z * t, -a)
+    def g(x, omx, lx, lomx, lj):
+        """The integrand times du at one node, summed over the pieces."""
+        total = 0j
+        for lc, p, q, sc, s0, s1, k0, k1 in pieces:
+            lf = lc + p * lx + q * lomx + lj - a * cmath.log(k0 * omx + k1 * x)
+            total += cmath.exp(lf + sc * math.log(s0 * omx + s1 * x) if sc else lf)
+        return total
 
-    def left_plain(t: float) -> complex:
-        return t ** (b - 1.0) * (1.0 - t) ** (beta - 1.0) * kernel(t)
+    def walk(u, step, total):
+        """total plus g at the nodes +-u, +-(u + step), ..., and their number."""
+        nodes, right, left = 0, True, True
+        while right or left:
+            nodes += right + left
+            s = math.pi * math.sinh(u)  # 2s
+            e = math.exp(-s)
+            lx, x, lj = -math.log1p(e), 1.0 / (1.0 + e), math.log(math.pi * math.cosh(u))
+            if right:
+                v = g(x, e * x, lx, lx - s, lj)
+                total += v
+                right = abs(v) > _TAIL * abs(total)
+            if left:
+                v = g(e * x, x, lx - s, lx, lj)
+                total += v
+                left = abs(v) > _TAIL * abs(total)
+            u += step
+        return total, nodes
 
-    def left_sub(s: float) -> complex:
-        t = s ** (1.0 / b)
-        return (1.0 - t) ** (beta - 1.0) * kernel(t) / b
-
-    def right_plain(u: float) -> complex:
-        t = 1.0 - u
-        return u ** (beta - 1.0) * t ** (b - 1.0) * kernel(t)
-
-    def right_sub(s: float) -> complex:
-        u = s ** (1.0 / beta)
-        t = 1.0 - u
-        return t ** (b - 1.0) * kernel(t) / beta
-
-    pieces = [
-        (left_sub, 0.5**b) if b < 1 else (left_plain, 0.5),
-        (right_sub, 0.5**beta) if beta < 1 else (right_plain, 0.5),
-    ]
-    total = 0j
-    abs_err = 0.0
-    neval = 0
-    warned = False
-    for f, hi in pieces:
-        v, e, ne, w = _quad_complex(f, 0.0, hi, tol)
-        total += v
-        abs_err += e
-        neval += ne
-        warned = warned or w
-
-    pref = gamma_real(c) / (gamma_real(b) * gamma_real(beta))
-    value = pref * total
-    denom = abs(value)
-    est = math.inf if denom == 0.0 else max(pref * abs_err / denom, EPS)
-    if warned:
-        est = max(est, 10.0 * EPS)  # quadrature reported roundoff saturation
-    return SeriesResult(value=value, terms_used=neval, est_error=est, converged=est <= tol)
+    h, est = 0.5, math.inf
+    try:
+        total, nodes = walk(h, h, g(0.5, 0.5, -math.log(2.0), -math.log(2.0), math.log(math.pi)))
+        while est > tol and h > 0.5 / 2**7:
+            previous = h * total
+            h *= 0.5
+            total, more = walk(h, 2.0 * h, total)
+            nodes += more
+            if total:
+                est = max(abs(h * total - previous) / abs(h * total), EPS)
+    except (OverflowError, ValueError):  # exp, sinh or cosh overflowed, or log met 0
+        raise RecurrenceBreakdown(f"the Euler integrand at z = {z} is not finite") from None
+    value = gamma_real(c) / (gamma_real(b) * gamma_real(beta)) * h * total
+    evals = len(pieces) * (nodes + 1)  # the nodes either side of u = 0, and u = 0
+    return SeriesResult(value=value, terms_used=evals, est_error=est, converged=est <= tol)
 
 
 def region_moduli(z: complex) -> dict[str, float]:

@@ -31,8 +31,8 @@ class SeriesResult:
     """Computed value plus truncation bookkeeping.
 
     est_error is a relative error estimate (last-term ratio for series,
-    quadrature error report for the integral oracle), floored at the
-    double-precision rounding level of the summation.  converged is True
+    difference of the last two quadrature levels for the integral oracle),
+    floored at the double-precision rounding level.  converged is True
     exactly when est_error is at or below the tolerance the caller asked for.
     """
 

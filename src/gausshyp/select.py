@@ -1,10 +1,11 @@
 """Method selection, the route table and the one-call evaluation front end."""
 
+import warnings
 from typing import Callable, NamedTuple
 
 from .buhring import DEFAULT_Z0, buhring_eval, exclusion_margin, is_integer_difference
 from .core import HypParams
-from .errors import ConfigError, NoMethodError
+from .errors import ConfigError, NoMethodError, NotConvergedWarning
 from .onepoint import eval_onepoint, in_region_onepoint
 from .reference import euler_integral, maclaurin
 from .results import MethodId, SeriesResult
@@ -153,6 +154,9 @@ def hyp2f1(
     method: MethodId | str = "auto",
     **kwargs,
 ) -> complex:
-    """Convenience wrapper returning just the value of 2F1(a, b, c; z)."""
-    res, _ = evaluate(HypParams(a, b, c), z, method=method, **kwargs)
+    """The value of 2F1(a, b, c; z); warns NotConvergedWarning if the route did not converge."""
+    res, method_id = evaluate(HypParams(a, b, c), z, method=method, **kwargs)
+    if not res.converged:
+        msg = f"{method_id} did not converge at z = {z}: est_error = {res.est_error:.3g}"
+        warnings.warn(msg, NotConvergedWarning, stacklevel=2)
     return res.value

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from gausshyp import (
@@ -11,6 +12,8 @@ from gausshyp import (
     HypParams,
     OutsideDomain,
     ParamDomainError,
+    RecurrenceBreakdown,
+    TABLES,
     classify_region,
     euler_integral,
     maclaurin,
@@ -85,12 +88,17 @@ class TestEulerIntegral:
         assert abs(vc - v.conjugate()) <= 1e-13 * abs(v)
 
     def test_endpoint_singular_exponents(self):
-        # b < 1 and c-b < 1 exercise both substitutions; cross-check vs series
+        # b < 1 and c-b < 1: both endpoints singular; cross-check vs series
         p = HypParams(0.7, 0.4, 0.9)
         z = 0.35 + 0.2j
         m = maclaurin(p, z, tol=1e-14, max_terms=5000)
         e = euler_integral(p, z)
         assert rel_err(e.value, m.value) <= 1e-12
+
+    def test_integrand_overflow_raises(self):
+        # (1 - zt)^(-a) reaches ~1e800 next to the cut at 1/z
+        with pytest.raises(RecurrenceBreakdown):
+            euler_integral(HypParams(4.0, 2.1, 3.0), 1.5 + 1e-200j)
 
     def test_complex_argument_off_disk(self, params_main):
         # the integral reaches z the series cannot
@@ -154,3 +162,75 @@ class TestOracleConsistency:
                 m = maclaurin(params, z)
                 e = euler_integral(params, z)
                 assert rel_err(m.value, e.value) <= 1e-11
+
+
+#: euler_integral converges on 375 of the 400 sweep points; the floor leaves
+#: room for a few points to move with the platform's libm.
+CONVERGED_FLOOR = 370
+
+
+def _mp_hyp2f1(a, b, c, z):
+    """mpmath.hyp2f1 at 30 digits, the independent reference for the oracle."""
+    with mpmath.workdps(30):
+        return complex(mpmath.hyp2f1(a, b, c, mpmath.mpc(z.real, z.imag)))
+
+
+def _dishonest(a, b, c, z):
+    """True when euler_integral reports converged but misses by more than 100x its estimate."""
+    res = euler_integral(HypParams(a, b, c), z)
+    return res.converged and rel_err(res.value, _mp_hyp2f1(a, b, c, z)) > 100.0 * res.est_error
+
+
+def _oracle_sweep():
+    """300 points with |z| log-uniform on [0.1, 31], then 100 near the cut, |z| in [1, 31]."""
+    rng = random.Random(2024)
+    pts = []
+    for k in range(400):
+        b = rng.uniform(0.01, 5.0)
+        c = b + rng.uniform(0.01, 5.0)
+        a = rng.uniform(-3.0, 5.0)
+        if k < 300:
+            r, arg = math.exp(rng.uniform(math.log(0.1), math.log(31.0))), rng.uniform(-math.pi, math.pi)
+        else:  # arg z up to about 0.3 either side of the cut
+            r, arg = math.exp(rng.uniform(0.0, math.log(31.0))), rng.choice((-1, 1)) * 10 ** rng.uniform(-6, -0.5)
+        pts.append((a, b, c, complex(r * math.cos(arg), r * math.sin(arg))))
+    return pts
+
+
+class TestOracleAgainstMpmath:
+    def test_table_rows(self):
+        rows = [row for spec in TABLES.values() for row in spec.rows]
+        assert len(rows) == 18
+        for row in rows:
+            res = euler_integral(row.params, row.z)
+            assert res.converged
+            assert rel_err(res.value, _mp_hyp2f1(row.a, row.b, row.c, row.z)) <= 1e-15, row.caption
+
+    @pytest.mark.parametrize(
+        "a, b, c, z",
+        [
+            (1.2, 0.01, 3.0, -1.0 + 1.0j),  # b = 0.01
+            (1.2, 2.99, 3.0, -1.0 + 1.0j),  # c - b = 0.01
+            (1.2, 0.01, 0.02, 0.5 + 0.5j),  # both endpoint exponents 0.01
+            (1.2, 2.1, 3.0, 1e-12 + 0j),
+            (1.2, 2.1, 3.0, -1e6 + 0j),
+            (1.2, 2.1, 3.0, 1000.0 + 1.0j),
+            (1.2, 2.1, 3.0, 1.0 + 1e-8j),  # just off the cut
+            (1.2, 2.1, 3.0, 1.5 + 1e-6j),
+            (2.5, 0.3, 3.0, 1.5 + 1e-6j),  # does not converge: the two pieces cancel
+        ],
+    )
+    def test_edge_points_honest(self, a, b, c, z):
+        assert not _dishonest(a, b, c, z)
+
+    def test_seeded_sweep_honest(self):
+        pts = _oracle_sweep()
+        assert sum(z.real >= 1.0 for *_, z in pts) >= 100
+        converged = dishonest = 0
+        for a, b, c, z in pts:
+            res = euler_integral(HypParams(a, b, c), z)
+            if res.converged:
+                converged += 1
+                dishonest += rel_err(res.value, _mp_hyp2f1(a, b, c, z)) > 100.0 * res.est_error
+        assert dishonest == 0
+        assert converged >= CONVERGED_FLOOR

@@ -1,5 +1,7 @@
 """Method-selection policy and the evaluate() front end."""
 
+import warnings
+
 import pytest
 
 from gausshyp import (
@@ -7,6 +9,7 @@ from gausshyp import (
     HypParams,
     MethodId,
     NoMethodError,
+    NotConvergedWarning,
     ROUTES,
     buhring_eval,
     euler_integral,
@@ -159,3 +162,14 @@ class TestEvaluate:
 
         got = hyp2f1(1.0, 1.0, 2.0, 0.5 + 0j)
         assert abs(got - 2.0 * math.log(2.0)) <= 1e-12
+
+    def test_hyp2f1_warns_when_not_converged(self):
+        # auto takes onepoint-half here, which returns 0.016629 against
+        # mpmath's 0.016396 with converged=False
+        with pytest.warns(NotConvergedWarning, match=r"onepoint-half .*est_error = 0\.03"):
+            hyp2f1(1.2, 2.2, 3.0, -50.0)
+
+    def test_hyp2f1_silent_when_converged(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hyp2f1(1.2, 2.1, 3.0, Z_EXC)

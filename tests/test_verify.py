@@ -1,7 +1,7 @@
 """Heavy dependencies stay apart from the production routes.
 
 The extended-precision references (mpmath) live in gausshyp.verify, and
-scipy loads only when the quadrature oracle first runs.
+no module imports scipy: the quadrature oracle is pure Python.
 """
 
 import ast
@@ -16,24 +16,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gausshyp"
 #: The CLI selftest compares the routes against the references.
 VERIFY_CLIENTS = {"cli.py"}
 
-_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-
-def _module_level(node):
-    """ast.walk, but without descending into function bodies."""
-    yield node
-    for child in ast.iter_child_nodes(node):
-        if not isinstance(child, _FUNCTIONS):
-            yield from _module_level(child)
-
-
-def _imports(path, module_level=False):
-    """(absolute module, imported names) for every import statement in path.
-
-    With module_level, only the imports that run when the module is imported.
-    """
+def _imports(path):
+    """(absolute module, imported names) for every import statement in path."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    for node in _module_level(tree) if module_level else ast.walk(tree):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, ()
@@ -44,11 +30,11 @@ def _imports(path, module_level=False):
             yield module, tuple(alias.name for alias in node.names)
 
 
-def _importers(pred, module_level=False):
+def _importers(pred):
     return {
         path.name
         for path in SRC.glob("*.py")
-        if any(pred(module, names) for module, names in _imports(path, module_level))
+        if any(pred(module, names) for module, names in _imports(path))
     }
 
 
@@ -69,12 +55,8 @@ def test_only_verify_imports_mpmath():
     assert _importers(lambda module, _: module.split(".")[0] == "mpmath") == {"verify.py"}
 
 
-def test_only_reference_imports_scipy_and_never_at_module_level():
-    def is_scipy(module, _):
-        return module.split(".")[0] == "scipy"
-
-    assert _importers(is_scipy) == {"reference.py"}
-    assert _importers(is_scipy, module_level=True) == set()
+def test_no_module_imports_scipy():
+    assert _importers(lambda module, _: module.split(".")[0] == "scipy") == set()
 
 
 def test_production_modules_do_not_import_verify():
@@ -93,23 +75,23 @@ def test_package_and_cli_import_without_mpmath():
     assert _run_python(code).strip() == "[]"
 
 
-def test_only_the_quadrature_oracle_loads_scipy():
-    # auto takes threepoint at 0.5+0.87i, near exp(i*pi/3); table 4 compares
-    # against the quadrature oracle
+def test_cli_commands_load_no_heavy_dependency():
+    # auto takes threepoint at 0.5+0.87i, near exp(i*pi/3); the explicit
+    # euler-oracle eval and table 4 run the quadrature oracle
     code = """
 import json, os, sys
 from gausshyp.cli import main
 out = ["--out", os.devnull]
+point = ["--a", "1.2", "--b", "2.1", "--c", "3", "--z", "0.5+0.87i"]
 codes = [
-    main(["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z", "0.5+0.87i", *out]),
+    main(["eval", *point, *out]),
+    main(["eval", *point, "--method", "euler-oracle", *out]),
     main(["region", "--method", "threepoint", "--xmin", "-4", "--xmax", "4",
           "--ymin", "-4", "--ymax", "4", "--res", "33", *out]),
+    main(["table", "--id", "4", *out]),
 ]
-before = "scipy.integrate" in sys.modules
-codes.append(main(["table", "--id", "4", *out]))
-print(json.dumps([codes, before, "scipy.integrate" in sys.modules]))
+print(json.dumps([codes, [m for m in ("scipy", "numpy", "mpmath") if m in sys.modules]]))
 """
-    codes, loaded_before_table, loaded_after_table = json.loads(_run_python(code))
-    assert codes == [0, 0, 0]
-    assert not loaded_before_table
-    assert loaded_after_table
+    codes, loaded = json.loads(_run_python(code))
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
