@@ -21,7 +21,7 @@ exposed, and the CLI reproduces the benchmark error tables and region
 rasters.
 """
 
-from .buhring import BuhringCoeffs, buhring_coeffs, buhring_eval, d_coeff
+from .buhring import buhring_coeffs, buhring_eval, d_coeff
 from .core import HypParams, cpow_principal, gamma_real, pochhammer
 from .errors import (
     BranchCutError,
@@ -51,7 +51,6 @@ from .results import MethodId, RegionVerdict, SeriesResult
 from .select import ROUTES, evaluate, hyp2f1, method_margin, select_method
 from .tables import TABLES, TableSpec, format_rel_error, run_table, table_to_csv, table_to_json
 from .threepoint import (
-    ThreePointCoeffs,
     eval_threepoint,
     in_region_threepoint,
     phi3,
@@ -59,7 +58,6 @@ from .threepoint import (
     threepoint_coeffs,
 )
 from .twopoint import (
-    TwoPointCoeffs,
     eval_twopoint,
     in_region_twopoint,
     phi_psi_moments,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchCutError",
-    "BuhringCoeffs",
     "ConfigError",
     "DomainError",
     "GaussHypError",
@@ -90,8 +87,6 @@ __all__ = [
     "SingularityError",
     "TABLES",
     "TableSpec",
-    "ThreePointCoeffs",
-    "TwoPointCoeffs",
     "buhring_coeffs",
     "buhring_eval",
     "classify_region",

@@ -20,7 +20,8 @@ b - a is allowed, but the reported error estimate is inflated by
 """
 
 import math
-from dataclasses import dataclass
+from itertools import count, islice
+from typing import Iterator
 
 from .core import (
     HypParams,
@@ -29,7 +30,7 @@ from .core import (
     recip_gamma_real,
     require_finite_complex,
     require_n_max,
-    tail_estimate,
+    sum_series,
 )
 from .errors import BranchCutError, IntegerDifferenceError, OutsideDomain
 from .results import SeriesResult
@@ -42,17 +43,8 @@ INTEGER_DIFF_TOL = 1e-8
 DEFAULT_Z0 = 0.5
 
 
-@dataclass(frozen=True)
-class BuhringCoeffs:
-    """Coefficient stream d_0, d_1, ... for one of the two series (s = a or s = b)."""
-
-    s: float
-    z0: complex
-    d: tuple[complex, ...]
-
-
-def _d_sequence(s: float, z0: complex, params: HypParams, n_max: int) -> list[complex]:
-    require_n_max(n_max)
+def _d_stream(s: float, z0: complex, params: HypParams) -> Iterator[complex]:
+    """d_0(s, z0), d_1(s, z0), ... by forward recurrence from d_{-1} = 0, d_0 = 1."""
     a, b, c = params.a, params.b, params.c
     z0 = complex(z0)
     s2 = 2.0 * s
@@ -60,9 +52,9 @@ def _d_sequence(s: float, z0: complex, params: HypParams, n_max: int) -> list[co
     one_2z0 = 1.0 - 2.0 * z0
     abz0 = (a + b + 1.0) * z0
     d_prev = 1.0 + 0j
-    d = [d_prev]
     d_prev2 = 0j
-    for n in range(1, n_max + 1):
+    yield d_prev
+    for n in count(1):
         den = n * (n + s2 - a - b)
         if den == 0.0:
             raise IntegerDifferenceError(
@@ -72,20 +64,28 @@ def _d_sequence(s: float, z0: complex, params: HypParams, n_max: int) -> list[co
         d_prev2, d_prev = d_prev, (ns - 1.0) / den * (
             z0_one_z0 * (ns - 2.0) * d_prev2 + (ns * one_2z0 + abz0 - c) * d_prev
         )
-        d.append(d_prev)
-    return d
+        yield d_prev
+
+
+def buhring_coeffs(s: float, z0: complex, params: HypParams, n_max: int) -> list[complex]:
+    """The coefficient stream d_0 .. d_{n_max} for expansion parameter s."""
+    require_n_max(n_max)
+    return list(islice(_d_stream(s, z0, params), n_max + 1))
 
 
 def d_coeff(s: float, z0: complex, params: HypParams, n: int) -> complex:
     """d_n(s, z0) by forward recurrence from d_{-1} = 0, d_0 = 1."""
     if n < 0:
         raise ValueError("coefficient index must be non-negative")
-    return _d_sequence(s, z0, params, n)[n]
+    return buhring_coeffs(s, z0, params, n)[n]
 
 
-def buhring_coeffs(s: float, z0: complex, params: HypParams, n_max: int) -> BuhringCoeffs:
-    """The full coefficient stream d_0 .. d_{n_max} for expansion parameter s."""
-    return BuhringCoeffs(s=s, z0=complex(z0), d=tuple(_d_sequence(s, z0, params, n_max)))
+def _buhring_terms(s: float, z0: complex, params: HypParams, u: complex) -> Iterator[complex]:
+    """Term n of the continuation series for s: d_n(s, z0) u^n."""
+    upow = 1.0 + 0j
+    for d in _d_stream(s, z0, params):
+        yield d * upow
+        upow *= u
 
 
 def is_integer_difference(params: HypParams) -> bool:
@@ -114,8 +114,9 @@ def buhring_eval(
     """Sum both continuation series with indices 0 .. n_terms inclusive.
 
     terms_used reports the truncation index n_terms.  est_error is the
-    last-term ratio of the combined series, floored at the rounding level
-    and multiplied by the near-integer inflation factor.
+    last-term ratio of the combined value, with the two series' term sizes
+    weighted by their prefactors and added (core.sum_series), floored at
+    the rounding level and multiplied by the near-integer inflation factor.
     """
     a, b, c = params.a, params.b, params.c
     diff = b - a
@@ -139,25 +140,9 @@ def buhring_eval(
     fac_a = pref_a * cpow_principal(w, -a)
     fac_b = pref_b * cpow_principal(w, -b)
 
-    da = _d_sequence(a, z0, params, n_terms)
-    db = _d_sequence(b, z0, params, n_terms)
     u = 1.0 / (z - z0)
-
-    s_a = 0j
-    s_b = 0j
-    abs_sum = 0.0
-    last = 0.0
-    upow = 1.0 + 0j
-    for n in range(n_terms + 1):
-        ta = da[n] * upow
-        tb = db[n] * upow
-        s_a += ta
-        s_b += tb
-        last = abs(fac_a * ta) + abs(fac_b * tb)
-        abs_sum += last
-        upow *= u
-
-    value = fac_a * s_a + fac_b * s_b
-    inflation = 1.0 / abs(math.sin(math.pi * diff))
-    est = tail_estimate(abs(value), abs_sum, last, n_terms + 1) * max(1.0, inflation)
-    return SeriesResult(value=value, terms_used=n_terms, est_error=est, converged=est <= tol)
+    terms_a = _buhring_terms(a, z0, params, u)
+    terms_b = _buhring_terms(b, z0, params, u)
+    res = sum_series(n_terms, tol, (fac_a, terms_a), (fac_b, terms_b))
+    est = res.est_error * max(1.0, 1.0 / abs(math.sin(math.pi * diff)))
+    return SeriesResult(value=res.value, terms_used=n_terms, est_error=est, converged=est <= tol)

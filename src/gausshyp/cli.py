@@ -238,12 +238,12 @@ def _selftest_checks():
         )
 
     def twopoint_paths_agree():
-        co = twopoint_coeffs_recursive(1.2, -1.0 + 0j, 6)
+        A, B = twopoint_coeffs_recursive(1.2, -1.0 + 0j, 6)
         for n in range(1, 7):
             ae, be = twopoint_coeffs_explicit(1.2, -1.0 + 0j, n)
-            if abs(ae - co.A[n]) > 1e-10 * max(1.0, abs(ae)):
+            if abs(ae - A[n]) > 1e-10 * max(1.0, abs(ae)):
                 return False
-            if abs(be - co.B[n]) > 1e-10 * max(1.0, abs(be)):
+            if abs(be - B[n]) > 1e-10 * max(1.0, abs(be)):
                 return False
         return True
 

@@ -1,15 +1,20 @@
 """Scalar numerics shared by every evaluation route.
 
 Principal-branch complex powers, rising factorials, real-argument gamma,
-and the (a, b, c) parameter triple with its validity checks.  Parameters
-are restricted to real values; complex parameters are out of scope.
+the (a, b, c) parameter triple with its validity checks, and sum_series,
+the one loop that sums every series route with its error estimate.
+Parameters are restricted to real values; complex parameters are out of
+scope.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable
 
 from .errors import DomainError, ParamDomainError, PoleError, RecurrenceBreakdown
+from .results import SeriesResult
 
 #: Unit roundoff of IEEE double precision.
 EPS = 2.220446049250313e-16
@@ -33,23 +38,57 @@ def require_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
 
 
+def require_finite_sum(total_abs: float, n_summed: int) -> None:
+    """Raise RecurrenceBreakdown for a series sum whose modulus is not finite.
+
+    At large n_summed, coefficients that overflowed to inf times moments
+    that underflowed to 0 give NaN.
+    """
+    if not math.isfinite(total_abs):
+        raise RecurrenceBreakdown(
+            f"series sum is {total_abs} after {n_summed} terms: a term overflowed double precision"
+        )
+
+
 def tail_estimate(total_abs: float, abs_sum: float, last: float, n_summed: int) -> float:
     """Relative error estimate of a truncated series with |sum| = total_abs.
 
     The last-term ratio last/total_abs, floored at the rounding level
     EPS * (cond + n_summed) of n_summed additions whose condition number
     is cond = abs_sum/total_abs.  A zero sum gives inf.  A sum that is not
-    finite raises RecurrenceBreakdown; at large n_summed, coefficients that
-    overflowed to inf times moments that underflowed to 0 give NaN.
+    finite raises RecurrenceBreakdown (require_finite_sum).
     """
-    if not math.isfinite(total_abs):
-        raise RecurrenceBreakdown(
-            f"series sum is {total_abs} after {n_summed} terms: a term overflowed double precision"
-        )
+    require_finite_sum(total_abs, n_summed)
     if total_abs == 0.0:
         return math.inf
     cond = abs_sum / total_abs
     return max(last / total_abs, EPS * (cond + n_summed))
+
+
+def sum_series(n_terms: int, tol: float, *series: tuple[complex, Iterable[complex]]) -> SeriesResult:
+    """Sum terms 0 .. n_terms of each (weight, terms) series, left to right.
+
+    The value is the sum of weight * (partial sum) over the series, in the
+    order given.  est_error is tail_estimate of that value, with the sizes
+    |weight| |term| of all series added into one abs_sum and one last term;
+    converged is est_error <= tol.  A partial sum that is not finite raises
+    RecurrenceBreakdown.  Every series route sums here.
+    """
+    value = complex(-0.0, -0.0)  # not 0j: -0.0 + x is x for every x, and 0.0 + -0.0 is 0.0
+    abs_sum = last = 0.0
+    for weight, terms in series:
+        s = 0j
+        part_sum = size = 0.0
+        for term in islice(terms, n_terms + 1):
+            s += term
+            size = abs(term)
+            part_sum += size
+        require_finite_sum(abs(s), n_terms + 1)
+        value += weight * s
+        abs_sum += abs(weight) * part_sum
+        last += abs(weight) * size
+    est = tail_estimate(abs(value), abs_sum, last, n_terms + 1)
+    return SeriesResult(value=value, terms_used=n_terms, est_error=est, converged=est <= tol)
 
 
 def cpow_principal(base: complex, exponent: float) -> complex:

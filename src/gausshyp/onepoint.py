@@ -17,7 +17,10 @@ from Phi_0 = 1, Phi_1 = 1 - b/(cw), which at w = 1/2 reduces to
 The terminating sum itself is the verification route (gausshyp.verify.phi_brute).
 """
 
-from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, tail_estimate
+from itertools import count, islice
+from typing import Iterator
+
+from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
 from .errors import DomainError, OutsideDomain, PoleError
 from .results import RegionVerdict, SeriesResult
 
@@ -25,22 +28,26 @@ from .results import RegionVerdict, SeriesResult
 DEFAULT_TERMS = 40
 
 
-def phi_half_sequence(n_max: int, b: float, c: float) -> list[float]:
-    """Phi_0 .. Phi_{n_max} at w = 1/2 by forward recurrence (real arithmetic)."""
-    require_n_max(n_max)
+def _phi_half_stream(b: float, c: float) -> Iterator[float]:
+    """Phi_0, Phi_1, ... at w = 1/2 by forward recurrence (real arithmetic)."""
     if c == 0.0:
         raise PoleError("c = 0 is a pole of Phi_1")
-    vals = [1.0]
-    if n_max >= 1:
-        vals.append(1.0 - 2.0 * b / c)
+    prev = 1.0
+    yield prev
+    cur = 1.0 - 2.0 * b / c
+    yield cur
     two_b_c = 2.0 * b - c
-    prev, cur = vals[0], vals[-1]
-    for n in range(1, n_max):
+    for n in count(1):
         if c + n == 0.0:
             raise PoleError(f"c + {n} = 0: recurrence pole")
         prev, cur = cur, (n * prev - two_b_c * cur) / (c + n)
-        vals.append(cur)
-    return vals
+        yield cur
+
+
+def phi_half_sequence(n_max: int, b: float, c: float) -> list[float]:
+    """Phi_0 .. Phi_{n_max} at w = 1/2."""
+    require_n_max(n_max)
+    return list(islice(_phi_half_stream(b, c), n_max + 1))
 
 
 def phi_half(n: int, b: float, c: float) -> float:
@@ -50,25 +57,29 @@ def phi_half(n: int, b: float, c: float) -> float:
     return phi_half_sequence(n, b, c)[n]
 
 
-def phi_w_sequence(n_max: int, b: float, c: float, w: complex) -> list[complex]:
-    """Phi_0 .. Phi_{n_max} at generic w by forward recurrence."""
-    require_n_max(n_max)
+def _phi_w_stream(b: float, c: float, w: complex) -> Iterator[complex]:
+    """Phi_0, Phi_1, ... at generic w by forward recurrence."""
     w = complex(w)
     if w == 0:
         raise DomainError("expansion point w must be nonzero")
     if c == 0.0:
         raise PoleError("c = 0 is a pole of Phi_1")
-    vals: list[complex] = [1.0 + 0j]
-    if n_max >= 1:
-        vals.append(1.0 - b / (c * w))
+    prev = 1.0 + 0j
+    yield prev
+    cur = 1.0 - b / (c * w)
+    yield cur
     one_w = 1.0 - 1.0 / w
-    prev, cur = vals[0], vals[-1]
-    for n in range(1, n_max):
+    for n in count(1):
         if c + n == 0.0:
             raise PoleError(f"c + {n} = 0: recurrence pole")
         prev, cur = cur, -(((b + n) / w - 2.0 * n - c) * cur + n * one_w * prev) / (c + n)
-        vals.append(cur)
-    return vals
+        yield cur
+
+
+def phi_w_sequence(n_max: int, b: float, c: float, w: complex) -> list[complex]:
+    """Phi_0 .. Phi_{n_max} at generic w."""
+    require_n_max(n_max)
+    return list(islice(_phi_w_stream(b, c, w), n_max + 1))
 
 
 def phi_w(n: int, b: float, c: float, w: complex) -> complex:
@@ -89,6 +100,20 @@ def in_region_onepoint(z: complex, w: complex = 0.5) -> RegionVerdict:
     w = complex(w)
     margin = abs(1.0 - w * z) - abs(z) * max(abs(w), abs(1.0 - w))
     return RegionVerdict(inside=margin > 0.0, margin=margin)
+
+
+def _onepoint_terms(params: HypParams, z: complex, w: complex) -> Iterator[complex]:
+    """Term n of the one-point sum, before the prefactor (1-wz)^(-a)."""
+    if w == 0.5:
+        phis = _phi_half_stream(params.b, params.c)
+    else:
+        phis = _phi_w_stream(params.b, params.c, w)
+    a = params.a
+    ratio = w * z / (w * z - 1.0)
+    term = 1.0 + 0j
+    for n, phi in enumerate(phis):
+        yield term * phi
+        term *= (a + n) / (n + 1.0) * ratio
 
 
 def eval_onepoint(
@@ -112,24 +137,8 @@ def eval_onepoint(
     if not verdict.inside:
         raise OutsideDomain(f"z = {z} outside the w = {w} expansion region (margin {verdict.margin})")
 
-    phis: list[complex] | list[float]
-    if w == 0.5:
-        phis = phi_half_sequence(n_terms, params.b, params.c)
-    else:
-        phis = phi_w_sequence(n_terms, params.b, params.c, w)
-
-    a = params.a
-    ratio = w * z / (w * z - 1.0)
-    s = 0j
-    term = 1.0 + 0j
-    abs_sum = 0.0
-    last = 0.0
-    for n in range(n_terms + 1):
-        contrib = term * phis[n]
-        s += contrib
-        last = abs(contrib)
-        abs_sum += last
-        term *= (a + n) / (n + 1.0) * ratio
-    value = cpow_principal(1.0 - w * z, -a) * s
-    est = tail_estimate(abs(s), abs_sum, last, n_terms + 1)
-    return SeriesResult(value=value, terms_used=n_terms, est_error=est, converged=est <= tol)
+    res = sum_series(n_terms, tol, (1.0, _onepoint_terms(params, z, w)))
+    value = cpow_principal(1.0 - w * z, -params.a) * res.value
+    return SeriesResult(
+        value=value, terms_used=n_terms, est_error=res.est_error, converged=res.converged
+    )

@@ -3,6 +3,8 @@
 import enum
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 
 class MethodId(enum.Enum):
     """The seven computation routes exposed by the library."""
@@ -20,10 +22,11 @@ class MethodId(enum.Enum):
 
     @classmethod
     def from_string(cls, name: str) -> "MethodId":
-        for m in cls:
-            if m.value == name:
-                return m
-        raise ValueError(f"unknown method {name!r}")
+        """The route named name; an unknown name raises ConfigError."""
+        try:
+            return cls(name)
+        except ValueError:
+            raise ConfigError(f"unknown method {name!r}") from None
 
 
 @dataclass(frozen=True)

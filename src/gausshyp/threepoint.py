@@ -35,9 +35,10 @@ extended precision when the two routes are compared at large n.
 """
 
 import math
-from dataclasses import dataclass
+from itertools import count, islice
+from typing import Iterator
 
-from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, tail_estimate
+from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
 from .errors import OutsideDomain, PoleError, RecurrenceBreakdown, SingularityError
 from .results import RegionVerdict, SeriesResult
 
@@ -46,20 +47,8 @@ DEFAULT_TERMS = 40
 _SQRT3_6 = 6.0 * math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class ThreePointCoeffs:
-    """Coefficient streams A, B, C of the three-point expansion."""
-
-    a: float
-    z: complex
-    A: tuple[complex, ...]
-    B: tuple[complex, ...]
-    C: tuple[complex, ...]
-
-
-def threepoint_coeffs(a: float, z: complex, n_max: int) -> ThreePointCoeffs:
-    """A, B, C streams up to n_max by forward recursion; z in {1, 2} is singular."""
-    require_n_max(n_max)
+def _abc_stream(a: float, z: complex) -> Iterator[tuple[complex, complex, complex]]:
+    """(A_n, B_n, C_n) for n = 0, 1, ... by forward recursion; z in {1, 2} is singular."""
     z = complex(z)
     if z == 1.0 or z == 2.0:
         raise SingularityError(f"z = {z}: recursion divides by (z-1)(z-2)")
@@ -68,7 +57,6 @@ def threepoint_coeffs(a: float, z: complex, n_max: int) -> ThreePointCoeffs:
     An = 1.0 + 0j
     Bn = 4.0 * pow_half - pow_one - 3.0
     Cn = 2.0 + 2.0 * pow_one - 4.0 * pow_half
-    A, B, C = [An], [Bn], [Cn]
     q = z * z - 3.0 * z + 2.0
     z2 = z * z
     z3 = z2 * z
@@ -89,7 +77,8 @@ def threepoint_coeffs(a: float, z: complex, n_max: int) -> ThreePointCoeffs:
     c_b1 = z3 - 24.0 * z2 + 48.0 * z - 24.0
     c_c0 = 4.0 * (2.0 * z * (9.0 + 2.0 * a) - 3.0 * z2 * (2.0 + a) - 12.0)
     c_c1 = 5.0 * z3 - 132.0 * z2 + 276.0 * z - 144.0
-    for n in range(n_max):
+    for n in count():
+        yield An, Bn, Cn
         n1 = n + 1.0
         n3 = 3.0 * n
         za = z4 * (n3 + a)
@@ -99,10 +88,12 @@ def threepoint_coeffs(a: float, z: complex, n_max: int) -> ThreePointCoeffs:
             (za * b_a * An + 2.0 * (b_b0 + n3 * b_b1) * Bn + (b_c0 + n * b_c1) * Cn) / (den * q),
             (za * c_a * An + 2.0 * (c_b0 + n3 * c_b1) * Bn + (c_c0 + n * c_c1) * Cn) / (n1 * q),
         )
-        A.append(An)
-        B.append(Bn)
-        C.append(Cn)
-    return ThreePointCoeffs(a=a, z=z, A=tuple(A), B=tuple(B), C=tuple(C))
+
+
+def threepoint_coeffs(a: float, z: complex, n_max: int) -> tuple[tuple[complex, ...], ...]:
+    """The streams (A, B, C), each over indices 0 .. n_max; z in {1, 2} is singular."""
+    require_n_max(n_max)
+    return tuple(zip(*islice(_abc_stream(a, z), n_max + 1)))
 
 
 def _recurrence_in_n(b, c):
@@ -136,11 +127,6 @@ def _recurrence_in_n(b, c):
     return xyz
 
 
-def _recurrence_xyz(n: int, b, c):
-    """Coefficients X_n, Y_n, Z_n of X_n Phi_{n-1} + Y_n Phi_n + Z_n Phi_{n+1} = 0."""
-    return _recurrence_in_n(b, c)(n)
-
-
 def _phi1_closed(b, c):
     den = 2 * c * (c + 1) * (c + 2)
     if den == 0:
@@ -148,21 +134,25 @@ def _phi1_closed(b, c):
     return -b * (b - c) * (2 * b - c) / den
 
 
-def phi3_sequence(n_max: int, b: float, c: float) -> list[float]:
-    """Phi_0 .. Phi_{n_max} by the three-term recurrence, run forward from Phi_0 = 1, Phi_1."""
-    require_n_max(n_max)
-    vals = [1.0]
-    if n_max >= 1:
-        vals.append(_phi1_closed(b, c))
+def _phi3_stream(b: float, c: float) -> Iterator[float]:
+    """Phi_0, Phi_1, ... by the three-term recurrence, run forward from Phi_0 = 1, Phi_1."""
+    prev = 1.0
+    yield prev
+    cur = _phi1_closed(b, c)
+    yield cur
     xyz = _recurrence_in_n(b, c)
-    prev, cur = vals[0], vals[-1]
-    for n in range(1, n_max):
+    for n in count(1):
         x, y, z = xyz(n)
         if z == 0:
             raise RecurrenceBreakdown(f"Z_{n} = 0 for b={b}, c={c}")
         prev, cur = cur, -(x * prev + y * cur) / z
-        vals.append(cur)
-    return vals
+        yield cur
+
+
+def phi3_sequence(n_max: int, b: float, c: float) -> list[float]:
+    """Phi_0 .. Phi_{n_max} of the three-point expansion."""
+    require_n_max(n_max)
+    return list(islice(_phi3_stream(b, c), n_max + 1))
 
 
 def phi3(n: int, b: float, c: float) -> float:
@@ -177,6 +167,18 @@ def in_region_threepoint(z: complex) -> RegionVerdict:
     z = complex(z)
     margin = _SQRT3_6 * abs((1.0 - z) * (2.0 - z)) - abs(z) ** 3
     return RegionVerdict(inside=margin > 0.0, margin=margin)
+
+
+def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
+    """Term n of the three-point series: the A/B/C stream and three moment streams in lock-step."""
+    b, c = params.b, params.c
+    wb = b / c
+    wc = b * (b + 1.0) / (c * (c + 1.0))
+    phis = (_phi3_stream(b + j, c + j) for j in range(3))
+    sign = 1.0
+    for (An, Bn, Cn), phi0, phi1, phi2 in zip(_abc_stream(params.a, z), *phis):
+        yield sign * (An * phi0 + wb * Bn * phi1 + wc * Cn * phi2)
+        sign = -sign
 
 
 def eval_threepoint(
@@ -200,22 +202,5 @@ def eval_threepoint(
             f"z = {z} outside |z|^3 < 6 sqrt(3)|(1-z)(2-z)| (margin {verdict.margin})"
         )
 
-    a, b, c = params.a, params.b, params.c
-    coeffs = threepoint_coeffs(a, z, n_terms)
-    phi0, phi1, phi2 = (phi3_sequence(n_terms, b + j, c + j) for j in range(3))
-    wb = b / c
-    wc = b * (b + 1.0) / (c * (c + 1.0))
+    return sum_series(n_terms, tol, (1.0, _threepoint_terms(params, z)))
 
-    s = 0j
-    abs_sum = 0.0
-    last = 0.0
-    for n in range(n_terms + 1):
-        sign = -1.0 if n % 2 else 1.0
-        contrib = sign * (
-            coeffs.A[n] * phi0[n] + wb * coeffs.B[n] * phi1[n] + wc * coeffs.C[n] * phi2[n]
-        )
-        s += contrib
-        last = abs(contrib)
-        abs_sum += last
-    est = tail_estimate(abs(s), abs_sum, last, n_terms + 1)
-    return SeriesResult(value=s, terms_used=n_terms, est_error=est, converged=est <= tol)

@@ -32,7 +32,8 @@ precision and the dual-path comparison runs this module's recursion at a
 matched precision (gausshyp.verify.twopoint_coeffs_mp).
 """
 
-from dataclasses import dataclass
+from itertools import count, islice
+from typing import Iterator
 
 from .core import (
     HypParams,
@@ -40,7 +41,7 @@ from .core import (
     pochhammer,
     require_finite_complex,
     require_n_max,
-    tail_estimate,
+    sum_series,
 )
 from .errors import OutsideDomain, PoleError, SingularityError
 from .results import RegionVerdict, SeriesResult
@@ -48,22 +49,12 @@ from .results import RegionVerdict, SeriesResult
 DEFAULT_TERMS = 40
 
 
-@dataclass(frozen=True)
-class TwoPointCoeffs:
-    """Coefficient streams A_0..A_n, B_0..B_n of the two-point expansion."""
-
-    a: float
-    z: complex
-    A: tuple[complex, ...]
-    B: tuple[complex, ...]
-
-
 def _initial_pair(a: float, z: complex) -> tuple[complex, complex]:
     return 1.0 + 0j, cpow_principal(1.0 - z, -a) - 1.0
 
 
-def _recursion(a, z, A0, B0, n_max: int) -> tuple[list, list]:
-    """A_0..A_{n_max}, B_0..B_{n_max} from (A0, B0) in the arithmetic of a and z."""
+def _recursion(a, z, A0, B0) -> Iterator[tuple]:
+    """(A_n, B_n) for n = 0, 1, ... from (A0, B0) in the arithmetic of a and z."""
     neg_z = -z
     two_z = 2.0 - z
     z_two_z = z * two_z
@@ -71,29 +62,23 @@ def _recursion(a, z, A0, B0, n_max: int) -> tuple[list, list]:
     b_b = 6.0 * z - z * z - 4.0
     one_z = 1.0 - z
     An, Bn = A0, B0
-    A = [An]
-    B = [Bn]
-    for n in range(n_max):
+    for n in count():
+        yield An, Bn
         an = a + 2.0 * n
         n1 = n + 1.0
         An, Bn = (
             (neg_z * an * An + (1.0 + n * two_z) * Bn) / n1,
             (z_two_z * an * An + (za2 + n * b_b - 2.0) * Bn) / (n1 * one_z),
         )
-        A.append(An)
-        B.append(Bn)
-    return A, B
 
 
-def twopoint_coeffs_recursive(a: float, z: complex, n_max: int) -> TwoPointCoeffs:
-    """A and B streams up to n_max by the forward recursion; z = 1 is singular."""
+def twopoint_coeffs_recursive(a: float, z: complex, n_max: int) -> tuple[tuple[complex, ...], ...]:
+    """The streams (A, B), each over indices 0 .. n_max; z = 1 is singular."""
     require_n_max(n_max)
     z = complex(z)
     if z == 1.0:
         raise SingularityError("z = 1: recursion divides by 1 - z")
-    A0, B0 = _initial_pair(a, z)
-    A, B = _recursion(a, z, A0, B0, n_max)
-    return TwoPointCoeffs(a=a, z=z, A=tuple(A), B=tuple(B))
+    return tuple(zip(*islice(_recursion(a, z, *_initial_pair(a, z)), n_max + 1)))
 
 
 def phi_psi_moments(n: int, b: float, c: float) -> tuple[float, float]:
@@ -125,6 +110,16 @@ def in_region_twopoint(z: complex) -> RegionVerdict:
     return RegionVerdict(inside=margin > 0.0, margin=margin)
 
 
+def _twopoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
+    """Term n of the two-point series: its coefficient pair times its closed-form moment."""
+    b, c = params.b, params.c
+    moment = 1.0 / c  # (b)_0 (c-b)_0 / (c)_1
+    sign = 1.0
+    for n, (An, Bn) in enumerate(_recursion(params.a, z, *_initial_pair(params.a, z))):
+        yield sign * moment * ((c + 2.0 * n) * An + (b + n) * Bn)
+        sign = -sign
+        moment *= (b + n) * (c - b + n) / ((c + 2.0 * n + 1.0) * (c + 2.0 * n + 2.0))
+
 def eval_twopoint(
     params: HypParams,
     z: complex,
@@ -140,18 +135,4 @@ def eval_twopoint(
     if not verdict.inside:
         raise OutsideDomain(f"z = {z} outside |z|^2 < 4|1-z| (margin {verdict.margin})")
 
-    b, c = params.b, params.c
-    coeffs = twopoint_coeffs_recursive(params.a, z, n_terms)
-    s = 0j
-    moment = 1.0 / c  # (b)_0 (c-b)_0 / (c)_1
-    abs_sum = 0.0
-    last = 0.0
-    for n in range(n_terms + 1):
-        sign = -1.0 if n % 2 else 1.0
-        contrib = sign * moment * ((c + 2.0 * n) * coeffs.A[n] + (b + n) * coeffs.B[n])
-        s += contrib
-        last = abs(contrib)
-        abs_sum += last
-        moment *= (b + n) * (c - b + n) / ((c + 2.0 * n + 1.0) * (c + 2.0 * n + 2.0))
-    est = tail_estimate(abs(s), abs_sum, last, n_terms + 1)
-    return SeriesResult(value=s, terms_used=n_terms, est_error=est, converged=est <= tol)
+    return sum_series(n_terms, tol, (1.0, _twopoint_terms(params, z)))

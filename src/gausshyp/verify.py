@@ -9,12 +9,13 @@ mpmath.
 """
 
 import math
+from itertools import islice
 
 import mpmath
 
 from .core import pochhammer
 from .errors import DomainError, PoleError, SingularityError
-from .twopoint import TwoPointCoeffs, _initial_pair, _recursion
+from .twopoint import _initial_pair, _recursion
 
 
 def _mpc(z: complex):
@@ -51,7 +52,7 @@ def phi_brute(n: int, b: float, c: float, w: complex = 0.5, dps: int | None = No
         return complex(s)
 
 
-def twopoint_coeffs_mp(a: float, z: complex, n_max: int, dps: int) -> TwoPointCoeffs:
+def twopoint_coeffs_mp(a: float, z: complex, n_max: int, dps: int) -> tuple[tuple[complex, ...], ...]:
     """twopoint_coeffs_recursive run at dps digits, rounded back to complex.
 
     Gives the recursion the precision of twopoint_coeffs_explicit when the
@@ -63,10 +64,8 @@ def twopoint_coeffs_mp(a: float, z: complex, n_max: int, dps: int) -> TwoPointCo
         raise SingularityError("z = 1: recursion divides by 1 - z")
     with mpmath.workdps(dps):
         am, zm = mpmath.mpf(a), _mpc(z)
-        A, B = _recursion(am, zm, mpmath.mpc(1), (1 - zm) ** (-am) - 1, n_max)
-        return TwoPointCoeffs(
-            a=a, z=z, A=tuple(complex(v) for v in A), B=tuple(complex(v) for v in B)
-        )
+        pairs = islice(_recursion(am, zm, mpmath.mpc(1), (1 - zm) ** (-am) - 1), n_max + 1)
+        return tuple(zip(*((complex(A), complex(B)) for A, B in pairs)))
 
 
 def _auto_dps(z: complex, n: int) -> int:

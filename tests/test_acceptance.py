@@ -138,11 +138,11 @@ def test_criterion_6_dual_path_equivalence():
     )
     worst_two = 0.0
     for z in samples:
-        rec = twopoint_coeffs_mp(1.2, z, 20, dps=70)
+        rec_a, rec_b = twopoint_coeffs_mp(1.2, z, 20, dps=70)
         for n in (1, 5, 10, 15, 20):
             ae, be = twopoint_coeffs_explicit(1.2, z, n, dps=70)
-            da = abs(ae - rec.A[n]) / abs(ae)
-            db = abs(be - rec.B[n]) / abs(be)
+            da = abs(ae - rec_a[n]) / abs(ae)
+            db = abs(be - rec_b[n]) / abs(be)
             worst_two = max(worst_two, da, db)
             assert da <= 1e-10 and db <= 1e-10, (z, n, da, db)
 
@@ -185,9 +185,9 @@ def test_criterion_7_function_reconstruction():
         lambda z: abs(1.0 - z) >= 0.4 * abs(z) ** 2 and abs(z) > 0.1, 10, seed=22, box=rng_box
     )
     for z in twos:
-        co = twopoint_coeffs_recursive(a, z, 80)
+        A, B = twopoint_coeffs_recursive(a, z, 80)
         for t in (0.25, 0.5, 0.75):
-            s = sum((co.A[n] + co.B[n] * t) * (t * (t - 1.0)) ** n for n in range(81))
+            s = sum((A[n] + B[n] * t) * (t * (t - 1.0)) ** n for n in range(81))
             assert abs(s - cpow_principal(1.0 - z * t, -a)) <= 1e-8, (z, t)
 
     # three-point: contraction ratio bounded away from 1
@@ -199,10 +199,10 @@ def test_criterion_7_function_reconstruction():
         box=rng_box,
     )
     for z in threes:
-        co = threepoint_coeffs(a, z, 60)
+        A, B, C = threepoint_coeffs(a, z, 60)
         for t in (0.2, 0.5, 0.9):
             s = sum(
-                (co.A[n] + co.B[n] * t + co.C[n] * t * t) * (t * (t - 1.0) * (t - 0.5)) ** n
+                (A[n] + B[n] * t + C[n] * t * t) * (t * (t - 1.0) * (t - 0.5)) ** n
                 for n in range(61)
             )
             assert abs(s - cpow_principal(1.0 - z * t, -a)) <= 1e-8, (z, t)

@@ -39,10 +39,10 @@ class TestDCoeff:
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
     def test_coeff_stream(self):
-        co = buhring_coeffs(1.2, 0.5, PARAMS, 8)
-        assert co.d[0] == 1.0 + 0j
-        assert len(co.d) == 9
-        assert co.d[1] == d_coeff(1.2, 0.5, PARAMS, 1)
+        d = buhring_coeffs(1.2, 0.5, PARAMS, 8)
+        assert d[0] == 1.0 + 0j
+        assert len(d) == 9
+        assert d[1] == d_coeff(1.2, 0.5, PARAMS, 1)
 
     def test_negative_n_max_rejected(self):
         with pytest.raises(ValueError, match="n_max"):

@@ -19,6 +19,7 @@ from gausshyp import (
     phi_w_sequence,
     pochhammer,
 )
+from gausshyp.onepoint import _phi_w_stream
 from gausshyp.verify import phi_brute
 from conftest import Z_EXC, rel_err, within_factor
 
@@ -171,7 +172,7 @@ class TestEvalOnepoint:
         direct = [eval_onepoint(PARAMS, z, w=0.5, n_terms=25).value for z in zs]
         # route w = 1/2 through the generic complex moments instead
         monkeypatch.setattr(
-            "gausshyp.onepoint.phi_half_sequence", lambda n, b, c: phi_w_sequence(n, b, c, 0.5)
+            "gausshyp.onepoint._phi_half_stream", lambda b, c: _phi_w_stream(b, c, 0.5)
         )
         for z, want in zip(zs, direct):
             generic = eval_onepoint(PARAMS, z, w=0.5, n_terms=25).value

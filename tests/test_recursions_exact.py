@@ -1,26 +1,29 @@
-"""The recursions evaluate each step in one fixed association order.
+"""The recursions and the series sums evaluate in one fixed association order.
 
 Each production recursion computes the factors that do not depend on n
 once, before its loop.  The references below are the same recursions
 written with every factor inside the loop body, as the step formulas read.
-Floating-point arithmetic is not associative, so regrouping any product or
-sum changes the last bits of the streams; these tests compare the bits,
-with no tolerance.
+The summation references are the per-route loops that summed each series
+over its full coefficient and moment lists before one streaming loop,
+core.sum_series, summed them all.  Floating-point arithmetic is not
+associative, so regrouping any product or sum changes the last bits of the
+streams and of the values; these tests compare the bits, with no tolerance.
 """
 
 import cmath
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
 
-from gausshyp import HypParams, in_region_threepoint, in_region_twopoint
-from gausshyp.buhring import buhring_coeffs
-from gausshyp.core import cpow_principal
-from gausshyp.onepoint import phi_half_sequence, phi_w_sequence
-from gausshyp.threepoint import _recurrence_xyz, phi3_sequence, threepoint_coeffs
+from gausshyp import GaussHypError, HypParams, evaluate, in_region_threepoint, in_region_twopoint
+from gausshyp.buhring import buhring_coeffs, exclusion_margin, is_integer_difference
+from gausshyp.core import EPS, cpow_principal, gamma_real, recip_gamma_real, tail_estimate
+from gausshyp.onepoint import in_region_onepoint, phi_half_sequence, phi_w_sequence
+from gausshyp.threepoint import _recurrence_in_n, phi3_sequence, threepoint_coeffs
 from gausshyp.twopoint import _recursion, twopoint_coeffs_recursive
 from conftest import Z_EXC, sample_in_region
 
@@ -216,11 +219,9 @@ def test_case_set_covers_the_regions_and_int_parameters():
 @pytest.mark.parametrize("n_max", N_MAX)
 def test_threepoint_coeffs(n_max):
     for a, _, _, z in CASES:
-        co = threepoint_coeffs(a, z, n_max)
-        A, B, C = _threepoint_ref(a, z, n_max)
-        assert _bits(co.A) == _bits(A), (a, z, n_max)
-        assert _bits(co.B) == _bits(B), (a, z, n_max)
-        assert _bits(co.C) == _bits(C), (a, z, n_max)
+        got = threepoint_coeffs(a, z, n_max)
+        for stream, ref in zip(got, _threepoint_ref(a, z, n_max)):
+            assert _bits(stream) == _bits(ref), (a, z, n_max)
 
 
 @pytest.mark.parametrize("n_max", N_MAX)
@@ -238,16 +239,16 @@ def test_recurrence_xyz_float_and_fraction():
         pairs.append((Fraction(rng.randint(1, 999), 37), Fraction(rng.randint(1000, 1999), 37)))
     for b, c in pairs:
         for n in (1, 2, 7, 40, 119):
-            assert _recurrence_xyz(n, b, c) == _xyz_ref(n, b, c), (b, c, n)
+            assert _recurrence_in_n(b, c)(n) == _xyz_ref(n, b, c), (b, c, n)
 
 
 @pytest.mark.parametrize("n_max", N_MAX)
 def test_twopoint_coeffs(n_max):
     for a, _, _, z in CASES:
-        co = twopoint_coeffs_recursive(a, z, n_max)
-        A, B = _twopoint_ref(a, complex(z), co.A[0], co.B[0], n_max)
-        assert _bits(co.A) == _bits(A), (a, z, n_max)
-        assert _bits(co.B) == _bits(B), (a, z, n_max)
+        A, B = twopoint_coeffs_recursive(a, z, n_max)
+        A_ref, B_ref = _twopoint_ref(a, complex(z), A[0], B[0], n_max)
+        assert _bits(A) == _bits(A_ref), (a, z, n_max)
+        assert _bits(B) == _bits(B_ref), (a, z, n_max)
 
 
 def test_twopoint_recursion_in_mpmath():
@@ -255,7 +256,7 @@ def test_twopoint_recursion_in_mpmath():
         with mpmath.workdps(40):
             am, zm = mpmath.mpf(a), mpmath.mpc(z.real, z.imag)
             A0, B0 = mpmath.mpc(1), (1 - zm) ** (-am) - 1
-            got = _recursion(am, zm, A0, B0, 40)
+            got = tuple(list(s) for s in zip(*islice(_recursion(am, zm, A0, B0), 41)))
             ref = _twopoint_ref(am, zm, A0, B0, 40)
         assert got == ref, (a, z)  # mpc compares every digit at dps 40
 
@@ -268,7 +269,7 @@ def test_buhring_coeffs(n_max):
         params = HypParams(a, b, c)
         for s in (a, b):
             for z0 in (0.5, 0.5 + 0.1j):
-                got = buhring_coeffs(s, z0, params, n_max).d
+                got = buhring_coeffs(s, z0, params, n_max)
                 assert _bits(got) == _bits(_d_ref(s, z0, a, b, c, n_max)), (a, b, c, s, z0)
 
 
@@ -283,6 +284,181 @@ def test_onepoint_moments(n_max):
 def test_references_overflow_in_the_same_place():
     # Beyond the last finite coefficient both sides carry the same inf/nan.
     a, z = 1.2, complex(0.5, math.sqrt(3.0) / 2.0)
-    co = threepoint_coeffs(a, z, 400)
-    assert not all(math.isfinite(abs(v)) for v in co.A)
-    assert _bits(co.A) == _bits(_threepoint_ref(a, z, 400)[0])
+    A = threepoint_coeffs(a, z, 400)[0]
+    assert not all(math.isfinite(abs(v)) for v in A)
+    assert _bits(A) == _bits(_threepoint_ref(a, z, 400)[0])
+
+
+# --- the summation loops, fed from the collectors ---------------------------
+
+
+def _sum_ref(contribs):
+    s = 0j
+    abs_sum = 0.0
+    last = 0.0
+    for contrib in contribs:
+        s += contrib
+        last = abs(contrib)
+        abs_sum += last
+    return s, abs_sum, last
+
+
+def _threepoint_sum_ref(params, z, n_terms):
+    a, b, c = params.a, params.b, params.c
+    A, B, C = threepoint_coeffs(a, z, n_terms)
+    phi0, phi1, phi2 = (phi3_sequence(n_terms, b + j, c + j) for j in range(3))
+    wb = b / c
+    wc = b * (b + 1.0) / (c * (c + 1.0))
+    contribs = []
+    for n in range(n_terms + 1):
+        sign = -1.0 if n % 2 else 1.0
+        contribs.append(sign * (A[n] * phi0[n] + wb * B[n] * phi1[n] + wc * C[n] * phi2[n]))
+    return _sum_ref(contribs)
+
+
+def _twopoint_sum_ref(params, z, n_terms):
+    b, c = params.b, params.c
+    A, B = twopoint_coeffs_recursive(params.a, z, n_terms)
+    moment = 1.0 / c
+    contribs = []
+    for n in range(n_terms + 1):
+        sign = -1.0 if n % 2 else 1.0
+        contribs.append(sign * moment * ((c + 2.0 * n) * A[n] + (b + n) * B[n]))
+        moment *= (b + n) * (c - b + n) / ((c + 2.0 * n + 1.0) * (c + 2.0 * n + 2.0))
+    return _sum_ref(contribs)
+
+
+def _onepoint_sum_ref(params, z, n_terms, w):
+    if w == 0.5:
+        phis = phi_half_sequence(n_terms, params.b, params.c)
+    else:
+        phis = phi_w_sequence(n_terms, params.b, params.c, w)
+    a = params.a
+    ratio = w * z / (w * z - 1.0)
+    term = 1.0 + 0j
+    contribs = []
+    for n in range(n_terms + 1):
+        contribs.append(term * phis[n])
+        term *= (a + n) / (n + 1.0) * ratio
+    s, abs_sum, last = _sum_ref(contribs)
+    return cpow_principal(1.0 - w * z, -a) * s, abs(s), abs_sum, last
+
+
+def _series_ref(method, params, z, n_terms, w):
+    """(value, est_error) of the route summed by its own loop, or the exception it raises."""
+    if method == "threepoint":
+        s, abs_sum, last = _threepoint_sum_ref(params, z, n_terms)
+        value, total_abs = s, abs(s)
+    elif method == "twopoint":
+        s, abs_sum, last = _twopoint_sum_ref(params, z, n_terms)
+        value, total_abs = s, abs(s)
+    else:
+        value, total_abs, abs_sum, last = _onepoint_sum_ref(params, z, n_terms, w)
+    return value, tail_estimate(total_abs, abs_sum, last, n_terms + 1)
+
+
+def _buhring_ref(params, z, n_terms, z0=0.5):
+    """Value and est_error as buhring_eval summed both series in one lock-step loop."""
+    a, b, c = params.a, params.b, params.c
+    diff = b - a
+    w = z0 - z
+    pref_a = gamma_real(c) * gamma_real(diff) * recip_gamma_real(b) * recip_gamma_real(c - a)
+    pref_b = gamma_real(c) * gamma_real(-diff) * recip_gamma_real(a) * recip_gamma_real(c - b)
+    fac_a = pref_a * cpow_principal(w, -a)
+    fac_b = pref_b * cpow_principal(w, -b)
+    da = buhring_coeffs(a, z0, params, n_terms)
+    db = buhring_coeffs(b, z0, params, n_terms)
+    u = 1.0 / (z - z0)
+    s_a = 0j
+    s_b = 0j
+    abs_sum = 0.0
+    last = 0.0
+    upow = 1.0 + 0j
+    for n in range(n_terms + 1):
+        ta = da[n] * upow
+        tb = db[n] * upow
+        s_a += ta
+        s_b += tb
+        last = abs(fac_a * ta) + abs(fac_b * tb)
+        abs_sum += last
+        upow *= u
+    value = fac_a * s_a + fac_b * s_b
+    inflation = 1.0 / abs(math.sin(math.pi * diff))
+    return value, tail_estimate(abs(value), abs_sum, last, n_terms + 1) * max(1.0, inflation)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GaussHypError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_ONEPOINT_W = (0.5 + 0.5j, 0.25, cmath.exp(0.3j))
+
+
+def _series_cases():
+    """(method, params, z, w) over CASES for every route whose region holds z."""
+    out = []
+    for a, b, c, z in CASES:
+        params = HypParams(a, b, c)
+        if in_region_threepoint(z).inside:
+            out.append(("threepoint", params, z, None))
+        if in_region_twopoint(z).inside:
+            out.append(("twopoint", params, z, None))
+        for w in (0.5,) + _ONEPOINT_W:
+            if in_region_onepoint(z, w).inside:
+                out.append(("onepoint-half" if w == 0.5 else "onepoint-w", params, z, w))
+    return out
+
+
+def _buhring_applies(a, b, c, z):
+    return (
+        not is_integer_difference(HypParams(a, b, c))
+        and exclusion_margin(z, 0.5) > 0.0
+        and not (z.imag == 0.0 and z.real > 0.5)
+    )
+
+
+def test_summation_cases_cover_every_series_route():
+    methods = {m for m, *_ in _series_cases()}
+    assert methods == {"threepoint", "twopoint", "onepoint-half", "onepoint-w"}
+    assert sum(_buhring_applies(a, b, c, z) for a, b, c, z in CASES) >= 5
+
+
+@pytest.mark.parametrize("n_terms", N_MAX)
+def test_series_routes_sum_in_the_loop_order(n_terms):
+    for method, params, z, w in _series_cases():
+        want = _outcome(_series_ref, method, params, z, n_terms, w)
+
+        def run():
+            res = evaluate(params, z, method, n_terms=n_terms, w=w)[0]
+            assert res.terms_used == n_terms
+            assert res.converged == (res.est_error <= 1e-12)
+            return res.value, res.est_error
+
+        got = _outcome(run)
+        if isinstance(want[0], str):
+            assert got == want, (method, params, z, w)
+        else:
+            assert _bits(got) == _bits(want), (method, params, z, w, n_terms)
+
+
+@pytest.mark.parametrize("n_terms", N_MAX)
+def test_buhring_sums_both_series_in_the_loop_order(n_terms):
+    # buhring_eval adds the two series' term sizes per series, this loop per
+    # index, so est_error may differ in the last bits
+    for a, b, c, z in CASES:
+        if not _buhring_applies(a, b, c, z):
+            continue
+        params = HypParams(a, b, c)
+        want = _outcome(_buhring_ref, params, z, n_terms)
+        got = _outcome(lambda: evaluate(params, z, "buhring", n_terms=n_terms)[0])
+        if isinstance(want[0], str):
+            assert got == want, (params, z)
+            continue
+        value, est = want
+        assert _bits([got.value]) == _bits([value]), (params, z, n_terms)
+        assert got.terms_used == n_terms
+        assert got.converged == (est <= 1e-12), (params, z, n_terms, est, got.est_error)
+        assert abs(got.est_error - est) <= 8 * EPS * est

@@ -6,6 +6,7 @@ import pytest
 
 from gausshyp import (
     ConfigError,
+    GaussHypError,
     HypParams,
     MethodId,
     NoMethodError,
@@ -154,8 +155,15 @@ class TestEvaluate:
             evaluate(PARAMS, Z_EXC, method, n_terms=-1, w=W)
 
     def test_unknown_method_string(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             evaluate(PARAMS, Z_EXC, method="pade")
+
+    @pytest.mark.parametrize("name", ["foo", "Threepoint", "MethodId.THREEPOINT", ""])
+    def test_unknown_method_is_a_library_error(self, name):
+        with pytest.raises(GaussHypError, match="unknown method"):
+            evaluate(PARAMS, Z_EXC, name)
+        with pytest.raises(ConfigError, match="unknown method"):
+            hyp2f1(1.2, 2.1, 3.0, Z_EXC, method=name)
 
     def test_hyp2f1_wrapper(self):
         import math

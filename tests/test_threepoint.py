@@ -20,7 +20,7 @@ from gausshyp import (
     phi3_sequence,
     threepoint_coeffs,
 )
-from gausshyp.threepoint import _recurrence_xyz
+from gausshyp.threepoint import _recurrence_in_n
 from gausshyp.verify import phi3_direct_sequence
 from conftest import Z_EXC, rel_err, sample_in_region
 
@@ -33,34 +33,34 @@ def phi1_closed(b: float, c: float) -> float:
 
 class TestCoefficients:
     def test_constant_function_at_z_zero(self):
-        co = threepoint_coeffs(1.2, 0j, 6)
-        assert co.A[0] == 1.0 + 0j
-        assert all(v == 0j for v in co.A[1:])
-        assert all(v == 0j for v in co.B)
-        assert all(v == 0j for v in co.C)
+        A, B, C = threepoint_coeffs(1.2, 0j, 6)
+        assert A[0] == 1.0 + 0j
+        assert all(v == 0j for v in A[1:])
+        assert all(v == 0j for v in B)
+        assert all(v == 0j for v in C)
 
     def test_initial_values_scalar_oracle(self):
         # B_0 = 4 (3/2)^(-1.2) - 2^(-1.2) - 3 at z = -1, C_0 its complement
-        co = threepoint_coeffs(1.2, -1.0 + 0j, 0)
+        _, B, C = threepoint_coeffs(1.2, -1.0 + 0j, 0)
         p_half = math.exp(-1.2 * math.log(1.5))
         p_one = math.exp(-1.2 * math.log(2.0))
-        assert abs(co.B[0] - (4.0 * p_half - p_one - 3.0)) <= 1e-14
-        assert abs(co.C[0] - (2.0 + 2.0 * p_one - 4.0 * p_half)) <= 1e-14
+        assert abs(B[0] - (4.0 * p_half - p_one - 3.0)) <= 1e-14
+        assert abs(C[0] - (2.0 + 2.0 * p_one - 4.0 * p_half)) <= 1e-14
 
     @pytest.mark.parametrize("z", [Z_EXC, -1.0 + 0j, -0.6 + 0.9j])
     def test_leading_polynomial_interpolates(self, z):
-        co = threepoint_coeffs(1.2, z, 0)
+        A, B, C = threepoint_coeffs(1.2, z, 0)
         for t in (0.0, 0.5, 1.0):
-            poly = co.A[0] + co.B[0] * t + co.C[0] * t * t
+            poly = A[0] + B[0] * t + C[0] * t * t
             f = cpow_principal(1.0 - z * t, -1.2)
             assert abs(poly - f) <= 1e-13, (z, t)
 
     def test_taylor_reconstruction(self):
         for z in (Z_EXC, -1.0 + 0j):
-            co = threepoint_coeffs(1.2, z, 40)
+            A, B, C = threepoint_coeffs(1.2, z, 40)
             for t in (0.2, 0.3, 0.5, 0.9):
                 s = sum(
-                    (co.A[n] + co.B[n] * t + co.C[n] * t * t)
+                    (A[n] + B[n] * t + C[n] * t * t)
                     * (t * (t - 1.0) * (t - 0.5)) ** n
                     for n in range(41)
                 )
@@ -141,7 +141,7 @@ class TestPhi3:
             last = -((4 * b + 5 * n - 4) * (c - b) + b * (5 * n - 4) + 2 * (3 * n - 2) * (n - 1))
             assert last < 0
             z = 16 * (3 * n + c) * (3 * n + 1 + c) * (3 * n + 2 + c) * last
-            assert _recurrence_xyz(n, b, c)[2] == z, (b, c, n)
+            assert _recurrence_in_n(b, c)(n)[2] == z, (b, c, n)
         # and in floating point no Z_n rounds to zero on the shifted pairs
         # that eval_threepoint passes
         for _ in range(150):
@@ -212,7 +212,7 @@ class TestEvalThreepoint:
         for params, z in ((PARAMS, Z_EXC), (HypParams(1.2, 2.01, 3.0), -5.0 + 0j)):
             res = eval_threepoint(params, z, n_terms=20)
             b, c = params.b, params.c
-            co = threepoint_coeffs(params.a, z, 20)
+            A, B, C = threepoint_coeffs(params.a, z, 20)
             d0, d1, d2 = (phi3_direct_sequence(20, b + j, c + j, dps=40) for j in range(3))
             alt = 0j
             for n in range(21):
@@ -220,9 +220,9 @@ class TestEvalThreepoint:
                 w1 = (-1.0) ** n * d1[n]
                 w2 = (-1.0) ** n * d2[n]
                 alt += (
-                    co.A[n] * w0
-                    + (b / c) * co.B[n] * w1
-                    + (b * (b + 1.0) / (c * (c + 1.0))) * co.C[n] * w2
+                    A[n] * w0
+                    + (b / c) * B[n] * w1
+                    + (b * (b + 1.0) / (c * (c + 1.0))) * C[n] * w2
                 )
             assert abs(res.value - alt) <= 1e-12 * abs(res.value)
 

@@ -28,16 +28,16 @@ PARAMS = HypParams(1.2, 2.1, 3.0)
 
 class TestCoefficients:
     def test_initial_values(self):
-        co = twopoint_coeffs_recursive(1.2, -1.0 + 0j, 0)
-        assert co.A[0] == 1.0 + 0j
+        A, B = twopoint_coeffs_recursive(1.2, -1.0 + 0j, 0)
+        assert A[0] == 1.0 + 0j
         want_b0 = math.exp(-1.2 * math.log(2.0)) - 1.0  # (1-z)^(-a) - 1 at z = -1
-        assert abs(co.B[0] - want_b0) <= 1e-15
+        assert abs(B[0] - want_b0) <= 1e-15
 
     def test_first_recursion_step(self):
         # A_1 = (-z a A_0 + B_0) / 1 = 1.2 + B_0 at z = -1
-        co = twopoint_coeffs_recursive(1.2, -1.0 + 0j, 1)
+        A, _ = twopoint_coeffs_recursive(1.2, -1.0 + 0j, 1)
         want = 1.2 + (math.exp(-1.2 * math.log(2.0)) - 1.0)
-        assert abs(co.A[1] - want) <= 1e-14
+        assert abs(A[1] - want) <= 1e-14
 
     def test_explicit_initial_pair(self):
         a0, b0 = twopoint_coeffs_explicit(1.2, -1.0 + 0j, 0)
@@ -45,21 +45,21 @@ class TestCoefficients:
         assert abs(b0 - (math.exp(-1.2 * math.log(2.0)) - 1.0)) <= 1e-15
 
     def test_explicit_matches_recursive_small_n(self):
-        co = twopoint_coeffs_recursive(1.2, -1.0 + 0j, 5)
+        A, B = twopoint_coeffs_recursive(1.2, -1.0 + 0j, 5)
         for n in range(1, 6):
             ae, be = twopoint_coeffs_explicit(1.2, -1.0 + 0j, n)
-            assert abs(ae - co.A[n]) <= 1e-12 * max(1.0, abs(ae))
-            assert abs(be - co.B[n]) <= 1e-12 * max(1.0, abs(be))
+            assert abs(ae - A[n]) <= 1e-12 * max(1.0, abs(ae))
+            assert abs(be - B[n]) <= 1e-12 * max(1.0, abs(be))
 
     def test_dual_route_at_matched_precision(self):
         # both routes in extended precision: validates the explicit formula
         # against the differential-equation recursion through n = 20
         for z in (Z_EXC, -1.0 + 0j, 0.4 + 0.3j):
-            co = twopoint_coeffs_mp(1.2, z, 20, dps=60)
+            A, B = twopoint_coeffs_mp(1.2, z, 20, dps=60)
             for n in (5, 10, 20):
                 ae, be = twopoint_coeffs_explicit(1.2, z, n, dps=60)
-                assert abs(ae - co.A[n]) <= 1e-10 * abs(ae), (z, n)
-                assert abs(be - co.B[n]) <= 1e-10 * abs(be), (z, n)
+                assert abs(ae - A[n]) <= 1e-10 * abs(ae), (z, n)
+                assert abs(be - B[n]) <= 1e-10 * abs(be), (z, n)
 
     def test_singular_point(self):
         with pytest.raises(SingularityError):
@@ -74,10 +74,10 @@ class TestCoefficients:
     def test_taylor_reconstruction(self):
         # partial sums of sum (A_n + B_n t)(t(t-1))^n converge to (1-zt)^(-a)
         for z in (Z_EXC, -1.0 + 0j, -0.8 + 1.1j):
-            co = twopoint_coeffs_recursive(1.2, z, 60)
+            A, B = twopoint_coeffs_recursive(1.2, z, 60)
             for t in (0.25, 0.5, 0.75):
                 s = sum(
-                    (co.A[n] + co.B[n] * t) * (t * (t - 1.0)) ** n for n in range(61)
+                    (A[n] + B[n] * t) * (t * (t - 1.0)) ** n for n in range(61)
                 )
                 f = cpow_principal(1.0 - z * t, -1.2)
                 assert abs(s - f) <= 1e-10, (z, t)
