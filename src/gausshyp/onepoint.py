@@ -89,17 +89,20 @@ def phi_w(n: int, b: float, c: float, w: complex) -> complex:
     return phi_w_sequence(n, b, c, w)[n]
 
 
-def in_region_onepoint(z: complex, w: complex = 0.5) -> RegionVerdict:
-    """Membership in S via the fundamental inequality |1-wz| > |z| max(|w|, |1-w|).
+def onepoint_margin(z: complex, w: complex) -> float:
+    """|1-wz| - |z| max(|w|, |1-w|), positive inside the w expansion region S.
 
-    The margin is the difference of the two sides.  The derived geometric
-    description (half-plane 2 Re(wz) < 1 for Re w >= 1/2, a disk otherwise)
-    is equivalent; the single inequality avoids the case split.
+    The derived geometric description (half-plane 2 Re(wz) < 1 for
+    Re w >= 1/2, a disk otherwise) is equivalent; the single inequality
+    avoids the case split.
     """
-    z = complex(z)
-    w = complex(w)
-    margin = abs(1.0 - w * z) - abs(z) * max(abs(w), abs(1.0 - w))
-    return RegionVerdict(inside=margin > 0.0, margin=margin)
+    return abs(1.0 - w * z) - abs(z) * max(abs(w), abs(1.0 - w))
+
+
+def in_region_onepoint(z: complex, w: complex = 0.5) -> RegionVerdict:
+    """Membership in S via |1-wz| > |z| max(|w|, |1-w|); margin is onepoint_margin."""
+    m = onepoint_margin(complex(z), complex(w))
+    return RegionVerdict(m > 0.0, m)
 
 
 def _onepoint_terms(params: HypParams, z: complex, w: complex) -> Iterator[complex]:

@@ -10,15 +10,18 @@ applies at that rho.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .buhring import DEFAULT_Z0
+from .core import require_finite_complex
 from .errors import ConfigError
-from .reference import region_moduli
+from .reference import classical_moduli
 from .results import MethodId
 from .select import ROUTES
 
 # Not called here; perfbench/tracing.py wraps these names in this module.
+from .reference import region_moduli
 from .select import in_region_onepoint, in_region_threepoint, in_region_twopoint, method_margin
 
 MAX_RESOLUTION = 4096
@@ -42,6 +45,9 @@ class RasterSpec:
                 raise ConfigError("grid bounds must be finite")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ConfigError("grid bounds must satisfy xmax > xmin and ymax > ymin")
+        require_finite_complex(self.z0, "z0")
+        if self.w is not None:
+            require_finite_complex(self.w, "w")
         if not (2 <= self.res <= MAX_RESOLUTION):
             raise ConfigError(f"resolution must be in [2, {MAX_RESOLUTION}], got {self.res}")
         if self.method is MethodId.ONEPOINT_W and self.w is None:
@@ -54,11 +60,7 @@ def _margin_fn(spec: RasterSpec):
     """The margin of spec.method as a function of (z, w, z0)."""
     if spec.method is MethodId.MACLAURIN:
         rho = spec.rho
-
-        def f(z: complex, w: complex | None, z0: complex) -> float:
-            return rho - min(region_moduli(z).values())
-
-        return f
+        return lambda z, w, z0: rho - min(classical_moduli(z))
     return ROUTES[spec.method].margin
 
 
@@ -68,16 +70,23 @@ def region_raster(spec: RasterSpec) -> Iterator[tuple[float, float, bool, float]
     w, z0 = spec.w, spec.z0
     dx = (spec.xmax - spec.xmin) / (spec.res - 1)
     dy = (spec.ymax - spec.ymin) / (spec.res - 1)
+    xs = [spec.xmin + i * dx for i in range(spec.res)]
     for j in range(spec.res):
         y = spec.ymin + j * dy
-        for i in range(spec.res):
-            x = spec.xmin + i * dx
+        for x in xs:
             margin = margin_of(complex(x, y), w, z0)
             yield x, y, margin > 0.0, margin
 
 
 def raster_to_csv(spec: RasterSpec) -> str:
+    """region_raster as CSV lines x,y,inside,margin; each x and y is formatted once."""
     lines = ["x,y,inside,margin"]
-    for x, y, inside, margin in region_raster(spec):
-        lines.append(f"{x!r},{y!r},{int(inside)},{margin!r}")
+    points = region_raster(spec)
+    row = list(islice(points, spec.res))
+    xs = [f"{x!r}," for x, _, _, _ in row]
+    while row:
+        y = f"{row[0][1]!r}"
+        y_in, y_out = f"{y},1,", f"{y},0,"
+        lines += [f"{x}{y_in if inside else y_out}{m!r}" for x, (_, _, inside, m) in zip(xs, row)]
+        row = list(islice(points, spec.res))
     return "\n".join(lines) + "\n"

@@ -154,19 +154,23 @@ def euler_integral(params: HypParams, z: complex, tol: float = 1e-13) -> SeriesR
     return SeriesResult(value=value, terms_used=evals, est_error=est, converged=est <= tol)
 
 
-def region_moduli(z: complex) -> dict[str, float]:
-    """The six classical region moduli at z, with poles mapped to +inf."""
-    z = complex(z)
+def classical_moduli(z: complex) -> tuple[float, ...]:
+    """The six classical region moduli at z in REGION_LABELS order, with poles mapped to +inf."""
     az = abs(z)
     a1z = abs(1.0 - z)
-    return {
-        "z": az,
-        "1/z": 1.0 / az if az > 0 else math.inf,
-        "1-z": a1z,
-        "1/(1-z)": 1.0 / a1z if a1z > 0 else math.inf,
-        "z/(1-z)": az / a1z if a1z > 0 else (0.0 if az == 0 else math.inf),
-        "(z-1)/z": a1z / az if az > 0 else math.inf,
-    }
+    return (
+        az,
+        1.0 / az if az > 0 else math.inf,
+        a1z,
+        1.0 / a1z if a1z > 0 else math.inf,
+        az / a1z if a1z > 0 else (0.0 if az == 0 else math.inf),
+        a1z / az if az > 0 else math.inf,
+    )
+
+
+def region_moduli(z: complex) -> dict[str, float]:
+    """The six classical region moduli at z, keyed by REGION_LABELS."""
+    return dict(zip(REGION_LABELS, classical_moduli(complex(z))))
 
 
 def classify_region(z: complex, rho: float) -> set[str]:

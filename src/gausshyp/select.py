@@ -4,13 +4,16 @@ import warnings
 from typing import Callable, NamedTuple
 
 from .buhring import DEFAULT_Z0, buhring_eval, exclusion_margin, is_integer_difference
-from .core import HypParams
+from .core import HypParams, require_finite_complex
 from .errors import ConfigError, NoMethodError, NotConvergedWarning
-from .onepoint import eval_onepoint, in_region_onepoint
+from .onepoint import eval_onepoint, onepoint_margin
 from .reference import euler_integral, maclaurin
 from .results import MethodId, SeriesResult
-from .threepoint import eval_threepoint, in_region_threepoint
-from .twopoint import eval_twopoint, in_region_twopoint
+from .threepoint import eval_threepoint, in_region_threepoint, threepoint_margin
+from .twopoint import eval_twopoint, in_region_twopoint, twopoint_margin
+
+# Not called here; perfbench/tracing.py wraps this name in this module.
+from .onepoint import in_region_onepoint
 
 #: |z| below which the plain power series is preferred outright.
 MACLAURIN_RADIUS = 0.5
@@ -52,21 +55,21 @@ ROUTES: dict[MethodId, Route] = {
         lambda p, z, n, tol, w, z0, _: buhring_eval(p, z, z0=z0, n_terms=n, tol=_series_tol(tol)),
     ),
     MethodId.ONEPOINT_HALF: Route(
-        lambda z, w, z0: in_region_onepoint(z, 0.5).margin,
+        lambda z, w, z0: onepoint_margin(z, 0.5),
         lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, w=0.5, n_terms=n, tol=_series_tol(tol)),
     ),
     MethodId.ONEPOINT_W: Route(
-        lambda z, w, z0: in_region_onepoint(z, _need_w(w)).margin,
+        lambda z, w, z0: onepoint_margin(z, _need_w(w)),
         lambda p, z, n, tol, w, z0, _: eval_onepoint(
             p, z, w=_need_w(w), n_terms=n, tol=_series_tol(tol)
         ),
     ),
     MethodId.TWOPOINT: Route(
-        lambda z, w, z0: in_region_twopoint(z).margin,
+        lambda z, w, z0: twopoint_margin(z),
         lambda p, z, n, tol, w, z0, _: eval_twopoint(p, z, n_terms=n, tol=_series_tol(tol)),
     ),
     MethodId.THREEPOINT: Route(
-        lambda z, w, z0: in_region_threepoint(z).margin,
+        lambda z, w, z0: threepoint_margin(z),
         lambda p, z, n, tol, w, z0, _: eval_threepoint(p, z, n_terms=n, tol=_series_tol(tol)),
     ),
 }
@@ -114,8 +117,9 @@ def method_margin(
     w: complex | None = None,
     z0: complex = DEFAULT_Z0,
 ) -> float:
-    """Signed margin of the method's own region predicate at z."""
-    return _route(method).margin(complex(z), w, z0)
+    """Signed margin of the method's own region predicate at z; non-finite input raises DomainError."""
+    w = None if w is None else require_finite_complex(w, "w")
+    return _route(method).margin(require_finite_complex(z), w, require_finite_complex(z0, "z0"))
 
 
 def evaluate(

@@ -162,11 +162,15 @@ def phi3(n: int, b: float, c: float) -> float:
     return phi3_sequence(n, b, c)[n]
 
 
+def threepoint_margin(z: complex) -> float:
+    """6 sqrt(3) |(1-z)(2-z)| - |z|^3, positive inside the three-point region."""
+    return _SQRT3_6 * abs((1.0 - z) * (2.0 - z)) - abs(z) ** 3
+
+
 def in_region_threepoint(z: complex) -> RegionVerdict:
-    """Membership in |z|^3 < 6 sqrt(3) |(1-z)(2-z)|; margin is the difference."""
-    z = complex(z)
-    margin = _SQRT3_6 * abs((1.0 - z) * (2.0 - z)) - abs(z) ** 3
-    return RegionVerdict(inside=margin > 0.0, margin=margin)
+    """Membership in |z|^3 < 6 sqrt(3) |(1-z)(2-z)|; margin is threepoint_margin."""
+    m = threepoint_margin(complex(z))
+    return RegionVerdict(m > 0.0, m)
 
 
 def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:

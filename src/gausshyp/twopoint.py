@@ -99,15 +99,19 @@ def phi_psi_moments(n: int, b: float, c: float) -> tuple[float, float]:
     return phi, psi
 
 
+def twopoint_margin(z: complex) -> float:
+    """4|1-z| - |z|^2, positive inside the two-point region."""
+    return 4.0 * abs(1.0 - z) - abs(z) * abs(z)
+
+
 def in_region_twopoint(z: complex) -> RegionVerdict:
-    """Membership in |z|^2 < 4 |1-z|; margin is 4|1-z| - |z|^2.
+    """Membership in |z|^2 < 4 |1-z|; margin is twopoint_margin.
 
     Equivalent to the Cassini condition 1/4 < |1/z (1/z - 1)| on the
     t-plane branch point.
     """
-    z = complex(z)
-    margin = 4.0 * abs(1.0 - z) - abs(z) * abs(z)
-    return RegionVerdict(inside=margin > 0.0, margin=margin)
+    m = twopoint_margin(complex(z))
+    return RegionVerdict(m > 0.0, m)
 
 
 def _twopoint_terms(params: HypParams, z: complex) -> Iterator[complex]:

@@ -4,6 +4,8 @@ import cmath
 import dataclasses
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ import gausshyp.select
 from gausshyp import HypParams, MethodId, euler_integral
 from gausshyp.cli import main, parse_complex
 from conftest import Z_EXC, rel_err
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: One eval command line per library error class that maps to exit code 3.
 DOMAIN_ERROR_ARGV = {
@@ -185,6 +189,13 @@ class TestRegionCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("w", ["nan", "inf", "-inf"])
+    def test_non_finite_w_exit_code(self, capsys, w):
+        argv = ["region", "--method", "onepoint-w", f"--w={w}"]
+        argv += ["--xmin=-2", "--xmax=2", "--ymin=-2", "--ymax=2", "--res=9"]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+
     def test_onepoint_w_missing_w(self, capsys):
         code = main(
             [
@@ -216,3 +227,17 @@ class TestSelftest:
         assert main(["selftest"]) == 4
         fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert len(fails) == 1 and "threepoint" in fails[0]
+
+
+class TestReadme:
+    def test_cli_block_runs(self, tmp_path, monkeypatch, capsys):
+        # every line of README's CLI block, as written (table --out writes into tmp_path)
+        block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if line.strip()]
+        assert len(lines) >= 5
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            argv = shlex.split(line, comments=True)
+            assert argv[0] == "gausshyp"
+            assert main(argv[1:]) == 0, (line, capsys.readouterr().err)
+        assert (tmp_path / "table4.csv").exists()

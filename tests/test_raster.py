@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gausshyp import ConfigError, MethodId, RasterSpec, raster_to_csv, region_raster
+from gausshyp import ConfigError, DomainError, MethodId, RasterSpec, raster_to_csv, region_raster
 from conftest import Z_EXC
 
 
@@ -104,3 +104,10 @@ class TestRasterConfig:
     def test_rho_range(self):
         with pytest.raises(ConfigError):
             RasterSpec(MethodId.MACLAURIN, 0, 1, 0, 1, res=8, rho=1.2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)], ids=repr)
+    def test_non_finite_w_and_z0(self, bad):
+        with pytest.raises(DomainError):
+            RasterSpec(MethodId.ONEPOINT_W, 0, 1, 0, 1, res=8, w=bad)
+        with pytest.raises(DomainError):
+            RasterSpec(MethodId.BUHRING, 0, 1, 0, 1, res=8, z0=bad)

@@ -1,11 +1,13 @@
 """Method-selection policy and the evaluate() front end."""
 
+import math
 import warnings
 
 import pytest
 
 from gausshyp import (
     ConfigError,
+    DomainError,
     GaussHypError,
     HypParams,
     MethodId,
@@ -110,6 +112,16 @@ class TestMethodMargin:
         with pytest.raises(ConfigError):
             method_margin(MethodId.ONEPOINT_W, 0.5 + 0j)
         assert method_margin(MethodId.ONEPOINT_W, 0j, w=1j) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(0.5, math.nan)], ids=repr)
+    def test_non_finite_input_raises(self, bad):
+        # a NaN margin is neither inside nor outside; evaluate rejects the same input
+        with pytest.raises(DomainError):
+            method_margin(MethodId.ONEPOINT_W, 0.5j, w=bad)
+        with pytest.raises(DomainError):
+            method_margin(MethodId.BUHRING, 2.0, z0=bad)
+        with pytest.raises(DomainError):
+            method_margin(MethodId.TWOPOINT, bad)
 
 
 class TestRouteTable:
