@@ -18,7 +18,7 @@ import json
 import math
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
 from .core import HypParams
@@ -88,7 +88,9 @@ def _method_arg(text: str) -> str:
     return text
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's shared parser, built on the first call; callers must not modify it."""
     p = argparse.ArgumentParser(
         prog="gausshyp",
         description="Evaluate the Gauss hypergeometric function 2F1(a,b,c;z) for complex z.",
@@ -131,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

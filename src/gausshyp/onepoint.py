@@ -57,11 +57,17 @@ def phi_half(n: int, b: float, c: float) -> float:
     return phi_half_sequence(n, b, c)[n]
 
 
-def _phi_w_stream(b: float, c: float, w: complex) -> Iterator[complex]:
-    """Phi_0, Phi_1, ... at generic w by forward recurrence."""
-    w = complex(w)
+def require_expansion_point(w: complex) -> complex:
+    """Reject a non-finite w, and w = 0, where no one-point expansion exists."""
+    w = require_finite_complex(w, "w")
     if w == 0:
         raise DomainError("expansion point w must be nonzero")
+    return w
+
+
+def _phi_w_stream(b: float, c: float, w: complex) -> Iterator[complex]:
+    """Phi_0, Phi_1, ... at generic w by forward recurrence."""
+    w = require_expansion_point(w)
     if c == 0.0:
         raise PoleError("c = 0 is a pole of Phi_1")
     prev = 1.0 + 0j
@@ -132,9 +138,7 @@ def eval_onepoint(
     the generic complex one to rounding.
     """
     z = require_finite_complex(z)
-    w = require_finite_complex(w, "w")
-    if w == 0:
-        raise DomainError("expansion point w must be nonzero")
+    w = require_expansion_point(w)
     params.require_euler_valid("expansion derived under")
     verdict = in_region_onepoint(z, w)
     if not verdict.inside:

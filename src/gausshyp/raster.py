@@ -16,6 +16,7 @@ from typing import Iterator
 from .buhring import DEFAULT_Z0
 from .core import require_finite_complex
 from .errors import ConfigError
+from .onepoint import require_expansion_point
 from .reference import classical_moduli
 from .results import MethodId
 from .select import ROUTES
@@ -47,7 +48,7 @@ class RasterSpec:
             raise ConfigError("grid bounds must satisfy xmax > xmin and ymax > ymin")
         require_finite_complex(self.z0, "z0")
         if self.w is not None:
-            require_finite_complex(self.w, "w")
+            require_expansion_point(self.w)
         if not (2 <= self.res <= MAX_RESOLUTION):
             raise ConfigError(f"resolution must be in [2, {MAX_RESOLUTION}], got {self.res}")
         if self.method is MethodId.ONEPOINT_W and self.w is None:

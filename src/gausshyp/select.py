@@ -6,7 +6,7 @@ from typing import Callable, NamedTuple
 from .buhring import DEFAULT_Z0, buhring_eval, exclusion_margin, is_integer_difference
 from .core import HypParams, require_finite_complex
 from .errors import ConfigError, NoMethodError, NotConvergedWarning
-from .onepoint import eval_onepoint, onepoint_margin
+from .onepoint import eval_onepoint, onepoint_margin, require_expansion_point
 from .reference import euler_integral, maclaurin
 from .results import MethodId, SeriesResult
 from .threepoint import eval_threepoint, in_region_threepoint, threepoint_margin
@@ -117,8 +117,8 @@ def method_margin(
     w: complex | None = None,
     z0: complex = DEFAULT_Z0,
 ) -> float:
-    """Signed margin of the method's own region predicate at z; non-finite input raises DomainError."""
-    w = None if w is None else require_finite_complex(w, "w")
+    """Signed margin of the method's region predicate at z; non-finite input or w = 0 raises DomainError."""
+    w = None if w is None else require_expansion_point(w)
     return _route(method).margin(require_finite_complex(z), w, require_finite_complex(z0, "z0"))
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import gausshyp.select
 from gausshyp import HypParams, MethodId, euler_integral
-from gausshyp.cli import main, parse_complex
+from gausshyp.cli import build_parser, main, parse_complex
 from conftest import Z_EXC, rel_err
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -146,6 +146,16 @@ class TestEvalCommand:
         payload = json.loads(target.read_text())
         assert abs(payload["value"]["re"] - 2.0 * math.log(2.0)) <= 1e-7
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_out_file_matches_stdout(self, tmp_path, capsys, fmt):
+        argv = ["eval", "--a=1.2", "--b=2.1", "--c=3", "--z=exp(i*pi/3)", "--format", fmt]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / "result.out"
+        assert main([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == stdout.encode("utf-8")
+
 
 class TestTableCommand:
     def test_csv_stdout(self, capsys):
@@ -189,7 +199,7 @@ class TestRegionCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("w", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("w", ["nan", "inf", "-inf", "0", "0+0i"])
     def test_non_finite_w_exit_code(self, capsys, w):
         argv = ["region", "--method", "onepoint-w", f"--w={w}"]
         argv += ["--xmin=-2", "--xmax=2", "--ymin=-2", "--ymax=2", "--res=9"]
@@ -205,6 +215,31 @@ class TestRegionCommand:
             ]
         )
         assert code == 2
+
+
+class TestRepeatedCalls:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_are_independent(self, capsys):
+        eval_w = ["eval", "--a=1.2", "--b=2.1", "--c=3", "--z=0.3", "--method=onepoint-w"]
+        assert main([*eval_w, "--w=0.5+0.5i"]) == 0
+        assert main(eval_w) == 2
+        assert main(["table", "--id", "9"]) == 2
+        assert main(["table", "--id", "1"]) == 0
+
+    def test_eval_output_independent_of_earlier_calls(self, capsys):
+        argv = ["eval", "--a=1.2", "--b=2.1", "--c=3", "--z=exp(i*pi/3)"]
+        build_parser.cache_clear()  # the first call below builds the parser
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        region = "region --method=twopoint --xmin=-4 --xmax=4 --ymin=-4 --ymax=4 --res=5"
+        assert main(region.split()) == 0
+        assert main(["table", "--id", "4"]) == 0
+        assert main(["eval", "--a", "1", "--z", "nonsense"]) == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestSelftest:

@@ -100,6 +100,8 @@ class TestPhiW:
     def test_w_zero_rejected(self):
         with pytest.raises(DomainError):
             phi_w(2, 2.1, 3.0, 0j)
+        with pytest.raises(DomainError, match="finite"):
+            phi_w(2, 2.1, 3.0, complex(0.5, math.nan))
 
     @pytest.mark.parametrize("w", [0.5 + 0j, W_GEN, 1j])
     def test_contiguous_relation(self, w):

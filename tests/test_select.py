@@ -112,6 +112,8 @@ class TestMethodMargin:
         with pytest.raises(ConfigError):
             method_margin(MethodId.ONEPOINT_W, 0.5 + 0j)
         assert method_margin(MethodId.ONEPOINT_W, 0j, w=1j) == 1.0
+        with pytest.raises(DomainError, match="nonzero"):
+            method_margin(MethodId.ONEPOINT_W, -0.5, w=0)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(0.5, math.nan)], ids=repr)
     def test_non_finite_input_raises(self, bad):
