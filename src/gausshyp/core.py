@@ -9,7 +9,7 @@ scope.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from typing import Iterable
 
@@ -142,8 +142,7 @@ def recip_gamma_real(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-@dataclass(frozen=True)
-class HypParams:
+class HypParams(namedtuple("HypParams", "a b c")):
     """Real parameter triple (a, b, c) of 2F1(a, b, c; z).
 
     c must not be zero or a negative integer: (c)_n appears in series
@@ -151,11 +150,11 @@ class HypParams:
     the integral representation.
     """
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
-    def __post_init__(self) -> None:
+    def __new__(cls, a: float, b: float, c: float) -> "HypParams":
+        self = tuple.__new__(cls, (a, b, c))
         for name in ("a", "b", "c"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -164,6 +163,7 @@ class HypParams:
             raise ParamDomainError(
                 f"c = {self.c} is zero or a negative integer (pole of every series denominator)"
             )
+        return self
 
     @property
     def euler_valid(self) -> bool:

@@ -50,4 +50,4 @@ class ConfigError(GaussHypError):
 
 
 class NotConvergedWarning(RuntimeWarning):
-    """hyp2f1 returned a value whose route did not reach the tolerance."""
+    """hyp2f1 or run_table used a value that did not reach the tolerance."""

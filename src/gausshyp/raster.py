@@ -9,7 +9,7 @@ applies at that rho.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from typing import Iterator
 
@@ -28,19 +28,14 @@ from .select import in_region_onepoint, in_region_threepoint, in_region_twopoint
 MAX_RESOLUTION = 4096
 
 
-@dataclass(frozen=True)
-class RasterSpec:
-    method: MethodId
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
-    res: int
-    w: complex | None = None
-    rho: float = 0.9
-    z0: complex = DEFAULT_Z0
+class RasterSpec(
+    namedtuple("RasterSpec", "method xmin xmax ymin ymax res w rho z0", defaults=(None, 0.9, DEFAULT_Z0))
+):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *fields, **named) -> "RasterSpec":
+        self = super().__new__(cls, *fields, **named)
         for v in (self.xmin, self.xmax, self.ymin, self.ymax):
             if not math.isfinite(v):
                 raise ConfigError("grid bounds must be finite")
@@ -55,6 +50,7 @@ class RasterSpec:
             raise ConfigError("onepoint-w raster needs the expansion point w")
         if self.method is MethodId.MACLAURIN and not (0.0 < self.rho < 1.0):
             raise ConfigError(f"classification radius rho must be in (0, 1), got {self.rho}")
+        return self
 
 
 def _margin_fn(spec: RasterSpec):

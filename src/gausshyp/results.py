@@ -1,7 +1,8 @@
 """Result containers: evaluation outcomes, region verdicts, method identifiers."""
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -29,8 +30,7 @@ class MethodId(enum.Enum):
             raise ConfigError(f"unknown method {name!r}") from None
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(namedtuple("SeriesResult", "value terms_used est_error converged")):
     """Computed value plus truncation bookkeeping.
 
     est_error is a relative error estimate (last-term ratio for series,
@@ -39,18 +39,16 @@ class SeriesResult:
     exactly when est_error is at or below the tolerance the caller asked for.
     """
 
-    value: complex
-    terms_used: int
-    est_error: float
-    converged: bool
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the check too
 
-    def __post_init__(self) -> None:
-        if self.est_error < 0:
+    def __new__(cls, value: complex, terms_used: int, est_error: float, converged: bool) -> "SeriesResult":
+        if est_error < 0:
             raise ValueError("est_error must be non-negative")
+        return tuple.__new__(cls, (value, terms_used, est_error, converged))
 
 
-@dataclass(frozen=True)
-class RegionVerdict:
+class RegionVerdict(NamedTuple):
     """Membership in a convergence region, with a signed margin.
 
     margin > 0 means strictly inside; the magnitude is the slack in the

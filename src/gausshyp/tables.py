@@ -13,10 +13,11 @@ carries index_rule="half", and run_table maps labels accordingly.
 
 import json
 import math
-from dataclasses import dataclass
+import warnings
+from typing import NamedTuple
 
 from .core import HypParams
-from .errors import GaussHypError
+from .errors import GaussHypError, NotConvergedWarning
 from .reference import euler_integral
 from .results import MethodId
 from .select import evaluate
@@ -40,8 +41,7 @@ ERROR_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     a: float
     b: float
     c: float
@@ -58,8 +58,7 @@ class TableRow:
         return f"a={self.a}, b={self.b}, c={c}, z={self.z_label}, z0=1/2"
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(NamedTuple):
     table_id: int
     rows: tuple[TableRow, ...]
     featured: MethodId
@@ -127,21 +126,27 @@ TABLES: dict[int, TableSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class TableResult:
+class TableResult(NamedTuple):
     spec: TableSpec
     #: cells[row_index][method_value][n_label] -> float | str
     cells: tuple[dict, ...]
 
 
 def run_table(spec: TableSpec | int, oracle_tol: float = 1e-13) -> TableResult:
-    """Relative errors of (buhring, featured expansion) against the oracle."""
+    """Relative errors of (buhring, featured expansion) against the oracle.
+
+    Warns NotConvergedWarning for each row whose oracle value did not reach oracle_tol.
+    """
     if isinstance(spec, int):
         spec = TABLES[spec]
     methods = (MethodId.BUHRING, spec.featured)
     cells = []
     for row in spec.rows:
-        reference = euler_integral(row.params, row.z, tol=oracle_tol).value
+        oracle = euler_integral(row.params, row.z, tol=oracle_tol)
+        if not oracle.converged:
+            msg = f"oracle did not converge at {row.caption}: est_error = {oracle.est_error:.3g}"
+            warnings.warn(msg, NotConvergedWarning, stacklevel=2)
+        reference = oracle.value
         ref_abs = abs(reference)
         row_cells: dict = {method.value: {} for method in methods}
         for n in N_LABELS:

@@ -133,6 +133,22 @@ class TestHypParams:
         with pytest.raises(ParamDomainError):
             HypParams(math.inf, 1.0, 2.0)
 
+    def test_repr(self):
+        assert repr(HypParams(1.2, 2.1, 3.0)) == "HypParams(a=1.2, b=2.1, c=3.0)"
+
+    def test_fields_read_only(self):
+        with pytest.raises(AttributeError):
+            HypParams(1.2, 2.1, 3.0).a = 2.0
+
+    def test_equal_triples_hash_alike(self):
+        assert HypParams(1.2, 2.1, 3.0) == HypParams(1.2, 2.1, 3.0)
+        assert hash(HypParams(1.2, 2.1, 3.0)) == hash(HypParams(1.2, 2.1, 3.0))
+
+    def test_replace_runs_the_checks(self):
+        assert HypParams(1.2, 2.1, 3.0)._replace(c=3.5) == HypParams(1.2, 2.1, 3.5)
+        with pytest.raises(ParamDomainError):
+            HypParams(1.2, 2.1, 3.0)._replace(c=-1.0)
+
 
 class TestFiniteArgumentGuard:
     def test_every_evaluator_rejects_non_finite_z(self):

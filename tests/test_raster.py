@@ -111,3 +111,13 @@ class TestRasterConfig:
             RasterSpec(MethodId.ONEPOINT_W, 0, 1, 0, 1, res=8, w=bad)
         with pytest.raises(DomainError):
             RasterSpec(MethodId.BUHRING, 0, 1, 0, 1, res=8, z0=bad)
+
+    def test_zero_w_rejected(self):
+        with pytest.raises(DomainError):
+            RasterSpec(MethodId.ONEPOINT_W, 0, 1, 0, 1, res=8, w=0)
+
+    def test_replace_runs_the_checks(self):
+        spec = RasterSpec(MethodId.TWOPOINT, 0, 1, 0, 1, res=8)
+        assert spec._replace(res=9).res == 9
+        with pytest.raises(ConfigError):
+            spec._replace(res=1)

@@ -14,6 +14,7 @@ from gausshyp import (
     NoMethodError,
     NotConvergedWarning,
     ROUTES,
+    SeriesResult,
     buhring_eval,
     euler_integral,
     eval_onepoint,
@@ -171,6 +172,10 @@ class TestEvaluate:
     def test_unknown_method_string(self):
         with pytest.raises(ConfigError):
             evaluate(PARAMS, Z_EXC, method="pade")
+
+    def test_result_rejects_negative_est_error(self):
+        with pytest.raises(ValueError, match="est_error must be non-negative"):
+            SeriesResult(0j, 0, -1.0, False)
 
     @pytest.mark.parametrize("name", ["foo", "Threepoint", "MethodId.THREEPOINT", ""])
     def test_unknown_method_is_a_library_error(self, name):

@@ -1,8 +1,11 @@
 """Table harness tests: reproduction, formatting, determinism, failure labels."""
 
 import json
+import warnings
 
-from gausshyp import MethodId, format_rel_error, run_table, table_to_csv, table_to_json
+import pytest
+
+from gausshyp import MethodId, NotConvergedWarning, format_rel_error, run_table, table_to_csv, table_to_json
 from gausshyp.tables import TABLES, TableRow, TableSpec
 from conftest import within_factor
 
@@ -63,6 +66,20 @@ class TestRunTable:
         ja = table_to_json(run_table(3))
         jb = table_to_json(run_table(3))
         assert ja == jb
+
+    def test_unconverged_oracle_warns_per_row(self):
+        # the four oracle values reach est_error 3.7e-16 to 1.7e-15, above 1e-17
+        with pytest.warns(NotConvergedWarning) as record:
+            run_table(4, oracle_tol=1e-17)
+        captions = [row.caption for row in TABLES[4].rows]
+        assert [str(w.message).split(": est_error")[0] for w in record] == [
+            f"oracle did not converge at {caption}" for caption in captions
+        ]
+
+    def test_converged_oracle_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_table(4)
 
     def test_integer_difference_cells_labeled(self):
         spec = TableSpec(

@@ -70,7 +70,7 @@ def test_production_modules_do_not_import_verify():
 def test_package_and_cli_import_without_mpmath():
     code = (
         "import sys, gausshyp, gausshyp.cli\n"
-        "print([m for m in ('mpmath', 'scipy', 'numpy') if m in sys.modules])"
+        "print([m for m in ('mpmath', 'scipy', 'numpy', 'dataclasses', 'inspect') if m in sys.modules])"
     )
     assert _run_python(code).strip() == "[]"
 
@@ -90,7 +90,8 @@ codes = [
           "--ymin", "-4", "--ymax", "4", "--res", "33", *out]),
     main(["table", "--id", "4", *out]),
 ]
-print(json.dumps([codes, [m for m in ("scipy", "numpy", "mpmath") if m in sys.modules]]))
+heavy = ("scipy", "numpy", "mpmath", "dataclasses", "inspect")
+print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))
 """
     codes, loaded = json.loads(_run_python(code))
     assert codes == [0, 0, 0, 0]
