@@ -104,19 +104,14 @@ def exclusion_margin(z: complex, z0: complex) -> float:
     return abs(z - z0) - exclusion_radius(z0)
 
 
-def buhring_eval(
-    params: HypParams,
-    z: complex,
-    z0: complex = DEFAULT_Z0,
-    n_terms: int = 20,
-    tol: float = 1e-12,
-) -> SeriesResult:
-    """Sum both continuation series with indices 0 .. n_terms inclusive.
+def buhring_sums(
+    params: HypParams, z: complex, stops: tuple[int, ...], z0: complex = DEFAULT_Z0, tol: float = 1e-12
+) -> Iterator[SeriesResult]:
+    """Both continuation series truncated at each index in stops, from one pass.
 
-    terms_used reports the truncation index n_terms.  est_error is the
-    last-term ratio of the combined value, with the two series' term sizes
-    weighted by their prefactors and added (core.sum_series), floored at
-    the rounding level and multiplied by the near-integer inflation factor.
+    est_error is the last-term ratio of the combined value, with the two
+    series' term sizes weighted by their prefactors and added (core.sum_series),
+    floored at the rounding level and multiplied by the near-integer inflation factor.
     """
     a, b, c = params.a, params.b, params.c
     diff = b - a
@@ -143,6 +138,14 @@ def buhring_eval(
     u = 1.0 / (z - z0)
     terms_a = _buhring_terms(a, z0, params, u)
     terms_b = _buhring_terms(b, z0, params, u)
-    res = sum_series(n_terms, tol, (fac_a, terms_a), (fac_b, terms_b))
-    est = res.est_error * max(1.0, 1.0 / abs(math.sin(math.pi * diff)))
-    return SeriesResult(value=res.value, terms_used=n_terms, est_error=est, converged=est <= tol)
+    inflation = max(1.0, 1.0 / abs(math.sin(math.pi * diff)))
+    for value, n, est, _ in sum_series(stops, tol, (fac_a, terms_a), (fac_b, terms_b)):
+        yield SeriesResult(value, n, est * inflation, est * inflation <= tol)
+
+
+def buhring_eval(
+    params: HypParams, z: complex, z0: complex = DEFAULT_Z0, n_terms: int = 20, tol: float = 1e-12
+) -> SeriesResult:
+    """Sum both continuation series with indices 0 .. n_terms inclusive; terms_used is n_terms."""
+    (res,) = buhring_sums(params, z, (n_terms,), z0, tol)
+    return res

@@ -11,7 +11,7 @@ import cmath
 import math
 from collections import namedtuple
 from itertools import islice
-from typing import Iterable
+from typing import Iterator
 
 from .errors import DomainError, ParamDomainError, PoleError, RecurrenceBreakdown
 from .results import SeriesResult
@@ -65,30 +65,40 @@ def tail_estimate(total_abs: float, abs_sum: float, last: float, n_summed: int) 
     return max(last / total_abs, EPS * (cond + n_summed))
 
 
-def sum_series(n_terms: int, tol: float, *series: tuple[complex, Iterable[complex]]) -> SeriesResult:
-    """Sum terms 0 .. n_terms of each (weight, terms) series, left to right.
+def sum_series(
+    stops: tuple[int, ...], tol: float, *series: tuple[complex, Iterator[complex]]
+) -> Iterator[SeriesResult]:
+    """Yield the sum of terms 0 .. n of each (weight, terms) series for each n in the ascending stops.
 
-    The value is the sum of weight * (partial sum) over the series, in the
-    order given.  est_error is tail_estimate of that value, with the sizes
-    |weight| |term| of all series added into one abs_sum and one last term;
-    converged is est_error <= tol.  A partial sum that is not finite raises
-    RecurrenceBreakdown.  Every series route sums here.
+    The running sums of one left-to-right pass give each result, bit for bit
+    that of stops = (n,).  The value is the sum of weight * (partial sum)
+    over the series, in the order given.  est_error is tail_estimate of that
+    value, with the sizes |weight| |term| of all series added into one
+    abs_sum and one last term; converged is est_error <= tol.  A partial sum
+    that is not finite raises RecurrenceBreakdown.  Every series route sums
+    here; a one-stop caller unpacks (res,) = ..., which ends the generator.
     """
-    value = complex(-0.0, -0.0)  # not 0j: -0.0 + x is x for every x, and 0.0 + -0.0 is 0.0
-    abs_sum = last = 0.0
-    for weight, terms in series:
-        s = 0j
-        part_sum = size = 0.0
-        for term in islice(terms, n_terms + 1):
-            s += term
-            size = abs(term)
-            part_sum += size
-        require_finite_sum(abs(s), n_terms + 1)
-        value += weight * s
-        abs_sum += abs(weight) * part_sum
-        last += abs(weight) * size
-    est = tail_estimate(abs(value), abs_sum, last, n_terms + 1)
-    return SeriesResult(value=value, terms_used=n_terms, est_error=est, converged=est <= tol)
+    running = [(0j, 0.0, 0.0)] * len(series)  # per series: partial sum, sum of sizes, last size
+    start = 0
+    for n in stops:
+        if n < start:
+            raise ValueError(f"stops must be ascending non-negative integers, got {stops}")
+        value = complex(-0.0, -0.0)  # not 0j: -0.0 + x is x for every x, and 0.0 + -0.0 is 0.0
+        abs_sum = last = 0.0
+        for i, (weight, terms) in enumerate(series):
+            s, part_sum, size = running[i]
+            for term in islice(terms, n + 1 - start):
+                s += term
+                size = abs(term)
+                part_sum += size
+            require_finite_sum(abs(s), n + 1)
+            running[i] = s, part_sum, size
+            value += weight * s
+            abs_sum += abs(weight) * part_sum
+            last += abs(weight) * size
+        start = n + 1
+        est = tail_estimate(abs(value), abs_sum, last, n + 1)
+        yield SeriesResult(value, n, est, est <= tol)
 
 
 def cpow_principal(base: complex, exponent: float) -> complex:

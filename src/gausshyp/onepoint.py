@@ -125,14 +125,10 @@ def _onepoint_terms(params: HypParams, z: complex, w: complex) -> Iterator[compl
         term *= (a + n) / (n + 1.0) * ratio
 
 
-def eval_onepoint(
-    params: HypParams,
-    z: complex,
-    w: complex = 0.5,
-    n_terms: int = DEFAULT_TERMS,
-    tol: float = 1e-12,
-) -> SeriesResult:
-    """Truncated single-point expansion, indices 0 .. n_terms inclusive.
+def onepoint_sums(
+    params: HypParams, z: complex, stops: tuple[int, ...], w: complex = 0.5, tol: float = 1e-12
+) -> Iterator[SeriesResult]:
+    """The single-point expansion truncated at each index in stops, from one pass.
 
     w = 1/2 takes the real-arithmetic moment recurrence, which agrees with
     the generic complex one to rounding.
@@ -144,8 +140,14 @@ def eval_onepoint(
     if not verdict.inside:
         raise OutsideDomain(f"z = {z} outside the w = {w} expansion region (margin {verdict.margin})")
 
-    res = sum_series(n_terms, tol, (1.0, _onepoint_terms(params, z, w)))
-    value = cpow_principal(1.0 - w * z, -params.a) * res.value
-    return SeriesResult(
-        value=value, terms_used=n_terms, est_error=res.est_error, converged=res.converged
-    )
+    prefactor = cpow_principal(1.0 - w * z, -params.a)
+    for value, n, est, converged in sum_series(stops, tol, (1.0, _onepoint_terms(params, z, w))):
+        yield SeriesResult(prefactor * value, n, est, converged)
+
+
+def eval_onepoint(
+    params: HypParams, z: complex, w: complex = 0.5, n_terms: int = DEFAULT_TERMS, tol: float = 1e-12
+) -> SeriesResult:
+    """Truncated single-point expansion, indices 0 .. n_terms inclusive."""
+    (res,) = onepoint_sums(params, z, (n_terms,), w, tol)
+    return res

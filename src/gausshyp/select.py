@@ -1,16 +1,16 @@
 """Method selection, the route table and the one-call evaluation front end."""
 
 import warnings
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .buhring import DEFAULT_Z0, buhring_eval, exclusion_margin, is_integer_difference
+from .buhring import DEFAULT_Z0, buhring_eval, buhring_sums, exclusion_margin, is_integer_difference
 from .core import HypParams, require_finite_complex
 from .errors import ConfigError, NoMethodError, NotConvergedWarning
-from .onepoint import eval_onepoint, onepoint_margin, require_expansion_point
+from .onepoint import eval_onepoint, onepoint_margin, onepoint_sums, require_expansion_point
 from .reference import euler_integral, maclaurin
 from .results import MethodId, SeriesResult
-from .threepoint import eval_threepoint, in_region_threepoint, threepoint_margin
-from .twopoint import eval_twopoint, in_region_twopoint, twopoint_margin
+from .threepoint import eval_threepoint, in_region_threepoint, threepoint_margin, threepoint_sums
+from .twopoint import eval_twopoint, in_region_twopoint, twopoint_margin, twopoint_sums
 
 # Not called here; perfbench/tracing.py wraps this name in this module.
 from .onepoint import in_region_onepoint
@@ -23,10 +23,11 @@ SERIES_TOL_FLOOR = 1e-12
 
 
 class Route(NamedTuple):
-    """One evaluation route: its signed region margin and its evaluator."""
+    """One evaluation route: its signed region margin, its evaluator and, for a series, its stops form."""
 
     margin: Callable[[complex, complex | None, complex], float]
     run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0, max_terms)
+    sums: Callable[..., Iterator[SeriesResult]] | None = None  # (params, z, stops, tol, w, z0)
 
 
 def _series_tol(tol: float) -> float:
@@ -53,24 +54,27 @@ ROUTES: dict[MethodId, Route] = {
     MethodId.BUHRING: Route(
         lambda z, w, z0: exclusion_margin(z, z0),
         lambda p, z, n, tol, w, z0, _: buhring_eval(p, z, z0=z0, n_terms=n, tol=_series_tol(tol)),
+        lambda p, z, stops, tol, w, z0: buhring_sums(p, z, stops, z0, _series_tol(tol)),
     ),
     MethodId.ONEPOINT_HALF: Route(
         lambda z, w, z0: onepoint_margin(z, 0.5),
         lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, w=0.5, n_terms=n, tol=_series_tol(tol)),
+        lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, 0.5, _series_tol(tol)),
     ),
     MethodId.ONEPOINT_W: Route(
         lambda z, w, z0: onepoint_margin(z, _need_w(w)),
-        lambda p, z, n, tol, w, z0, _: eval_onepoint(
-            p, z, w=_need_w(w), n_terms=n, tol=_series_tol(tol)
-        ),
+        lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, _need_w(w), n, _series_tol(tol)),
+        lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, _need_w(w), _series_tol(tol)),
     ),
     MethodId.TWOPOINT: Route(
         lambda z, w, z0: twopoint_margin(z),
         lambda p, z, n, tol, w, z0, _: eval_twopoint(p, z, n_terms=n, tol=_series_tol(tol)),
+        lambda p, z, stops, tol, w, z0: twopoint_sums(p, z, stops, _series_tol(tol)),
     ),
     MethodId.THREEPOINT: Route(
         lambda z, w, z0: threepoint_margin(z),
         lambda p, z, n, tol, w, z0, _: eval_threepoint(p, z, n_terms=n, tol=_series_tol(tol)),
+        lambda p, z, stops, tol, w, z0: threepoint_sums(p, z, stops, _series_tol(tol)),
     ),
 }
 
@@ -137,9 +141,11 @@ def evaluate(
     The route comes from ROUTES.  maclaurin and euler-oracle judge
     converged against tol itself; the series routes (buhring, onepoint-*,
     twopoint, threepoint) sum indices 0 .. n_terms and judge it against
-    max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12).  A negative n_terms
-    raises ConfigError.
+    max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12).  An n_terms that is not
+    an integer, or is negative, raises ConfigError.
     """
+    if not hasattr(n_terms, "__index__"):  # what islice and range accept as a count
+        raise ConfigError(f"n_terms must be an integer, got {n_terms!r}")
     if n_terms < 0:
         raise ConfigError(f"n_terms must be >= 0, got {n_terms}")
     z = complex(z)

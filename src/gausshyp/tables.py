@@ -16,11 +16,12 @@ import math
 import warnings
 from typing import NamedTuple
 
+from .buhring import DEFAULT_Z0
 from .core import HypParams
-from .errors import GaussHypError, NotConvergedWarning
+from .errors import ConfigError, GaussHypError, NotConvergedWarning
 from .reference import euler_integral
 from .results import MethodId
-from .select import evaluate
+from .select import ROUTES
 
 # Not called here; perfbench/tracing.py wraps these names in this module.
 from .select import buhring_eval, eval_onepoint, eval_threepoint, eval_twopoint
@@ -135,11 +136,16 @@ class TableResult(NamedTuple):
 def run_table(spec: TableSpec | int, oracle_tol: float = 1e-13) -> TableResult:
     """Relative errors of (buhring, featured expansion) against the oracle.
 
-    Warns NotConvergedWarning for each row whose oracle value did not reach oracle_tol.
+    Each (row, method) is summed once, by its route's stops form; an error labels
+    its cell and the later ones.  Warns NotConvergedWarning for each row whose
+    oracle value did not reach oracle_tol.
     """
     if isinstance(spec, int):
+        if spec not in TABLES:
+            raise ConfigError(f"unknown table id {spec}; known ids are {sorted(TABLES)}")
         spec = TABLES[spec]
     methods = (MethodId.BUHRING, spec.featured)
+    stops = tuple(spec.series_index(n) for n in N_LABELS)
     cells = []
     for row in spec.rows:
         oracle = euler_integral(row.params, row.z, tol=oracle_tol)
@@ -149,15 +155,16 @@ def run_table(spec: TableSpec | int, oracle_tol: float = 1e-13) -> TableResult:
         reference = oracle.value
         ref_abs = abs(reference)
         row_cells: dict = {method.value: {} for method in methods}
-        for n in N_LABELS:
-            idx = spec.series_index(n)
-            for method in methods:
-                try:
-                    v = evaluate(row.params, row.z, method, n_terms=idx, w=spec.w)[0].value
-                    row_cells[method.value][n] = abs(v - reference) / ref_abs
-                except GaussHypError as exc:
-                    name = type(exc).__name__
-                    row_cells[method.value][n] = ERROR_LABELS.get(name, name)
+        for method in methods:
+            col = row_cells[method.value]
+            try:
+                results = ROUTES[method].sums(row.params, row.z, stops, 1e-13, spec.w, DEFAULT_Z0)
+                for n, res in zip(N_LABELS, results):
+                    col[n] = abs(res.value - reference) / ref_abs
+            except GaussHypError as exc:
+                name = type(exc).__name__
+                for n in N_LABELS[len(col):]:
+                    col[n] = ERROR_LABELS.get(name, name)
         cells.append(row_cells)
     return TableResult(spec=spec, cells=tuple(cells))
 

@@ -185,13 +185,10 @@ def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
         sign = -sign
 
 
-def eval_threepoint(
-    params: HypParams,
-    z: complex,
-    n_terms: int = DEFAULT_TERMS,
-    tol: float = 1e-12,
-) -> SeriesResult:
-    """Truncated three-point expansion, indices 0 .. n_terms inclusive.
+def threepoint_sums(
+    params: HypParams, z: complex, stops: tuple[int, ...], tol: float = 1e-12
+) -> Iterator[SeriesResult]:
+    """The three-point expansion truncated at each index in stops, from one pass.
 
     The moment recurrence cannot break down here: under c > b > 0 the last
     factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0.
@@ -206,5 +203,12 @@ def eval_threepoint(
             f"z = {z} outside |z|^3 < 6 sqrt(3)|(1-z)(2-z)| (margin {verdict.margin})"
         )
 
-    return sum_series(n_terms, tol, (1.0, _threepoint_terms(params, z)))
+    return sum_series(stops, tol, (1.0, _threepoint_terms(params, z)))
 
+
+def eval_threepoint(
+    params: HypParams, z: complex, n_terms: int = DEFAULT_TERMS, tol: float = 1e-12
+) -> SeriesResult:
+    """Truncated three-point expansion, indices 0 .. n_terms inclusive."""
+    (res,) = threepoint_sums(params, z, (n_terms,), tol)
+    return res

@@ -124,13 +124,10 @@ def _twopoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
         sign = -sign
         moment *= (b + n) * (c - b + n) / ((c + 2.0 * n + 1.0) * (c + 2.0 * n + 2.0))
 
-def eval_twopoint(
-    params: HypParams,
-    z: complex,
-    n_terms: int = DEFAULT_TERMS,
-    tol: float = 1e-12,
-) -> SeriesResult:
-    """Truncated two-point expansion, indices 0 .. n_terms inclusive."""
+def twopoint_sums(
+    params: HypParams, z: complex, stops: tuple[int, ...], tol: float = 1e-12
+) -> Iterator[SeriesResult]:
+    """The two-point expansion truncated at each index in stops, from one pass."""
     z = require_finite_complex(z)
     if z == 1.0:
         raise SingularityError("z = 1: coefficient recursion is singular")
@@ -139,4 +136,12 @@ def eval_twopoint(
     if not verdict.inside:
         raise OutsideDomain(f"z = {z} outside |z|^2 < 4|1-z| (margin {verdict.margin})")
 
-    return sum_series(n_terms, tol, (1.0, _twopoint_terms(params, z)))
+    return sum_series(stops, tol, (1.0, _twopoint_terms(params, z)))
+
+
+def eval_twopoint(
+    params: HypParams, z: complex, n_terms: int = DEFAULT_TERMS, tol: float = 1e-12
+) -> SeriesResult:
+    """Truncated two-point expansion, indices 0 .. n_terms inclusive."""
+    (res,) = twopoint_sums(params, z, (n_terms,), tol)
+    return res

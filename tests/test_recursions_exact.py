@@ -8,6 +8,8 @@ over its full coefficient and moment lists before one streaming loop,
 core.sum_series, summed them all.  Floating-point arithmetic is not
 associative, so regrouping any product or sum changes the last bits of the
 streams and of the values; these tests compare the bits, with no tolerance.
+The stops form of each route, which reads several truncation indices off
+one pass, is compared with the one-stop calls the same way.
 """
 
 import cmath
@@ -19,11 +21,20 @@ from itertools import islice
 import mpmath
 import pytest
 
-from gausshyp import GaussHypError, HypParams, evaluate, in_region_threepoint, in_region_twopoint
+from gausshyp import (
+    ROUTES,
+    GaussHypError,
+    HypParams,
+    MethodId,
+    RecurrenceBreakdown,
+    evaluate,
+    in_region_threepoint,
+    in_region_twopoint,
+)
 from gausshyp.buhring import buhring_coeffs, exclusion_margin, is_integer_difference
 from gausshyp.core import EPS, cpow_principal, gamma_real, recip_gamma_real, tail_estimate
 from gausshyp.onepoint import in_region_onepoint, phi_half_sequence, phi_w_sequence
-from gausshyp.threepoint import _recurrence_in_n, phi3_sequence, threepoint_coeffs
+from gausshyp.threepoint import _recurrence_in_n, phi3_sequence, threepoint_coeffs, threepoint_sums
 from gausshyp.twopoint import _recursion, twopoint_coeffs_recursive
 from conftest import Z_EXC, sample_in_region
 
@@ -462,3 +473,59 @@ def test_buhring_sums_both_series_in_the_loop_order(n_terms):
         assert got.terms_used == n_terms
         assert got.converged == (est <= 1e-12), (params, z, n_terms, est, got.est_error)
         assert abs(got.est_error - est) <= 8 * EPS * est
+
+
+# --- the stops form: every truncation index off one pass --------------------
+
+STOPS = (0, 5, 10, 15, 20, 40)
+SERIES_METHODS = ("threepoint", "twopoint", "onepoint-half", "onepoint-w", "buhring")
+
+
+def _result_bits(res):
+    return (res.value.real.hex(), res.value.imag.hex(), res.est_error.hex(), res.terms_used, res.converged)
+
+
+def _route_cases(method):
+    if method == "buhring":
+        return [(HypParams(a, b, c), z, None) for a, b, c, z in CASES if _buhring_applies(a, b, c, z)]
+    return [(params, z, w) for m, params, z, w in _series_cases() if m == method]
+
+
+@pytest.mark.parametrize("method", SERIES_METHODS)
+def test_stops_match_the_one_stop_calls(method):
+    sums = ROUTES[MethodId(method)].sums
+    for params, z, w in _route_cases(method):
+        want = [
+            _outcome(lambda n: _result_bits(evaluate(params, z, method, n_terms=n, w=w)[0]), n)
+            for n in STOPS
+        ]
+        got = []
+        try:
+            for res in sums(params, z, STOPS, 1e-13, w, 0.5):
+                got.append(_result_bits(res))
+        except GaussHypError as exc:
+            got.append((type(exc).__name__, str(exc)))
+        assert got == want[: len(got)], (method, params, z, w)
+        # an error ends the pass; the one-stop calls at the later stops fail too
+        assert all(len(outcome) == 2 for outcome in want[len(got) :]), (method, params, z, w)
+
+
+def test_stops_end_where_the_sum_overflows():
+    # at exp(i pi/3) the three-point coefficients overflow from n = 244 on
+    params = HypParams(1.2, 2.1, 3.0)
+    results = threepoint_sums(params, Z_EXC, (20, 40, 300))
+    for n in (20, 40):
+        assert _result_bits(next(results)) == _result_bits(evaluate(params, Z_EXC, "threepoint", n_terms=n)[0])
+    with pytest.raises(RecurrenceBreakdown, match="after 301 terms") as exc:
+        next(results)
+    with pytest.raises(RecurrenceBreakdown) as one_stop:
+        evaluate(params, Z_EXC, "threepoint", n_terms=300)
+    assert str(exc.value) == str(one_stop.value)
+
+
+@pytest.mark.parametrize("stops", [(-1,), (-1, 5), (5, 5), (10, 5), (0, 5, 3)])
+@pytest.mark.parametrize("method", SERIES_METHODS)
+def test_stops_must_ascend_from_zero(method, stops):
+    params, z, w = _route_cases(method)[0]
+    with pytest.raises(ValueError, match="stops must be ascending non-negative integers"):
+        list(ROUTES[MethodId(method)].sums(params, z, stops, 1e-13, w, 0.5))

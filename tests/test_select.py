@@ -169,6 +169,13 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="n_terms"):
             evaluate(PARAMS, Z_EXC, method, n_terms=-1, w=W)
 
+    @pytest.mark.parametrize("method", ["auto", *MethodId], ids=str)
+    def test_non_integer_n_terms_rejected(self, method):
+        with pytest.raises(ConfigError, match="n_terms must be an integer, got 2.5"):
+            evaluate(PARAMS, Z_EXC, method, n_terms=2.5, w=W)
+        with pytest.raises(ConfigError, match="n_terms must be an integer"):
+            hyp2f1(1.2, 2.1, 3.0, Z_EXC, method=method, n_terms=2.5, w=W)
+
     def test_unknown_method_string(self):
         with pytest.raises(ConfigError):
             evaluate(PARAMS, Z_EXC, method="pade")

@@ -1,11 +1,12 @@
 """Table harness tests: reproduction, formatting, determinism, failure labels."""
 
+import hashlib
 import json
 import warnings
 
 import pytest
 
-from gausshyp import MethodId, NotConvergedWarning, format_rel_error, run_table, table_to_csv, table_to_json
+from gausshyp import ConfigError, MethodId, NotConvergedWarning, format_rel_error, run_table, table_to_csv, table_to_json
 from gausshyp.tables import TABLES, TableRow, TableSpec
 from conftest import within_factor
 
@@ -23,7 +24,36 @@ REFERENCE_BUHRING_T1 = {0: 0.263e2, 5: 0.879e1, 10: 0.103e1, 15: 0.955e-1, 20: 0
 REFERENCE_BUHRING_T4 = {0: 0.263e2, 5: 0.177e2, 10: 0.879e1, 15: 0.253e1, 20: 0.103e1}
 
 
+#: sha256 of (table_to_csv, table_to_json) for each built-in table.  The
+#: JSON carries every error to 17 digits, so any change to a summation or
+#: to the oracle shows here; one that moves cells on purpose updates these.
+TABLE_SHA256 = {
+    1: (
+        "beceea4a5e19a4981f39e440d4d663bd9f539f426f3e5d618eb2ce75ad276f13",
+        "9242f9242d73ae0c725a7be395bb312bea5ad52f2487ab335b24322e38a82725",
+    ),
+    2: (
+        "5880359162207c315d13d930e0c6d030bfc5998389bfc6c17fb4cf8d9792dac8",
+        "b63560046260932600ab8e9fe4c0fb7f2f3ddf01663b0aba5f733feca2514b73",
+    ),
+    3: (
+        "80e496478dcf5196b6e807679ffa8f632b99d620d4a8fb5ad1b0fb930addfc4f",
+        "fc456082bf14bbcc3a8c1137fcbf6011ed2d1d245518f3e99496a326ef0eb341",
+    ),
+    4: (
+        "0c9f18fd7223362e2e70997ed43f2e92c05f57ead5e48549c7708a975f9da552",
+        "341d391ec7ad7c0c049b494d1704b6a585ecea9ecdec86c99b20f883a8d5fb05",
+    ),
+}
+
+
 class TestRunTable:
+    @pytest.mark.parametrize("table_id", sorted(TABLE_SHA256))
+    def test_table_bytes_pinned(self, table_id):
+        result = run_table(table_id)
+        texts = (table_to_csv(result), table_to_json(result))
+        assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == TABLE_SHA256[table_id]
+
     def test_featured_columns_track_reference_values(self):
         for table_id, reference in REFERENCE.items():
             result = run_table(table_id)
@@ -80,6 +110,10 @@ class TestRunTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_table(4)
+
+    def test_unknown_table_id(self):
+        with pytest.raises(ConfigError, match=r"unknown table id 9; known ids are \[1, 2, 3, 4\]"):
+            run_table(9)
 
     def test_integer_difference_cells_labeled(self):
         spec = TableSpec(
