@@ -21,8 +21,8 @@ exposed, and the CLI reproduces the benchmark error tables and region
 rasters.
 """
 
-from .buhring import buhring_coeffs, buhring_eval, d_coeff
-from .core import HypParams, cpow_principal, gamma_real, pochhammer
+from .buhring import buhring_coeffs, buhring_eval
+from .core import HypParams
 from .errors import (
     BranchCutError,
     ConfigError,
@@ -37,32 +37,14 @@ from .errors import (
     RecurrenceBreakdown,
     SingularityError,
 )
-from .onepoint import (
-    eval_onepoint,
-    in_region_onepoint,
-    phi_half,
-    phi_half_sequence,
-    phi_w,
-    phi_w_sequence,
-)
+from .onepoint import eval_onepoint, in_region_onepoint
 from .raster import RasterSpec, raster_to_csv, region_raster
-from .reference import classify_region, euler_integral, maclaurin, region_moduli
+from .reference import classify_region, euler_integral, maclaurin
 from .results import MethodId, RegionVerdict, SeriesResult
 from .select import ROUTES, evaluate, hyp2f1, method_margin, select_method
-from .tables import TABLES, TableSpec, format_rel_error, run_table, table_to_csv, table_to_json
-from .threepoint import (
-    eval_threepoint,
-    in_region_threepoint,
-    phi3,
-    phi3_sequence,
-    threepoint_coeffs,
-)
-from .twopoint import (
-    eval_twopoint,
-    in_region_twopoint,
-    phi_psi_moments,
-    twopoint_coeffs_recursive,
-)
+from .tables import TABLES, TableSpec, run_table, table_to_csv, table_to_json
+from .threepoint import eval_threepoint, in_region_threepoint
+from .twopoint import eval_twopoint, in_region_twopoint
 
 __version__ = "0.1.0"
 
@@ -90,36 +72,21 @@ __all__ = [
     "buhring_coeffs",
     "buhring_eval",
     "classify_region",
-    "cpow_principal",
-    "d_coeff",
     "euler_integral",
     "eval_onepoint",
     "eval_threepoint",
     "eval_twopoint",
     "evaluate",
-    "format_rel_error",
-    "gamma_real",
     "hyp2f1",
     "in_region_onepoint",
     "in_region_threepoint",
     "in_region_twopoint",
     "maclaurin",
     "method_margin",
-    "phi3",
-    "phi3_sequence",
-    "phi_half",
-    "phi_half_sequence",
-    "phi_psi_moments",
-    "phi_w",
-    "phi_w_sequence",
-    "pochhammer",
     "raster_to_csv",
-    "region_moduli",
     "region_raster",
     "run_table",
     "select_method",
     "table_to_csv",
     "table_to_json",
-    "threepoint_coeffs",
-    "twopoint_coeffs_recursive",
 ]

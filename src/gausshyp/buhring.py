@@ -73,13 +73,6 @@ def buhring_coeffs(s: float, z0: complex, params: HypParams, n_max: int) -> list
     return list(islice(_d_stream(s, z0, params), n_max + 1))
 
 
-def d_coeff(s: float, z0: complex, params: HypParams, n: int) -> complex:
-    """d_n(s, z0) by forward recurrence from d_{-1} = 0, d_0 = 1."""
-    if n < 0:
-        raise ValueError("coefficient index must be non-negative")
-    return buhring_coeffs(s, z0, params, n)[n]
-
-
 def _buhring_terms(s: float, z0: complex, params: HypParams, u: complex) -> Iterator[complex]:
     """Term n of the continuation series for s: d_n(s, z0) u^n."""
     upow = 1.0 + 0j

@@ -50,13 +50,6 @@ def phi_half_sequence(n_max: int, b: float, c: float) -> list[float]:
     return list(islice(_phi_half_stream(b, c), n_max + 1))
 
 
-def phi_half(n: int, b: float, c: float) -> float:
-    """Phi_n(b, c) = 2F1(-n, b, c; 2) via the w = 1/2 recurrence."""
-    if n < 0:
-        raise ValueError("moment index must be non-negative")
-    return phi_half_sequence(n, b, c)[n]
-
-
 def require_expansion_point(w: complex) -> complex:
     """Reject a non-finite w, and w = 0, where no one-point expansion exists."""
     w = require_finite_complex(w, "w")
@@ -86,13 +79,6 @@ def phi_w_sequence(n_max: int, b: float, c: float, w: complex) -> list[complex]:
     """Phi_0 .. Phi_{n_max} at generic w."""
     require_n_max(n_max)
     return list(islice(_phi_w_stream(b, c, w), n_max + 1))
-
-
-def phi_w(n: int, b: float, c: float, w: complex) -> complex:
-    """Phi_n(b, c, w) = 2F1(-n, b, c; 1/w) via the generic-w recurrence."""
-    if n < 0:
-        raise ValueError("moment index must be non-negative")
-    return phi_w_sequence(n, b, c, w)[n]
 
 
 def onepoint_margin(z: complex, w: complex) -> float:

@@ -36,6 +36,8 @@ class RasterSpec(
 
     def __new__(cls, *fields, **named) -> "RasterSpec":
         self = super().__new__(cls, *fields, **named)
+        if not isinstance(self.method, MethodId):
+            raise ConfigError(f"unknown method {self.method!r}")
         for v in (self.xmin, self.xmax, self.ymin, self.ymax):
             if not math.isfinite(v):
                 raise ConfigError("grid bounds must be finite")
@@ -44,6 +46,8 @@ class RasterSpec(
         require_finite_complex(self.z0, "z0")
         if self.w is not None:
             require_expansion_point(self.w)
+        if not hasattr(self.res, "__index__"):  # what range accepts as a count
+            raise ConfigError(f"resolution must be an integer, got {self.res!r}")
         if not (2 <= self.res <= MAX_RESOLUTION):
             raise ConfigError(f"resolution must be in [2, {MAX_RESOLUTION}], got {self.res}")
         if self.method is MethodId.ONEPOINT_W and self.w is None:

@@ -140,9 +140,9 @@ def run_table(spec: TableSpec | int, oracle_tol: float = 1e-13) -> TableResult:
     its cell and the later ones.  Warns NotConvergedWarning for each row whose
     oracle value did not reach oracle_tol.
     """
-    if isinstance(spec, int):
-        if spec not in TABLES:
-            raise ConfigError(f"unknown table id {spec}; known ids are {sorted(TABLES)}")
+    if not isinstance(spec, TableSpec):
+        if not isinstance(spec, int) or spec not in TABLES:
+            raise ConfigError(f"unknown table id {spec!r}; known ids are {sorted(TABLES)}")
         spec = TABLES[spec]
     methods = (MethodId.BUHRING, spec.featured)
     stops = tuple(spec.series_index(n) for n in N_LABELS)
@@ -174,7 +174,7 @@ def format_rel_error(x: float, digits: int = 3) -> str:
     if x == 0.0:
         return "0." + "0" * digits + "E+0"
     if not math.isfinite(x):
-        return "INF"
+        return "NAN" if math.isnan(x) else "INF"
     exp = math.floor(math.log10(abs(x))) + 1
     mant = abs(x) / 10.0**exp
     scaled = round(mant * 10**digits)

@@ -155,13 +155,6 @@ def phi3_sequence(n_max: int, b: float, c: float) -> list[float]:
     return list(islice(_phi3_stream(b, c), n_max + 1))
 
 
-def phi3(n: int, b: float, c: float) -> float:
-    """Moment Phi_n(b, c) of the three-point expansion."""
-    if n < 0:
-        raise ValueError("moment index must be non-negative")
-    return phi3_sequence(n, b, c)[n]
-
-
 def threepoint_margin(z: complex) -> float:
     """6 sqrt(3) |(1-z)(2-z)| - |z|^3, positive inside the three-point region."""
     return _SQRT3_6 * abs((1.0 - z) * (2.0 - z)) - abs(z) ** 3

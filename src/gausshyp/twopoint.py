@@ -35,15 +35,8 @@ matched precision (gausshyp.verify.twopoint_coeffs_mp).
 from itertools import count, islice
 from typing import Iterator
 
-from .core import (
-    HypParams,
-    cpow_principal,
-    pochhammer,
-    require_finite_complex,
-    require_n_max,
-    sum_series,
-)
-from .errors import OutsideDomain, PoleError, SingularityError
+from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
+from .errors import OutsideDomain, SingularityError
 from .results import RegionVerdict, SeriesResult
 
 DEFAULT_TERMS = 40
@@ -79,24 +72,6 @@ def twopoint_coeffs_recursive(a: float, z: complex, n_max: int) -> tuple[tuple[c
     if z == 1.0:
         raise SingularityError("z = 1: recursion divides by 1 - z")
     return tuple(zip(*islice(_recursion(a, z, *_initial_pair(a, z)), n_max + 1)))
-
-
-def phi_psi_moments(n: int, b: float, c: float) -> tuple[float, float]:
-    """Closed-form moment pair for index n:
-
-    Phi_n = (-1)^n (b)_n (c-b)_n / (c)_{2n},
-    Psi_n = (-1)^n (b)_{n+1} (c-b)_n / (c)_{2n+1}.
-    """
-    if n < 0:
-        raise ValueError("moment index must be non-negative")
-    den = pochhammer(c, 2 * n + 1)
-    if den == 0.0:
-        raise PoleError(f"(c)_{2 * n + 1} = 0 for c = {c}")
-    sign = -1.0 if n % 2 else 1.0
-    cb = pochhammer(c - b, n)
-    phi = sign * pochhammer(b, n) * cb / pochhammer(c, 2 * n)
-    psi = sign * pochhammer(b, n + 1) * cb / den
-    return phi, psi
 
 
 def twopoint_margin(z: complex) -> float:

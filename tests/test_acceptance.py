@@ -17,7 +17,6 @@ from gausshyp import (
     MethodId,
     buhring_eval,
     classify_region,
-    cpow_principal,
     euler_integral,
     eval_onepoint,
     eval_threepoint,
@@ -26,12 +25,11 @@ from gausshyp import (
     in_region_threepoint,
     in_region_twopoint,
     maclaurin,
-    phi3_sequence,
-    pochhammer,
     run_table,
-    threepoint_coeffs,
-    twopoint_coeffs_recursive,
 )
+from gausshyp.core import cpow_principal, pochhammer
+from gausshyp.threepoint import phi3_sequence, threepoint_coeffs
+from gausshyp.twopoint import twopoint_coeffs_recursive
 from gausshyp.verify import phi3_direct_sequence, twopoint_coeffs_explicit, twopoint_coeffs_mp
 from conftest import TABLE_PARAM_SETS, Z_EXC, rel_err, sample_in_region, within_factor
 

@@ -9,7 +9,6 @@ from gausshyp import (
     OutsideDomain,
     buhring_coeffs,
     buhring_eval,
-    d_coeff,
     euler_integral,
 )
 from conftest import Z_EXC, rel_err, within_factor
@@ -22,27 +21,27 @@ REFERENCE_ERRORS = {0: 0.263e2, 5: 0.879e1, 10: 0.103e1, 15: 0.955e-1, 20: 0.803
 
 class TestDCoeff:
     def test_starting_value(self):
-        assert d_coeff(1.2, 0.5, PARAMS, 0) == 1.0 + 0j
-        assert d_coeff(2.1, 0.5, PARAMS, 0) == 1.0 + 0j
+        assert buhring_coeffs(1.2, 0.5, PARAMS, 0) == [1.0 + 0j]
+        assert buhring_coeffs(2.1, 0.5, PARAMS, 0) == [1.0 + 0j]
 
     def test_first_step_s_equals_a(self):
         # at z0 = 1/2 the d_{n-1} bracket collapses to (a+b+1)/2 - c, and the
         # prefactor is s / (1 + 2a - a - b) = 1.2 / 0.1 = 12
         expected = 12.0 * ((1.2 + 2.1 + 1.0) / 2.0 - 3.0)
-        got = d_coeff(1.2, 0.5, PARAMS, 1)
+        got = buhring_coeffs(1.2, 0.5, PARAMS, 1)[1]
         assert abs(got - expected) <= 1e-12 * abs(expected)
         assert abs(got - (-10.2)) <= 1e-12 * 10.2
 
     def test_first_step_s_equals_b(self):
         expected = (2.1 / (1.0 + 2.1 - 1.2)) * ((1.2 + 2.1 + 1.0) / 2.0 - 3.0)
-        got = d_coeff(2.1, 0.5, PARAMS, 1)
+        got = buhring_coeffs(2.1, 0.5, PARAMS, 1)[1]
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
     def test_coeff_stream(self):
         d = buhring_coeffs(1.2, 0.5, PARAMS, 8)
         assert d[0] == 1.0 + 0j
         assert len(d) == 9
-        assert d[1] == d_coeff(1.2, 0.5, PARAMS, 1)
+        assert d[:2] == buhring_coeffs(1.2, 0.5, PARAMS, 1)  # a longer stream keeps the prefix
 
     def test_negative_n_max_rejected(self):
         with pytest.raises(ValueError, match="n_max"):
@@ -51,7 +50,7 @@ class TestDCoeff:
     def test_vanishing_denominator(self):
         p = HypParams(1.2, 2.2, 3.0)  # b - a = 1: denominator dies at n = 1, s = a
         with pytest.raises(IntegerDifferenceError):
-            d_coeff(1.2, 0.5, p, 1)
+            buhring_coeffs(1.2, 0.5, p, 1)
 
 
 class TestBuhringEval:

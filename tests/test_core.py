@@ -6,15 +6,8 @@ import random
 
 import pytest
 
-from gausshyp import (
-    DomainError,
-    HypParams,
-    ParamDomainError,
-    PoleError,
-    cpow_principal,
-    gamma_real,
-    pochhammer,
-)
+from gausshyp import DomainError, HypParams, ParamDomainError, PoleError
+from gausshyp.core import cpow_principal, gamma_real, pochhammer
 
 
 class TestCpowPrincipal:

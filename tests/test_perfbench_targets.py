@@ -1,8 +1,9 @@
-"""The benchmark tracer's wrap targets must exist in the package.
+"""The names the benchmark reads off the package must exist.
 
 perfbench/tracing.py replaces each (module, attribute) of its TARGETS with
 a timing wrapper when a traced run starts; a name that a refactor removed
-would make ``perfbench/run.py --trace 1`` fail at install.
+would make ``perfbench/run.py --trace 1`` fail at install.  The benches
+(benches.py, layers.py) also read a few names off the package root.
 """
 
 import importlib
@@ -27,3 +28,13 @@ def test_every_target_resolves():
         if not callable(getattr(importlib.import_module(module_name), attr, None))
     ]
     assert missing == []
+
+
+#: Names perfbench/benches.py and perfbench/layers.py read as gausshyp.<name>.
+ROOT_NAMES = ("HypParams", "MethodId", "RasterSpec", "buhring_coeffs", "evaluate", "raster_to_csv")
+
+
+def test_root_names_resolve():
+    import gausshyp
+
+    assert [name for name in ROOT_NAMES if not hasattr(gausshyp, name)] == []

@@ -91,6 +91,16 @@ class TestRasterConfig:
         with pytest.raises(ConfigError):
             RasterSpec(MethodId.TWOPOINT, 0, 1, 0, 1, res=1)
 
+    @pytest.mark.parametrize("res", [3.5, 8.0, "8"], ids=repr)
+    def test_non_integer_resolution_rejected(self, res):
+        with pytest.raises(ConfigError, match="resolution must be an integer"):
+            RasterSpec(MethodId.THREEPOINT, -1, 1, -1, 1, res)
+
+    @pytest.mark.parametrize("method", ["threepoint", None], ids=repr)
+    def test_method_must_be_a_method_id(self, method):
+        with pytest.raises(ConfigError, match="unknown method"):
+            RasterSpec(method, -1, 1, -1, 1, 8)
+
     def test_bad_bounds(self):
         with pytest.raises(ConfigError):
             RasterSpec(MethodId.TWOPOINT, 1.0, 0.0, 0.0, 1.0, res=8)

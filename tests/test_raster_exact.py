@@ -26,9 +26,9 @@ from gausshyp import (
     in_region_twopoint,
     method_margin,
     raster_to_csv,
-    region_moduli,
     region_raster,
 )
+from gausshyp.reference import region_moduli
 
 # --- references: the margin formulas ---------------------------------------
 

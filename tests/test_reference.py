@@ -17,8 +17,8 @@ from gausshyp import (
     classify_region,
     euler_integral,
     maclaurin,
-    region_moduli,
 )
+from gausshyp.reference import region_moduli
 from conftest import TABLE_PARAM_SETS, Z_EXC, rel_err
 
 LOG_IDENTITY = 2.0 * math.log(2.0)  # 2F1(1,1;2;1/2) = -ln(1-z)/z at z = 1/2

@@ -2,12 +2,13 @@
 
 import hashlib
 import json
+import math
 import warnings
 
 import pytest
 
-from gausshyp import ConfigError, MethodId, NotConvergedWarning, format_rel_error, run_table, table_to_csv, table_to_json
-from gausshyp.tables import TABLES, TableRow, TableSpec
+from gausshyp import ConfigError, MethodId, NotConvergedWarning, run_table, table_to_csv, table_to_json
+from gausshyp.tables import TABLES, TableRow, TableSpec, format_rel_error
 from conftest import within_factor
 
 # reference featured-column values, row 1 of each table (z = exp(i pi/3) for
@@ -115,6 +116,11 @@ class TestRunTable:
         with pytest.raises(ConfigError, match=r"unknown table id 9; known ids are \[1, 2, 3, 4\]"):
             run_table(9)
 
+    @pytest.mark.parametrize("spec", [1.0, "1", None], ids=repr)
+    def test_non_spec_non_integer_id(self, spec):
+        with pytest.raises(ConfigError, match="unknown table id"):
+            run_table(spec)
+
     def test_integer_difference_cells_labeled(self):
         spec = TableSpec(
             table_id=99,
@@ -168,6 +174,11 @@ class TestFormatRelError:
         assert format_rel_error(0.0) == "0.000E+0"
         assert format_rel_error(9.9999e-3) == "0.100E-1"
         assert format_rel_error(0.9999) == "0.100E+1"
+
+    def test_non_finite(self):
+        assert format_rel_error(math.nan) == "NAN"
+        assert format_rel_error(math.inf) == "INF"
+        assert format_rel_error(-math.inf) == "INF"
 
     def test_round_trip_magnitude(self):
         for x in (3.7e-14, 2.22e-3, 9.1e4):

@@ -12,15 +12,12 @@ from gausshyp import (
     ParamDomainError,
     RecurrenceBreakdown,
     SingularityError,
-    cpow_principal,
     euler_integral,
     eval_threepoint,
     in_region_threepoint,
-    phi3,
-    phi3_sequence,
-    threepoint_coeffs,
 )
-from gausshyp.threepoint import _recurrence_in_n
+from gausshyp.core import cpow_principal
+from gausshyp.threepoint import _recurrence_in_n, phi3_sequence, threepoint_coeffs
 from gausshyp.verify import phi3_direct_sequence
 from conftest import Z_EXC, rel_err, sample_in_region
 
@@ -79,7 +76,7 @@ class TestCoefficients:
 
 class TestPhi3:
     def test_order_zero_both_modes(self):
-        assert phi3(0, 2.1, 3.0) == 1.0
+        assert phi3_sequence(0, 2.1, 3.0) == [1.0]
         assert phi3_direct_sequence(0, 2.1, 3.0)[0] == 1.0
 
     def test_negative_n_max_rejected(self):
@@ -90,7 +87,7 @@ class TestPhi3:
         want = phi1_closed(2.1, 3.0)
         assert abs(want - 0.0189) <= 1e-15  # -2.1 (-0.9)(1.2) / 120
         assert abs(phi3_direct_sequence(1, 2.1, 3.0)[1] - want) <= 1e-14
-        assert abs(phi3(1, 2.1, 3.0) - want) <= 1e-14
+        assert abs(phi3_sequence(1, 2.1, 3.0)[1] - want) <= 1e-14
 
     @pytest.mark.parametrize("b,c", [(2.1, 3.0), (2.5, 3.0), (2.01, 3.0), (3.1, 4.0)])
     def test_dual_route_agreement(self, b, c):
@@ -103,9 +100,10 @@ class TestPhi3:
 
     def test_direct_double_accurate_at_small_n(self):
         direct = phi3_direct_sequence(8, 2.1, 3.0)
+        rec = phi3_sequence(8, 2.1, 3.0)
         for n in range(9):
             d = direct[n]
-            r = phi3(n, 2.1, 3.0)
+            r = rec[n]
             assert abs(d - r) <= 1e-10 * max(abs(r), 1e-300)
 
     def test_contiguous_relation(self):

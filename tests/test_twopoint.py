@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -9,17 +10,14 @@ from gausshyp import (
     HypParams,
     OutsideDomain,
     ParamDomainError,
-    PoleError,
     RecurrenceBreakdown,
     SingularityError,
-    cpow_principal,
     euler_integral,
     eval_twopoint,
     in_region_twopoint,
-    phi_psi_moments,
-    pochhammer,
-    twopoint_coeffs_recursive,
 )
+from gausshyp.core import cpow_principal, pochhammer
+from gausshyp.twopoint import _twopoint_terms, twopoint_coeffs_recursive
 from gausshyp.verify import twopoint_coeffs_explicit, twopoint_coeffs_mp
 from conftest import Z_EXC, rel_err, sample_in_region, within_factor
 
@@ -84,31 +82,38 @@ class TestCoefficients:
 
 
 class TestMoments:
+    """The running moment product of _twopoint_terms against its closed form.
+
+    Term n is Phi_n A_n + Psi_n B_n with Phi_n = (-1)^n (b)_n (c-b)_n / (c)_{2n}
+    and Psi_n = Phi_n (b+n) / (c+2n).
+    """
+
     def test_order_zero(self):
-        phi, psi = phi_psi_moments(0, 2.1, 3.0)
-        assert phi == 1.0
-        assert abs(psi - 2.1 / 3.0) <= 1e-15
+        (A0,), (B0,) = twopoint_coeffs_recursive(1.2, Z_EXC, 0)
+        (term,) = islice(_twopoint_terms(PARAMS, Z_EXC), 1)
+        assert abs(term - (A0 + 2.1 / 3.0 * B0)) <= 1e-15 * abs(term)
 
     def test_closed_form_values(self):
-        phi1, _ = phi_psi_moments(1, 2.1, 3.0)
-        assert abs(phi1 - (-(2.1 * 0.9) / (3.0 * 4.0))) <= 1e-15  # -0.1575
-        phi2, _ = phi_psi_moments(2, 2.1, 3.0)
-        want = (2.1 * 3.1) * (0.9 * 1.9) / (3.0 * 4.0 * 5.0 * 6.0)  # 0.0309225
-        assert abs(phi2 - want) <= 1e-14
+        A, B = twopoint_coeffs_recursive(1.2, Z_EXC, 2)
+        terms = list(islice(_twopoint_terms(PARAMS, Z_EXC), 3))
+        phi1 = -(2.1 * 0.9) / (3.0 * 4.0)  # -0.1575
+        phi2 = (2.1 * 3.1) * (0.9 * 1.9) / (3.0 * 4.0 * 5.0 * 6.0)  # 0.0309225
+        for n, phi in ((1, phi1), (2, phi2)):
+            psi = phi * (2.1 + n) / (3.0 + 2.0 * n)
+            want = phi * A[n] + psi * B[n]
+            assert abs(terms[n] - want) <= 1e-15 * (abs(phi * A[n]) + abs(psi * B[n])), n
 
     def test_beta_integral_definition(self):
-        # Phi_n equals (-1)^n (b)_n (c-b)_n / (c)_{2n} by construction; check
-        # against an independent pochhammer evaluation at several orders
-        b, c = 2.5, 3.5
-        for n in range(8):
-            phi, psi = phi_psi_moments(n, b, c)
-            sign = (-1.0) ** n
-            assert abs(phi - sign * pochhammer(b, n) * pochhammer(c - b, n) / pochhammer(c, 2 * n)) <= 1e-13 * abs(phi)
-            assert abs(psi - sign * pochhammer(b, n + 1) * pochhammer(c - b, n) / pochhammer(c, 2 * n + 1)) <= 1e-13 * abs(psi)
-
-    def test_pole(self):
-        with pytest.raises(PoleError):
-            phi_psi_moments(1, 1.0, 0.0)
+        # (-1)^n (b)_n (c-b)_n / (c)_{2n+1} [(c+2n) A_n + (b+n) B_n], with the
+        # moment from independent pochhammer products, through n = 30
+        for b, c in ((2.1, 3.0), (2.5, 3.5), (0.7, 4.2)):
+            params = HypParams(1.2, b, c)
+            for z in (Z_EXC, -1.0 + 0j):
+                A, B = twopoint_coeffs_recursive(1.2, z, 30)
+                for n, term in enumerate(islice(_twopoint_terms(params, z), 31)):
+                    moment = (-1) ** n * pochhammer(b, n) * pochhammer(c - b, n) / pochhammer(c, 2 * n + 1)
+                    want = moment * ((c + 2 * n) * A[n] + (b + n) * B[n])
+                    assert abs(term - want) <= 1e-13 * abs(want), (b, c, z, n)
 
 
 class TestRegion:
