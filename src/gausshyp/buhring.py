@@ -32,7 +32,7 @@ from .core import (
     require_n_max,
     sum_series,
 )
-from .errors import BranchCutError, IntegerDifferenceError, OutsideDomain
+from .errors import BranchCutError, DomainError, GaussHypError, IntegerDifferenceError, OutsideDomain
 from .results import SeriesResult
 
 #: |b - a - round(b - a)| below this is treated as an exact integer difference.
@@ -97,31 +97,50 @@ def exclusion_margin(z: complex, z0: complex) -> float:
     return abs(z - z0) - exclusion_radius(z0)
 
 
+def buhring_refusal(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> GaussHypError | None:
+    """The error buhring_sums raises at (params, z, z0), or None where the continuation applies.
+
+    In order: integer b - a (IntegerDifferenceError), a non-finite z or z0
+    (DomainError), z not outside the excluded disk (OutsideDomain), and z
+    on the cut ph(z0 - z) = pi (BranchCutError).
+    """
+    if is_integer_difference(params):
+        return IntegerDifferenceError(
+            f"b - a = {params.b - params.a} is an integer (within {INTEGER_DIFF_TOL}); "
+            "the continuation coefficients are indeterminate"
+        )
+    try:
+        z = require_finite_complex(z)
+        z0 = require_finite_complex(z0, "z0")
+    except DomainError as exc:
+        return exc
+    if not exclusion_margin(z, z0) > 0.0:
+        return OutsideDomain(
+            f"|z - z0| = {abs(z - z0)} <= {exclusion_radius(z0)}: inside the excluded disk around z0"
+        )
+    w = z0 - z
+    if w.imag == 0.0 and w.real < 0.0:
+        return BranchCutError(f"ph(z0 - z) = pi at z = {z}: on the continuation branch cut")
+    return None
+
+
 def buhring_sums(
     params: HypParams, z: complex, stops: tuple[int, ...], z0: complex = DEFAULT_Z0, tol: float = 1e-12
 ) -> Iterator[SeriesResult]:
     """Both continuation series truncated at each index in stops, from one pass.
 
-    est_error is the last-term ratio of the combined value, with the two
+    Raises the error of buhring_refusal where the continuation does not
+    apply.  est_error is the last-term ratio of the combined value, with the two
     series' term sizes weighted by their prefactors and added (core.sum_series),
     floored at the rounding level and multiplied by the near-integer inflation factor.
     """
+    refusal = buhring_refusal(params, z, z0)
+    if refusal is not None:
+        raise refusal
     a, b, c = params.a, params.b, params.c
     diff = b - a
-    if is_integer_difference(params):
-        raise IntegerDifferenceError(
-            f"b - a = {diff} is an integer (within {INTEGER_DIFF_TOL}); "
-            "the continuation coefficients are indeterminate"
-        )
-    z = require_finite_complex(z)
-    z0 = require_finite_complex(z0, "z0")
-    if exclusion_margin(z, z0) <= 0.0:
-        raise OutsideDomain(
-            f"|z - z0| = {abs(z - z0)} <= {exclusion_radius(z0)}: inside the excluded disk around z0"
-        )
+    z, z0 = complex(z), complex(z0)
     w = z0 - z
-    if w.imag == 0.0 and w.real < 0.0:
-        raise BranchCutError(f"ph(z0 - z) = pi at z = {z}: on the continuation branch cut")
 
     pref_a = gamma_real(c) * gamma_real(diff) * recip_gamma_real(b) * recip_gamma_real(c - a)
     pref_b = gamma_real(c) * gamma_real(-diff) * recip_gamma_real(a) * recip_gamma_real(c - b)

@@ -32,6 +32,11 @@ def require_finite_complex(z: complex, name: str = "z") -> complex:
     return z
 
 
+def is_count(n: object) -> bool:
+    """True for what islice and range accept as a count (has __index__), except a bool."""
+    return not isinstance(n, bool) and hasattr(n, "__index__")
+
+
 def require_n_max(n_max: int) -> None:
     """Reject a negative last index of a coefficient or moment stream."""
     if n_max < 0:

@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Iterator
 
 from .buhring import DEFAULT_Z0
-from .core import require_finite_complex
+from .core import is_count, require_finite_complex
 from .errors import ConfigError
 from .onepoint import require_expansion_point
 from .reference import classical_moduli
@@ -46,7 +46,7 @@ class RasterSpec(
         require_finite_complex(self.z0, "z0")
         if self.w is not None:
             require_expansion_point(self.w)
-        if not hasattr(self.res, "__index__"):  # what range accepts as a count
+        if not is_count(self.res):
             raise ConfigError(f"resolution must be an integer, got {self.res!r}")
         if not (2 <= self.res <= MAX_RESOLUTION):
             raise ConfigError(f"resolution must be in [2, {MAX_RESOLUTION}], got {self.res}")

@@ -22,8 +22,8 @@ class MethodId(enum.Enum):
         return self.value
 
     @classmethod
-    def from_string(cls, name: str) -> "MethodId":
-        """The route named name; an unknown name raises ConfigError."""
+    def from_string(cls, name: "str | MethodId") -> "MethodId":
+        """The route named name (a MethodId passes through); an unknown name raises ConfigError."""
         try:
             return cls(name)
         except ValueError:

@@ -3,17 +3,14 @@
 import warnings
 from typing import Callable, Iterator, NamedTuple
 
-from .buhring import DEFAULT_Z0, buhring_eval, buhring_sums, exclusion_margin, is_integer_difference
-from .core import HypParams, require_finite_complex
+from .buhring import DEFAULT_Z0, buhring_eval, buhring_refusal, buhring_sums, exclusion_margin
+from .core import HypParams, is_count, require_finite_complex
 from .errors import ConfigError, NoMethodError, NotConvergedWarning
-from .onepoint import eval_onepoint, onepoint_margin, onepoint_sums, require_expansion_point
+from .onepoint import eval_onepoint, in_region_onepoint, onepoint_margin, onepoint_sums, require_expansion_point
 from .reference import euler_integral, maclaurin
 from .results import MethodId, SeriesResult
 from .threepoint import eval_threepoint, in_region_threepoint, threepoint_margin, threepoint_sums
 from .twopoint import eval_twopoint, in_region_twopoint, twopoint_margin, twopoint_sums
-
-# Not called here; perfbench/tracing.py wraps this name in this module.
-from .onepoint import in_region_onepoint
 
 #: |z| below which the plain power series is preferred outright.
 MACLAURIN_RADIUS = 0.5
@@ -79,25 +76,14 @@ ROUTES: dict[MethodId, Route] = {
 }
 
 
-def _route(method: MethodId) -> Route:
-    try:
-        return ROUTES[method]
-    except KeyError:
-        raise ConfigError(f"unknown method {method}") from None
-
-
-def _buhring_applicable(params: HypParams, z: complex, z0: complex) -> bool:
-    return not is_integer_difference(params) and exclusion_margin(z, z0) > 0.0
-
-
 def select_method(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> MethodId:
     """Deterministic route choice for a (params, z) pair.
 
     Preference order: power series in the safe disk |z| <= 1/2, then the
     three-point and two-point expansions (fast convergence, no integer
-    b-a restriction), then the half-point expansion on Re z < 1, then the
-    continuation around z0, and finally the quadrature oracle.  Raises
-    NoMethodError when every predicate fails.
+    b-a restriction), then the half-point expansion, then the continuation
+    around z0, and finally the quadrature oracle, each only where its own
+    gate accepts z.  Raises NoMethodError when every predicate fails.
     """
     z = complex(z)
     if abs(z) <= MACLAURIN_RADIUS:
@@ -106,9 +92,9 @@ def select_method(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> Me
         return MethodId.THREEPOINT
     if in_region_twopoint(z).inside:
         return MethodId.TWOPOINT
-    if z.real < 1.0:
+    if in_region_onepoint(z).inside:
         return MethodId.ONEPOINT_HALF
-    if _buhring_applicable(params, z, complex(z0)):
+    if buhring_refusal(params, z, z0) is None:
         return MethodId.BUHRING
     if params.euler_valid:
         return MethodId.EULER
@@ -116,14 +102,20 @@ def select_method(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> Me
 
 
 def method_margin(
-    method: MethodId,
+    method: MethodId | str,
     z: complex,
     w: complex | None = None,
     z0: complex = DEFAULT_Z0,
 ) -> float:
-    """Signed margin of the method's region predicate at z; non-finite input or w = 0 raises DomainError."""
+    """Signed margin of the method's region predicate at z; non-finite input or w = 0 raises DomainError.
+
+    method is a MethodId or its name, as in evaluate; "auto" names no region and raises ConfigError.
+    """
+    if method == "auto":
+        raise ConfigError("method_margin needs a route, not 'auto'")
     w = None if w is None else require_expansion_point(w)
-    return _route(method).margin(require_finite_complex(z), w, require_finite_complex(z0, "z0"))
+    margin = ROUTES[MethodId.from_string(method)].margin
+    return margin(require_finite_complex(z), w, require_finite_complex(z0, "z0"))
 
 
 def evaluate(
@@ -142,18 +134,15 @@ def evaluate(
     converged against tol itself; the series routes (buhring, onepoint-*,
     twopoint, threepoint) sum indices 0 .. n_terms and judge it against
     max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12).  An n_terms that is not
-    an integer, or is negative, raises ConfigError.
+    an integer (a bool is not one), or is negative, raises ConfigError.
     """
-    if not hasattr(n_terms, "__index__"):  # what islice and range accept as a count
+    if not is_count(n_terms):
         raise ConfigError(f"n_terms must be an integer, got {n_terms!r}")
     if n_terms < 0:
         raise ConfigError(f"n_terms must be >= 0, got {n_terms}")
     z = complex(z)
-    if isinstance(method, str):
-        method_id = select_method(params, z, z0) if method == "auto" else MethodId.from_string(method)
-    else:
-        method_id = method
-    return _route(method_id).run(params, z, n_terms, tol, w, z0, max_terms), method_id
+    method_id = select_method(params, z, z0) if method == "auto" else MethodId.from_string(method)
+    return ROUTES[method_id].run(params, z, n_terms, tol, w, z0, max_terms), method_id
 
 
 def hyp2f1(

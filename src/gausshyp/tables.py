@@ -17,7 +17,7 @@ import warnings
 from typing import NamedTuple
 
 from .buhring import DEFAULT_Z0
-from .core import HypParams
+from .core import HypParams, is_count
 from .errors import ConfigError, GaussHypError, NotConvergedWarning
 from .reference import euler_integral
 from .results import MethodId
@@ -141,7 +141,7 @@ def run_table(spec: TableSpec | int, oracle_tol: float = 1e-13) -> TableResult:
     oracle value did not reach oracle_tol.
     """
     if not isinstance(spec, TableSpec):
-        if not isinstance(spec, int) or spec not in TABLES:
+        if not is_count(spec) or spec not in TABLES:
             raise ConfigError(f"unknown table id {spec!r}; known ids are {sorted(TABLES)}")
         spec = TABLES[spec]
     methods = (MethodId.BUHRING, spec.featured)

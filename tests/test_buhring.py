@@ -1,9 +1,12 @@
 """Continuation-series tests: coefficients, convergence behavior, degeneracies."""
 
+import math
+
 import pytest
 
 from gausshyp import (
     BranchCutError,
+    DomainError,
     HypParams,
     IntegerDifferenceError,
     OutsideDomain,
@@ -11,6 +14,7 @@ from gausshyp import (
     buhring_eval,
     euler_integral,
 )
+from gausshyp.buhring import buhring_refusal
 from conftest import Z_EXC, rel_err, within_factor
 
 PARAMS = HypParams(1.2, 2.1, 3.0)
@@ -120,6 +124,26 @@ class TestBuhringEval:
     def test_branch_cut(self):
         with pytest.raises(BranchCutError):
             buhring_eval(PARAMS, 3.0 + 0j, n_terms=5)
+
+    @pytest.mark.parametrize(
+        "params, z, z0, error",
+        [
+            (HypParams(1.2, 2.2, 3.0), complex(math.nan, 0.0), 0.5, IntegerDifferenceError),
+            (PARAMS, complex(1.0, math.inf), 0.5, DomainError),
+            (PARAMS, 2.0, complex(math.nan, 0.0), DomainError),
+            (PARAMS, 0.7 + 0.1j, 0.5, OutsideDomain),
+            (PARAMS, 10.0 + 0.5j, 0.5 + 0.5j, BranchCutError),
+        ],
+        ids=["integer-b-a-first", "inf-z", "nan-z0", "disk", "cut"],
+    )
+    def test_refusal_is_what_the_sums_raise(self, params, z, z0, error):
+        assert type(buhring_refusal(params, z, z0)) is error
+        with pytest.raises(error):
+            buhring_eval(params, z, z0=z0, n_terms=5)
+
+    def test_no_refusal_where_the_continuation_applies(self):
+        assert buhring_refusal(PARAMS, Z_EXC, 0.5) is None
+        assert buhring_refusal(PARAMS, -2.0, 1.0 + 1.0j) is None
 
     def test_custom_expansion_point(self):
         # z0 = 1 + i excludes a different disk; value must still match the oracle

@@ -51,6 +51,13 @@ class TestParseComplex:
         assert parse_complex("exp(i*pi/3)") == cmath.exp(1j * math.pi / 3)
         assert parse_complex("exp(-i*pi/3)") == cmath.exp(-1j * math.pi / 3)
 
+    def test_python_complex_literals(self):
+        # anything complex() reads once i is written j, beyond the forms above
+        assert parse_complex("(1+2i)") == complex(1, 2)
+        assert parse_complex("1_0+2i") == complex(10, 2)
+        assert parse_complex("2J") == 2j
+        assert math.isnan(parse_complex("nani").imag)
+
     def test_rejects_garbage(self):
         import argparse
 
@@ -133,8 +140,23 @@ class TestEvalCommand:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["eval", "--a", "1", "--b", "1", "--c", "2", "--z", "nonsense"]) == 2
+        assert main(["eval", "--a", "1", "--b", "1", "--c", "2", "--z", "0.5", "--method", "bogus"]) == 2
         assert main(["eval", "--a", "1"]) == 2
         assert main(["bogus"]) == 2
+
+    @pytest.mark.parametrize("w", ["nan", "inf"])
+    def test_non_finite_w_exit_code(self, capsys, w):
+        argv = ["eval", "--a=1.2", "--b=2.1", "--c=3", "--z=0.3", "--method=onepoint-w", f"--w={w}"]
+        assert main(argv) == 3
+        assert "error (DomainError):" in capsys.readouterr().err
+
+    def test_auto_avoids_the_continuation_cut(self, capsys):
+        # z lies on the z0 = 0.5+0.5i continuation's cut, so auto takes the oracle
+        argv = ["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z=10+0.5i", "--z0=0.5+0.5i"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "euler-oracle"
+        assert payload["converged"] is True
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "result.json"
@@ -204,6 +226,12 @@ class TestRegionCommand:
         argv += ["--xmin=-2", "--xmax=2", "--ymin=-2", "--ymax=2", "--res=9"]
         assert main(argv) == 3
         assert capsys.readouterr().out == ""
+
+    def test_auto_is_a_usage_error(self, capsys):
+        argv = ["region", "--method", "auto", "--xmin=-2", "--xmax=2", "--ymin=-2", "--ymax=2"]
+        argv.append("--res=9")
+        assert main(argv) == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
 
     def test_onepoint_w_missing_w(self, capsys):
         code = main(

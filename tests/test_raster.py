@@ -91,7 +91,7 @@ class TestRasterConfig:
         with pytest.raises(ConfigError):
             RasterSpec(MethodId.TWOPOINT, 0, 1, 0, 1, res=1)
 
-    @pytest.mark.parametrize("res", [3.5, 8.0, "8"], ids=repr)
+    @pytest.mark.parametrize("res", [3.5, 8.0, "8", True], ids=repr)
     def test_non_integer_resolution_rejected(self, res):
         with pytest.raises(ConfigError, match="resolution must be an integer"):
             RasterSpec(MethodId.THREEPOINT, -1, 1, -1, 1, res)

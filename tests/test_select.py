@@ -1,11 +1,13 @@
 """Method-selection policy and the evaluate() front end."""
 
 import math
+import random
 import warnings
 
 import pytest
 
 from gausshyp import (
+    BranchCutError,
     ConfigError,
     DomainError,
     GaussHypError,
@@ -13,6 +15,7 @@ from gausshyp import (
     MethodId,
     NoMethodError,
     NotConvergedWarning,
+    OutsideDomain,
     ROUTES,
     SeriesResult,
     buhring_eval,
@@ -29,6 +32,7 @@ from gausshyp import (
     method_margin,
     select_method,
 )
+from gausshyp.buhring import DEFAULT_Z0, buhring_refusal
 from conftest import Z_EXC, rel_err
 
 PARAMS = HypParams(1.2, 2.1, 3.0)
@@ -97,8 +101,72 @@ class TestSelectMethod:
                     assert in_region_onepoint(z, 0.5).inside
                 elif method is MethodId.BUHRING:
                     assert abs(z - 0.5) > 0.5
+                    assert buhring_refusal(PARAMS, z, 0.5) is None
                 else:
                     assert method is MethodId.EULER and PARAMS.euler_valid
+
+
+class TestAutoRouteAcceptsThePoint:
+    """The route auto picks must accept the point: evaluate(params, z) raises
+    no OutsideDomain, and BranchCutError only on the real ray [1, inf)."""
+
+    #: (params, z, z0, the route auto takes there, whether that route converges)
+    PINNED = [
+        # Re z < 1 by one part in 3e11, but the half-point margin is not positive
+        (PARAMS, 0.9999999999686903 - 4179567.8265270633j, DEFAULT_Z0, MethodId.BUHRING, True),
+        # outside the z0 = 0.5+0.5i disk, on that continuation's cut
+        (PARAMS, 10.0 + 0.5j, 0.5 + 0.5j, MethodId.EULER, True),
+        # the continuation stalls (est_error 6.5) where the oracle converges;
+        # reaching the oracle there is a route-ranking question, not a gate one
+        (PARAMS, 0.9999999999999999 + 0.0010101007275111766j, DEFAULT_Z0, MethodId.BUHRING, None),
+    ]
+
+    @staticmethod
+    def _triples(rng):
+        # the main triple, an integer b - a, and three seeded Euler-valid triples
+        triples = [PARAMS, HypParams(1.2, 2.2, 3.0)]
+        for _ in range(3):
+            b = rng.uniform(0.2, 3.0)
+            triples.append(HypParams(rng.uniform(-2.0, 3.0), b, b + rng.uniform(0.1, 3.0)))
+        return triples
+
+    @staticmethod
+    def _assert_accepted(params, z, z0=DEFAULT_Z0):
+        try:
+            evaluate(params, z, z0=z0)
+        except OutsideDomain as exc:
+            pytest.fail(f"auto chose a route that refuses {params}, z = {z!r}, z0 = {z0!r}: {exc}")
+        except BranchCutError:
+            assert z.imag == 0.0 and z.real >= 1.0, (params, z, z0)
+
+    @pytest.mark.parametrize(
+        "params, z, z0, method, converges", PINNED, ids=["half-point-edge", "z0-cut", "re-z-1"]
+    )
+    def test_pinned_points(self, params, z, z0, method, converges):
+        assert select_method(params, z, z0) is method
+        self._assert_accepted(params, z, z0)
+        res, used = evaluate(params, z, z0=z0)
+        assert used is method
+        if converges:
+            assert res.converged
+
+    def test_near_re_z_one(self):
+        rng = random.Random(15)
+        offsets = (0.0, 1.1e-16, 2.2e-16, 1e-13, 1e-10, 1e-8, 1e-5)
+        for params in self._triples(rng):
+            for _ in range(200):
+                re = 1.0 + rng.choice((-1.0, 1.0)) * rng.choice(offsets)
+                im = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 7.0)
+                self._assert_accepted(params, complex(re, im))
+
+    @pytest.mark.parametrize("z0", [0.5 + 0.5j, 0.3 - 0.8j], ids=str)
+    def test_on_the_continuation_cut(self, z0):
+        # z0 + t for t > 0 beyond the excluded disk: ph(z0 - z) = pi exactly
+        rng = random.Random(16)
+        radius = max(abs(z0), abs(z0 - 1.0))
+        for params in self._triples(rng):
+            for _ in range(40):
+                self._assert_accepted(params, z0 + radius * 10.0 ** rng.uniform(1e-3, 3.0), z0)
 
 
 class TestMethodMargin:
@@ -115,6 +183,17 @@ class TestMethodMargin:
         assert method_margin(MethodId.ONEPOINT_W, 0j, w=1j) == 1.0
         with pytest.raises(DomainError, match="nonzero"):
             method_margin(MethodId.ONEPOINT_W, -0.5, w=0)
+
+    def test_route_names(self):
+        for method in MethodId:
+            assert method_margin(method.value, 0.3, w=W) == method_margin(method, 0.3, w=W)
+        assert method_margin("threepoint", 0.3) > 0.0
+        with pytest.raises(ConfigError, match="unknown method 'pade'"):
+            method_margin("pade", 0.3)
+
+    def test_auto_names_no_region(self):
+        with pytest.raises(ConfigError, match="'auto'"):
+            method_margin("auto", 0.3)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(0.5, math.nan)], ids=repr)
     def test_non_finite_input_raises(self, bad):
@@ -175,6 +254,11 @@ class TestEvaluate:
             evaluate(PARAMS, Z_EXC, method, n_terms=2.5, w=W)
         with pytest.raises(ConfigError, match="n_terms must be an integer"):
             hyp2f1(1.2, 2.1, 3.0, Z_EXC, method=method, n_terms=2.5, w=W)
+
+    @pytest.mark.parametrize("method", ["auto", *MethodId], ids=str)
+    def test_bool_n_terms_rejected(self, method):
+        with pytest.raises(ConfigError, match="n_terms must be an integer, got True"):
+            evaluate(PARAMS, Z_EXC, method, n_terms=True, w=W)
 
     def test_unknown_method_string(self):
         with pytest.raises(ConfigError):

@@ -116,7 +116,7 @@ class TestRunTable:
         with pytest.raises(ConfigError, match=r"unknown table id 9; known ids are \[1, 2, 3, 4\]"):
             run_table(9)
 
-    @pytest.mark.parametrize("spec", [1.0, "1", None], ids=repr)
+    @pytest.mark.parametrize("spec", [1.0, "1", None, True], ids=repr)
     def test_non_spec_non_integer_id(self, spec):
         with pytest.raises(ConfigError, match="unknown table id"):
             run_table(spec)
