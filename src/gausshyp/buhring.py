@@ -43,16 +43,14 @@ INTEGER_DIFF_TOL = 1e-8
 DEFAULT_Z0 = 0.5
 
 
-def _d_stream(s: float, z0: complex, params: HypParams) -> Iterator[complex]:
-    """d_0(s, z0), d_1(s, z0), ... by forward recurrence from d_{-1} = 0, d_0 = 1."""
+def _d_stream(s: float, z0: complex | float, params: HypParams) -> Iterator[complex | float]:
+    """d_0(s, z0), d_1(s, z0), ... by forward recurrence from d_{-1} = 0, d_0 = 1, in the type of z0."""
     a, b, c = params.a, params.b, params.c
-    z0 = complex(z0)
     s2 = 2.0 * s
     z0_one_z0 = z0 * (1.0 - z0)
     one_2z0 = 1.0 - 2.0 * z0
     abz0 = (a + b + 1.0) * z0
-    d_prev = 1.0 + 0j
-    d_prev2 = 0j
+    d_prev, d_prev2 = (1.0 + 0j, 0j) if isinstance(z0, complex) else (1.0, 0.0)
     yield d_prev
     for n in count(1):
         den = n * (n + s2 - a - b)
@@ -70,10 +68,10 @@ def _d_stream(s: float, z0: complex, params: HypParams) -> Iterator[complex]:
 def buhring_coeffs(s: float, z0: complex, params: HypParams, n_max: int) -> list[complex]:
     """The coefficient stream d_0 .. d_{n_max} for expansion parameter s."""
     require_n_max(n_max)
-    return list(islice(_d_stream(s, z0, params), n_max + 1))
+    return list(islice(_d_stream(s, complex(z0), params), n_max + 1))
 
 
-def _buhring_terms(s: float, z0: complex, params: HypParams, u: complex) -> Iterator[complex]:
+def _buhring_terms(s: float, z0: complex | float, params: HypParams, u: complex) -> Iterator[complex]:
     """Term n of the continuation series for s: d_n(s, z0) u^n."""
     upow = 1.0 + 0j
     for d in _d_stream(s, z0, params):
@@ -93,16 +91,19 @@ def exclusion_radius(z0: complex) -> float:
 
 
 def exclusion_margin(z: complex, z0: complex) -> float:
-    """|z - z0| minus the exclusion radius; positive where the continuation converges."""
-    return abs(z - z0) - exclusion_radius(z0)
+    """|z - z0| minus the exclusion radius; positive where the continuation converges, -inf past overflow."""
+    try:
+        return abs(z - z0) - exclusion_radius(z0)
+    except OverflowError:
+        return -math.inf
 
 
 def buhring_refusal(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> GaussHypError | None:
     """The error buhring_sums raises at (params, z, z0), or None where the continuation applies.
 
     In order: integer b - a (IntegerDifferenceError), a non-finite z or z0
-    (DomainError), z not outside the excluded disk (OutsideDomain), and z
-    on the cut ph(z0 - z) = pi (BranchCutError).
+    (DomainError), z not outside the excluded disk or |z - z0| past the
+    largest double (OutsideDomain), and z on the cut ph(z0 - z) = pi (BranchCutError).
     """
     if is_integer_difference(params):
         return IntegerDifferenceError(
@@ -114,10 +115,9 @@ def buhring_refusal(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> 
         z0 = require_finite_complex(z0, "z0")
     except DomainError as exc:
         return exc
-    if not exclusion_margin(z, z0) > 0.0:
-        return OutsideDomain(
-            f"|z - z0| = {abs(z - z0)} <= {exclusion_radius(z0)}: inside the excluded disk around z0"
-        )
+    margin = exclusion_margin(z, z0)
+    if not margin > 0.0:
+        return OutsideDomain(f"z = {z} outside |z - z0| > {exclusion_radius(z0)} at z0 = {z0} (margin {margin})")
     w = z0 - z
     if w.imag == 0.0 and w.real < 0.0:
         return BranchCutError(f"ph(z0 - z) = pi at z = {z}: on the continuation branch cut")
@@ -148,8 +148,9 @@ def buhring_sums(
     fac_b = pref_b * cpow_principal(w, -b)
 
     u = 1.0 / (z - z0)
-    terms_a = _buhring_terms(a, z0, params, u)
-    terms_b = _buhring_terms(b, z0, params, u)
+    z0_coeffs = z0.real if z0.imag == 0.0 else z0  # real z0: real coefficients, same bits
+    terms_a = _buhring_terms(a, z0_coeffs, params, u)
+    terms_b = _buhring_terms(b, z0_coeffs, params, u)
     inflation = max(1.0, 1.0 / abs(math.sin(math.pi * diff)))
     for value, n, est, _ in sum_series(stops, tol, (fac_a, terms_a), (fac_b, terms_b)):
         yield SeriesResult(value, n, est * inflation, est * inflation <= tol)

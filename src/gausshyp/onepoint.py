@@ -87,12 +87,13 @@ def onepoint_margin(z: complex, w: complex) -> float:
 
     The derived geometric description (half-plane 2 Re(wz) < 1 for
     Re w >= 1/2, a disk otherwise) is equivalent; the single inequality
-    avoids the case split.  It is never positive where |wz| overflows.
+    avoids the case split.  It is -inf where |wz| or both sides overflow.
     """
     try:
-        return abs(1.0 - w * z) - abs(z) * max(abs(w), abs(1.0 - w))
+        m = abs(1.0 - w * z) - abs(z) * max(abs(w), abs(1.0 - w))
     except OverflowError:
         return -math.inf
+    return m if m == m else -math.inf  # m != m: NaN from inf - inf
 
 
 def in_region_onepoint(z: complex, w: complex = 0.5) -> RegionVerdict:

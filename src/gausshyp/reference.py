@@ -21,6 +21,7 @@ rho < 1.
 
 import cmath
 import math
+from typing import Iterator
 
 from .core import EPS, HypParams, gamma_real, require_finite_complex, tail_estimate
 from .errors import BranchCutError, DomainError, OutsideDomain, RecurrenceBreakdown
@@ -78,6 +79,37 @@ def maclaurin(
 #: Each side of u = 0 ends at its first term below this share of the running sum.
 _TAIL = 1e-18
 
+#: The node ladder maps a level's (first u, step) to its nodes at u <= LADDER_U so far, as a
+#: tuple, and the u after them; it holds at most 256 * LADDER_U = 2048 nodes over the eight levels.
+LADDER_U = 8.0
+_LADDER: dict = {}
+
+
+def _nodes(start: float, step: float) -> Iterator[tuple[float, float, float, float, float]]:
+    """x, 1-x, log x, log(1-x) and log(pi cosh u) = log(dx/du / (x(1-x))) at u = start, start + step, ...
+
+    u advances by u += step; the nodes at u <= LADDER_U are kept as walks first reach them.  No lock
+    is taken: a level is replaced by one assignment of an immutable pair, and threads that race
+    compute the same nodes.
+    """
+    kept, u = _LADDER.get((start, step), ((), start))
+    yield from kept
+    fresh = []
+    try:
+        while True:
+            s = math.pi * math.sinh(u)  # 2s
+            e = math.exp(-s)
+            lx, x = -math.log1p(e), 1.0 / (1.0 + e)
+            node = x, e * x, lx, lx - s, math.log(math.pi * math.cosh(u))
+            if u <= LADDER_U:
+                fresh.append(node)
+                end = u + step
+            u += step
+            yield node
+    finally:
+        if fresh:
+            _LADDER[start, step] = (kept + tuple(fresh), end)
+
 
 def euler_integral(params: HypParams, z: complex, tol: float = 1e-13) -> SeriesResult:
     """Tanh-sinh quadrature of the integral representation; requires c > b > 0.
@@ -121,21 +153,18 @@ def euler_integral(params: HypParams, z: complex, tol: float = 1e-13) -> SeriesR
     def walk(u, step, total):
         """total plus g at the nodes +-u, +-(u + step), ..., and their number."""
         nodes, right, left = 0, True, True
-        while right or left:
+        for x, omx, lx, lomx, lj in _nodes(u, step):
             nodes += right + left
-            s = math.pi * math.sinh(u)  # 2s
-            e = math.exp(-s)
-            lx, x, lj = -math.log1p(e), 1.0 / (1.0 + e), math.log(math.pi * math.cosh(u))
             if right:
-                v = g(x, e * x, lx, lx - s, lj)
+                v = g(x, omx, lx, lomx, lj)
                 total += v
                 right = abs(v) > _TAIL * abs(total)
             if left:
-                v = g(e * x, x, lx - s, lx, lj)
+                v = g(omx, x, lomx, lx, lj)
                 total += v
                 left = abs(v) > _TAIL * abs(total)
-            u += step
-        return total, nodes
+            if not (right or left):
+                return total, nodes
 
     h, est = 0.5, math.inf
     try:

@@ -32,6 +32,7 @@ precision and the dual-path comparison runs this module's recursion at a
 matched precision (gausshyp.verify.twopoint_coeffs_mp).
 """
 
+import math
 from itertools import count, islice
 from typing import Iterator
 
@@ -75,8 +76,9 @@ def twopoint_coeffs_recursive(a: float, z: complex, n_max: int) -> tuple[tuple[c
 
 
 def twopoint_margin(z: complex) -> float:
-    """4|1-z| - |z|^2, positive inside the two-point region."""
-    return 4.0 * abs(1.0 - z) - abs(z) * abs(z)
+    """4|1-z| - |z|^2, positive inside the two-point region, -inf where both sides overflow."""
+    m = 4.0 * abs(1.0 - z) - abs(z) * abs(z)
+    return m if m == m else -math.inf  # m != m: NaN from inf - inf
 
 
 def in_region_twopoint(z: complex) -> RegionVerdict:

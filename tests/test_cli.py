@@ -163,6 +163,13 @@ class TestEvalCommand:
         # |z|^3, or |z| itself, overflows double precision
         assert main(["eval", "--a", "1.2", "--b", "2.1", "--c", "3", f"--z={z}"]) in (0, 3)
 
+    def test_overflowing_distance_to_z0_is_refused(self, capsys):
+        # |z - z0| overflows; the continuation refuses and auto falls through to the oracle
+        argv = ["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z=1e308+1e308i", "--z0=-0.5e308-0.5e308i"]
+        assert main(argv) in (0, 3)
+        assert main([*argv, "--method", "buhring"]) == 3
+        assert "error (OutsideDomain):" in capsys.readouterr().err
+
     def test_auto_avoids_the_continuation_cut(self, capsys):
         # z lies on the z0 = 0.5+0.5i continuation's cut, so auto takes the oracle
         argv = ["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z=10+0.5i", "--z0=0.5+0.5i"]
@@ -232,6 +239,12 @@ class TestRegionCommand:
             ]
         )
         assert code == 2
+
+    def test_overflowing_span_exit_code(self, capsys):
+        argv = ["region", "--method", "twopoint", "--xmin=-1.5e308", "--xmax=1.5e308"]
+        argv += ["--ymin=-1.5e308", "--ymax=1.5e308", "--res", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("w", ["nan", "inf", "-inf", "0", "0+0i"])
     def test_non_finite_w_exit_code(self, capsys, w):

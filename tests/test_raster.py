@@ -107,6 +107,17 @@ class TestRasterConfig:
         with pytest.raises(ConfigError):
             RasterSpec(MethodId.TWOPOINT, 0.0, math.inf, 0.0, 1.0, res=8)
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_overflowing_span_rejected(self, axis):
+        # finite bounds whose span, and so the grid step span / (res - 1), overflows
+        bounds = {"xmin": -1.0, "xmax": 1.0, "ymin": -1.0, "ymax": 1.0}
+        bounds.update({f"{axis}min": -1.5e308, f"{axis}max": 1.5e308})
+        with pytest.raises(ConfigError, match="spans must be finite"):
+            RasterSpec(MethodId.TWOPOINT, res=2, **bounds)
+        bounds.update({f"{axis}min": -0.8e308, f"{axis}max": 0.8e308})  # span 1.6e308 is finite
+        points = list(region_raster(RasterSpec(MethodId.TWOPOINT, res=2, **bounds)))
+        assert all(math.isfinite(x) and math.isfinite(y) for x, y, _, _ in points)
+
     def test_onepoint_w_requires_w(self):
         with pytest.raises(ConfigError):
             RasterSpec(MethodId.ONEPOINT_W, 0, 1, 0, 1, res=8)

@@ -9,12 +9,16 @@ core.sum_series, summed them all.  Floating-point arithmetic is not
 associative, so regrouping any product or sum changes the last bits of the
 streams and of the values; these tests compare the bits, with no tolerance.
 The stops form of each route, which reads several truncation indices off
-one pass, is compared with the one-stop calls the same way.
+one pass, is compared with the one-stop calls the same way.  The quadrature
+oracle, which reads its tanh-sinh nodes off a cached ladder, is compared with
+the walk that computed every node inline.
 """
 
 import cmath
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import islice
 
@@ -23,16 +27,20 @@ import pytest
 
 from gausshyp import (
     ROUTES,
+    TABLES,
+    BranchCutError,
     GaussHypError,
     HypParams,
     MethodId,
     RecurrenceBreakdown,
+    euler_integral,
     evaluate,
     in_region_threepoint,
     in_region_twopoint,
 )
+from gausshyp import reference
 from gausshyp.buhring import buhring_coeffs, exclusion_margin, is_integer_difference
-from gausshyp.core import EPS, cpow_principal, gamma_real, recip_gamma_real, tail_estimate
+from gausshyp.core import EPS, cpow_principal, gamma_real, recip_gamma_real, require_finite_complex, tail_estimate
 from gausshyp.onepoint import in_region_onepoint, phi_half_sequence, phi_w_sequence
 from gausshyp.threepoint import (
     _recurrence_in_n,
@@ -621,3 +629,173 @@ def test_stops_must_ascend_from_zero(method, stops):
     params, z, w = _route_cases(method)[0]
     with pytest.raises(ValueError, match="stops must be ascending non-negative integers"):
         list(ROUTES[MethodId(method)].sums(params, z, stops, 1e-13, w, 0.5))
+
+
+# --- the quadrature oracle: cached node ladder against the inline walk --------
+
+
+def _euler_ref(params, z, tol=1e-13):
+    """euler_integral as it computed each node inside its walk, with u += step, and the last u."""
+    params.require_euler_valid("Euler integral needs")
+    z = require_finite_complex(z)
+    if z.imag == 0.0 and z.real >= 1.0:
+        raise BranchCutError(f"z = {z} lies on the branch cut [1, inf)")
+    a, b, c = params.a, params.b, params.c
+    beta = c - b
+    pieces = [(0.0, b, beta, 0.0, 1.0, 1.0, 1.0, 1.0 - z)]
+    r = 1.0 / z if z else 0j
+    t0, r0 = r.real, 1.0 - r.real
+    if 0.0 < t0 < 1.0 and abs(r.imag) < min(t0, r0) / 2.0 + 0.25:
+        zy = z * complex(0.0, r.imag)
+        pieces = [
+            (b * math.log(t0), b, 1.0, beta - 1.0, 1.0, r0, z * t0 + zy, zy),
+            (beta * math.log(r0), 1.0, beta, b - 1.0, t0, 1.0, zy, zy - z * r0),
+        ]
+
+    def g(x, omx, lx, lomx, lj):
+        total = 0j
+        for lc, p, q, sc, s0, s1, k0, k1 in pieces:
+            lf = lc + p * lx + q * lomx + lj - a * cmath.log(k0 * omx + k1 * x)
+            total += cmath.exp(lf + sc * math.log(s0 * omx + s1 * x) if sc else lf)
+        return total
+
+    u_max = 0.0
+
+    def walk(u, step, total):
+        nonlocal u_max
+        nodes, right, left = 0, True, True
+        while right or left:
+            u_max = max(u_max, u)
+            nodes += right + left
+            s = math.pi * math.sinh(u)
+            e = math.exp(-s)
+            lx, x, lj = -math.log1p(e), 1.0 / (1.0 + e), math.log(math.pi * math.cosh(u))
+            if right:
+                v = g(x, e * x, lx, lx - s, lj)
+                total += v
+                right = abs(v) > reference._TAIL * abs(total)
+            if left:
+                v = g(e * x, x, lx - s, lx, lj)
+                total += v
+                left = abs(v) > reference._TAIL * abs(total)
+            u += step
+        return total, nodes
+
+    h, est = 0.5, math.inf
+    try:
+        total, nodes = walk(h, h, g(0.5, 0.5, -math.log(2.0), -math.log(2.0), math.log(math.pi)))
+        while est > tol and h > 0.5 / 2**7:
+            previous = h * total
+            h *= 0.5
+            total, more = walk(h, 2.0 * h, total)
+            nodes += more
+            if total:
+                est = max(abs(h * total - previous) / abs(h * total), EPS)
+    except (OverflowError, ValueError):
+        raise RecurrenceBreakdown(f"the Euler integrand at z = {z} is not finite") from None
+    value = gamma_real(c) / (gamma_real(b) * gamma_real(beta)) * h * total
+    return value, est, len(pieces) * (nodes + 1), u_max
+
+
+def _oracle_bits(params, z, tol=1e-13):
+    try:
+        res = euler_integral(params, z, tol)
+    except GaussHypError as exc:
+        return type(exc).__name__, str(exc)
+    return _bits([res.value, res.est_error]), res.terms_used, res.converged
+
+
+def _oracle_ref_bits(params, z, tol=1e-13):
+    try:
+        value, est, evals, _ = _euler_ref(params, z, tol)
+    except GaussHypError as exc:
+        return type(exc).__name__, str(exc)
+    return _bits([value, est]), evals, est <= tol
+
+
+def _splits(z):
+    r = 1.0 / z
+    return 0.0 < r.real < 1.0 and abs(r.imag) < min(r.real, 1.0 - r.real) / 2.0 + 0.25
+
+
+def _oracle_cases():
+    """(params, z, tol): table rows, and seeded one-piece and split points at two tolerances."""
+    cases = [(row.params, row.z, 1e-13) for spec in TABLES.values() for row in spec.rows]
+    rng = random.Random(609)
+    while len(cases) < 18 + 60:
+        b = rng.choice((rng.uniform(0.01, 5.0), 10.0 ** rng.uniform(-4.0, -2.0)))  # small b: long walks
+        params = HypParams(rng.uniform(-3.0, 5.0), b, b + rng.uniform(0.05, 5.0))
+        if len(cases) % 2:
+            z = 1.0 / complex(rng.uniform(0.05, 0.95), rng.uniform(-0.3, 0.3))  # split at Re(1/z)
+        else:
+            z = cmath.rect(math.exp(rng.uniform(math.log(0.1), math.log(31.0))), rng.uniform(-math.pi, math.pi))
+        cases.append((params, z, rng.choice((1e-13, 1e-8))))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+def test_oracle_cases_cover_both_forms_and_the_ladder_bound():
+    assert sum(_splits(z) for _, z, _ in ORACLE_CASES) >= 25
+    assert sum(not _splits(z) for _, z, _ in ORACLE_CASES) >= 25
+    assert {tol for _, _, tol in ORACLE_CASES} == {1e-13, 1e-8}
+    # at b < 0.01 walks reach u > LADDER_U, where nodes are not kept
+    assert sum(_euler_ref(*case)[3] > reference.LADDER_U for case in ORACLE_CASES) >= 5
+
+
+def test_oracle_reads_the_bits_of_the_inline_walk():
+    want = [_oracle_ref_bits(*case) for case in ORACLE_CASES]
+    reference._LADDER.clear()
+    assert [_oracle_bits(*case) for case in ORACLE_CASES] == want  # building the ladder
+    assert [_oracle_bits(*case) for case in ORACLE_CASES] == want  # reading it
+
+
+def _ladder_within_bound():
+    total = 0
+    for (start, step), (nodes, u_next) in reference._LADDER.items():
+        us = [start]
+        for _ in nodes:
+            us.append(us[-1] + step)
+        assert us[-1] == u_next and us[-2] <= reference.LADDER_U, (start, step)
+        total += len(nodes)
+    return total <= 256 * reference.LADDER_U
+
+
+def test_adversarial_call_leaves_the_ladder_within_its_bound():
+    # b = 1e-300: the integrand hardly decays, so the first level walks to u ~ 350
+    params = HypParams(1.2, 1e-300, 3.0)
+    reference._LADDER.clear()
+    got = _oracle_bits(params, 0.5)
+    assert got == _oracle_ref_bits(params, 0.5)
+    assert got[1] > 1000
+    assert _ladder_within_bound()
+    for params, z, tol in ORACLE_CASES:
+        euler_integral(params, z, tol)
+    assert _ladder_within_bound()
+    assert len(reference._LADDER) <= 8
+
+
+def test_oracle_threads_share_the_ladder():
+    # more threads than cores, switching often, each in its own order, racing to build the same levels
+    cases = ORACLE_CASES[:30]
+    want = [_oracle_ref_bits(*case) for case in cases]
+    reference._LADDER.clear()
+    results = [None] * 4
+
+    def run(i):
+        results[i] = [_oracle_bits(*case) for case in cases[7 * i :] + cases[: 7 * i]]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want[7 * i :] + want[: 7 * i] for i in range(4)]
+    assert _ladder_within_bound()

@@ -228,6 +228,33 @@ class TestHugeArgument:
         with pytest.raises(DomainError, match="modulus"):
             select_method(PARAMS, HUGE_Z[-1])
 
+    def test_continuation_refuses_where_z_minus_z0_overflows(self):
+        # z and z0 are finite, but |z - z0| is past the largest double
+        z, z0 = complex(1e308, 1e308), complex(-0.5e308, -0.5e308)
+        assert method_margin(MethodId.BUHRING, z, z0=z0) == -math.inf
+        assert isinstance(buhring_refusal(PARAMS, z, z0), OutsideDomain)
+        with pytest.raises(OutsideDomain, match="margin -inf"):
+            evaluate(PARAMS, z, MethodId.BUHRING, z0=z0)
+        try:
+            evaluate(PARAMS, z, z0=z0)
+        except GaussHypError:
+            pass
+
+    @pytest.mark.parametrize(
+        "method, z, w",
+        [
+            (MethodId.TWOPOINT, 1e308, None),
+            (MethodId.TWOPOINT, complex(1e308, 1e307), None),
+            (MethodId.ONEPOINT_W, 1e308, 2.0),
+            (MethodId.ONEPOINT_W, 1e308j, 2.0),
+        ],
+        ids=repr,
+    )
+    def test_margins_are_minus_inf_where_both_sides_overflow(self, method, z, w):
+        assert method_margin(method, z, w=w) == -math.inf
+        with pytest.raises(OutsideDomain, match=r"\(margin -inf\)"):
+            evaluate(PARAMS, z, method, w=w)
+
     def test_finite_margins_keep_their_bits(self):
         # |z|^3 is finite up to |z| ~ 5.64e102
         for z in (5.6e102, 5.6e102j, complex(-3e102, 4e102)):
