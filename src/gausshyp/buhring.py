@@ -52,11 +52,11 @@ def _d_stream(s: float, z0: complex | float, params: HypParams) -> Iterator[comp
     abz0 = (a + b + 1.0) * z0
     d_prev, d_prev2 = (1.0 + 0j, 0j) if isinstance(z0, complex) else (1.0, 0.0)
     yield d_prev
-    for n in count(1):
+    for n in count(1.0):
         den = n * (n + s2 - a - b)
         if den == 0.0:
             raise IntegerDifferenceError(
-                f"recurrence denominator vanishes at n={n} for s={s} (b-a integer)"
+                f"recurrence denominator vanishes at n={int(n)} for s={s} (b-a integer)"
             )
         ns = n + s
         d_prev2, d_prev = d_prev, (ns - 1.0) / den * (

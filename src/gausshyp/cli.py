@@ -21,7 +21,7 @@ import sys
 from functools import cache, partial
 
 from . import __version__
-from .core import HypParams
+from .core import HypParams, json_value
 from .errors import (
     ConfigError,
     GaussHypError,
@@ -136,14 +136,14 @@ def _cmd_eval(args) -> int:
     margin = method_margin(method, args.z, w=args.w, z0=args.z0)
     if args.format == "json":
         payload = {
-            "value": {"re": res.value.real, "im": res.value.imag},
+            "value": {"re": json_value(res.value.real), "im": json_value(res.value.imag)},
             "method": method.value,
             "terms": res.terms_used,
-            "est_error": res.est_error,
+            "est_error": json_value(res.est_error),
             "converged": res.converged,
-            "in_region_margin": margin,
+            "in_region_margin": json_value(margin),
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), args.out)
     else:
         lines = [
             f"value      = {res.value.real!r} {'+' if res.value.imag >= 0 else '-'} {abs(res.value.imag)!r}i",

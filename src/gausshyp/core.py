@@ -13,7 +13,7 @@ from collections import namedtuple
 from itertools import islice
 from typing import Iterator
 
-from .errors import DomainError, ParamDomainError, PoleError, RecurrenceBreakdown
+from .errors import ConfigError, DomainError, ParamDomainError, PoleError, RecurrenceBreakdown
 from .results import SeriesResult
 
 #: Unit roundoff of IEEE double precision.
@@ -35,6 +35,21 @@ def require_finite_complex(z: complex, name: str = "z") -> complex:
 def is_count(n: object) -> bool:
     """True for what islice and range accept as a count (has __index__), except a bool."""
     return not isinstance(n, bool) and hasattr(n, "__index__")
+
+
+def require_tol(tol: float) -> None:
+    """Raise ConfigError unless tol is a finite number > 0 (a bool is not a number here)."""
+    try:
+        ok = not isinstance(tol, bool) and 0.0 < tol < math.inf
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
+
+
+def json_value(x: object) -> object:
+    """x for a JSON field: a non-finite float becomes "inf", "-inf" or "nan", which float() reads back."""
+    return repr(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def require_n_max(n_max: int) -> None:

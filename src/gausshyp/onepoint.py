@@ -38,9 +38,9 @@ def _phi_half_stream(b: float, c: float) -> Iterator[float]:
     cur = 1.0 - 2.0 * b / c
     yield cur
     two_b_c = 2.0 * b - c
-    for n in count(1):
+    for n in count(1.0):
         if c + n == 0.0:
-            raise PoleError(f"c + {n} = 0: recurrence pole")
+            raise PoleError(f"c + {int(n)} = 0: recurrence pole")
         prev, cur = cur, (n * prev - two_b_c * cur) / (c + n)
         yield cur
 
@@ -69,9 +69,9 @@ def _phi_w_stream(b: float, c: float, w: complex) -> Iterator[complex]:
     cur = 1.0 - b / (c * w)
     yield cur
     one_w = 1.0 - 1.0 / w
-    for n in count(1):
+    for n in count(1.0):
         if c + n == 0.0:
-            raise PoleError(f"c + {n} = 0: recurrence pole")
+            raise PoleError(f"c + {int(n)} = 0: recurrence pole")
         prev, cur = cur, -(((b + n) / w - 2.0 * n - c) * cur + n * one_w * prev) / (c + n)
         yield cur
 
@@ -111,7 +111,7 @@ def _onepoint_terms(params: HypParams, z: complex, w: complex) -> Iterator[compl
     a = params.a
     ratio = w * z / (w * z - 1.0)
     term = 1.0 + 0j
-    for n, phi in enumerate(phis):
+    for n, phi in zip(count(0.0), phis):
         yield term * phi
         term *= (a + n) / (n + 1.0) * ratio
 

@@ -4,7 +4,7 @@ import warnings
 from typing import Callable, Iterator, NamedTuple
 
 from .buhring import DEFAULT_Z0, buhring_eval, buhring_refusal, buhring_sums, exclusion_margin
-from .core import HypParams, is_count, require_finite_complex
+from .core import HypParams, is_count, require_finite_complex, require_tol
 from .errors import ConfigError, NoMethodError, NotConvergedWarning
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
 from .onepoint import eval_onepoint, in_region_onepoint, onepoint_margin, onepoint_sums, require_expansion_point
@@ -135,13 +135,16 @@ def evaluate(
     The route comes from ROUTES.  maclaurin and euler-oracle judge
     converged against tol itself; the series routes (buhring, onepoint-*,
     twopoint, threepoint) sum indices 0 .. n_terms and judge it against
-    max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12).  An n_terms that is not
-    an integer (a bool is not one), or is negative, raises ConfigError.
+    max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12).  An n_terms or max_terms
+    that is not an integer (a bool is not one), or is negative, and a tol
+    that is not a finite number > 0, raise ConfigError.
     """
-    if not is_count(n_terms):
-        raise ConfigError(f"n_terms must be an integer, got {n_terms!r}")
-    if n_terms < 0:
-        raise ConfigError(f"n_terms must be >= 0, got {n_terms}")
+    for name, count in (("n_terms", n_terms), ("max_terms", max_terms)):
+        if not is_count(count):
+            raise ConfigError(f"{name} must be an integer, got {count!r}")
+        if count < 0:
+            raise ConfigError(f"{name} must be >= 0, got {count}")
+    require_tol(tol)
     z = complex(z)
     method_id = select_method(params, z, z0) if method == "auto" else MethodId.from_string(method)
     return ROUTES[method_id].run(params, z, n_terms, tol, w, z0, max_terms), method_id

@@ -17,7 +17,7 @@ import warnings
 from typing import NamedTuple
 
 from .buhring import DEFAULT_Z0
-from .core import HypParams, is_count
+from .core import HypParams, is_count, json_value, require_tol
 from .errors import ConfigError, GaussHypError, NotConvergedWarning
 from .reference import euler_integral
 from .results import MethodId
@@ -138,8 +138,9 @@ def run_table(spec: TableSpec | int, oracle_tol: float = 1e-13) -> TableResult:
 
     Each (row, method) is summed once, by its route's stops form; an error labels
     its cell and the later ones.  Warns NotConvergedWarning for each row whose
-    oracle value did not reach oracle_tol.
+    oracle value did not reach oracle_tol, which must be a finite number > 0.
     """
+    require_tol(oracle_tol)
     if not isinstance(spec, TableSpec):
         if not is_count(spec) or spec not in TABLES:
             raise ConfigError(f"unknown table id {spec!r}; known ids are {sorted(TABLES)}")
@@ -200,7 +201,7 @@ def table_to_csv(result: TableResult) -> str:
 
 
 def table_to_json(result: TableResult) -> str:
-    """Deterministic JSON with raw float errors (or failure labels)."""
+    """Deterministic strict JSON with raw float errors (or failure labels); a non-finite error is a string."""
     payload = {
         "table": result.spec.table_id,
         "n_values": list(N_LABELS),
@@ -214,11 +215,11 @@ def table_to_json(result: TableResult) -> str:
                 "c": row.c,
                 "z": {"re": row.z.real, "im": row.z.imag},
                 "errors": {
-                    method: {str(n): row_cells[method][n] for n in N_LABELS}
+                    method: {str(n): json_value(row_cells[method][n]) for n in N_LABELS}
                     for method in row_cells
                 },
             }
             for row, row_cells in zip(result.spec.rows, result.cells)
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)

@@ -87,7 +87,7 @@ def _abc_stream(a: float, z: complex) -> Iterator[tuple[complex, complex, comple
     c_b1 = z3 - 24.0 * z2 + 48.0 * z - 24.0
     c_c0 = 4.0 * (2.0 * z * (9.0 + 2.0 * a) - 3.0 * z2 * (2.0 + a) - 12.0)
     c_c1 = 5.0 * z3 - 132.0 * z2 + 276.0 * z - 144.0
-    for n in count():
+    for n in count(0.0):
         yield An, Bn, Cn
         n1 = n + 1.0
         n3 = 3.0 * n
@@ -106,11 +106,25 @@ def threepoint_coeffs(a: float, z: complex, n_max: int) -> tuple[tuple[complex, 
     return tuple(zip(*islice(_abc_stream(a, z), n_max + 1)))
 
 
-def _recurrence_in_n(b, c):
-    """n -> (X_n, Y_n, Z_n) of X_n Phi_{n-1} + Y_n Phi_n + Z_n Phi_{n+1} = 0.
+def _phi1_closed(b, c):
+    den = 2 * c * (c + 1) * (c + 2)
+    if den == 0:
+        raise PoleError(f"c = {c}: pole of Phi_1")
+    return -b * (b - c) * (2 * b - c) / den
 
-    The factors that depend on (b, c) alone are evaluated here once.
+
+def _phi3_stream(b: float, c: float) -> Iterator[float]:
+    """Phi_0, Phi_1, ... by the three-term recurrence, run forward from Phi_0 = 1, Phi_1.
+
+    Step n solves X_n Phi_{n-1} + Y_n Phi_n + Z_n Phi_{n+1} = 0; the factors
+    that depend on (b, c) alone are evaluated once, before the loop.  n is a
+    float, as in every series loop: its integer subexpressions (3n, 6n^2, n^3)
+    are exact in binary64, so each step keeps the bits of an int index.
     """
+    prev = 1.0
+    yield prev
+    cur = _phi1_closed(b, c)
+    yield cur
     neg_c = -c
     bb4 = 4 * b * b
     bc4 = 4 * b * c
@@ -120,41 +134,15 @@ def _recurrence_in_n(b, c):
     p1 = -4 + 21 * c + 40 * b * b - 17 * c * c - 32 * b * b * c + 32 * b * c * c - 40 * b * c
     p2 = 24 * b * c + 24 - 24 * b * b + 15 * c * c - 57 * c
     p3 = 18 * (c - 2)
-
-    def xyz(n: int):
-        n3 = 3 * n
-        x = n * (neg_c - 2 * n - 5 * n * c - 6 * n * n - bc4 + bb4) * (-n + b - c + 1) * (n + b - 1)
-        y = y_lead * (p0 + p1 * n + p2 * n * n + p3 * n**3)
-        z = (
-            16
-            * (n3 + c)
-            * (n3 + 1 + c)
-            * (n3 + 2 + c)
-            * (-5 * n * c - 6 * n * n + 10 * n + bb4 - bc4 + c4 - 4)
+    for n in count(1.0):
+        n3 = 3.0 * n
+        x = n * (neg_c - 2.0 * n - 5.0 * n * c - 6.0 * n * n - bc4 + bb4) * (-n + b - c + 1.0) * (n + b - 1.0)
+        y = y_lead * (p0 + p1 * n + p2 * n * n + p3 * (n * n * n))
+        z = 16.0 * (n3 + c) * (n3 + 1.0 + c) * (n3 + 2.0 + c) * (
+            -5.0 * n * c - 6.0 * n * n + 10.0 * n + bb4 - bc4 + c4 - 4.0
         )
-        return x, y, z
-
-    return xyz
-
-
-def _phi1_closed(b, c):
-    den = 2 * c * (c + 1) * (c + 2)
-    if den == 0:
-        raise PoleError(f"c = {c}: pole of Phi_1")
-    return -b * (b - c) * (2 * b - c) / den
-
-
-def _phi3_stream(b: float, c: float) -> Iterator[float]:
-    """Phi_0, Phi_1, ... by the three-term recurrence, run forward from Phi_0 = 1, Phi_1."""
-    prev = 1.0
-    yield prev
-    cur = _phi1_closed(b, c)
-    yield cur
-    xyz = _recurrence_in_n(b, c)
-    for n in count(1):
-        x, y, z = xyz(n)
-        if z == 0:
-            raise RecurrenceBreakdown(f"Z_{n} = 0 for b={b}, c={c}")
+        if z == 0.0:
+            raise RecurrenceBreakdown(f"Z_{int(n)} = 0 for b={b}, c={c}")
         prev, cur = cur, -(x * prev + y * cur) / z
         yield cur
 
@@ -191,12 +179,13 @@ def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
     phis = _phi3_stream(b, c)
     phi = next(phis)
     sign = 1.0
-    for n, (An, Bn, Cn), phi_next in zip(count(), _abc_stream(params.a, z), phis):
+    for n, (An, Bn, Cn), phi_next in zip(count(0.0), _abc_stream(params.a, z), phis):
         bn = b + n
-        c3 = c + 3 * n
-        d = -(n * (6 * n + d1) + d0)
-        m1 = (bn * (pa1 - 3 * n) * phi - 4 * (c3 + 1) * (c3 + 2) * phi_next) / d
-        m2 = (bn * (pa2 - 2 * n) * phi - 2 * (c3 + 2) * (c3 + 3 * n + pb2) * phi_next) / d
+        n3 = 3.0 * n
+        c3 = c + n3
+        d = -(n * (6.0 * n + d1) + d0)
+        m1 = (bn * (pa1 - n3) * phi - 4.0 * (c3 + 1.0) * (c3 + 2.0) * phi_next) / d
+        m2 = (bn * (pa2 - 2.0 * n) * phi - 2.0 * (c3 + 2.0) * (c3 + n3 + pb2) * phi_next) / d
         yield sign * (An * phi + Bn * m1 + Cn * m2)
         phi = phi_next
         sign = -sign

@@ -56,7 +56,7 @@ def _recursion(a, z, A0, B0) -> Iterator[tuple]:
     b_b = 6.0 * z - z * z - 4.0
     one_z = 1.0 - z
     An, Bn = A0, B0
-    for n in count():
+    for n in count(0.0):
         yield An, Bn
         an = a + 2.0 * n
         n1 = n + 1.0
@@ -96,7 +96,7 @@ def _twopoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
     b, c = params.b, params.c
     moment = 1.0 / c  # (b)_0 (c-b)_0 / (c)_1
     sign = 1.0
-    for n, (An, Bn) in enumerate(_recursion(params.a, z, *_initial_pair(params.a, z))):
+    for n, (An, Bn) in zip(count(0.0), _recursion(params.a, z, *_initial_pair(params.a, z))):
         yield sign * moment * ((c + 2.0 * n) * An + (b + n) * Bn)
         sign = -sign
         moment *= (b + n) * (c - b + n) / ((c + 2.0 * n + 1.0) * (c + 2.0 * n + 2.0))

@@ -45,5 +45,27 @@ def rel_err(value: complex, reference: complex) -> float:
     return abs(value - reference) / abs(reference)
 
 
+def phi3_xyz_ref(n, b, c):
+    """(X_n, Y_n, Z_n) of X_n Phi_{n-1} + Y_n Phi_n + Z_n Phi_{n+1} = 0, every factor at index n.
+
+    The three-point moment recurrence as written out, for exact (Fraction) and
+    float references of threepoint._phi3_stream.
+    """
+    x = n * (-c - 2 * n - 5 * n * c - 6 * n * n - 4 * b * c + 4 * b * b) * (-n + b - c + 1) * (n + b - 1)
+    p0 = 16 * b * (b - 1) * (b - c + 1) * (b - c)
+    p1 = -4 + 21 * c + 40 * b * b - 17 * c * c - 32 * b * b * c + 32 * b * c * c - 40 * b * c
+    p2 = 24 * b * c + 24 - 24 * b * b + 15 * c * c - 57 * c
+    p3 = 18 * (c - 2)
+    y = 2 * (2 * b - c) * (p0 + p1 * n + p2 * n * n + p3 * n**3)
+    z = (
+        16
+        * (3 * n + c)
+        * (3 * n + 1 + c)
+        * (3 * n + 2 + c)
+        * (-5 * n * c - 6 * n * n + 10 * n + 4 * b * b - 4 * b * c + 4 * c - 4)
+    )
+    return x, y, z
+
+
 def within_factor(computed: float, expected: float, factor: float = 10.0) -> bool:
     return expected / factor <= computed <= expected * factor

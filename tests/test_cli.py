@@ -170,6 +170,25 @@ class TestEvalCommand:
         assert main([*argv, "--method", "buhring"]) == 3
         assert "error (OutsideDomain):" in capsys.readouterr().err
 
+    def test_json_is_strict_where_est_error_is_infinite(self, capsys):
+        # the oracle's levels sum to 0 here, so est_error is inf: written as the string "inf"
+        argv = ["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z=1e308+1e308i", "--z0=-0.5e308-0.5e308i"]
+        assert main(argv) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["est_error"] == "inf" and float(payload["est_error"]) == math.inf
+        assert payload["converged"] is False
+        assert all(isinstance(payload["value"][k], float) for k in ("re", "im"))
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf"])
+    def test_tol_must_be_finite_and_positive(self, capsys, tol):
+        assert main(["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z=0.5+0.5i", f"--tol={tol}"]) == 2
+        assert main(["table", "--id", "1", f"--tol={tol}"]) == 2
+        assert capsys.readouterr().err.count("tol must be a finite number > 0") == 2
+
     def test_auto_avoids_the_continuation_cut(self, capsys):
         # z lies on the z0 = 0.5+0.5i continuation's cut, so auto takes the oracle
         argv = ["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z=10+0.5i", "--z0=0.5+0.5i"]

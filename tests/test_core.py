@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gausshyp import DomainError, HypParams, ParamDomainError, PoleError
-from gausshyp.core import cpow_principal, gamma_real, pochhammer
+from gausshyp.core import cpow_principal, gamma_real, json_value, pochhammer
 
 
 class TestCpowPrincipal:
@@ -168,3 +168,9 @@ class TestFiniteArgumentGuard:
             for z in bad:
                 with pytest.raises(DomainError):
                     fn(z)
+
+
+def test_json_value_writes_non_finite_floats_as_strings():
+    assert [json_value(x) for x in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
+    for x in (1.5, -0.0, 0, "INTEGER_DIFF", True, None):
+        assert json_value(x) is x

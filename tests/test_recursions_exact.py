@@ -31,7 +31,9 @@ from gausshyp import (
     BranchCutError,
     GaussHypError,
     HypParams,
+    IntegerDifferenceError,
     MethodId,
+    PoleError,
     RecurrenceBreakdown,
     euler_integral,
     evaluate,
@@ -43,7 +45,6 @@ from gausshyp.buhring import buhring_coeffs, exclusion_margin, is_integer_differ
 from gausshyp.core import EPS, cpow_principal, gamma_real, recip_gamma_real, require_finite_complex, tail_estimate
 from gausshyp.onepoint import in_region_onepoint, phi_half_sequence, phi_w_sequence
 from gausshyp.threepoint import (
-    _recurrence_in_n,
     _threepoint_terms,
     phi3_sequence,
     threepoint_coeffs,
@@ -51,7 +52,7 @@ from gausshyp.threepoint import (
 )
 from gausshyp.verify import phi3_direct_sequence
 from gausshyp.twopoint import _recursion, twopoint_coeffs_recursive
-from conftest import Z_EXC, sample_in_region
+from conftest import Z_EXC, phi3_xyz_ref, sample_in_region
 
 N_MAX = (0, 1, 5, 40, 120)
 
@@ -127,29 +128,12 @@ def _threepoint_ref(a, z, n_max):
     return A, B, C
 
 
-def _xyz_ref(n, b, c):
-    x = n * (-c - 2 * n - 5 * n * c - 6 * n * n - 4 * b * c + 4 * b * b) * (-n + b - c + 1) * (n + b - 1)
-    p0 = 16 * b * (b - 1) * (b - c + 1) * (b - c)
-    p1 = -4 + 21 * c + 40 * b * b - 17 * c * c - 32 * b * b * c + 32 * b * c * c - 40 * b * c
-    p2 = 24 * b * c + 24 - 24 * b * b + 15 * c * c - 57 * c
-    p3 = 18 * (c - 2)
-    y = 2 * (2 * b - c) * (p0 + p1 * n + p2 * n * n + p3 * n**3)
-    z = (
-        16
-        * (3 * n + c)
-        * (3 * n + 1 + c)
-        * (3 * n + 2 + c)
-        * (-5 * n * c - 6 * n * n + 10 * n + 4 * b * b - 4 * b * c + 4 * c - 4)
-    )
-    return x, y, z
-
-
 def _phi3_ref(n_max, b, c):
     vals = [1.0]
     if n_max >= 1:
         vals.append(-b * (b - c) * (2 * b - c) / (2 * c * (c + 1) * (c + 2)))
     for n in range(1, n_max):
-        x, y, z = _xyz_ref(n, b, c)
+        x, y, z = phi3_xyz_ref(n, b, c)
         vals.append(-(x * vals[n - 1] + y * vals[n]) / z)
     return vals
 
@@ -269,11 +253,13 @@ def test_phi3_sequence(n_max):
 
 
 def _phi3_exact(n_max, b, c):
-    """Phi_0 .. Phi_{n_max} in exact rationals, by the recurrence of _recurrence_in_n."""
+    """Phi_0 .. Phi_{n_max} in exact rationals, by the recurrence that phi3_sequence runs.
+
+    test_recurrence_xyz_float_and_fraction ties phi3_xyz_ref to the stream bit for bit.
+    """
     vals = [Fraction(1), -b * (b - c) * (2 * b - c) / (2 * c * (c + 1) * (c + 2))]
-    xyz = _recurrence_in_n(b, c)
     for n in range(1, n_max):
-        x, y, z = xyz(n)
+        x, y, z = phi3_xyz_ref(n, b, c)
         vals.append(-(x * vals[n - 1] + y * vals[n]) / z)
     return vals
 
@@ -343,13 +329,45 @@ def test_threepoint_terms_match_the_three_stream_terms():
 
 
 def test_recurrence_xyz_float_and_fraction():
+    # The stream steps on a float index with the factors of X_n, Y_n, Z_n free of n
+    # evaluated once; phi3_xyz_ref evaluates every factor at an int index.  Each integer
+    # subexpression of the index is exact in binary64, so the bits agree, for float
+    # and for int-typed (b, c).  _phi3_exact runs phi3_xyz_ref in Fraction: at the exact
+    # rational value of each double pair it tracks the stream to a few roundings per step.
     rng = random.Random(7)
     pairs = [(b, c) for _, b, c, _ in CASES]
     for _ in range(5):
-        pairs.append((Fraction(rng.randint(1, 999), 37), Fraction(rng.randint(1000, 1999), 37)))
+        pairs.append((rng.randint(1, 999) / 37, rng.randint(1000, 1999) / 37))
+        b = rng.randint(1, 9)
+        pairs.append((b, b + rng.randint(1, 9)))
+    assert any(isinstance(b, int) and isinstance(c, int) for b, c in pairs)
     for b, c in pairs:
-        for n in (1, 2, 7, 40, 119):
-            assert _recurrence_in_n(b, c)(n) == _xyz_ref(n, b, c), (b, c, n)
+        got = phi3_sequence(120, b, c)
+        assert _bits(got) == _bits(_phi3_ref(120, b, c)), (b, c)
+        exact = _phi3_exact(40, Fraction(b), Fraction(c))
+        for n in range(41):
+            assert abs(Fraction(got[n]) - exact[n]) <= 4 * (n + 1) * Fraction(EPS) * abs(exact[n]), (b, c, n)
+
+
+@pytest.mark.parametrize(
+    "stream, error, message",
+    [
+        (lambda: phi3_sequence(5, 1.0, 0.8), RecurrenceBreakdown, "Z_1 = 0 for b=1.0, c=0.8"),
+        (
+            lambda: buhring_coeffs(1.0, 0.5, HypParams(1.0, 3.0, 4.0), 5),
+            IntegerDifferenceError,
+            "recurrence denominator vanishes at n=2 for s=1.0 (b-a integer)",
+        ),
+        (lambda: phi_half_sequence(5, 2.1, -3.0), PoleError, "c + 3 = 0: recurrence pole"),
+        (lambda: phi_w_sequence(5, 2.1, -3.0, 0.25), PoleError, "c + 3 = 0: recurrence pole"),
+    ],
+    ids=["phi3", "buhring", "phi-half", "phi-w"],
+)
+def test_error_messages_keep_an_integer_index(stream, error, message):
+    # the streams step on a float index; their messages still print it as an integer
+    with pytest.raises(error) as info:
+        stream()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("n_max", N_MAX)
@@ -389,6 +407,20 @@ def test_onepoint_moments(n_max):
         assert _bits(phi_half_sequence(n_max, b, c)) == _bits(_phi_half_ref(n_max, b, c))
         for w in (0.5 + 0.5j, 0.25, cmath.exp(0.3j)):
             assert _bits(phi_w_sequence(n_max, b, c, w)) == _bits(_phi_w_ref(n_max, b, c, w))
+
+
+def test_streams_match_the_int_indexed_references_to_n_900():
+    # the float index stays exact far past any truncation a route uses
+    for a, b, c, _ in CASES:
+        assert _bits(phi_half_sequence(900, b, c)) == _bits(_phi_half_ref(900, b, c)), (b, c)
+        for w in (0.5 + 0.5j, 0.25, cmath.exp(0.3j)):
+            assert _bits(phi_w_sequence(900, b, c, w)) == _bits(_phi_w_ref(900, b, c, w)), (b, c, w)
+        if is_integer_difference(HypParams(a, b, c)):
+            continue
+        for s in (a, b):
+            for z0 in (0.5, 0.5 + 0.1j):
+                got = buhring_coeffs(s, z0, HypParams(a, b, c), 900)
+                assert _bits(got) == _bits(_d_ref(s, z0, a, b, c, 900)), (a, b, c, s, z0)
 
 
 def test_references_overflow_in_the_same_place():

@@ -317,6 +317,27 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="n_terms must be an integer, got True"):
             evaluate(PARAMS, Z_EXC, method, n_terms=True, w=W)
 
+    @pytest.mark.parametrize("method", ["auto", *MethodId], ids=str)
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0, -0.0, True, "1e-13", 1e-13j])
+    def test_tol_must_be_a_finite_positive_number(self, method, tol):
+        # inf let the oracle call est_error = inf converged, nan ran maclaurin to max_terms,
+        # and -1 ran the oracle through every level
+        with pytest.raises(ConfigError, match="tol must be a finite number > 0"):
+            evaluate(PARAMS, Z_EXC, method, tol=tol, w=W)
+        with pytest.raises(ConfigError, match="tol must be a finite number > 0"):
+            hyp2f1(1.2, 2.1, 3.0, Z_EXC, method=method, tol=tol, w=W)
+
+    @pytest.mark.parametrize("max_terms", ["x", 2.5, True, -3, None])
+    def test_max_terms_gets_the_n_terms_check(self, max_terms):
+        with pytest.raises(ConfigError, match=r"max_terms must be (an integer|>= 0), got"):
+            evaluate(PARAMS, 0.3 + 0j, "maclaurin", max_terms=max_terms)
+
+    def test_tiny_tol_and_zero_max_terms_are_accepted(self):
+        res, _ = evaluate(PARAMS, 0.3 + 0j, "maclaurin", tol=5e-324, max_terms=0)
+        assert res.terms_used == 0 and not res.converged
+        res, _ = evaluate(PARAMS, 0.3 + 0j, "maclaurin", tol=1, max_terms=3)
+        assert res.terms_used <= 3
+
     def test_unknown_method_string(self):
         with pytest.raises(ConfigError):
             evaluate(PARAMS, Z_EXC, method="pade")

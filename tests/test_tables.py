@@ -151,6 +151,25 @@ class TestRunTable:
         assert row["errors"]["threepoint"]["20"] < 1e-10
 
 
+    def test_json_is_strict_for_non_finite_errors(self):
+        result = run_table(4)
+        cells = result.cells[0]["threepoint"]
+        cells.update({0: math.inf, 5: -math.inf, 10: math.nan})
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        errors = json.loads(table_to_json(result), parse_constant=reject)["rows"][0]["errors"]["threepoint"]
+        assert [errors[k] for k in ("0", "5", "10")] == ["inf", "-inf", "nan"]
+        assert math.isnan(float(errors["10"])) and float(errors["5"]) == -math.inf
+        assert isinstance(errors["20"], float)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0, "x"])
+    def test_oracle_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ConfigError, match="tol must be a finite number > 0"):
+            run_table(1, oracle_tol=tol)
+
+
 class TestSpecs:
     def test_index_rules(self):
         assert TABLES[1].series_index(20) == 20

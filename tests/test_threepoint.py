@@ -17,9 +17,9 @@ from gausshyp import (
     in_region_threepoint,
 )
 from gausshyp.core import cpow_principal
-from gausshyp.threepoint import _recurrence_in_n, phi3_sequence, threepoint_coeffs
+from gausshyp.threepoint import phi3_sequence, threepoint_coeffs
 from gausshyp.verify import phi3_direct_sequence
-from conftest import Z_EXC, rel_err, sample_in_region
+from conftest import Z_EXC, phi3_xyz_ref, rel_err, sample_in_region
 
 PARAMS = HypParams(1.2, 2.1, 3.0)
 
@@ -130,7 +130,9 @@ class TestPhi3:
 
     def test_recurrence_cannot_break_down_when_c_above_b_above_zero(self):
         # eval_threepoint relies on this: for c > b > 0 and n >= 1 the last
-        # factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0
+        # factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0.
+        # phi3_xyz_ref is the recurrence phi3_sequence runs, bit for bit
+        # (test_recursions_exact.test_recurrence_xyz_float_and_fraction).
         rng = random.Random(2013)
         for _ in range(300):
             b = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
@@ -139,7 +141,7 @@ class TestPhi3:
             last = -((4 * b + 5 * n - 4) * (c - b) + b * (5 * n - 4) + 2 * (3 * n - 2) * (n - 1))
             assert last < 0
             z = 16 * (3 * n + c) * (3 * n + 1 + c) * (3 * n + 2 + c) * last
-            assert _recurrence_in_n(b, c)(n)[2] == z, (b, c, n)
+            assert phi3_xyz_ref(n, b, c)[2] == z, (b, c, n)
         # and in floating point no Z_n rounds to zero on the pair
         # eval_threepoint passes, or on the shifts its columns replace
         for _ in range(150):
