@@ -16,9 +16,9 @@ Evaluation routes:
 
 The rational expansions keep the exceptional points exp(+-i pi/3) well
 inside their convergence regions and remain valid when b - a is an
-integer, where the continuation breaks down.  Every region predicate is
-exposed, and the CLI reproduces the benchmark error tables and region
-rasters.
+integer, where the continuation breaks down.  Each route's region margin
+and refusal live in its module, and the CLI reproduces the benchmark
+error tables and region rasters.
 """
 
 from .buhring import buhring_coeffs, buhring_eval
@@ -37,14 +37,14 @@ from .errors import (
     RecurrenceBreakdown,
     SingularityError,
 )
-from .onepoint import eval_onepoint, in_region_onepoint
+from .onepoint import eval_onepoint
 from .raster import RasterSpec, raster_to_csv, region_raster
 from .reference import classify_region, euler_integral, maclaurin
-from .results import MethodId, RegionVerdict, SeriesResult
+from .results import MethodId, SeriesResult
 from .select import ROUTES, evaluate, hyp2f1, method_margin, select_method
 from .tables import TABLES, TableSpec, run_table, table_to_csv, table_to_json
-from .threepoint import eval_threepoint, in_region_threepoint
-from .twopoint import eval_twopoint, in_region_twopoint
+from .threepoint import eval_threepoint
+from .twopoint import eval_twopoint
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "ROUTES",
     "RasterSpec",
     "RecurrenceBreakdown",
-    "RegionVerdict",
     "SeriesResult",
     "SingularityError",
     "TABLES",
@@ -78,9 +77,6 @@ __all__ = [
     "eval_twopoint",
     "evaluate",
     "hyp2f1",
-    "in_region_onepoint",
-    "in_region_threepoint",
-    "in_region_twopoint",
     "maclaurin",
     "method_margin",
     "raster_to_csv",

@@ -106,10 +106,8 @@ def buhring_refusal(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> 
     largest double (OutsideDomain), and z on the cut ph(z0 - z) = pi (BranchCutError).
     """
     if is_integer_difference(params):
-        return IntegerDifferenceError(
-            f"b - a = {params.b - params.a} is an integer (within {INTEGER_DIFF_TOL}); "
-            "the continuation coefficients are indeterminate"
-        )
+        msg = "b - a = %s is an integer (within %s); the continuation coefficients are indeterminate"
+        return IntegerDifferenceError(msg, params.b - params.a, INTEGER_DIFF_TOL)
     try:
         z = require_finite_complex(z)
         z0 = require_finite_complex(z0, "z0")
@@ -117,10 +115,10 @@ def buhring_refusal(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> 
         return exc
     margin = exclusion_margin(z, z0)
     if not margin > 0.0:
-        return OutsideDomain(f"z = {z} outside |z - z0| > {exclusion_radius(z0)} at z0 = {z0} (margin {margin})")
+        return OutsideDomain("z = %s outside |z - z0| > %s at z0 = %s (margin %s)", z, exclusion_radius(z0), z0, margin)
     w = z0 - z
     if w.imag == 0.0 and w.real < 0.0:
-        return BranchCutError(f"ph(z0 - z) = pi at z = {z}: on the continuation branch cut")
+        return BranchCutError("ph(z0 - z) = pi at z = %s: on the continuation branch cut", z)
     return None
 
 
@@ -134,8 +132,7 @@ def buhring_sums(
     series' term sizes weighted by their prefactors and added (core.sum_series),
     floored at the rounding level and multiplied by the near-integer inflation factor.
     """
-    refusal = buhring_refusal(params, z, z0)
-    if refusal is not None:
+    if refusal := buhring_refusal(params, z, z0):
         raise refusal
     a, b, c = params.a, params.b, params.c
     diff = b - a

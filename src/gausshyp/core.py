@@ -200,10 +200,6 @@ class HypParams(namedtuple("HypParams", "a b c")):
         """True when c > b > 0, the validity condition of the Euler integral."""
         return self.c > self.b > 0
 
-    def require_euler_valid(self, needs: str) -> None:
-        """Raise ParamDomainError unless c > b > 0.
-
-        needs opens the message and names the route, e.g. "Euler integral needs".
-        """
-        if not self.euler_valid:
-            raise ParamDomainError(f"{needs} c > b > 0, got b={self.b}, c={self.c}")
+    def param_refusal(self, needs: str) -> ParamDomainError | None:
+        """None when c > b > 0, else the ParamDomainError whose message needs opens, e.g. "Euler integral needs"."""
+        return None if self.euler_valid else ParamDomainError("%s c > b > 0, got b=%s, c=%s", needs, self.b, self.c)

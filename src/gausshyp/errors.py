@@ -6,7 +6,10 @@ Every error raised by the library derives from GaussHypError so callers
 
 
 class GaussHypError(Exception):
-    """Base class for all gausshyp errors."""
+    """Base class for all gausshyp errors; a message given as (format, *values) is formatted only when shown."""
+
+    def __str__(self) -> str:
+        return self.args[0] % self.args[1:] if len(self.args) > 1 else super().__str__()
 
 
 class DomainError(GaussHypError):

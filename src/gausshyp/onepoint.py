@@ -22,7 +22,7 @@ from itertools import count, islice
 from typing import Iterator
 
 from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
-from .errors import DomainError, OutsideDomain, PoleError
+from .errors import ConfigError, DomainError, GaussHypError, OutsideDomain, PoleError
 from .results import RegionVerdict, SeriesResult
 
 #: Default truncation index; forward recurrence accuracy is verified up to here.
@@ -49,6 +49,13 @@ def phi_half_sequence(n_max: int, b: float, c: float) -> list[float]:
     """Phi_0 .. Phi_{n_max} at w = 1/2."""
     require_n_max(n_max)
     return list(islice(_phi_half_stream(b, c), n_max + 1))
+
+
+def require_w(w: complex | None) -> complex:
+    """w itself; onepoint-w has no default point, so a missing w (None) raises ConfigError."""
+    if w is None:
+        raise ConfigError("method onepoint-w needs the expansion point w")
+    return w
 
 
 def require_expansion_point(w: complex) -> complex:
@@ -102,6 +109,23 @@ def in_region_onepoint(z: complex, w: complex = 0.5) -> RegionVerdict:
     return RegionVerdict(m > 0.0, m)
 
 
+def onepoint_refusal(params: HypParams, z: complex, w: complex | None) -> GaussHypError | None:
+    """The error onepoint_sums raises at (params, z, w), or None.  In order: a missing w (ConfigError), a non-finite
+    z, a non-finite or zero w (DomainError), not c > b > 0 (ParamDomainError), a margin not > 0 (OutsideDomain)."""
+    try:
+        w = require_w(w)
+        z = require_finite_complex(z)
+        w = require_expansion_point(w)
+    except (ConfigError, DomainError) as exc:
+        return exc
+    if refusal := params.param_refusal("expansion derived under"):
+        return refusal
+    margin = onepoint_margin(z, w)
+    if not margin > 0.0:
+        return OutsideDomain("z = %s outside the w = %s expansion region (margin %s)", z, w, margin)
+    return None
+
+
 def _onepoint_terms(params: HypParams, z: complex, w: complex) -> Iterator[complex]:
     """Term n of the one-point sum, before the prefactor (1-wz)^(-a)."""
     if w == 0.5:
@@ -124,13 +148,9 @@ def onepoint_sums(
     w = 1/2 takes the real-arithmetic moment recurrence, which agrees with
     the generic complex one to rounding.
     """
-    z = require_finite_complex(z)
-    w = require_expansion_point(w)
-    params.require_euler_valid("expansion derived under")
-    margin = onepoint_margin(z, w)
-    if not margin > 0.0:
-        raise OutsideDomain(f"z = {z} outside the w = {w} expansion region (margin {margin})")
-
+    if refusal := onepoint_refusal(params, z, w):
+        raise refusal
+    z, w = complex(z), complex(w)
     prefactor = cpow_principal(1.0 - w * z, -params.a)
     for value, n, est, converged in sum_series(stops, tol, (1.0, _onepoint_terms(params, z, w))):
         yield SeriesResult(prefactor * value, n, est, converged)

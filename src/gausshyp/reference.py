@@ -24,11 +24,22 @@ import math
 from typing import Iterator
 
 from .core import EPS, HypParams, gamma_real, require_finite_complex, tail_estimate
-from .errors import BranchCutError, DomainError, OutsideDomain, RecurrenceBreakdown
+from .errors import BranchCutError, DomainError, GaussHypError, OutsideDomain, RecurrenceBreakdown
 from .results import SeriesResult
 
 #: Labels of the six classical series regions, in a fixed order.
 REGION_LABELS = ("z", "1/z", "1-z", "1/(1-z)", "z/(1-z)", "(z-1)/z")
+
+
+def maclaurin_refusal(z: complex) -> GaussHypError | None:
+    """The error maclaurin raises at z, or None.  In order: a non-finite z (DomainError), |z| >= 1 (OutsideDomain)."""
+    try:
+        z = require_finite_complex(z)
+    except DomainError as exc:
+        return exc
+    if abs(z) >= 1:
+        return OutsideDomain("|z| = %s >= 1: power series diverges", abs(z))
+    return None
 
 
 def maclaurin(
@@ -43,9 +54,9 @@ def maclaurin(
     (a single small term is not trusted: terms with complex z can rotate
     through near-cancellation), or after max_terms terms.
     """
-    z = require_finite_complex(z)
-    if abs(z) >= 1:
-        raise OutsideDomain(f"|z| = {abs(z)} >= 1: power series diverges")
+    if refusal := maclaurin_refusal(z):
+        raise refusal
+    z = complex(z)
     a, b, c = params.a, params.b, params.c
     s = 0j
     term = 1.0 + 0j
@@ -111,6 +122,20 @@ def _nodes(start: float, step: float) -> Iterator[tuple[float, float, float, flo
             _LADDER[start, step] = (kept + tuple(fresh), end)
 
 
+def euler_refusal(params: HypParams, z: complex) -> GaussHypError | None:
+    """The error euler_integral raises at (params, z), or None.  In order: not c > b > 0 (ParamDomainError),
+    a non-finite z (DomainError), z on the cut [1, inf) (BranchCutError)."""
+    if refusal := params.param_refusal("Euler integral needs"):
+        return refusal
+    try:
+        z = require_finite_complex(z)
+    except DomainError as exc:
+        return exc
+    if z.imag == 0.0 and z.real >= 1.0:
+        return BranchCutError("z = %s lies on the branch cut [1, inf)", z)
+    return None
+
+
 def euler_integral(params: HypParams, z: complex, tol: float = 1e-13) -> SeriesResult:
     """Tanh-sinh quadrature of the integral representation; requires c > b > 0.
 
@@ -124,10 +149,9 @@ def euler_integral(params: HypParams, z: complex, tol: float = 1e-13) -> SeriesR
     most; est_error is that relative difference, floored at EPS.  terms_used
     counts integrand evaluations.
     """
-    params.require_euler_valid("Euler integral needs")
-    z = require_finite_complex(z)
-    if z.imag == 0.0 and z.real >= 1.0:
-        raise BranchCutError(f"z = {z} lies on the branch cut [1, inf)")
+    if refusal := euler_refusal(params, z):
+        raise refusal
+    z = complex(z)
     a, b, c = params.a, params.b, params.c
     beta = c - b
     # Per piece: the log of its constant factor, the exponents of x and 1-x, a

@@ -5,13 +5,14 @@ from typing import Callable, Iterator, NamedTuple
 
 from .buhring import DEFAULT_Z0, buhring_eval, buhring_refusal, buhring_sums, exclusion_margin
 from .core import HypParams, is_count, require_finite_complex, require_tol
-from .errors import ConfigError, NoMethodError, NotConvergedWarning
+from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
-from .onepoint import eval_onepoint, in_region_onepoint, onepoint_margin, onepoint_sums, require_expansion_point
-from .reference import euler_integral, maclaurin
+from .onepoint import eval_onepoint, in_region_onepoint, onepoint_margin, onepoint_refusal, onepoint_sums
+from .onepoint import require_expansion_point, require_w
+from .reference import euler_integral, euler_refusal, maclaurin, maclaurin_refusal
 from .results import MethodId, SeriesResult
-from .threepoint import eval_threepoint, in_region_threepoint, threepoint_margin, threepoint_sums
-from .twopoint import eval_twopoint, in_region_twopoint, twopoint_margin, twopoint_sums
+from .threepoint import eval_threepoint, in_region_threepoint, threepoint_margin, threepoint_refusal, threepoint_sums
+from .twopoint import eval_twopoint, in_region_twopoint, twopoint_margin, twopoint_refusal, twopoint_sums
 
 #: |z| below which the plain power series is preferred outright.
 MACLAURIN_RADIUS = 0.5
@@ -21,9 +22,11 @@ SERIES_TOL_FLOOR = 1e-12
 
 
 class Route(NamedTuple):
-    """One evaluation route: its signed region margin, its evaluator and, for a series, its stops form."""
+    """One evaluation route: its signed region margin, its refusal, its evaluator and, for a series, its stops form."""
 
     margin: Callable[[complex, complex | None, complex], float]
+    # (params, z, w, z0): the error run and sums raise before any work, or None where the route applies
+    refusal: Callable[[HypParams, complex, complex | None, complex], GaussHypError | None]
     run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0, max_terms)
     sums: Callable[..., Iterator[SeriesResult]] | None = None  # (params, z, stops, tol, w, z0)
 
@@ -32,75 +35,77 @@ def _series_tol(tol: float) -> float:
     return max(tol, SERIES_TOL_FLOOR)
 
 
-def _need_w(w: complex | None) -> complex:
-    if w is None:
-        raise ConfigError("method onepoint-w needs the expansion point w")
-    return w
-
-
 # Entries resolve this module's globals at call time, so a wrapper installed
 # on, e.g., gausshyp.select.eval_threepoint sees every call.
 ROUTES: dict[MethodId, Route] = {
     MethodId.MACLAURIN: Route(
         lambda z, w, z0: 1.0 - abs(z),
+        lambda p, z, w, z0: maclaurin_refusal(z),
         lambda p, z, n, tol, w, z0, max_terms: maclaurin(p, z, tol=tol, max_terms=max_terms),
     ),
     MethodId.EULER: Route(
         lambda z, w, z0: abs(z.imag) if z.real >= 1.0 else abs(z - 1.0),  # distance from [1, inf)
+        lambda p, z, w, z0: euler_refusal(p, z),
         lambda p, z, n, tol, w, z0, max_terms: euler_integral(p, z, tol=tol),
     ),
     MethodId.BUHRING: Route(
         lambda z, w, z0: exclusion_margin(z, z0),
+        lambda p, z, w, z0: buhring_refusal(p, z, z0),
         lambda p, z, n, tol, w, z0, _: buhring_eval(p, z, z0=z0, n_terms=n, tol=_series_tol(tol)),
         lambda p, z, stops, tol, w, z0: buhring_sums(p, z, stops, z0, _series_tol(tol)),
     ),
     MethodId.ONEPOINT_HALF: Route(
         lambda z, w, z0: onepoint_margin(z, 0.5),
+        lambda p, z, w, z0: onepoint_refusal(p, z, 0.5),
         lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, w=0.5, n_terms=n, tol=_series_tol(tol)),
         lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, 0.5, _series_tol(tol)),
     ),
     MethodId.ONEPOINT_W: Route(
-        lambda z, w, z0: onepoint_margin(z, _need_w(w)),
-        lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, _need_w(w), n, _series_tol(tol)),
-        lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, _need_w(w), _series_tol(tol)),
+        lambda z, w, z0: onepoint_margin(z, require_w(w)),
+        lambda p, z, w, z0: onepoint_refusal(p, z, w),
+        lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, w, n, _series_tol(tol)),
+        lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, w, _series_tol(tol)),
     ),
     MethodId.TWOPOINT: Route(
         lambda z, w, z0: twopoint_margin(z),
+        lambda p, z, w, z0: twopoint_refusal(p, z),
         lambda p, z, n, tol, w, z0, _: eval_twopoint(p, z, n_terms=n, tol=_series_tol(tol)),
         lambda p, z, stops, tol, w, z0: twopoint_sums(p, z, stops, _series_tol(tol)),
     ),
     MethodId.THREEPOINT: Route(
         lambda z, w, z0: threepoint_margin(z),
+        lambda p, z, w, z0: threepoint_refusal(p, z),
         lambda p, z, n, tol, w, z0, _: eval_threepoint(p, z, n_terms=n, tol=_series_tol(tol)),
         lambda p, z, stops, tol, w, z0: threepoint_sums(p, z, stops, _series_tol(tol)),
     ),
 }
 
+#: The routes auto asks outside the disk |z| <= MACLAURIN_RADIUS, in order of preference: the
+#: three- and two-point expansions (fast convergence, no integer b-a restriction), the half-point
+#: expansion, the continuation around z0, the quadrature oracle, and the power series for |z| < 1.
+AUTO_ORDER = (
+    MethodId.THREEPOINT, MethodId.TWOPOINT, MethodId.ONEPOINT_HALF, MethodId.BUHRING, MethodId.EULER, MethodId.MACLAURIN
+)
+_AUTO_ROUTES = tuple((method, ROUTES[method]) for method in AUTO_ORDER)  # no MethodId hash per route asked
+
 
 def select_method(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> MethodId:
     """Deterministic route choice for a (params, z) pair.
 
-    Preference order: power series in the safe disk |z| <= 1/2, then the
-    three-point and two-point expansions (fast convergence, no integer
-    b-a restriction), then the half-point expansion, then the continuation
-    around z0, and finally the quadrature oracle, each only where its own
-    gate accepts z.  Raises DomainError for a non-finite z, NoMethodError
-    when every predicate fails.
+    The power series in the safe disk |z| <= 1/2, else the first route of
+    AUTO_ORDER whose refusal is None.  Raises DomainError for a non-finite
+    z, and NoMethodError, naming each route's refusal, when all refuse.
     """
     z = require_finite_complex(z)
     if abs(z) <= MACLAURIN_RADIUS:
         return MethodId.MACLAURIN
-    if threepoint_margin(z) > 0.0:
-        return MethodId.THREEPOINT
-    if twopoint_margin(z) > 0.0:
-        return MethodId.TWOPOINT
-    if onepoint_margin(z, 0.5) > 0.0:
-        return MethodId.ONEPOINT_HALF
-    if buhring_refusal(params, z, z0) is None:
-        return MethodId.BUHRING
-    if params.euler_valid:
-        return MethodId.EULER
-    raise NoMethodError(f"no evaluation method applies at z = {z} for {params}")
+    for method, route in _AUTO_ROUTES:
+        # a refusal is None only where the margin is positive; asking that first builds no error per route passed
+        if route.margin(z, None, z0) > 0.0 and route.refusal(params, z, None, z0) is None:
+            return method
+    refusals = ((method, route.refusal(params, z, None, z0)) for method, route in _AUTO_ROUTES)
+    reasons = "; ".join(f"{method}: {type(refusal).__name__}: {refusal}" for method, refusal in refusals)
+    raise NoMethodError(f"no evaluation method applies at z = {z} for {params}: {reasons}")
 
 
 def method_margin(
@@ -137,7 +142,9 @@ def evaluate(
     twopoint, threepoint) sum indices 0 .. n_terms and judge it against
     max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12).  An n_terms or max_terms
     that is not an integer (a bool is not one), or is negative, and a tol
-    that is not a finite number > 0, raise ConfigError.
+    that is not a finite number > 0, raise ConfigError.  A non-finite z0,
+    and a given w that is non-finite or zero, raise DomainError before any
+    route is chosen, whatever the method.
     """
     for name, count in (("n_terms", n_terms), ("max_terms", max_terms)):
         if not is_count(count):
@@ -145,7 +152,9 @@ def evaluate(
         if count < 0:
             raise ConfigError(f"{name} must be >= 0, got {count}")
     require_tol(tol)
-    z = complex(z)
+    z, z0 = complex(z), require_finite_complex(z0, "z0")
+    if w is not None:
+        w = require_expansion_point(w)
     method_id = select_method(params, z, z0) if method == "auto" else MethodId.from_string(method)
     return ROUTES[method_id].run(params, z, n_terms, tol, w, z0, max_terms), method_id
 

@@ -49,7 +49,7 @@ from itertools import count, islice
 from typing import Iterator
 
 from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
-from .errors import OutsideDomain, PoleError, RecurrenceBreakdown, SingularityError
+from .errors import DomainError, GaussHypError, OutsideDomain, PoleError, RecurrenceBreakdown, SingularityError
 from .results import RegionVerdict, SeriesResult
 
 DEFAULT_TERMS = 40
@@ -167,6 +167,23 @@ def in_region_threepoint(z: complex) -> RegionVerdict:
     return RegionVerdict(m > 0.0, m)
 
 
+def threepoint_refusal(params: HypParams, z: complex) -> GaussHypError | None:
+    """The error threepoint_sums raises at (params, z), or None.  In order: a non-finite z (DomainError),
+    z in {1, 2} (SingularityError), not c > b > 0 (ParamDomainError), a margin not > 0 (OutsideDomain)."""
+    try:
+        z = require_finite_complex(z)
+    except DomainError as exc:
+        return exc
+    if z == 1.0 or z == 2.0:
+        return SingularityError("z = %s: coefficient recursion is singular", z)
+    if refusal := params.param_refusal("expansion derived under"):
+        return refusal
+    margin = threepoint_margin(z)
+    if not margin > 0.0:
+        return OutsideDomain("z = %s outside |z|^3 < 6 sqrt(3)|(1-z)(2-z)| (margin %s)", z, margin)
+    return None
+
+
 def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
     """Term n of the three-point series: the A/B/C stream against one moment stream read one index ahead.
 
@@ -199,15 +216,9 @@ def threepoint_sums(
     The moments cannot break down here: under c > b > 0, D < 0 and the last
     factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0.
     """
-    z = require_finite_complex(z)
-    if z == 1.0 or z == 2.0:
-        raise SingularityError(f"z = {z}: coefficient recursion is singular")
-    params.require_euler_valid("expansion derived under")
-    margin = threepoint_margin(z)
-    if not margin > 0.0:
-        raise OutsideDomain(f"z = {z} outside |z|^3 < 6 sqrt(3)|(1-z)(2-z)| (margin {margin})")
-
-    return sum_series(stops, tol, (1.0, _threepoint_terms(params, z)))
+    if refusal := threepoint_refusal(params, z):
+        raise refusal
+    return sum_series(stops, tol, (1.0, _threepoint_terms(params, complex(z))))
 
 
 def eval_threepoint(

@@ -37,7 +37,7 @@ from itertools import count, islice
 from typing import Iterator
 
 from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
-from .errors import OutsideDomain, SingularityError
+from .errors import DomainError, GaussHypError, OutsideDomain, SingularityError
 from .results import RegionVerdict, SeriesResult
 
 DEFAULT_TERMS = 40
@@ -91,6 +91,23 @@ def in_region_twopoint(z: complex) -> RegionVerdict:
     return RegionVerdict(m > 0.0, m)
 
 
+def twopoint_refusal(params: HypParams, z: complex) -> GaussHypError | None:
+    """The error twopoint_sums raises at (params, z), or None.  In order: a non-finite z (DomainError),
+    z = 1 (SingularityError), not c > b > 0 (ParamDomainError), a margin not > 0 (OutsideDomain)."""
+    try:
+        z = require_finite_complex(z)
+    except DomainError as exc:
+        return exc
+    if z == 1.0:
+        return SingularityError("z = 1: coefficient recursion is singular")
+    if refusal := params.param_refusal("expansion derived under"):
+        return refusal
+    margin = twopoint_margin(z)
+    if not margin > 0.0:
+        return OutsideDomain("z = %s outside |z|^2 < 4|1-z| (margin %s)", z, margin)
+    return None
+
+
 def _twopoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
     """Term n of the two-point series: its coefficient pair times its closed-form moment."""
     b, c = params.b, params.c
@@ -105,15 +122,9 @@ def twopoint_sums(
     params: HypParams, z: complex, stops: tuple[int, ...], tol: float = 1e-12
 ) -> Iterator[SeriesResult]:
     """The two-point expansion truncated at each index in stops, from one pass."""
-    z = require_finite_complex(z)
-    if z == 1.0:
-        raise SingularityError("z = 1: coefficient recursion is singular")
-    params.require_euler_valid("expansion derived under")
-    margin = twopoint_margin(z)
-    if not margin > 0.0:
-        raise OutsideDomain(f"z = {z} outside |z|^2 < 4|1-z| (margin {margin})")
-
-    return sum_series(stops, tol, (1.0, _twopoint_terms(params, z)))
+    if refusal := twopoint_refusal(params, z):
+        raise refusal
+    return sum_series(stops, tol, (1.0, _twopoint_terms(params, complex(z))))
 
 
 def eval_twopoint(

@@ -21,15 +21,13 @@ from gausshyp import (
     eval_onepoint,
     eval_threepoint,
     eval_twopoint,
-    in_region_onepoint,
-    in_region_threepoint,
-    in_region_twopoint,
     maclaurin,
     run_table,
 )
 from gausshyp.core import cpow_principal, pochhammer
-from gausshyp.threepoint import phi3_sequence, threepoint_coeffs
-from gausshyp.twopoint import twopoint_coeffs_recursive
+from gausshyp.onepoint import onepoint_margin
+from gausshyp.threepoint import phi3_sequence, threepoint_coeffs, threepoint_margin
+from gausshyp.twopoint import twopoint_coeffs_recursive, twopoint_margin
 from gausshyp.verify import phi3_direct_sequence, twopoint_coeffs_explicit, twopoint_coeffs_mp
 from conftest import TABLE_PARAM_SETS, Z_EXC, rel_err, sample_in_region, within_factor
 
@@ -132,7 +130,7 @@ def test_criterion_6_dual_path_equivalence():
     # extended precision (double loses the coefficients' relative accuracy
     # beyond n ~ 10; the check validates the formulas, not the rounding)
     samples = sample_in_region(
-        lambda z: in_region_twopoint(z).margin > 0.2 and abs(z) > 0.3, 20, seed=314
+        lambda z: twopoint_margin(z) > 0.2 and abs(z) > 0.3, 20, seed=314
     )
     worst_two = 0.0
     for z in samples:
@@ -212,15 +210,15 @@ def test_criterion_7_function_reconstruction():
 
 def test_criterion_8_region_coverage():
     for z in (Z_EXC, Z_EXC.conjugate()):
-        assert in_region_onepoint(z, 0.5).margin > 0
-        assert in_region_twopoint(z).margin > 0
-        assert in_region_threepoint(z).margin > 0
+        assert onepoint_margin(z, 0.5) > 0
+        assert twopoint_margin(z) > 0
+        assert threepoint_margin(z) > 0
         for rho in (0.9, 0.95, 0.99):
             assert classify_region(z, rho) == set()
-    assert not in_region_twopoint(1.0 + 0j).inside
-    assert not in_region_twopoint(2.0 + 0j).inside
-    assert not in_region_threepoint(1.0 + 0j).inside
-    assert not in_region_threepoint(2.0 + 0j).inside
+    assert not twopoint_margin(1.0 + 0j) > 0.0
+    assert not twopoint_margin(2.0 + 0j) > 0.0
+    assert not threepoint_margin(1.0 + 0j) > 0.0
+    assert not threepoint_margin(2.0 + 0j) > 0.0
     _report(
         "criterion 8: exp(+-i pi/3) strictly inside all three new regions, outside "
         "every classical region at rho in {0.9, 0.95, 0.99}; z = 1, 2 excluded"

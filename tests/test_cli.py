@@ -197,6 +197,27 @@ class TestEvalCommand:
         assert payload["method"] == "euler-oracle"
         assert payload["converged"] is True
 
+    @pytest.mark.parametrize(
+        "argv, method",
+        [("--b 2.1 --c 1.5 --z exp(i*pi/3)", "buhring"), ("--b 2.2 --c 2 --z=0.7+0.3i", "maclaurin")],
+        ids=["buhring", "maclaurin"],
+    )
+    def test_auto_serves_c_not_above_b(self, capsys, argv, method):
+        # c <= b: auto used to pick a rational expansion, which raised ParamDomainError
+        assert main(["eval", "--a", "1.2", *argv.split()]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == method
+
+    @pytest.mark.parametrize("extra", ["--z0=nan", "--w=0"])
+    def test_auto_rejects_an_unused_bad_z0_or_w(self, capsys, extra):
+        assert main(["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z=3+1i", extra]) == 3
+        assert capsys.readouterr().err.startswith("error (DomainError):")
+
+    def test_real_ray_names_each_refusal(self, capsys):
+        assert main(["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (NoMethodError): no evaluation method applies at z = (3+0j)")
+        assert "euler-oracle: BranchCutError: z = (3+0j) lies on the branch cut [1, inf)" in err
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "result.json"
         code = main(

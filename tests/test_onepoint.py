@@ -12,10 +12,9 @@ from gausshyp import (
     ParamDomainError,
     euler_integral,
     eval_onepoint,
-    in_region_onepoint,
 )
 from gausshyp.core import pochhammer
-from gausshyp.onepoint import _phi_w_stream, phi_half_sequence, phi_w_sequence
+from gausshyp.onepoint import _phi_w_stream, onepoint_margin, phi_half_sequence, phi_w_sequence
 from gausshyp.verify import phi_brute
 from conftest import Z_EXC, rel_err, within_factor
 
@@ -115,17 +114,17 @@ class TestPhiW:
 
 class TestRegion:
     def test_origin(self):
-        v = in_region_onepoint(0j, 0.5)
-        assert v.inside and abs(v.margin - 1.0) <= 1e-15
+        m = onepoint_margin(0j, 0.5)
+        assert m > 0.0 and abs(m - 1.0) <= 1e-15
 
     def test_exceptional_point_inside_half(self):
-        v = in_region_onepoint(Z_EXC, 0.5)
-        assert v.inside and v.margin > 0.3
+        m = onepoint_margin(Z_EXC, 0.5)
+        assert m > 0.0 and m > 0.3
 
     def test_half_plane_boundary(self):
-        v = in_region_onepoint(1.0 + 0j, 0.5)
-        assert not v.inside
-        assert abs(v.margin) <= 1e-15
+        m = onepoint_margin(1.0 + 0j, 0.5)
+        assert not m > 0.0
+        assert abs(m) <= 1e-15
 
     def test_half_region_is_half_plane(self):
         rng = random.Random(5)
@@ -133,7 +132,7 @@ class TestRegion:
             z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             if abs(z.real - 1.0) < 1e-9:
                 continue
-            assert in_region_onepoint(z, 0.5).inside == (z.real < 1.0)
+            assert (onepoint_margin(z, 0.5) > 0.0) == (z.real < 1.0)
 
     def test_geometric_ratio_contracts_inside(self):
         rng = random.Random(23)
@@ -141,7 +140,7 @@ class TestRegion:
             count = 0
             while count < 100:
                 z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-                if not in_region_onepoint(z, w).inside:
+                if not onepoint_margin(z, w) > 0.0:
                     continue
                 count += 1
                 assert abs(w * z / (w * z - 1.0)) < 1.0
@@ -149,7 +148,7 @@ class TestRegion:
     def test_disk_shape_for_small_re_w(self):
         # for w = i the region is the disk |z - i| < sqrt(2)
         for z, inside in ((1j, True), (-1j, False), (0j, True), (2.2j, True), (2.5j, False)):
-            assert in_region_onepoint(z, 1j).inside == inside, z
+            assert (onepoint_margin(z, 1j) > 0.0) == inside, z
 
 
 class TestEvalOnepoint:

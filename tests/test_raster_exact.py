@@ -19,16 +19,16 @@ import pytest
 from gausshyp import (
     MethodId,
     RasterSpec,
-    RegionVerdict,
     classify_region,
-    in_region_onepoint,
-    in_region_threepoint,
-    in_region_twopoint,
     method_margin,
     raster_to_csv,
     region_raster,
 )
+from gausshyp.onepoint import onepoint_margin
 from gausshyp.reference import region_moduli
+from gausshyp.results import RegionVerdict
+from gausshyp.threepoint import threepoint_margin
+from gausshyp.twopoint import twopoint_margin
 
 # --- references: the margin formulas ---------------------------------------
 
@@ -128,6 +128,11 @@ def _verdict_bits(verdict):
     return verdict.inside, verdict.margin.hex()
 
 
+def _margin_bits(margin):
+    """The verdict bits of a margin function's value, as a predicate would build them."""
+    return margin > 0.0, margin.hex()
+
+
 def _moduli_bits(moduli):
     return [(label, m.hex()) for label, m in moduli.items()]
 
@@ -204,10 +209,10 @@ def test_margins_and_verdicts_match_reference(method):
             for m in MethodId:
                 got = method_margin(m, z, w=w, z0=spec.z0)
                 assert got.hex() == MARGIN_REF[m](z, w, spec.z0).hex(), (m, z, spec)
-            assert _verdict_bits(in_region_threepoint(z)) == _verdict_bits(_threepoint_ref(z))
-            assert _verdict_bits(in_region_twopoint(z)) == _verdict_bits(_twopoint_ref(z))
-            assert _verdict_bits(in_region_onepoint(z)) == _verdict_bits(_onepoint_ref(z))
-            assert _verdict_bits(in_region_onepoint(z, w)) == _verdict_bits(_onepoint_ref(z, w))
+            assert _margin_bits(threepoint_margin(z)) == _verdict_bits(_threepoint_ref(z))
+            assert _margin_bits(twopoint_margin(z)) == _verdict_bits(_twopoint_ref(z))
+            assert _margin_bits(onepoint_margin(z, 0.5)) == _verdict_bits(_onepoint_ref(z))
+            assert _margin_bits(onepoint_margin(z, complex(w))) == _verdict_bits(_onepoint_ref(z, w))
             moduli = _moduli_ref(z)
             assert _moduli_bits(region_moduli(z)) == _moduli_bits(moduli)
             assert classify_region(z, spec.rho) == {k for k, v in moduli.items() if v <= spec.rho}

@@ -33,25 +33,25 @@ from gausshyp import (
     HypParams,
     IntegerDifferenceError,
     MethodId,
+    ParamDomainError,
     PoleError,
     RecurrenceBreakdown,
     euler_integral,
     evaluate,
-    in_region_threepoint,
-    in_region_twopoint,
 )
 from gausshyp import reference
 from gausshyp.buhring import buhring_coeffs, exclusion_margin, is_integer_difference
 from gausshyp.core import EPS, cpow_principal, gamma_real, recip_gamma_real, require_finite_complex, tail_estimate
-from gausshyp.onepoint import in_region_onepoint, phi_half_sequence, phi_w_sequence
+from gausshyp.onepoint import onepoint_margin, phi_half_sequence, phi_w_sequence
 from gausshyp.threepoint import (
     _threepoint_terms,
     phi3_sequence,
     threepoint_coeffs,
+    threepoint_margin,
     threepoint_sums,
 )
 from gausshyp.verify import phi3_direct_sequence
-from gausshyp.twopoint import _recursion, twopoint_coeffs_recursive
+from gausshyp.twopoint import _recursion, twopoint_coeffs_recursive, twopoint_margin
 from conftest import Z_EXC, phi3_xyz_ref, sample_in_region
 
 N_MAX = (0, 1, 5, 40, 120)
@@ -206,9 +206,9 @@ def _phi_w_ref(n_max, b, c, w):
 
 def _cases():
     """(a, b, c, z): a in [-3, 5], c > b > 0; every fourth a and (b, c) are ints."""
-    three = sample_in_region(lambda z: in_region_threepoint(z).inside, 10, seed=606)
+    three = sample_in_region(lambda z: threepoint_margin(z) > 0.0, 10, seed=606)
     two = sample_in_region(
-        lambda z: in_region_twopoint(z).inside and not in_region_threepoint(z).inside, 6, seed=607
+        lambda z: twopoint_margin(z) > 0.0 and not threepoint_margin(z) > 0.0, 6, seed=607
     )
     rng = random.Random(608)
     cases = []
@@ -230,8 +230,8 @@ CASES = _cases()
 def test_case_set_covers_the_regions_and_int_parameters():
     zs = [z for _, _, _, z in CASES]
     assert Z_EXC in zs and Z_EXC.conjugate() in zs
-    assert sum(in_region_threepoint(z).inside for z in zs) >= 10
-    assert sum(not in_region_threepoint(z).inside and in_region_twopoint(z).inside for z in zs) >= 4
+    assert sum(threepoint_margin(z) > 0.0 for z in zs) >= 10
+    assert sum(not threepoint_margin(z) > 0.0 and twopoint_margin(z) > 0.0 for z in zs) >= 4
     assert any(isinstance(b, int) and isinstance(c, int) for _, b, c, _ in CASES)
     assert all(c > b > 0 for _, b, c, _ in CASES)
 
@@ -315,7 +315,7 @@ def test_threepoint_terms_match_the_three_stream_terms():
     # the term loop's one stream against three shifted streams, to the rounding the
     # recurrences gather as n grows
     for a, b, c, z in CASES:
-        if not in_region_threepoint(z).inside:
+        if not threepoint_margin(z) > 0.0:
             continue
         A, B, C = threepoint_coeffs(a, z, 120)
         streams = [phi3_sequence(120, b + j, c + j) for j in range(3)]
@@ -545,12 +545,12 @@ def _series_cases():
     out = []
     for a, b, c, z in CASES:
         params = HypParams(a, b, c)
-        if in_region_threepoint(z).inside:
+        if threepoint_margin(z) > 0.0:
             out.append(("threepoint", params, z, None))
-        if in_region_twopoint(z).inside:
+        if twopoint_margin(z) > 0.0:
             out.append(("twopoint", params, z, None))
         for w in (0.5,) + _ONEPOINT_W:
-            if in_region_onepoint(z, w).inside:
+            if onepoint_margin(z, w) > 0.0:
                 out.append(("onepoint-half" if w == 0.5 else "onepoint-w", params, z, w))
     return out
 
@@ -668,7 +668,8 @@ def test_stops_must_ascend_from_zero(method, stops):
 
 def _euler_ref(params, z, tol=1e-13):
     """euler_integral as it computed each node inside its walk, with u += step, and the last u."""
-    params.require_euler_valid("Euler integral needs")
+    if not params.euler_valid:
+        raise ParamDomainError(f"Euler integral needs c > b > 0, got b={params.b}, c={params.c}")
     z = require_finite_complex(z)
     if z.imag == 0.0 and z.real >= 1.0:
         raise BranchCutError(f"z = {z} lies on the branch cut [1, inf)")

@@ -25,14 +25,15 @@ from gausshyp import (
     eval_twopoint,
     evaluate,
     hyp2f1,
-    in_region_onepoint,
-    in_region_threepoint,
-    in_region_twopoint,
     maclaurin,
     method_margin,
     select_method,
 )
 from gausshyp.buhring import DEFAULT_Z0, buhring_refusal
+from gausshyp.onepoint import onepoint_margin
+from gausshyp.select import AUTO_ORDER
+from gausshyp.threepoint import threepoint_margin
+from gausshyp.twopoint import twopoint_margin
 from conftest import Z_EXC, rel_err
 
 PARAMS = HypParams(1.2, 2.1, 3.0)
@@ -84,21 +85,55 @@ class TestSelectMethod:
         with pytest.raises(NoMethodError):
             select_method(p, z)
 
+    @pytest.mark.parametrize(
+        "params, z, method, converges",
+        [
+            # c < b: the rational expansions and the oracle refuse, the continuation does not
+            (HypParams(1.2, 2.1, 1.5), Z_EXC, MethodId.BUHRING, False),
+            # c < b and integer b - a: only the power series is left, at |z| = 0.76
+            (HypParams(1.2, 2.2, 2.0), 0.7 + 0.3j, MethodId.MACLAURIN, True),
+        ],
+        ids=["buhring", "maclaurin"],
+    )
+    def test_c_not_above_b_takes_a_route_that_accepts_it(self, params, z, method, converges):
+        mpmath = pytest.importorskip("mpmath")
+        assert select_method(params, z) is method
+        res, used = evaluate(params, z)
+        assert used is method and res.converged is converges
+        ref = complex(mpmath.hyp2f1(*params, z))
+        assert rel_err(res.value, ref) <= 10.0 * res.est_error
+
+    def test_no_method_names_each_refusal(self):
+        # on the real ray z >= 1 every route refuses, the oracle at its cut
+        with pytest.raises(NoMethodError) as info:
+            evaluate(PARAMS, 3.0)
+        message = str(info.value)
+        assert message.startswith("no evaluation method applies at z = (3+0j) for HypParams(a=1.2, b=2.1, c=3.0): ")
+        reasons = message.split(": ", 1)[1].split("; ")
+        assert [r.split(": ")[0] for r in reasons] == [str(m) for m in AUTO_ORDER]
+        assert "euler-oracle: BranchCutError: z = (3+0j) lies on the branch cut [1, inf)" in reasons
+        assert "maclaurin: OutsideDomain: |z| = 3.0 >= 1: power series diverges" in reasons
+
     def test_grid_coverage_and_predicate_consistency(self):
-        # on a 101x101 grid over [-3,3]^2 some method always applies, and the
-        # returned method's own predicate holds at z
+        # on a 101x101 grid over [-3,3]^2 some method applies off the real ray
+        # [1, inf), where every route refuses, and the returned method's own
+        # predicate holds at z
         for i in range(101):
             for j in range(101):
                 z = complex(-3.0 + 0.06 * i, -3.0 + 0.06 * j)
+                if z.imag == 0.0 and z.real >= 1.0:
+                    with pytest.raises(NoMethodError):
+                        select_method(PARAMS, z)
+                    continue
                 method = select_method(PARAMS, z)
                 if method is MethodId.MACLAURIN:
                     assert abs(z) <= 0.5
                 elif method is MethodId.THREEPOINT:
-                    assert in_region_threepoint(z).inside
+                    assert threepoint_margin(z) > 0.0
                 elif method is MethodId.TWOPOINT:
-                    assert in_region_twopoint(z).inside
+                    assert twopoint_margin(z) > 0.0
                 elif method is MethodId.ONEPOINT_HALF:
-                    assert in_region_onepoint(z, 0.5).inside
+                    assert onepoint_margin(z, 0.5) > 0.0
                 elif method is MethodId.BUHRING:
                     assert abs(z - 0.5) > 0.5
                     assert buhring_refusal(PARAMS, z, 0.5) is None
@@ -222,7 +257,7 @@ class TestHugeArgument:
     def test_margins_refuse_instead_of_raising(self):
         assert method_margin(MethodId.THREEPOINT, 1e200) == -math.inf
         assert method_margin(MethodId.ONEPOINT_W, 1e308, w=1.5 + 1.5j) == -math.inf  # |wz| overflows
-        assert not in_region_threepoint(complex(-1e150, 1.0)).inside
+        assert not threepoint_margin(complex(-1e150, 1.0)) > 0.0
         with pytest.raises(DomainError, match="modulus"):
             method_margin(MethodId.TWOPOINT, HUGE_Z[-1])
         with pytest.raises(DomainError, match="modulus"):
@@ -338,6 +373,16 @@ class TestEvaluate:
         res, _ = evaluate(PARAMS, 0.3 + 0j, "maclaurin", tol=1, max_terms=3)
         assert res.terms_used <= 3
 
+    @pytest.mark.parametrize("method", ["auto", *MethodId], ids=str)
+    def test_invalid_z0_or_w_is_rejected_before_routing(self, method):
+        # auto used to route past an unused bad z0 or w and return a result
+        with pytest.raises(DomainError, match="z0 must have finite"):
+            evaluate(PARAMS, 3 + 1j, method, z0=math.nan, w=W)
+        with pytest.raises(DomainError, match="expansion point w must be nonzero"):
+            evaluate(PARAMS, 0.3, method, w=0)
+        with pytest.raises(DomainError, match="w must have finite"):
+            evaluate(PARAMS, 0.3, method, w=complex(0.5, math.inf))
+
     def test_unknown_method_string(self):
         with pytest.raises(ConfigError):
             evaluate(PARAMS, Z_EXC, method="pade")
@@ -369,3 +414,96 @@ class TestEvaluate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             hyp2f1(1.2, 2.1, 3.0, Z_EXC)
+
+
+def _refusal_samples():
+    """(params, z, w, z0) covering every refusal: c <= b, b <= 0, integer b - a, z in {1, 2},
+    the real ray [1, inf) and the continuation's cut, non-finite z and z0, w = 0 and w = None."""
+    rng = random.Random(19)
+    triples = [PARAMS, HypParams(1.2, 2.2, 3.0), HypParams(1.2, 2.1, 1.5), HypParams(1.2, 2.1, 2.1)]
+    triples += [HypParams(0.7, -0.4, 2.0), HypParams(1.0, 0.0, 2.5)]
+    for _ in range(8):
+        b = rng.uniform(-3.0, 5.0)
+        a = b - rng.randint(-3, 3) if rng.random() < 0.3 else rng.uniform(-3.0, 5.0)
+        triples.append(HypParams(a, b, b + rng.uniform(-3.0, 4.0)))
+    zs = [0.3 + 0.2j, Z_EXC, -1.0 + 1.0j, -5.0, 0.7 + 0.3j, 1.0, 2.0, 3.0, 1.5 + 0.01j, 10.0 + 0.5j]
+    zs += [complex(math.nan, 0.0), complex(1.0, math.inf)]
+    zs += [complex(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)) for _ in range(6)]
+    points = [(0.5, W), (0.5 + 0.5j, None), (complex(math.nan, 0.0), 0), (DEFAULT_Z0, 1j)]
+    return [(p, z, w, z0) for p in triples for z in zs for z0, w in points]
+
+
+REFUSAL_SAMPLES = _refusal_samples()
+
+
+def _first_result(method, params, z, w, z0):
+    route = ROUTES[method]
+    if route.sums is None:
+        return route.run(params, z, 5, 1e-13, w, z0, 60)
+    return next(route.sums(params, z, (5,), 1e-13, w, z0))
+
+
+#: The refusal classes each route gives on REFUSAL_SAMPLES.
+REFUSED = {
+    MethodId.MACLAURIN: {"DomainError", "OutsideDomain"},
+    MethodId.EULER: {"ParamDomainError", "DomainError", "BranchCutError"},
+    MethodId.BUHRING: {"IntegerDifferenceError", "DomainError", "OutsideDomain", "BranchCutError"},
+    MethodId.ONEPOINT_HALF: {"DomainError", "ParamDomainError", "OutsideDomain"},
+    MethodId.ONEPOINT_W: {"ConfigError", "DomainError", "ParamDomainError", "OutsideDomain"},
+    MethodId.TWOPOINT: {"DomainError", "SingularityError", "ParamDomainError", "OutsideDomain"},
+    MethodId.THREEPOINT: {"DomainError", "SingularityError", "ParamDomainError", "OutsideDomain"},
+}
+
+
+class TestRefusal:
+    @pytest.mark.parametrize("method", list(MethodId), ids=str)
+    def test_refusal_is_what_the_route_raises(self, method):
+        # None exactly where the first result comes back, and only where the margin that
+        # select_method asks first is positive; else the class and message raised
+        refused, accepted = set(), 0
+        for params, z, w, z0 in REFUSAL_SAMPLES:
+            refusal = ROUTES[method].refusal(params, z, w, z0)
+            try:
+                _first_result(method, params, z, w, z0)
+            except GaussHypError as exc:
+                assert refusal is not None, (params, z, w, z0, exc)
+                assert (type(exc), str(exc)) == (type(refusal), str(refusal)), (params, z, w, z0)
+                refused.add(type(exc).__name__)
+            else:
+                assert refusal is None, (params, z, w, z0, refusal)
+                assert ROUTES[method].margin(z, w, z0) > 0.0, (params, z, w, z0)
+                accepted += 1
+        assert refused == REFUSED[method]
+        assert accepted >= 20
+
+    def test_auto_returns_what_its_route_returns(self):
+        # a, b, c = +-10^U(-1, 1.2), |z| = 10^U(-1, 1.5), any sign and argument
+        rng = random.Random(19)
+
+        def draw():
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.2)
+
+        def bits(res):
+            v = complex(res.value)
+            return v.real.hex(), v.imag.hex(), res.terms_used, float(res.est_error).hex(), res.converged
+
+        def points():
+            yield PARAMS, 1.9 + 0.3j  # twopoint
+            yield HypParams(1.2, 2.2, 3.0), 1.5 + 0.01j  # euler-oracle
+            for _ in range(1500):
+                try:
+                    params = HypParams(draw(), draw(), draw())
+                except GaussHypError:
+                    continue
+                t = rng.uniform(-math.pi, math.pi)
+                yield params, 10.0 ** rng.uniform(-1.0, 1.5) * complex(math.cos(t), math.sin(t))
+
+        routes = set()
+        for params, z in points():
+            try:
+                res, method = evaluate(params, z)
+            except (DomainError, ConfigError, NoMethodError):
+                continue
+            routes.add(method)
+            assert bits(evaluate(params, z, method)[0]) == bits(res), (params, z, method)
+        assert routes == set(AUTO_ORDER)

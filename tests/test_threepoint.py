@@ -14,10 +14,9 @@ from gausshyp import (
     SingularityError,
     euler_integral,
     eval_threepoint,
-    in_region_threepoint,
 )
 from gausshyp.core import cpow_principal
-from gausshyp.threepoint import phi3_sequence, threepoint_coeffs
+from gausshyp.threepoint import phi3_sequence, threepoint_coeffs, threepoint_margin
 from gausshyp.verify import phi3_direct_sequence
 from conftest import Z_EXC, phi3_xyz_ref, rel_err, sample_in_region
 
@@ -154,27 +153,27 @@ class TestPhi3:
 
 class TestRegion:
     def test_origin(self):
-        v = in_region_threepoint(0j)
-        assert v.inside
-        assert abs(v.margin - 12.0 * math.sqrt(3.0)) <= 1e-12
+        m = threepoint_margin(0j)
+        assert m > 0.0
+        assert abs(m - 12.0 * math.sqrt(3.0)) <= 1e-12
 
     def test_exceptional_point(self):
         # |1-z| = 1, |2-z| = sqrt(3), so margin = 18 - 1 = 17
-        v = in_region_threepoint(Z_EXC)
-        assert v.inside
-        assert abs(v.margin - 17.0) <= 1e-9
+        m = threepoint_margin(Z_EXC)
+        assert m > 0.0
+        assert abs(m - 17.0) <= 1e-9
 
     def test_singular_points_excluded(self):
-        assert not in_region_threepoint(1.0 + 0j).inside
-        assert not in_region_threepoint(2.0 + 0j).inside
+        assert not threepoint_margin(1.0 + 0j) > 0.0
+        assert not threepoint_margin(2.0 + 0j) > 0.0
 
     def test_region_wider_than_twopoint_on_ray(self):
         # z = -6 is outside |z|^2 < 4|1-z| but inside the three-point region
-        from gausshyp import in_region_twopoint
+        from gausshyp.twopoint import twopoint_margin
 
         z = -6.0 + 0j
-        assert not in_region_twopoint(z).inside
-        assert in_region_threepoint(z).inside
+        assert not twopoint_margin(z) > 0.0
+        assert threepoint_margin(z) > 0.0
 
     def test_oval_radius_matches_interval_maximum(self):
         # the region constant encodes the max of |t(t-1)(t-1/2)| over (0,1):

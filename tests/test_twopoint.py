@@ -14,10 +14,9 @@ from gausshyp import (
     SingularityError,
     euler_integral,
     eval_twopoint,
-    in_region_twopoint,
 )
 from gausshyp.core import cpow_principal, pochhammer
-from gausshyp.twopoint import _twopoint_terms, twopoint_coeffs_recursive
+from gausshyp.twopoint import _twopoint_terms, twopoint_coeffs_recursive, twopoint_margin
 from gausshyp.verify import twopoint_coeffs_explicit, twopoint_coeffs_mp
 from conftest import Z_EXC, rel_err, sample_in_region, within_factor
 
@@ -118,18 +117,18 @@ class TestMoments:
 
 class TestRegion:
     def test_origin(self):
-        v = in_region_twopoint(0j)
-        assert v.inside and v.margin == 4.0
+        m = twopoint_margin(0j)
+        assert m > 0.0 and m == 4.0
 
     def test_exceptional_point(self):
-        v = in_region_twopoint(Z_EXC)
-        assert v.inside
-        assert abs(v.margin - 3.0) <= 1e-12  # 4|1-z| = 4, |z|^2 = 1
+        m = twopoint_margin(Z_EXC)
+        assert m > 0.0
+        assert abs(m - 3.0) <= 1e-12  # 4|1-z| = 4, |z|^2 = 1
 
     def test_singular_points_excluded(self):
-        assert not in_region_twopoint(1.0 + 0j).inside
-        v2 = in_region_twopoint(2.0 + 0j)
-        assert not v2.inside and v2.margin == 0.0
+        assert not twopoint_margin(1.0 + 0j) > 0.0
+        m2 = twopoint_margin(2.0 + 0j)
+        assert not m2 > 0.0 and m2 == 0.0
 
     def test_cassini_identity(self):
         # |z|^2 < 4|1-z|  <=>  1/4 < |1/z (1/z - 1)|
@@ -138,7 +137,7 @@ class TestRegion:
             z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             if abs(z) < 1e-6:
                 continue
-            lhs = in_region_twopoint(z).inside
+            lhs = twopoint_margin(z) > 0.0
             rhs = 0.25 < abs((1.0 / z) * (1.0 / z - 1.0))
             assert lhs == rhs, z
 
