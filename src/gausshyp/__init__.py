@@ -18,8 +18,11 @@ The rational expansions keep the exceptional points exp(+-i pi/3) well
 inside their convergence regions and remain valid when b - a is an
 integer, where the continuation breaks down.  Each route's region margin
 and refusal live in its module, and the CLI reproduces the benchmark
-error tables and region rasters.
+error tables and region rasters.  The table and raster names load their
+modules on first access.
 """
+
+from importlib import import_module
 
 from .buhring import buhring_coeffs, buhring_eval
 from .core import HypParams
@@ -38,13 +41,25 @@ from .errors import (
     SingularityError,
 )
 from .onepoint import eval_onepoint
-from .raster import RasterSpec, raster_to_csv, region_raster
 from .reference import classify_region, euler_integral, maclaurin
 from .results import MethodId, SeriesResult
 from .select import ROUTES, evaluate, hyp2f1, method_margin, select_method
-from .tables import TABLES, TableSpec, run_table, table_to_csv, table_to_json
 from .threepoint import eval_threepoint
 from .twopoint import eval_twopoint
+
+#: Names served by __getattr__, by the module that loads on the first access to one of them.
+_ON_DEMAND = dict.fromkeys(("TABLES", "TableSpec", "run_table", "table_to_csv", "table_to_json"), "tables")
+_ON_DEMAND.update(dict.fromkeys(("RasterSpec", "raster_to_csv", "region_raster"), "raster"))
+
+
+def __getattr__(name: str):
+    if name not in _ON_DEMAND:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(import_module(f".{_ON_DEMAND[name]}", __name__), name))
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 __version__ = "0.1.0"
 

@@ -128,7 +128,8 @@ def cpow_principal(base: complex, exponent: float) -> complex:
     negative real axis take the +pi side of the cut, so an imaginary part
     of -0.0 is collapsed to +0.0 before taking the logarithm.
 
-    Raises DomainError for a zero base with non-positive exponent.
+    Raises DomainError for a zero base with non-positive exponent, and
+    RecurrenceBreakdown where the power overflows double precision.
     """
     b = complex(base)
     if b.imag == 0.0:
@@ -137,7 +138,10 @@ def cpow_principal(base: complex, exponent: float) -> complex:
         if exponent <= 0:
             raise DomainError("zero base with non-positive exponent")
         return 0j
-    return cmath.exp(exponent * cmath.log(b))
+    try:
+        return cmath.exp(exponent * cmath.log(b))
+    except OverflowError:
+        raise RecurrenceBreakdown(f"({b})**{exponent} overflows double precision") from None
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -154,22 +158,25 @@ def gamma_real(x: float) -> float:
     """Euler gamma for real argument.
 
     Delegates to math.gamma (a Lanczos-type rational approximation with
-    reflection for small arguments, accurate to ~1 ulp), adding an explicit
-    pole check so non-positive integer arguments raise PoleError.
+    reflection for small arguments, accurate to ~1 ulp).  A non-positive
+    integer raises PoleError, and an overflow RecurrenceBreakdown.
     """
     if x <= 0 and x == math.floor(x):
         raise PoleError(f"gamma pole at {x}")
     try:
         return math.gamma(x)
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise PoleError(f"gamma pole at {x}") from exc
+    except OverflowError:
+        raise RecurrenceBreakdown(f"gamma({x}) overflows double precision") from None
 
 
 def recip_gamma_real(x: float) -> float:
-    """1 / gamma(x), which is entire: returns 0.0 at the poles of gamma."""
+    """1 / gamma(x), which is entire: 0.0 at the poles of gamma; RecurrenceBreakdown past double range."""
     if x <= 0 and x == math.floor(x):
         return 0.0
-    return 1.0 / math.gamma(x)
+    try:
+        return 1.0 / math.gamma(x)
+    except (OverflowError, ZeroDivisionError):
+        raise RecurrenceBreakdown(f"1/gamma({x}) is out of double precision range") from None
 
 
 class HypParams(namedtuple("HypParams", "a b c")):

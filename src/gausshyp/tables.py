@@ -11,7 +11,6 @@ the reference convergence rates and individual cells), so its spec
 carries index_rule="half", and run_table maps labels accordingly.
 """
 
-import json
 import math
 import warnings
 from typing import NamedTuple
@@ -202,6 +201,8 @@ def table_to_csv(result: TableResult) -> str:
 
 def table_to_json(result: TableResult) -> str:
     """Deterministic strict JSON with raw float errors (or failure labels); a non-finite error is a string."""
+    import json
+
     payload = {
         "table": result.spec.table_id,
         "n_values": list(N_LABELS),

@@ -4,18 +4,25 @@ The production modules sum their series in plain double precision.  The
 functions here exist to be compared against them: the terminating
 definition of the one-point moments, the explicit two-point coefficient
 sum, the two-point recursion run in extended precision, and the closed
-form of the three-point moments.  This is the only module that imports
-mpmath.
+form of the three-point moments.  selftest_checks gathers the checks of
+`gausshyp selftest`.  This is the only module that imports mpmath.
 """
 
+import cmath
 import math
+from functools import partial
 from itertools import islice
 
 import mpmath
 
-from .core import pochhammer
+from .core import HypParams, pochhammer
 from .errors import DomainError, PoleError, SingularityError
-from .twopoint import _initial_pair, _recursion
+from .onepoint import phi_half_sequence
+from .reference import classify_region, euler_integral
+from .results import MethodId
+from .select import evaluate, method_margin
+from .threepoint import phi3_sequence, threepoint_coeffs, threepoint_sums
+from .twopoint import _initial_pair, _recursion, twopoint_coeffs_recursive
 
 
 def _mpc(z: complex):
@@ -140,3 +147,78 @@ def phi3_direct_sequence(n_max: int, b: float, c: float, dps: int | None = None)
     with mpmath.workdps(dps):
         bm, cm = mpmath.mpf(b), mpmath.mpf(c)
         return [float(_phi3_direct(n, bm, cm)) for n in range(n_max + 1)]
+
+
+def selftest_checks() -> list[tuple]:
+    """The (name, check) pairs of `gausshyp selftest`; a check returns True when it passes."""
+    z_exc = cmath.exp(1j * math.pi / 3.0)
+    params = HypParams(1.2, 2.1, 3.0)
+    # (route, params, z, label, n_terms, relative tolerance against the quadrature oracle)
+    routes = [
+        (MethodId.MACLAURIN, params, 0.55 + 0.4j, "0.55+0.4i", 40, 1e-11),
+        (MethodId.MACLAURIN, params, -0.6 + 0.5j, "-0.6+0.5i", 40, 1e-12),
+        (MethodId.MACLAURIN, HypParams(0.7, 0.4, 0.9), 0.35 + 0.2j, "0.35+0.2i, b<1, c-b<1", 40, 1e-12),
+        (MethodId.BUHRING, params, z_exc, "exp(i*pi/3)", 25, 1e-1),
+        (MethodId.ONEPOINT_HALF, params, z_exc, "exp(i*pi/3)", 25, 1e-5),
+        (MethodId.ONEPOINT_W, params, z_exc, "exp(i*pi/3)", 20, 1.5e-6),
+        (MethodId.TWOPOINT, params, z_exc, "exp(i*pi/3)", 20, 1e-10),
+        (MethodId.THREEPOINT, params, z_exc, "exp(i*pi/3)", 20, 1e-10),
+    ]
+
+    def route_matches_oracle(method, p, z, n, tol):
+        value = evaluate(p, z, method, n_terms=n, w=complex(0.5, 0.5))[0].value
+        ref = euler_integral(p, z).value
+        return abs(value - ref) <= tol * abs(ref)
+
+    def oracle_conjugate_symmetric(z=3 + 0.5j):
+        v, vc = (euler_integral(params, x).value for x in (z, z.conjugate()))
+        return abs(vc - v.conjugate()) <= 1e-14 * abs(v)
+
+    def exceptional_point_covered():
+        new = (MethodId.ONEPOINT_HALF, MethodId.TWOPOINT, MethodId.THREEPOINT)
+        return all(method_margin(m, z_exc) > 0.0 for m in new) and not classify_region(z_exc, 0.95)
+
+    def phi_matches_definition():
+        rec = phi_half_sequence(9, 2.1, 3.0)
+        return all(
+            abs(rec[n] - phi_brute(n, 2.1, 3.0, 0.5).real) <= 1e-10 * max(1.0, abs(rec[n]))
+            for n in range(10)
+        )
+
+    def twopoint_paths_agree():
+        A, B = twopoint_coeffs_recursive(1.2, -1.0 + 0j, 6)
+        for n in range(1, 7):
+            ae, be = twopoint_coeffs_explicit(1.2, -1.0 + 0j, n)
+            if abs(ae - A[n]) > 1e-10 * max(1.0, abs(ae)):
+                return False
+            if abs(be - B[n]) > 1e-10 * max(1.0, abs(be)):
+                return False
+        return True
+
+    def phi3_paths_agree():
+        rec = phi3_sequence(15, 2.1, 3.0)
+        direct = phi3_direct_sequence(15, 2.1, 3.0, dps=40)
+        return all(abs(rec[n] - direct[n]) <= 1e-9 * abs(direct[n]) for n in range(1, 16))
+
+    def phi3_columns_match_shifted_streams():
+        # the series forms columns 1 and 2 from one stream; sum them from the shifted streams instead
+        b, c = params.b, params.c
+        A, B, C = threepoint_coeffs(params.a, z_exc, 15)
+        s0, s1, s2 = (phi3_sequence(15, b + j, c + j) for j in range(3))
+        w1, w2 = b / c, b * (b + 1.0) / (c * (c + 1.0))
+        terms = [(-1) ** n * (A[n] * s0[n] + w1 * B[n] * s1[n] + w2 * C[n] * s2[n]) for n in range(16)]
+        sums = enumerate(threepoint_sums(params, z_exc, tuple(range(16))))
+        return all(abs(res.value - sum(terms[: n + 1])) <= 1e-13 * abs(res.value) for n, res in sums)
+
+    return [
+        *(
+            (f"{m.value} vs euler integral at z = {label}", partial(route_matches_oracle, m, p, z, n, tol))
+            for m, p, z, label, n, tol in routes
+        ),
+        ("euler integral conjugate symmetry at z = 3+0.5i", oracle_conjugate_symmetric),
+        ("exp(i*pi/3) covered by new regions only", exceptional_point_covered),
+        ("phi recurrence matches terminating series", phi_matches_definition),
+        ("twopoint explicit vs recursive", twopoint_paths_agree),
+        ("phi3 recurrence vs direct", phi3_paths_agree),
+        ("phi3 column relation vs shifted streams", phi3_columns_match_shifted_streams),
+    ]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import gausshyp.cli
 import gausshyp.select
 from gausshyp import HypParams, MethodId, euler_integral
 from gausshyp.cli import build_parser, main, parse_complex
@@ -141,6 +142,20 @@ class TestEvalCommand:
         assert captured.out == ""
         assert "error (RecurrenceBreakdown):" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["--a=-2.41", "--b=1.2", "--c=3", "--z=1e200+1i"], "**2.41 overflows double precision"),
+            (["--a=-0.08", "--b=0.77", "--c=175.46", "--z=-0.83-0.18i", "--method=euler-oracle"], "gamma(175.46)"),
+        ],
+    )
+    def test_overflow_exit_code(self, capsys, argv, where):
+        assert main(["eval", *argv]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error (RecurrenceBreakdown): ")
+        assert where in err
+
     def test_negative_terms_exit_code(self, capsys):
         argv = "--a 1.2 --b 2.1 --c 3 --z exp(i*pi/3) --terms -1"
         assert main(["eval", *argv.split()]) == 2
@@ -255,6 +270,10 @@ class TestTableCommand:
     def test_bad_id(self, capsys):
         assert main(["table", "--id", "9"]) == 2
 
+    def test_bad_id_names_the_known_ids(self, capsys):
+        assert main(["table", "--id", "9"]) == 2
+        assert capsys.readouterr().err == "error: unknown table id 9; known ids are [1, 2, 3, 4]\n"
+
 
 class TestRegionCommand:
     def test_csv(self, capsys):
@@ -308,6 +327,54 @@ class TestRegionCommand:
             ]
         )
         assert code == 2
+
+
+class TestCommandEntryPoints:
+    """perfbench's tracer wraps gausshyp.cli.run_table and gausshyp.cli.raster_to_csv in place."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("run_table", ["table", "--id", "4"]),
+            ("raster_to_csv", "region --method=twopoint --xmin=-4 --xmax=4 --ymin=-4 --ymax=4 --res=5".split()),
+        ],
+    )
+    def test_wrapper_on_the_module_attribute_sees_the_command(self, capsys, monkeypatch, name, argv):
+        real, calls = getattr(gausshyp.cli, name), []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gausshyp.cli, name, wrapper)
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert len(calls) == 2
+
+    def test_unknown_attribute(self):
+        assert not hasattr(gausshyp.cli, "table_to_csv")
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--a=1.2", "--b=2.1", "--c=3", "--z=0.3"],
+            ["table", "--id", "4"],
+            "region --method=twopoint --xmin=-4 --xmax=4 --ymin=-4 --ymax=4 --res=5".split(),
+        ],
+    )
+    def test_usage_error_without_traceback(self, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "x.json"
+        assert main([*argv, "--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+    def test_directory_as_out(self, tmp_path, capsys):
+        assert main(["eval", "--a=1.2", "--b=2.1", "--c=3", "--z=0.3", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 class TestRepeatedCalls:

@@ -3,11 +3,12 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
-from gausshyp import DomainError, HypParams, ParamDomainError, PoleError
-from gausshyp.core import cpow_principal, gamma_real, json_value, pochhammer
+from gausshyp import DomainError, HypParams, ParamDomainError, PoleError, RecurrenceBreakdown, evaluate
+from gausshyp.core import cpow_principal, gamma_real, json_value, pochhammer, recip_gamma_real
 
 
 class TestCpowPrincipal:
@@ -105,6 +106,41 @@ class TestGammaReal:
         for x in (0.0, -1.0, -7.0):
             with pytest.raises(PoleError):
                 gamma_real(x)
+
+
+class TestOverflow:
+    """Past double range the helpers raise RecurrenceBreakdown; every finite result keeps its bits."""
+
+    @pytest.mark.parametrize("x", [171.7, 175.46, 1e300])
+    def test_gamma_overflow(self, x):
+        with pytest.raises(RecurrenceBreakdown, match=re.escape(f"gamma({x})")):
+            gamma_real(x)
+
+    @pytest.mark.parametrize("x", [171.7, 1e300, -200.5])
+    def test_recip_gamma_out_of_range(self, x):
+        # math.gamma overflows above 171.62 and underflows to -0.0 at -200.5
+        with pytest.raises(RecurrenceBreakdown, match=re.escape(f"1/gamma({x})")):
+            recip_gamma_real(x)
+
+    def test_cpow_overflow(self):
+        with pytest.raises(RecurrenceBreakdown, match=r"\*\*2\.41 overflows"):
+            cpow_principal(-1e200 - 1j, 2.41)
+
+    def test_finite_results_keep_their_bits(self):
+        for x in (171.6, 0.5, -170.5, -1.5, 1e-300):
+            assert gamma_real(x) == math.gamma(x)
+            assert recip_gamma_real(x) == 1.0 / math.gamma(x)
+        for base, e in ((1e200 + 1j, -2.41), (-1e150 - 1j, 2.0), (1e-300, -1.02)):
+            assert cpow_principal(base, e) == cmath.exp(e * cmath.log(base))
+
+    def test_continuation_prefactor_overflow(self):
+        # Buhring's prefactor (z0 - z)^(-a) at |z| = 1e200, a < 0
+        with pytest.raises(RecurrenceBreakdown, match="overflows double precision"):
+            evaluate(HypParams(-2.41, 1.2, 3.0), 1e200 + 1j)
+
+    def test_oracle_gamma_overflow(self):
+        with pytest.raises(RecurrenceBreakdown, match=r"gamma\(175\.46\)"):
+            evaluate(HypParams(-0.08, 0.77, 175.46), -0.83 - 0.18j, "euler-oracle")
 
 
 class TestHypParams:

@@ -1,7 +1,9 @@
 """Heavy dependencies stay apart from the production routes.
 
 The extended-precision references (mpmath) live in gausshyp.verify, and
-no module imports scipy: the quadrature oracle is pure Python.
+no module imports scipy: the quadrature oracle is pure Python.  Each CLI
+command loads only the modules it runs: the tables, rasters and
+references load on first use.
 """
 
 import ast
@@ -10,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gausshyp"
 
@@ -96,3 +100,61 @@ print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))
     codes, loaded = json.loads(_run_python(code))
     assert codes == [0, 0, 0, 0]
     assert loaded == []
+
+
+
+#: Run one CLI command with its stdout discarded, then print its exit code and the loaded modules.
+_LOADED_AFTER = """
+import io, sys
+from gausshyp.cli import main
+sys.stdout = io.StringIO()
+rc = main({argv!r})
+print(rc, *sorted(sys.modules), file=sys.__stdout__)
+"""
+
+_EVAL = ["eval", "--a=1.2", "--b=2.1", "--c=3", "--z=exp(i*pi/3)"]
+_REGION = ["region", "--method=twopoint", "--xmin=-4", "--xmax=4", "--ymin=-4", "--ymax=4", "--res=5"]
+_TABLES, _RASTER, _VERIFY = "gausshyp.tables", "gausshyp.raster", "gausshyp.verify"
+
+
+def test_package_import_loads_no_table_raster_or_verify_module():
+    loaded = set(_run_python("import sys, gausshyp\nprint(*sys.modules)").split())
+    assert "gausshyp.select" in loaded
+    assert not {_TABLES, _RASTER, _VERIFY} & loaded
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips",
+    [
+        (_EVAL, {"json"}, {_TABLES, _RASTER, _VERIFY}),
+        ([*_EVAL, "--format=text"], set(), {_TABLES, _RASTER, _VERIFY, "json"}),
+        (["table", "--id", "4"], {_TABLES}, {_RASTER, _VERIFY, "json"}),
+        (["table", "--id", "4", "--format=json"], {_TABLES, "json"}, {_RASTER, _VERIFY}),
+        (_REGION, {_RASTER}, {_TABLES, _VERIFY, "json"}),
+        (["selftest"], {_VERIFY}, {_TABLES, _RASTER, "json"}),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(argv, loads, skips):
+    rc, *loaded = _run_python(_LOADED_AFTER.format(argv=argv)).split()
+    assert rc == "0"
+    assert loads <= set(loaded)
+    assert not skips & set(loaded)
+
+
+def test_root_stores_an_on_demand_name_on_first_access():
+    code = (
+        "import gausshyp\n"
+        "before = 'TABLES' in vars(gausshyp)\n"
+        "print(before, gausshyp.TABLES is vars(gausshyp)['TABLES'] is gausshyp.tables.TABLES)"
+    )
+    assert _run_python(code).split() == ["False", "True"]
+
+
+def test_root_lists_and_serves_every_public_name():
+    import gausshyp
+
+    assert len(gausshyp.__all__) == 36
+    assert set(gausshyp.__all__) <= set(dir(gausshyp))
+    assert gausshyp.RasterSpec is gausshyp.raster.RasterSpec
+    assert gausshyp.region_raster is gausshyp.raster.region_raster
+    assert not hasattr(gausshyp, "no_such_name")
