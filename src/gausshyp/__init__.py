@@ -24,7 +24,7 @@ modules on first access.
 
 from importlib import import_module
 
-from .buhring import buhring_coeffs, buhring_eval
+from .buhring import buhring_coeffs
 from .core import HypParams
 from .errors import (
     BranchCutError,
@@ -40,12 +40,9 @@ from .errors import (
     RecurrenceBreakdown,
     SingularityError,
 )
-from .onepoint import eval_onepoint
 from .reference import classify_region, euler_integral, maclaurin
 from .results import MethodId, SeriesResult
 from .select import ROUTES, evaluate, hyp2f1, method_margin, select_method
-from .threepoint import eval_threepoint
-from .twopoint import eval_twopoint
 
 #: Names served by __getattr__, by the module that loads on the first access to one of them.
 _ON_DEMAND = dict.fromkeys(("TABLES", "TableSpec", "run_table", "table_to_csv", "table_to_json"), "tables")
@@ -84,12 +81,8 @@ __all__ = [
     "TABLES",
     "TableSpec",
     "buhring_coeffs",
-    "buhring_eval",
     "classify_region",
     "euler_integral",
-    "eval_onepoint",
-    "eval_threepoint",
-    "eval_twopoint",
     "evaluate",
     "hyp2f1",
     "maclaurin",

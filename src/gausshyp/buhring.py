@@ -79,12 +79,6 @@ def _buhring_terms(s: float, z0: complex | float, params: HypParams, u: complex)
         upow *= u
 
 
-def is_integer_difference(params: HypParams) -> bool:
-    """True when b - a is within INTEGER_DIFF_TOL of an integer."""
-    diff = params.b - params.a
-    return abs(diff - round(diff)) < INTEGER_DIFF_TOL
-
-
 def exclusion_radius(z0: complex) -> float:
     """Radius max(|z0|, |z0 - 1|) of the disk around z0 where the continuation diverges."""
     return max(abs(z0), abs(z0 - 1.0))
@@ -105,9 +99,10 @@ def buhring_refusal(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> 
     (DomainError), z not outside the excluded disk or |z - z0| past the
     largest double (OutsideDomain), and z on the cut ph(z0 - z) = pi (BranchCutError).
     """
-    if is_integer_difference(params):
+    diff = params.b - params.a
+    if abs(diff - round(diff)) < INTEGER_DIFF_TOL:
         msg = "b - a = %s is an integer (within %s); the continuation coefficients are indeterminate"
-        return IntegerDifferenceError(msg, params.b - params.a, INTEGER_DIFF_TOL)
+        return IntegerDifferenceError(msg, diff, INTEGER_DIFF_TOL)
     try:
         z = require_finite_complex(z)
         z0 = require_finite_complex(z0, "z0")

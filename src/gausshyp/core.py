@@ -183,8 +183,7 @@ class HypParams(namedtuple("HypParams", "a b c")):
     """Real parameter triple (a, b, c) of 2F1(a, b, c; z).
 
     c must not be zero or a negative integer: (c)_n appears in series
-    denominators.  euler_valid flags the constraint c > b > 0 required by
-    the integral representation.
+    denominators.
     """
 
     __slots__ = ()
@@ -202,11 +201,6 @@ class HypParams(namedtuple("HypParams", "a b c")):
             )
         return self
 
-    @property
-    def euler_valid(self) -> bool:
-        """True when c > b > 0, the validity condition of the Euler integral."""
-        return self.c > self.b > 0
-
     def param_refusal(self, needs: str) -> ParamDomainError | None:
         """None when c > b > 0, else the ParamDomainError whose message needs opens, e.g. "Euler integral needs"."""
-        return None if self.euler_valid else ParamDomainError("%s c > b > 0, got b=%s, c=%s", needs, self.b, self.c)
+        return None if self.c > self.b > 0 else ParamDomainError("%s c > b > 0, got b=%s, c=%s", needs, self.b, self.c)

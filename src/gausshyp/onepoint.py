@@ -23,7 +23,7 @@ from typing import Iterator
 
 from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
 from .errors import ConfigError, DomainError, GaussHypError, OutsideDomain, PoleError
-from .results import RegionVerdict, SeriesResult
+from .results import SeriesResult
 
 #: Default truncation index; forward recurrence accuracy is verified up to here.
 DEFAULT_TERMS = 40
@@ -103,10 +103,10 @@ def onepoint_margin(z: complex, w: complex) -> float:
     return m if m == m else -math.inf  # m != m: NaN from inf - inf
 
 
-def in_region_onepoint(z: complex, w: complex = 0.5) -> RegionVerdict:
-    """Membership in S via |1-wz| > |z| max(|w|, |1-w|); margin is onepoint_margin."""
+def in_region_onepoint(z: complex, w: complex = 0.5) -> tuple[bool, float]:
+    """(margin > 0.0, margin) of onepoint_margin: membership in S via |1-wz| > |z| max(|w|, |1-w|)."""
     m = onepoint_margin(complex(z), complex(w))
-    return RegionVerdict(m > 0.0, m)
+    return m > 0.0, m
 
 
 def onepoint_refusal(params: HypParams, z: complex, w: complex | None) -> GaussHypError | None:

@@ -52,7 +52,8 @@ def maclaurin(
 
     Summation stops once two successive terms fall below tol * |partial sum|
     (a single small term is not trusted: terms with complex z can rotate
-    through near-cancellation), or after max_terms terms.
+    through near-cancellation), or after max_terms terms.  A term or partial
+    sum whose modulus overflows raises RecurrenceBreakdown.
     """
     if refusal := maclaurin_refusal(z):
         raise refusal
@@ -64,27 +65,20 @@ def maclaurin(
     last = 0.0
     n = 0
     below = 0
-    converged_stop = False
-    while n < max_terms:
-        s += term
-        abs_sum += abs(term)
-        last = abs(term)
-        term *= (a + n) * (b + n) * z / ((c + n) * (n + 1))
-        n += 1
-        if last <= tol * abs(s):
-            below += 1
-            if below >= 2:
-                converged_stop = True
+    try:
+        while n < max_terms:
+            s += term
+            last = abs(term)
+            abs_sum += last
+            below = below + 1 if last <= tol * abs(s) else 0
+            term *= (a + n) * (b + n) * z / ((c + n) * (n + 1))
+            n += 1
+            if below == 2:
                 break
-        else:
-            below = 0
+    except OverflowError:
+        raise RecurrenceBreakdown(f"power series term {n} overflows double precision") from None
     est = tail_estimate(abs(s), abs_sum, last, n)
-    return SeriesResult(
-        value=s,
-        terms_used=n,
-        est_error=est,
-        converged=converged_stop and est <= tol,
-    )
+    return SeriesResult(value=s, terms_used=n, est_error=est, converged=below == 2 and est <= tol)
 
 
 #: Each side of u = 0 ends at its first term below this share of the running sum.

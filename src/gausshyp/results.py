@@ -1,8 +1,7 @@
-"""Result containers: evaluation outcomes, region verdicts, method identifiers."""
+"""Result containers: evaluation outcomes and method identifiers."""
 
 import enum
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -46,14 +45,3 @@ class SeriesResult(namedtuple("SeriesResult", "value terms_used est_error conver
         if est_error < 0:
             raise ValueError("est_error must be non-negative")
         return tuple.__new__(cls, (value, terms_used, est_error, converged))
-
-
-class RegionVerdict(NamedTuple):
-    """Membership in a convergence region, with a signed margin.
-
-    margin > 0 means strictly inside; the magnitude is the slack in the
-    defining inequality (not a Euclidean distance).
-    """
-
-    inside: bool
-    margin: float

@@ -50,7 +50,7 @@ from typing import Iterator
 
 from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
 from .errors import DomainError, GaussHypError, OutsideDomain, PoleError, RecurrenceBreakdown, SingularityError
-from .results import RegionVerdict, SeriesResult
+from .results import SeriesResult
 
 DEFAULT_TERMS = 40
 
@@ -161,10 +161,10 @@ def threepoint_margin(z: complex) -> float:
         return -math.inf
 
 
-def in_region_threepoint(z: complex) -> RegionVerdict:
-    """Membership in |z|^3 < 6 sqrt(3) |(1-z)(2-z)|; margin is threepoint_margin."""
+def in_region_threepoint(z: complex) -> tuple[bool, float]:
+    """(margin > 0.0, margin) of threepoint_margin: membership in |z|^3 < 6 sqrt(3) |(1-z)(2-z)|."""
     m = threepoint_margin(complex(z))
-    return RegionVerdict(m > 0.0, m)
+    return m > 0.0, m
 
 
 def threepoint_refusal(params: HypParams, z: complex) -> GaussHypError | None:

@@ -38,7 +38,7 @@ from typing import Iterator
 
 from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
 from .errors import DomainError, GaussHypError, OutsideDomain, SingularityError
-from .results import RegionVerdict, SeriesResult
+from .results import SeriesResult
 
 DEFAULT_TERMS = 40
 
@@ -81,14 +81,14 @@ def twopoint_margin(z: complex) -> float:
     return m if m == m else -math.inf  # m != m: NaN from inf - inf
 
 
-def in_region_twopoint(z: complex) -> RegionVerdict:
-    """Membership in |z|^2 < 4 |1-z|; margin is twopoint_margin.
+def in_region_twopoint(z: complex) -> tuple[bool, float]:
+    """(margin > 0.0, margin) of twopoint_margin: membership in |z|^2 < 4 |1-z|.
 
     Equivalent to the Cassini condition 1/4 < |1/z (1/z - 1)| on the
     t-plane branch point.
     """
     m = twopoint_margin(complex(z))
-    return RegionVerdict(m > 0.0, m)
+    return m > 0.0, m
 
 
 def twopoint_refusal(params: HypParams, z: complex) -> GaussHypError | None:

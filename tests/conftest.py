@@ -11,6 +11,13 @@ from gausshyp import HypParams
 #: exp(i*pi/3), the intersection of |z| = 1 and |z-1| = 1.
 Z_EXC = cmath.exp(1j * math.pi / 3.0)
 
+#: (params, z) where a maclaurin term's parts are finite but its modulus overflows, at n = 1934;
+#: conj(z) does the same.
+MACLAURIN_OVERFLOW = (
+    HypParams(0.19838897387944393, 268.3966270090092, 2.4154936601104113),
+    -0.7491905741068264 + 0.5973727050042109j,
+)
+
 #: The four parameter triples used across the benchmark tables.
 TABLE_PARAM_SETS = (
     HypParams(1.2, 2.1, 3.0),

@@ -11,10 +11,9 @@ from gausshyp import (
     IntegerDifferenceError,
     OutsideDomain,
     buhring_coeffs,
-    buhring_eval,
     euler_integral,
 )
-from gausshyp.buhring import buhring_refusal
+from gausshyp.buhring import buhring_eval, buhring_refusal
 from conftest import Z_EXC, rel_err, within_factor
 
 PARAMS = HypParams(1.2, 2.1, 3.0)

@@ -12,7 +12,7 @@ import gausshyp.cli
 import gausshyp.select
 from gausshyp import HypParams, MethodId, euler_integral
 from gausshyp.cli import build_parser, main, parse_complex
-from conftest import Z_EXC, rel_err
+from conftest import MACLAURIN_OVERFLOW, Z_EXC, rel_err
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -147,6 +147,10 @@ class TestEvalCommand:
         [
             (["--a=-2.41", "--b=1.2", "--c=3", "--z=1e200+1i"], "**2.41 overflows double precision"),
             (["--a=-0.08", "--b=0.77", "--c=175.46", "--z=-0.83-0.18i", "--method=euler-oracle"], "gamma(175.46)"),
+            *(
+                ([f"--a={p.a!r}", f"--b={p.b!r}", f"--c={p.c!r}", f"--z={z}", "--method=maclaurin"], "term 1934")
+                for p, z in (MACLAURIN_OVERFLOW, (MACLAURIN_OVERFLOW[0], MACLAURIN_OVERFLOW[1].conjugate()))
+            ),
         ],
     )
     def test_overflow_exit_code(self, capsys, argv, where):
@@ -155,6 +159,7 @@ class TestEvalCommand:
         assert out == ""
         assert err.startswith("error (RecurrenceBreakdown): ")
         assert where in err
+        assert "Traceback" not in err
 
     def test_negative_terms_exit_code(self, capsys):
         argv = "--a 1.2 --b 2.1 --c 3 --z exp(i*pi/3) --terms -1"

@@ -146,12 +146,12 @@ class TestOverflow:
 class TestHypParams:
     def test_valid(self):
         p = HypParams(1.2, 2.1, 3.0)
-        assert p.euler_valid
+        assert p.param_refusal("Euler integral needs") is None
 
     def test_euler_flag(self):
-        assert not HypParams(1.0, 2.5, 2.0).euler_valid  # c < b
-        assert not HypParams(1.0, -0.5, 2.0).euler_valid  # b <= 0
-        assert HypParams(0.3, 0.2, 0.9).euler_valid
+        assert isinstance(HypParams(1.0, 2.5, 2.0).param_refusal("Euler integral needs"), ParamDomainError)  # c < b
+        assert isinstance(HypParams(1.0, -0.5, 2.0).param_refusal("Euler integral needs"), ParamDomainError)  # b <= 0
+        assert HypParams(0.3, 0.2, 0.9).param_refusal("Euler integral needs") is None
 
     def test_c_pole_rejected(self):
         for c in (0.0, -1.0, -6.0):
@@ -181,14 +181,11 @@ class TestHypParams:
 
 class TestFiniteArgumentGuard:
     def test_every_evaluator_rejects_non_finite_z(self):
-        from gausshyp import (
-            buhring_eval,
-            euler_integral,
-            eval_onepoint,
-            eval_threepoint,
-            eval_twopoint,
-            maclaurin,
-        )
+        from gausshyp import euler_integral, maclaurin
+        from gausshyp.buhring import buhring_eval
+        from gausshyp.onepoint import eval_onepoint
+        from gausshyp.threepoint import eval_threepoint
+        from gausshyp.twopoint import eval_twopoint
 
         p = HypParams(1.2, 2.1, 3.0)
         evaluators = (

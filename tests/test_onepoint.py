@@ -11,10 +11,9 @@ from gausshyp import (
     OutsideDomain,
     ParamDomainError,
     euler_integral,
-    eval_onepoint,
 )
 from gausshyp.core import pochhammer
-from gausshyp.onepoint import _phi_w_stream, onepoint_margin, phi_half_sequence, phi_w_sequence
+from gausshyp.onepoint import _phi_w_stream, eval_onepoint, onepoint_margin, phi_half_sequence, phi_w_sequence
 from gausshyp.verify import phi_brute
 from conftest import Z_EXC, rel_err, within_factor
 

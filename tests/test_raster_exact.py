@@ -24,11 +24,10 @@ from gausshyp import (
     raster_to_csv,
     region_raster,
 )
-from gausshyp.onepoint import onepoint_margin
+from gausshyp.onepoint import in_region_onepoint, onepoint_margin
 from gausshyp.reference import region_moduli
-from gausshyp.results import RegionVerdict
-from gausshyp.threepoint import threepoint_margin
-from gausshyp.twopoint import twopoint_margin
+from gausshyp.threepoint import in_region_threepoint, threepoint_margin
+from gausshyp.twopoint import in_region_twopoint, twopoint_margin
 
 # --- references: the margin formulas ---------------------------------------
 
@@ -36,20 +35,20 @@ from gausshyp.twopoint import twopoint_margin
 def _threepoint_ref(z):
     z = complex(z)
     margin = 6.0 * math.sqrt(3.0) * abs((1.0 - z) * (2.0 - z)) - abs(z) ** 3
-    return RegionVerdict(inside=margin > 0.0, margin=margin)
+    return margin > 0.0, margin
 
 
 def _twopoint_ref(z):
     z = complex(z)
     margin = 4.0 * abs(1.0 - z) - abs(z) * abs(z)
-    return RegionVerdict(inside=margin > 0.0, margin=margin)
+    return margin > 0.0, margin
 
 
 def _onepoint_ref(z, w=0.5):
     z = complex(z)
     w = complex(w)
     margin = abs(1.0 - w * z) - abs(z) * max(abs(w), abs(1.0 - w))
-    return RegionVerdict(inside=margin > 0.0, margin=margin)
+    return margin > 0.0, margin
 
 
 def _moduli_ref(z):
@@ -75,10 +74,10 @@ MARGIN_REF = {
     MethodId.MACLAURIN: lambda z, w, z0: 1.0 - abs(z),
     MethodId.EULER: lambda z, w, z0: abs(z.imag) if z.real >= 1.0 else abs(z - 1.0),
     MethodId.BUHRING: lambda z, w, z0: _exclusion_ref(z, z0),
-    MethodId.ONEPOINT_HALF: lambda z, w, z0: _onepoint_ref(z, 0.5).margin,
-    MethodId.ONEPOINT_W: lambda z, w, z0: _onepoint_ref(z, w).margin,
-    MethodId.TWOPOINT: lambda z, w, z0: _twopoint_ref(z).margin,
-    MethodId.THREEPOINT: lambda z, w, z0: _threepoint_ref(z).margin,
+    MethodId.ONEPOINT_HALF: lambda z, w, z0: _onepoint_ref(z, 0.5)[1],
+    MethodId.ONEPOINT_W: lambda z, w, z0: _onepoint_ref(z, w)[1],
+    MethodId.TWOPOINT: lambda z, w, z0: _twopoint_ref(z)[1],
+    MethodId.THREEPOINT: lambda z, w, z0: _threepoint_ref(z)[1],
 }
 
 
@@ -125,7 +124,8 @@ def _bits(rows):
 
 
 def _verdict_bits(verdict):
-    return verdict.inside, verdict.margin.hex()
+    inside, margin = verdict
+    return inside, margin.hex()
 
 
 def _margin_bits(margin):
@@ -216,3 +216,30 @@ def test_margins_and_verdicts_match_reference(method):
             moduli = _moduli_ref(z)
             assert _moduli_bits(region_moduli(z)) == _moduli_bits(moduli)
             assert classify_region(z, spec.rho) == {k for k, v in moduli.items() if v <= spec.rho}
+
+
+# --- the predicate names the benchmark's tracer wraps ---------------------------
+
+
+def _predicate_points(seed=31, count=300):
+    """Seeded z in [-4, 4]^2, the points z = 0, 1, 2, and finite z where a margin overflows."""
+    rng = random.Random(seed)
+    points = [complex(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(count)]
+    return points + [0j, 1.0, 2.0, 1e103, -1e103j, 1e200, 1e200 + 1e200j, 1e308, -1e308, 1e308 + 1e308j]
+
+
+def test_tracer_predicates_are_their_margins():
+    # each in_region_* is the plain tuple (m > 0.0, m) of its route's float margin m
+    ws = (0.5, 0.5 + 0.5j, 2.0, -3.0 + 1.0j)
+    margins = []
+    for z in _predicate_points():
+        pairs = [(in_region_threepoint(z), threepoint_margin(z)), (in_region_twopoint(z), twopoint_margin(z))]
+        pairs.append((in_region_onepoint(z), onepoint_margin(z, 0.5)))
+        pairs += [(in_region_onepoint(z, w), onepoint_margin(z, w)) for w in ws]
+        for verdict, margin in pairs:
+            assert type(verdict) is tuple and _verdict_bits(verdict) == _margin_bits(margin), (z, verdict, margin)
+        margins.append([margin for _, margin in pairs])
+    columns = list(zip(*margins))
+    assert all(max(column) > 0.0 > min(column) for column in columns)  # inside and outside each region
+    # the three- and two-point margins, and the one-point margin at |w| > 1, overflow to -inf at the largest z
+    assert [min(column) == -math.inf for column in columns] == [True, True, False, False, False, True, True]

@@ -11,7 +11,8 @@ streams and of the values; these tests compare the bits, with no tolerance.
 The stops form of each route, which reads several truncation indices off
 one pass, is compared with the one-stop calls the same way.  The quadrature
 oracle, which reads its tanh-sinh nodes off a cached ladder, is compared with
-the walk that computed every node inline.
+the walk that computed every node inline, and the power series, which counts
+its run of small terms in one counter, with the loop that kept a stop flag.
 """
 
 import cmath
@@ -36,11 +37,13 @@ from gausshyp import (
     ParamDomainError,
     PoleError,
     RecurrenceBreakdown,
+    SeriesResult,
     euler_integral,
     evaluate,
+    maclaurin,
 )
 from gausshyp import reference
-from gausshyp.buhring import buhring_coeffs, exclusion_margin, is_integer_difference
+from gausshyp.buhring import buhring_coeffs, buhring_refusal, exclusion_margin
 from gausshyp.core import EPS, cpow_principal, gamma_real, recip_gamma_real, require_finite_complex, tail_estimate
 from gausshyp.onepoint import onepoint_margin, phi_half_sequence, phi_w_sequence
 from gausshyp.threepoint import (
@@ -52,7 +55,7 @@ from gausshyp.threepoint import (
 )
 from gausshyp.verify import phi3_direct_sequence
 from gausshyp.twopoint import _recursion, twopoint_coeffs_recursive, twopoint_margin
-from conftest import Z_EXC, phi3_xyz_ref, sample_in_region
+from conftest import MACLAURIN_OVERFLOW, Z_EXC, phi3_xyz_ref, sample_in_region
 
 N_MAX = (0, 1, 5, 40, 120)
 
@@ -415,7 +418,7 @@ def test_streams_match_the_int_indexed_references_to_n_900():
         assert _bits(phi_half_sequence(900, b, c)) == _bits(_phi_half_ref(900, b, c)), (b, c)
         for w in (0.5 + 0.5j, 0.25, cmath.exp(0.3j)):
             assert _bits(phi_w_sequence(900, b, c, w)) == _bits(_phi_w_ref(900, b, c, w)), (b, c, w)
-        if is_integer_difference(HypParams(a, b, c)):
+        if isinstance(buhring_refusal(HypParams(a, b, c), 2.0), IntegerDifferenceError):  # its first check, for any z
             continue
         for s in (a, b):
             for z0 in (0.5, 0.5 + 0.1j):
@@ -557,7 +560,7 @@ def _series_cases():
 
 def _buhring_applies(a, b, c, z):
     return (
-        not is_integer_difference(HypParams(a, b, c))
+        not isinstance(buhring_refusal(HypParams(a, b, c), z), IntegerDifferenceError)
         and exclusion_margin(z, 0.5) > 0.0
         and not (z.imag == 0.0 and z.real > 0.5)
     )
@@ -668,7 +671,7 @@ def test_stops_must_ascend_from_zero(method, stops):
 
 def _euler_ref(params, z, tol=1e-13):
     """euler_integral as it computed each node inside its walk, with u += step, and the last u."""
-    if not params.euler_valid:
+    if params.param_refusal("Euler integral needs") is not None:
         raise ParamDomainError(f"Euler integral needs c > b > 0, got b={params.b}, c={params.c}")
     z = require_finite_complex(z)
     if z.imag == 0.0 and z.real >= 1.0:
@@ -832,3 +835,69 @@ def test_oracle_threads_share_the_ladder():
     assert not any(t.is_alive() for t in threads)
     assert results == [want[7 * i :] + want[: 7 * i] for i in range(4)]
     assert _ladder_within_bound()
+
+
+# --- the power series: one run counter against the loop with a stop flag ------
+
+
+def _maclaurin_ref(params, z, tol=1e-13, max_terms=2000):
+    """maclaurin as it summed with a separate stop flag and the small-term test after the step."""
+    a, b, c = params.a, params.b, params.c
+    s = 0j
+    term = 1.0 + 0j
+    abs_sum = 0.0
+    last = 0.0
+    n = 0
+    below = 0
+    converged_stop = False
+    while n < max_terms:
+        s += term
+        abs_sum += abs(term)
+        last = abs(term)
+        term *= (a + n) * (b + n) * z / ((c + n) * (n + 1))
+        n += 1
+        if last <= tol * abs(s):
+            below += 1
+            if below >= 2:
+                converged_stop = True
+                break
+        else:
+            below = 0
+    est = tail_estimate(abs(s), abs_sum, last, n)
+    return SeriesResult(s, n, est, converged_stop and est <= tol)
+
+
+def _maclaurin_cases(seed=1701, count=300):
+    """Parameters of either sign over four decades, |z| < 1 up to 0.999, and term budgets that cut some runs short."""
+    rng = random.Random(seed)
+    cases = [
+        (HypParams(-3.0, 2.1, 3.0), 0.9j, 1e-13, 2000),  # a polynomial: the terms after the fourth are 0
+        (HypParams(1.2, 2.1, 3.0), 0.0, 1e-13, 2000),
+        (HypParams(1.2, 2.1, 3.0), 0.5, 1e-13, 0),  # no term summed
+        (MACLAURIN_OVERFLOW[0], MACLAURIN_OVERFLOW[1], 1e-13, 2000),  # |term| overflows at n = 1934
+        (MACLAURIN_OVERFLOW[0], MACLAURIN_OVERFLOW[1].conjugate(), 1e-13, 2000),
+    ]
+    while len(cases) < count:
+        a, b, c = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 2.0) for _ in range(3))
+        if c <= 0.5 and abs(c - round(c)) < 1e-12:
+            continue
+        z = cmath.rect(rng.uniform(0.0, 0.999), rng.uniform(-math.pi, math.pi))
+        cases.append((HypParams(a, b, c), z, rng.choice((1e-13, 1e-8)), rng.choice((1, 2, 3, 7, 60, 2000))))
+    return cases
+
+
+def test_maclaurin_reads_the_bits_of_the_flag_loop():
+    cases = _maclaurin_cases()
+    outcomes = {"converged": 0, "not converged": 0, "overflow": 0}
+    for params, z, tol, max_terms in cases:
+        try:
+            want = _maclaurin_ref(params, z, tol, max_terms)
+        except OverflowError:  # the reference's bare abs() overflow; maclaurin raises the library error
+            with pytest.raises(RecurrenceBreakdown, match="power series term 1934 overflows"):
+                maclaurin(params, z, tol, max_terms)
+            outcomes["overflow"] += 1
+            continue
+        got = maclaurin(params, z, tol, max_terms)
+        assert _result_bits(got) == _result_bits(want), (params, z, tol, max_terms)
+        outcomes["converged" if got.converged else "not converged"] += 1
+    assert outcomes["converged"] >= 30 and outcomes["not converged"] >= 30 and outcomes["overflow"] == 2, outcomes

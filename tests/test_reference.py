@@ -19,7 +19,7 @@ from gausshyp import (
     maclaurin,
 )
 from gausshyp.reference import region_moduli
-from conftest import TABLE_PARAM_SETS, Z_EXC, rel_err
+from conftest import MACLAURIN_OVERFLOW, TABLE_PARAM_SETS, Z_EXC, rel_err
 
 LOG_IDENTITY = 2.0 * math.log(2.0)  # 2F1(1,1;2;1/2) = -ln(1-z)/z at z = 1/2
 
@@ -58,6 +58,13 @@ class TestMaclaurin:
         ref = euler_integral(params_main, z)
         assert rel_err(res.value, ref.value) <= 1e-11
         assert res.terms_used > 300
+
+    @pytest.mark.parametrize("conj", [False, True])
+    def test_term_modulus_overflow_is_a_breakdown(self, conj):
+        # each term's parts stay finite, but its modulus passes the largest double at n = 1934
+        params, z = MACLAURIN_OVERFLOW
+        with pytest.raises(RecurrenceBreakdown, match="power series term 1934 overflows double precision"):
+            maclaurin(params, z.conjugate() if conj else z)
 
 
 class TestEulerIntegral:

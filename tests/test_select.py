@@ -18,22 +18,18 @@ from gausshyp import (
     OutsideDomain,
     ROUTES,
     SeriesResult,
-    buhring_eval,
     euler_integral,
-    eval_onepoint,
-    eval_threepoint,
-    eval_twopoint,
     evaluate,
     hyp2f1,
     maclaurin,
     method_margin,
     select_method,
 )
-from gausshyp.buhring import DEFAULT_Z0, buhring_refusal
-from gausshyp.onepoint import onepoint_margin
+from gausshyp.buhring import DEFAULT_Z0, buhring_eval, buhring_refusal
+from gausshyp.onepoint import eval_onepoint, onepoint_margin
 from gausshyp.select import AUTO_ORDER
-from gausshyp.threepoint import threepoint_margin
-from gausshyp.twopoint import twopoint_margin
+from gausshyp.threepoint import eval_threepoint, threepoint_margin
+from gausshyp.twopoint import eval_twopoint, twopoint_margin
 from conftest import Z_EXC, rel_err
 
 PARAMS = HypParams(1.2, 2.1, 3.0)
@@ -138,7 +134,7 @@ class TestSelectMethod:
                     assert abs(z - 0.5) > 0.5
                     assert buhring_refusal(PARAMS, z, 0.5) is None
                 else:
-                    assert method is MethodId.EULER and PARAMS.euler_valid
+                    assert method is MethodId.EULER and PARAMS.param_refusal("Euler integral needs") is None
 
 
 class TestAutoRouteAcceptsThePoint:

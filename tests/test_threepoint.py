@@ -13,10 +13,9 @@ from gausshyp import (
     RecurrenceBreakdown,
     SingularityError,
     euler_integral,
-    eval_threepoint,
 )
 from gausshyp.core import cpow_principal
-from gausshyp.threepoint import phi3_sequence, threepoint_coeffs, threepoint_margin
+from gausshyp.threepoint import eval_threepoint, phi3_sequence, threepoint_coeffs, threepoint_margin
 from gausshyp.verify import phi3_direct_sequence
 from conftest import Z_EXC, phi3_xyz_ref, rel_err, sample_in_region
 
