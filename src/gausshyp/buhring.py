@@ -122,10 +122,11 @@ def buhring_sums(
 ) -> Iterator[SeriesResult]:
     """Both continuation series truncated at each index in stops, from one pass.
 
-    Raises the error of buhring_refusal where the continuation does not
-    apply.  est_error is the last-term ratio of the combined value, with the two
-    series' term sizes weighted by their prefactors and added (core.sum_series),
-    floored at the rounding level and multiplied by the near-integer inflation factor.
+    Raises the error of buhring_refusal when called, where the continuation
+    does not apply.  est_error is the last-term ratio of the combined value,
+    with the two series' term sizes weighted by their prefactors and added
+    (core.sum_series), floored at the rounding level and multiplied by the
+    near-integer inflation factor.
     """
     if refusal := buhring_refusal(params, z, z0):
         raise refusal
@@ -144,8 +145,8 @@ def buhring_sums(
     terms_a = _buhring_terms(a, z0_coeffs, params, u)
     terms_b = _buhring_terms(b, z0_coeffs, params, u)
     inflation = max(1.0, 1.0 / abs(math.sin(math.pi * diff)))
-    for value, n, est, _ in sum_series(stops, tol, (fac_a, terms_a), (fac_b, terms_b)):
-        yield SeriesResult(value, n, est * inflation, est * inflation <= tol)
+    sums = sum_series(stops, tol, (fac_a, terms_a), (fac_b, terms_b))
+    return (SeriesResult(value, n, est * inflation, est * inflation <= tol) for value, n, est, _ in sums)
 
 
 def buhring_eval(

@@ -62,11 +62,12 @@ def require_finite_sum(total_abs: float, n_summed: int) -> None:
     """Raise RecurrenceBreakdown for a series sum whose modulus is not finite.
 
     At large n_summed, coefficients that overflowed to inf times moments
-    that underflowed to 0 give NaN.
+    that underflowed to 0 give NaN; a finite sum times a huge series
+    weight gives inf.
     """
     if not math.isfinite(total_abs):
         raise RecurrenceBreakdown(
-            f"series sum is {total_abs} after {n_summed} terms: a term overflowed double precision"
+            f"series sum is {total_abs} after {n_summed} terms: a term or a series weight overflowed double precision"
         )
 
 
@@ -95,8 +96,9 @@ def sum_series(
     over the series, in the order given.  est_error is tail_estimate of that
     value, with the sizes |weight| |term| of all series added into one
     abs_sum and one last term; converged is est_error <= tol.  A partial sum
-    that is not finite raises RecurrenceBreakdown.  Every series route sums
-    here; a one-stop caller unpacks (res,) = ..., which ends the generator.
+    or weighted value that is not finite raises RecurrenceBreakdown.  Every
+    series route sums here; a one-stop caller unpacks (res,) = ..., which
+    ends the generator.
     """
     running = [(0j, 0.0, 0.0)] * len(series)  # per series: partial sum, sum of sizes, last size
     start = 0

@@ -10,10 +10,11 @@ The expansion converges on S = { z : |1 - wz| > |z| max(|w|, |1-w|) }:
 the half-plane Re z < 1 for w = 1/2, and in general a half-plane or disk
 depending on Re w.  The moments satisfy the three-term recurrence
 
-    (c+n) Phi_{n+1} + ((b+n)/w - 2n - c) Phi_n + n (1 - 1/w) Phi_{n-1} = 0
+    (c+n) Phi_{n+1} = n q Phi_{n-1} - (beta + n v) Phi_n,
+    beta = b/w - c,  v = 1/w - 2,  q = 1/w - 1,
 
-from Phi_0 = 1, Phi_1 = 1 - b/(cw), which at w = 1/2 reduces to
-(c+n) Phi_{n+1} + (2b-c) Phi_n - n Phi_{n-1} = 0 with Phi_1 = 1 - 2b/c.
+from Phi_0 = 1, Phi_1 = 1 - (b/w)/c.  One stream runs it for every w, in
+the arithmetic of w: real at a real w, where w = 1/2 gives v = 0, q = 1.
 The terminating sum itself is the verification route (gausshyp.verify.phi_brute).
 """
 
@@ -27,28 +28,6 @@ from .results import SeriesResult
 
 #: Default truncation index; forward recurrence accuracy is verified up to here.
 DEFAULT_TERMS = 40
-
-
-def _phi_half_stream(b: float, c: float) -> Iterator[float]:
-    """Phi_0, Phi_1, ... at w = 1/2 by forward recurrence (real arithmetic)."""
-    if c == 0.0:
-        raise PoleError("c = 0 is a pole of Phi_1")
-    prev = 1.0
-    yield prev
-    cur = 1.0 - 2.0 * b / c
-    yield cur
-    two_b_c = 2.0 * b - c
-    for n in count(1.0):
-        if c + n == 0.0:
-            raise PoleError(f"c + {int(n)} = 0: recurrence pole")
-        prev, cur = cur, (n * prev - two_b_c * cur) / (c + n)
-        yield cur
-
-
-def phi_half_sequence(n_max: int, b: float, c: float) -> list[float]:
-    """Phi_0 .. Phi_{n_max} at w = 1/2."""
-    require_n_max(n_max)
-    return list(islice(_phi_half_stream(b, c), n_max + 1))
 
 
 def require_w(w: complex | None) -> complex:
@@ -66,27 +45,34 @@ def require_expansion_point(w: complex) -> complex:
     return w
 
 
-def _phi_w_stream(b: float, c: float, w: complex) -> Iterator[complex]:
-    """Phi_0, Phi_1, ... at generic w by forward recurrence."""
-    w = require_expansion_point(w)
+def _phi_w_stream(b: float, c: float, w: complex | float) -> Iterator[complex | float]:
+    """Phi_0, Phi_1, ... by forward recurrence, in the type of w."""
+    require_expansion_point(w)
     if c == 0.0:
         raise PoleError("c = 0 is a pole of Phi_1")
-    prev = 1.0 + 0j
+    b_w = b / w
+    prev = 1.0 + 0j if isinstance(w, complex) else 1.0
     yield prev
-    cur = 1.0 - b / (c * w)
+    cur = 1.0 - b_w / c
     yield cur
-    one_w = 1.0 - 1.0 / w
+    beta, v, q = b_w - c, 1.0 / w - 2.0, 1.0 / w - 1.0
     for n in count(1.0):
         if c + n == 0.0:
             raise PoleError(f"c + {int(n)} = 0: recurrence pole")
-        prev, cur = cur, -(((b + n) / w - 2.0 * n - c) * cur + n * one_w * prev) / (c + n)
+        prev, cur = cur, (n * q * prev - (beta + n * v) * cur) / (c + n)
         yield cur
 
 
-def phi_w_sequence(n_max: int, b: float, c: float, w: complex) -> list[complex]:
-    """Phi_0 .. Phi_{n_max} at generic w."""
+def phi_half_sequence(n_max: int, b: float, c: float) -> list[float]:
+    """Phi_0 .. Phi_{n_max} at w = 1/2, in real arithmetic."""
     require_n_max(n_max)
-    return list(islice(_phi_w_stream(b, c, w), n_max + 1))
+    return list(islice(_phi_w_stream(b, c, 0.5), n_max + 1))
+
+
+def phi_w_sequence(n_max: int, b: float, c: float, w: complex) -> list[complex]:
+    """Phi_0 .. Phi_{n_max} at generic w, in complex arithmetic."""
+    require_n_max(n_max)
+    return list(islice(_phi_w_stream(b, c, complex(w)), n_max + 1))
 
 
 def onepoint_margin(z: complex, w: complex) -> float:
@@ -127,11 +113,8 @@ def onepoint_refusal(params: HypParams, z: complex, w: complex | None) -> GaussH
 
 
 def _onepoint_terms(params: HypParams, z: complex, w: complex) -> Iterator[complex]:
-    """Term n of the one-point sum, before the prefactor (1-wz)^(-a)."""
-    if w == 0.5:
-        phis = _phi_half_stream(params.b, params.c)
-    else:
-        phis = _phi_w_stream(params.b, params.c, w)
+    """Term n of the one-point sum; the prefactor (1-wz)^(-a) is onepoint_sums' sum_series weight."""
+    phis = _phi_w_stream(params.b, params.c, w.real if w.imag == 0.0 else w)
     a = params.a
     ratio = w * z / (w * z - 1.0)
     term = 1.0 + 0j
@@ -145,15 +128,15 @@ def onepoint_sums(
 ) -> Iterator[SeriesResult]:
     """The single-point expansion truncated at each index in stops, from one pass.
 
-    w = 1/2 takes the real-arithmetic moment recurrence, which agrees with
-    the generic complex one to rounding.
+    Raises the error of onepoint_refusal when called.  The prefactor
+    (1-wz)^(-a) is the series weight in core.sum_series, so the finite
+    check and est_error cover the weighted value.
     """
     if refusal := onepoint_refusal(params, z, w):
         raise refusal
     z, w = complex(z), complex(w)
     prefactor = cpow_principal(1.0 - w * z, -params.a)
-    for value, n, est, converged in sum_series(stops, tol, (1.0, _onepoint_terms(params, z, w))):
-        yield SeriesResult(prefactor * value, n, est, converged)
+    return sum_series(stops, tol, (prefactor, _onepoint_terms(params, z, w)))
 
 
 def eval_onepoint(

@@ -16,8 +16,8 @@ from itertools import islice
 import mpmath
 
 from .core import HypParams, pochhammer
-from .errors import DomainError, PoleError, SingularityError
-from .onepoint import phi_half_sequence
+from .errors import PoleError, SingularityError
+from .onepoint import phi_half_sequence, require_expansion_point
 from .reference import classify_region, euler_integral
 from .results import MethodId
 from .select import evaluate, method_margin
@@ -48,10 +48,7 @@ def phi_brute(n: int, b: float, c: float, w: complex = 0.5, dps: int | None = No
     ~(1+|1/w|)^n while the value stays O(1)), so pass dps to evaluate in
     extended precision when n is beyond ~15.
     """
-    w = complex(w)
-    if w == 0:
-        raise DomainError("expansion point w must be nonzero")
-    x = 1.0 / w
+    x = 1.0 / require_expansion_point(w)
     if dps is None:
         return _terminating_sum(n, b, c, x, 1.0 + 0j)
     with mpmath.workdps(dps):

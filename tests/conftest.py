@@ -18,6 +18,12 @@ MACLAURIN_OVERFLOW = (
     -0.7491905741068264 + 0.5973727050042109j,
 )
 
+#: (params, z) where the one-point sum times its prefactor (1 - z/2)^(-a) overflows; auto takes onepoint-half there.
+ONEPOINT_OVERFLOW = (
+    HypParams(-143.51404798423812, 0.6114950902627185, 32.043446800768365),
+    -240.78944137136045 - 133.34506742637686j,
+)
+
 #: The four parameter triples used across the benchmark tables.
 TABLE_PARAM_SETS = (
     HypParams(1.2, 2.1, 3.0),

@@ -12,7 +12,7 @@ import gausshyp.cli
 import gausshyp.select
 from gausshyp import HypParams, MethodId, euler_integral
 from gausshyp.cli import build_parser, main, parse_complex
-from conftest import MACLAURIN_OVERFLOW, Z_EXC, rel_err
+from conftest import MACLAURIN_OVERFLOW, ONEPOINT_OVERFLOW, Z_EXC, rel_err
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -150,6 +150,11 @@ class TestEvalCommand:
             *(
                 ([f"--a={p.a!r}", f"--b={p.b!r}", f"--c={p.c!r}", f"--z={z}", "--method=maclaurin"], "term 1934")
                 for p, z in (MACLAURIN_OVERFLOW, (MACLAURIN_OVERFLOW[0], MACLAURIN_OVERFLOW[1].conjugate()))
+            ),
+            *(
+                ([f"--a={p.a!r}", f"--b={p.b!r}", f"--c={p.c!r}", f"--z={z}", *method], "or a series weight overflowed")
+                for p, z in (ONEPOINT_OVERFLOW,)
+                for method in ([], ["--method=onepoint-half"])
             ),
         ],
     )

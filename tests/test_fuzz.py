@@ -1,4 +1,4 @@
-"""Seeded fuzz: every evaluate call returns a SeriesResult or raises a GaussHypError.
+"""Seeded fuzz: every evaluate call returns a SeriesResult with a finite value or raises a GaussHypError.
 
 auto and each of the seven methods run on every input, with w = 0.5+0.5i,
 over two random ranges and a fixed set of edge inputs.  A bare Python
@@ -63,6 +63,7 @@ def _run(cases):
                 bare.append((abc, z, method, repr(exc)))
                 continue
             assert isinstance(res, SeriesResult)
+            assert cmath.isfinite(res.value), (abc, z, method, res)
             returned[method] += 1
     return returned, bare
 

@@ -10,12 +10,14 @@ from gausshyp import (
     HypParams,
     OutsideDomain,
     ParamDomainError,
+    RecurrenceBreakdown,
     euler_integral,
+    evaluate,
 )
 from gausshyp.core import pochhammer
 from gausshyp.onepoint import _phi_w_stream, eval_onepoint, onepoint_margin, phi_half_sequence, phi_w_sequence
 from gausshyp.verify import phi_brute
-from conftest import Z_EXC, rel_err, within_factor
+from conftest import ONEPOINT_OVERFLOW, Z_EXC, rel_err, within_factor
 
 PARAMS = HypParams(1.2, 2.1, 3.0)
 W_GEN = complex(0.5, 0.5)
@@ -99,6 +101,20 @@ class TestPhiW:
         with pytest.raises(DomainError, match="finite"):
             phi_w_sequence(2, 2.1, 3.0, complex(0.5, math.nan))
 
+    @pytest.mark.parametrize(
+        "w, msg",
+        [
+            (math.inf, "w must have finite components"),
+            (math.nan, "w must have finite components"),
+            (complex(0.5, math.inf), "w must have finite components"),
+            (0, "^expansion point w must be nonzero$"),
+        ],
+    )
+    @pytest.mark.parametrize("dps", [None, 30])
+    def test_brute_rejects_a_non_finite_or_zero_w(self, w, msg, dps):
+        with pytest.raises(DomainError, match=msg):
+            phi_brute(3, 2.1, 3.0, w, dps)
+
     @pytest.mark.parametrize("w", [0.5 + 0j, W_GEN, 1j])
     def test_contiguous_relation(self, w):
         # Phi_n(b,c,w) = Phi_{n-1}(b,c,w) - b/(cw) Phi_{n-1}(b+1,c+1,w)
@@ -168,9 +184,9 @@ class TestEvalOnepoint:
     def test_half_path_equals_generic_path(self, monkeypatch):
         zs = (Z_EXC, -1.0 + 1j, -3.0 + 0j)
         direct = [eval_onepoint(PARAMS, z, w=0.5, n_terms=25).value for z in zs]
-        # route w = 1/2 through the generic complex moments instead
+        # run the one moment stream in complex arithmetic at w = 0.5+0j instead of real
         monkeypatch.setattr(
-            "gausshyp.onepoint._phi_half_stream", lambda b, c: _phi_w_stream(b, c, 0.5)
+            "gausshyp.onepoint._phi_w_stream", lambda b, c, w: _phi_w_stream(b, c, complex(w))
         )
         for z, want in zip(zs, direct):
             generic = eval_onepoint(PARAMS, z, w=0.5, n_terms=25).value
@@ -193,3 +209,10 @@ class TestEvalOnepoint:
     def test_invalid_w(self):
         with pytest.raises(DomainError):
             eval_onepoint(PARAMS, -1.0 + 0j, w=0j, n_terms=10)
+
+    @pytest.mark.parametrize("method", ["auto", "onepoint-half"])
+    def test_prefactor_overflow_raises(self, method):
+        # the sum is finite, its product with (1 - z/2)^(-a) is not: sum_series checks the weighted value
+        params, z = ONEPOINT_OVERFLOW
+        with pytest.raises(RecurrenceBreakdown, match="after 41 terms: a term or a series weight overflowed"):
+            evaluate(params, z, method)

@@ -53,7 +53,7 @@ from gausshyp.threepoint import (
     threepoint_margin,
     threepoint_sums,
 )
-from gausshyp.verify import phi3_direct_sequence
+from gausshyp.verify import phi3_direct_sequence, phi_brute
 from gausshyp.twopoint import _recursion, twopoint_coeffs_recursive, twopoint_margin
 from conftest import MACLAURIN_OVERFLOW, Z_EXC, phi3_xyz_ref, sample_in_region
 
@@ -192,15 +192,12 @@ def _phi_half_ref(n_max, b, c):
 
 
 def _phi_w_ref(n_max, b, c, w):
-    w = complex(w)
-    vals = [1.0 + 0j]
+    """The one-point moments in the arithmetic of w: complex for a complex w, real for a float."""
+    vals = [1.0 + 0j if isinstance(w, complex) else 1.0]
     if n_max >= 1:
-        vals.append(1.0 - b / (c * w))
+        vals.append(1.0 - (b / w) / c)
     for n in range(1, n_max):
-        vals.append(
-            -(((b + n) / w - 2.0 * n - c) * vals[n] + n * (1.0 - 1.0 / w) * vals[n - 1])
-            / (c + n)
-        )
+        vals.append((n * (1.0 / w - 1.0) * vals[n - 1] - ((b / w - c) + n * (1.0 / w - 2.0)) * vals[n]) / (c + n))
     return vals
 
 
@@ -409,7 +406,7 @@ def test_onepoint_moments(n_max):
     for _, b, c, _ in CASES:
         assert _bits(phi_half_sequence(n_max, b, c)) == _bits(_phi_half_ref(n_max, b, c))
         for w in (0.5 + 0.5j, 0.25, cmath.exp(0.3j)):
-            assert _bits(phi_w_sequence(n_max, b, c, w)) == _bits(_phi_w_ref(n_max, b, c, w))
+            assert _bits(phi_w_sequence(n_max, b, c, w)) == _bits(_phi_w_ref(n_max, b, c, complex(w)))
 
 
 def test_streams_match_the_int_indexed_references_to_n_900():
@@ -417,13 +414,23 @@ def test_streams_match_the_int_indexed_references_to_n_900():
     for a, b, c, _ in CASES:
         assert _bits(phi_half_sequence(900, b, c)) == _bits(_phi_half_ref(900, b, c)), (b, c)
         for w in (0.5 + 0.5j, 0.25, cmath.exp(0.3j)):
-            assert _bits(phi_w_sequence(900, b, c, w)) == _bits(_phi_w_ref(900, b, c, w)), (b, c, w)
+            assert _bits(phi_w_sequence(900, b, c, w)) == _bits(_phi_w_ref(900, b, c, complex(w))), (b, c, w)
         if isinstance(buhring_refusal(HypParams(a, b, c), 2.0), IntegerDifferenceError):  # its first check, for any z
             continue
         for s in (a, b):
             for z0 in (0.5, 0.5 + 0.1j):
                 got = buhring_coeffs(s, z0, HypParams(a, b, c), 900)
                 assert _bits(got) == _bits(_d_ref(s, z0, a, b, c, 900)), (a, b, c, s, z0)
+
+
+def test_onepoint_moments_are_accurate_to_n_40():
+    # the pins above fix the recurrence's grouping; this bounds its error against the definition at 80 digits
+    for _, b, c, _ in CASES:
+        for w in (0.5, 0.5 + 0.5j, 0.25, cmath.exp(0.3j)):
+            got = phi_half_sequence(40, b, c) if w == 0.5 else phi_w_sequence(40, b, c, w)
+            for n, phi in enumerate(got):
+                want = phi_brute(n, b, c, w, dps=80)
+                assert abs(phi - want) <= 1e-13 * abs(want), (b, c, w, n)
 
 
 def test_references_overflow_in_the_same_place():
@@ -475,10 +482,9 @@ def _twopoint_sum_ref(params, z, n_terms):
 
 
 def _onepoint_sum_ref(params, z, n_terms, w):
-    if w == 0.5:
-        phis = phi_half_sequence(n_terms, params.b, params.c)
-    else:
-        phis = phi_w_sequence(n_terms, params.b, params.c, w)
+    # a real w takes the real moments; the prefactor weights the value and the term sizes
+    w = complex(w)
+    phis = _phi_w_ref(n_terms, params.b, params.c, w.real if w.imag == 0.0 else w)
     a = params.a
     ratio = w * z / (w * z - 1.0)
     term = 1.0 + 0j
@@ -487,7 +493,8 @@ def _onepoint_sum_ref(params, z, n_terms, w):
         contribs.append(term * phis[n])
         term *= (a + n) / (n + 1.0) * ratio
     s, abs_sum, last = _sum_ref(contribs)
-    return cpow_principal(1.0 - w * z, -a) * s, abs(s), abs_sum, last
+    pref = cpow_principal(1.0 - w * z, -a)
+    return pref * s, abs(pref * s), abs(pref) * abs_sum, abs(pref) * last
 
 
 def _series_ref(method, params, z, n_terms, w):

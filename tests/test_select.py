@@ -472,6 +472,20 @@ class TestRefusal:
         assert refused == REFUSED[method]
         assert accepted >= 20
 
+    @pytest.mark.parametrize("method", [m for m in MethodId if ROUTES[m].sums is not None], ids=str)
+    def test_stops_form_refuses_when_called(self, method):
+        # a refused point raises from the sums call itself, before any next()
+        refused = 0
+        for params, z, w, z0 in REFUSAL_SAMPLES:
+            refusal = ROUTES[method].refusal(params, z, w, z0)
+            if refusal is None:
+                continue
+            with pytest.raises(type(refusal)) as exc:
+                ROUTES[method].sums(params, z, (5,), 1e-13, w, z0)
+            assert str(exc.value) == str(refusal), (params, z, w, z0)
+            refused += 1
+        assert refused >= 20
+
     def test_auto_returns_what_its_route_returns(self):
         # a, b, c = +-10^U(-1, 1.2), |z| = 10^U(-1, 1.5), any sign and argument
         rng = random.Random(19)
