@@ -37,11 +37,17 @@ gives the other two columns from Phi_n and Phi_{n+1}:
     Pa_2 = (b+n)(b-c-2n-1),    Pb_2 = 2(c+3n+2)(2b+c+6n+2).
 
 Every term of -D is positive when c > b > 0, so D never vanishes inside
-the expansion's gate.  The terminating closed form above is the
-verification route (gausshyp.verify.phi3_direct_sequence): in double
-precision its sum cancels heavily for n beyond ~12 (Phi_n decays
-superexponentially while the 2^k terms do not), so it is evaluated in
-extended precision when the two routes are compared at large n.
+the expansion's gate; outside it a zero D raises RecurrenceBreakdown.
+
+Both recursions regroup their step formulas exactly, to save operations per
+term (_abc_stream steps its n-linear factors, _phi3_stream runs Horner
+polynomials), so their streams differ from the formulas only in the last bits.
+
+The terminating closed form above is the verification route
+(gausshyp.verify.phi3_direct_sequence): in double precision its sum cancels
+heavily for n beyond ~12 (Phi_n decays superexponentially while the 2^k
+terms do not), so it is evaluated in extended precision when the two routes
+are compared at large n.
 """
 
 import math
@@ -71,33 +77,35 @@ def _abc_stream(a: float, z: complex) -> Iterator[tuple[complex, complex, comple
     z2 = z * z
     z3 = z2 * z
     # The factors free of n, named <row>_<stream> after the row they sit in
-    # and the stream they multiply (0 and 1 mark the n^0 and n^1 parts).
-    # Each is grouped exactly as the step formula groups it, so the streams
-    # are bit-for-bit those of the formula with every factor in the loop.
-    z4 = 4.0 * z
-    a_b = z - 2.0
-    a_c = 5.0 * z - 6.0
+    # and the stream they multiply.  Each factor linear in n starts at its
+    # n = 0 value and steps by its slope d<name>, with the exact doublings
+    # 2(...) of the step formula folded into both; za A_n = 4z(3n + a) A_n is
+    # formed once for the three rows.
     b_a = 26.0 * z - 3.0 * z2 - 24.0
-    b_b0 = 48.0 - 4.0 * z * (18.0 + 5.0 * a) + 6.0 * z2 * (4.0 + 3.0 * a)
-    b_b1 = 48.0 - 96.0 * z + 50.0 * z2 - 3.0 * z3
-    b_c0 = 4.0 * (20.0 - 6.0 * z * (5.0 + a) + 5.0 * z2 * (2.0 + a))
-    b_c1 = 264.0 - 516.0 * z + 262.0 * z2 - 15.0 * z3
     c_a = 12.0 - 12.0 * z + z2
-    c_b0 = 2.0 * (6.0 * (3.0 + a) * z - (6.0 + 5.0 * a) * z2 - 12.0)
-    c_b1 = z3 - 24.0 * z2 + 48.0 * z - 24.0
-    c_c0 = 4.0 * (2.0 * z * (9.0 + 2.0 * a) - 3.0 * z2 * (2.0 + a) - 12.0)
-    c_c1 = 5.0 * z3 - 132.0 * z2 + 276.0 * z - 144.0
-    for n in count(0.0):
+    z4 = 4.0 * z
+    za, dza = z4 * a, 3.0 * z4
+    a_b, da_b = -4.0 + 0j, 6.0 * (z - 2.0)
+    a_c, da_c = 0j, 5.0 * z - 6.0
+    b_b = 2.0 * (48.0 - 4.0 * z * (18.0 + 5.0 * a) + 6.0 * z2 * (4.0 + 3.0 * a))
+    db_b = 6.0 * (48.0 - 96.0 * z + 50.0 * z2 - 3.0 * z3)
+    b_c = 4.0 * (20.0 - 6.0 * z * (5.0 + a) + 5.0 * z2 * (2.0 + a))
+    db_c = 264.0 - 516.0 * z + 262.0 * z2 - 15.0 * z3
+    c_b = 4.0 * (6.0 * (3.0 + a) * z - (6.0 + 5.0 * a) * z2 - 12.0)
+    dc_b = 6.0 * (z3 - 24.0 * z2 + 48.0 * z - 24.0)
+    c_c = 4.0 * (2.0 * z * (9.0 + 2.0 * a) - 3.0 * z2 * (2.0 + a) - 12.0)
+    dc_c = 5.0 * z3 - 132.0 * z2 + 276.0 * z - 144.0
+    for n1 in count(1.0):
         yield An, Bn, Cn
-        n1 = n + 1.0
-        n3 = 3.0 * n
-        za = z4 * (n3 + a)
         den = 2.0 * n1
+        zaa = za * An
         An, Bn, Cn = (
-            (2.0 * (n3 * a_b - 2.0) * Bn + za * An + n * a_c * Cn) / den,
-            (za * b_a * An + 2.0 * (b_b0 + n3 * b_b1) * Bn + (b_c0 + n * b_c1) * Cn) / (den * q),
-            (za * c_a * An + 2.0 * (c_b0 + n3 * c_b1) * Bn + (c_c0 + n * c_c1) * Cn) / (n1 * q),
+            (a_b * Bn + zaa + a_c * Cn) / den,
+            (b_a * zaa + b_b * Bn + b_c * Cn) / (den * q),
+            (c_a * zaa + c_b * Bn + c_c * Cn) / (n1 * q),
         )
+        za, a_b, a_c = za + dza, a_b + da_b, a_c + da_c
+        b_b, b_c, c_b, c_c = b_b + db_b, b_c + db_c, c_b + dc_b, c_c + dc_c
 
 
 def threepoint_coeffs(a: float, z: complex, n_max: int) -> tuple[tuple[complex, ...], ...]:
@@ -116,31 +124,31 @@ def _phi1_closed(b, c):
 def _phi3_stream(b: float, c: float) -> Iterator[float]:
     """Phi_0, Phi_1, ... by the three-term recurrence, run forward from Phi_0 = 1, Phi_1.
 
-    Step n solves X_n Phi_{n-1} + Y_n Phi_n + Z_n Phi_{n+1} = 0; the factors
-    that depend on (b, c) alone are evaluated once, before the loop.  n is a
-    float, as in every series loop: its integer subexpressions (3n, 6n^2, n^3)
+    Step n solves X_n Phi_{n-1} + Y_n Phi_n + Z_n Phi_{n+1} = 0, with
+    X_n = n Q(n) E(n) and Z_n = K(n) R(n).  Q, E, Y, K and R are polynomials
+    in n of degree at most 3 whose coefficients depend on (b, c) alone and
+    are evaluated once, before the loop; each runs in Horner form.  n is a
+    float, as in every series loop: its integer subexpressions (6n, 432n)
     are exact in binary64, so each step keeps the bits of an int index.
     """
     prev = 1.0
     yield prev
     cur = _phi1_closed(b, c)
     yield cur
-    neg_c = -c
-    bb4 = 4 * b * b
-    bc4 = 4 * b * c
-    c4 = 4 * c
+    # Q = q0 + n(q1 - 6n), E = e0 + n(e1 - n), K = 16(3n+c)(3n+c+1)(3n+c+2), R = Z_n / K
+    q0, q1 = 4 * b * (b - c) - c, -(5 * c + 2)
+    e0, e1 = (b - c + 1) * (b - 1), 2 - c
     y_lead = 2 * (2 * b - c)
-    p0 = 16 * b * (b - 1) * (b - c + 1) * (b - c)
-    p1 = -4 + 21 * c + 40 * b * b - 17 * c * c - 32 * b * b * c + 32 * b * c * c - 40 * b * c
-    p2 = 24 * b * c + 24 - 24 * b * b + 15 * c * c - 57 * c
-    p3 = 18 * (c - 2)
+    y0 = y_lead * 16 * b * (b - 1) * (b - c + 1) * (b - c)
+    y1 = y_lead * (-4 + 21 * c + 40 * b * b - 17 * c * c - 32 * b * b * c + 32 * b * c * c - 40 * b * c)
+    y2 = y_lead * (24 * b * c + 24 - 24 * b * b + 15 * c * c - 57 * c)
+    y3 = y_lead * 18 * (c - 2)
+    k0, k1, k2 = 16 * c * (c + 1) * (c + 2), 48 * (3 * c * c + 6 * c + 2), 432 * (c + 1)
+    r0, r1 = 4 * (b * (b - c) + c - 1), 10 - 5 * c
     for n in count(1.0):
-        n3 = 3.0 * n
-        x = n * (neg_c - 2.0 * n - 5.0 * n * c - 6.0 * n * n - bc4 + bb4) * (-n + b - c + 1.0) * (n + b - 1.0)
-        y = y_lead * (p0 + p1 * n + p2 * n * n + p3 * (n * n * n))
-        z = 16.0 * (n3 + c) * (n3 + 1.0 + c) * (n3 + 2.0 + c) * (
-            -5.0 * n * c - 6.0 * n * n + 10.0 * n + bb4 - bc4 + c4 - 4.0
-        )
+        x = n * (q0 + n * (q1 - 6.0 * n)) * (e0 + n * (e1 - n))
+        y = y0 + n * (y1 + n * (y2 + n * y3))
+        z = (k0 + n * (k1 + n * (k2 + 432.0 * n))) * (r0 + n * (r1 - 6.0 * n))
         if z == 0.0:
             raise RecurrenceBreakdown(f"Z_{int(n)} = 0 for b={b}, c={c}")
         prev, cur = cur, -(x * prev + y * cur) / z
@@ -201,6 +209,8 @@ def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
         n3 = 3.0 * n
         c3 = c + n3
         d = -(n * (6.0 * n + d1) + d0)
+        if d == 0.0:
+            raise RecurrenceBreakdown(f"D_{int(n)} = 0 for b={b}, c={c}")
         m1 = (bn * (pa1 - n3) * phi - 4.0 * (c3 + 1.0) * (c3 + 2.0) * phi_next) / d
         m2 = (bn * (pa2 - 2.0 * n) * phi - 2.0 * (c3 + 2.0) * (c3 + n3 + pb2) * phi_next) / d
         yield sign * (An * phi + Bn * m1 + Cn * m2)

@@ -3,6 +3,10 @@
 Each production recursion computes the factors that do not depend on n
 once, before its loop.  The references below are the same recursions
 written with every factor inside the loop body, as the step formulas read.
+The two three-point streams also regroup their steps (stepped n-linear
+factors for A/B/C, Horner polynomials for Phi): their float references are
+the regrouped steps, which equal the formulas as written in Fraction
+arithmetic, and a gate against mpmath bounds what the regrouping costs.
 The summation references are the per-route loops that summed each series
 over its full coefficient and moment lists before one streaming loop,
 core.sum_series, summed them all.  Floating-point arithmetic is not
@@ -72,71 +76,116 @@ def _bits(values) -> list[tuple[str, str]]:
 # --- references: every factor evaluated inside the step -------------------
 
 
-def _threepoint_ref(a, z, n_max):
-    z = complex(z)
-    A = [1.0 + 0j]
-    pow_half = cpow_principal(1.0 - z / 2.0, -a)
-    pow_one = cpow_principal(1.0 - z, -a)
-    B = [4.0 * pow_half - pow_one - 3.0]
-    C = [2.0 + 2.0 * pow_one - 4.0 * pow_half]
-    q = z * z - 3.0 * z + 2.0
+def _threepoint_ref(a, z, A0, B0, C0, n_max):
+    """The A/B/C step formulas as written, from (A0, B0, C0); exact for Fraction (a, z, A0, B0, C0)."""
+    A, B, C = [A0], [B0], [C0]
+    q = z * z - 3 * z + 2
     z2 = z * z
     z3 = z2 * z
     for n in range(n_max):
         An, Bn, Cn = A[-1], B[-1], C[-1]
         A.append(
             (
-                2.0 * (3.0 * n * (z - 2.0) - 2.0) * Bn
-                + 4.0 * z * (3.0 * n + a) * An
-                + n * (5.0 * z - 6.0) * Cn
+                2 * (3 * n * (z - 2) - 2) * Bn
+                + 4 * z * (3 * n + a) * An
+                + n * (5 * z - 6) * Cn
             )
-            / (2.0 * (n + 1.0))
+            / (2 * (n + 1))
         )
         B.append(
             (
-                4.0 * z * (3.0 * n + a) * (26.0 * z - 3.0 * z2 - 24.0) * An
-                + 2.0
+                4 * z * (3 * n + a) * (26 * z - 3 * z2 - 24) * An
+                + 2
                 * (
-                    48.0
-                    - 4.0 * z * (18.0 + 5.0 * a)
-                    + 6.0 * z2 * (4.0 + 3.0 * a)
-                    + 3.0 * n * (48.0 - 96.0 * z + 50.0 * z2 - 3.0 * z3)
+                    48
+                    - 4 * z * (18 + 5 * a)
+                    + 6 * z2 * (4 + 3 * a)
+                    + 3 * n * (48 - 96 * z + 50 * z2 - 3 * z3)
                 )
                 * Bn
                 + (
-                    4.0 * (20.0 - 6.0 * z * (5.0 + a) + 5.0 * z2 * (2.0 + a))
-                    + n * (264.0 - 516.0 * z + 262.0 * z2 - 15.0 * z3)
+                    4 * (20 - 6 * z * (5 + a) + 5 * z2 * (2 + a))
+                    + n * (264 - 516 * z + 262 * z2 - 15 * z3)
                 )
                 * Cn
             )
-            / (2.0 * (n + 1.0) * q)
+            / (2 * (n + 1) * q)
         )
         C.append(
             (
-                4.0 * z * (3.0 * n + a) * (12.0 - 12.0 * z + z2) * An
-                + 2.0
+                4 * z * (3 * n + a) * (12 - 12 * z + z2) * An
+                + 2
                 * (
-                    2.0 * (6.0 * (3.0 + a) * z - (6.0 + 5.0 * a) * z2 - 12.0)
-                    + 3.0 * n * (z3 - 24.0 * z2 + 48.0 * z - 24.0)
+                    2 * (6 * (3 + a) * z - (6 + 5 * a) * z2 - 12)
+                    + 3 * n * (z3 - 24 * z2 + 48 * z - 24)
                 )
                 * Bn
                 + (
-                    4.0 * (2.0 * z * (9.0 + 2.0 * a) - 3.0 * z2 * (2.0 + a) - 12.0)
-                    + n * (5.0 * z3 - 132.0 * z2 + 276.0 * z - 144.0)
+                    4 * (2 * z * (9 + 2 * a) - 3 * z2 * (2 + a) - 12)
+                    + n * (5 * z3 - 132 * z2 + 276 * z - 144)
                 )
                 * Cn
             )
-            / ((n + 1.0) * q)
+            / ((n + 1) * q)
         )
     return A, B, C
 
 
-def _phi3_ref(n_max, b, c):
+def _threepoint_step_ref(a, z, A0, B0, C0, n_max):
+    """The same step with each factor linear in n stepped by its slope and za A_n formed once.
+
+    Each linear factor is [its value at n = 0, its slope], the doublings 2(...)
+    folded into both.  test_threepoint_step_regroups_exactly ties it to
+    _threepoint_ref in Fraction; the float pins tie it to threepoint_coeffs.
+    """
+    A, B, C = [A0], [B0], [C0]
+    q = z * z - 3 * z + 2
+    z2 = z * z
+    z3 = z2 * z
+    b_a = 26 * z - 3 * z2 - 24
+    c_a = 12 - 12 * z + z2
+    za = [4 * z * a, 3 * (4 * z)]
+    a_b = [-4, 6 * (z - 2)]
+    a_c = [0, 5 * z - 6]
+    b_b = [2 * (48 - 4 * z * (18 + 5 * a) + 6 * z2 * (4 + 3 * a)), 6 * (48 - 96 * z + 50 * z2 - 3 * z3)]
+    b_c = [4 * (20 - 6 * z * (5 + a) + 5 * z2 * (2 + a)), 264 - 516 * z + 262 * z2 - 15 * z3]
+    c_b = [2 * (2 * (6 * (3 + a) * z - (6 + 5 * a) * z2 - 12)), 6 * (z3 - 24 * z2 + 48 * z - 24)]
+    c_c = [4 * (2 * z * (9 + 2 * a) - 3 * z2 * (2 + a) - 12), 5 * z3 - 132 * z2 + 276 * z - 144]
+    for n in range(n_max):
+        An, Bn, Cn = A[-1], B[-1], C[-1]
+        zaa = za[0] * An
+        A.append((a_b[0] * Bn + zaa + a_c[0] * Cn) / (2 * (n + 1)))
+        B.append((b_a * zaa + b_b[0] * Bn + b_c[0] * Cn) / (2 * (n + 1) * q))
+        C.append((c_a * zaa + c_b[0] * Bn + c_c[0] * Cn) / ((n + 1) * q))
+        for factor in (za, a_b, a_c, b_b, b_c, c_b, c_c):
+            factor[0] += factor[1]
+    return A, B, C
+
+
+def _phi3_xyz_horner(n, b, c):
+    """(X_n, Y_n, Z_n) as _phi3_stream forms them: X_n = n Q E and Z_n = K R, each factor in Horner form.
+
+    test_phi3_horner_matches_the_written_recurrence ties it to phi3_xyz_ref in Fraction.
+    """
+    q = (4 * b * (b - c) - c) + n * (-(5 * c + 2) - 6 * n)
+    e = (b - c + 1) * (b - 1) + n * ((2 - c) - n)
+    y_lead = 2 * (2 * b - c)
+    y0 = y_lead * 16 * b * (b - 1) * (b - c + 1) * (b - c)
+    y1 = y_lead * (-4 + 21 * c + 40 * b * b - 17 * c * c - 32 * b * b * c + 32 * b * c * c - 40 * b * c)
+    y2 = y_lead * (24 * b * c + 24 - 24 * b * b + 15 * c * c - 57 * c)
+    y3 = y_lead * 18 * (c - 2)
+    k = 16 * c * (c + 1) * (c + 2) + n * (48 * (3 * c * c + 6 * c + 2) + n * (432 * (c + 1) + 432 * n))
+    r = 4 * (b * (b - c) + c - 1) + n * ((10 - 5 * c) - 6 * n)
+    return n * q * e, y0 + n * (y1 + n * (y2 + n * y3)), k * r
+
+
+def _phi3_ref(n_max, b, c, xyz=phi3_xyz_ref):
+    """Phi_0 .. Phi_{n_max} in float by the recurrence with the (X_n, Y_n, Z_n) of xyz."""
     vals = [1.0]
     if n_max >= 1:
         vals.append(-b * (b - c) * (2 * b - c) / (2 * c * (c + 1) * (c + 2)))
     for n in range(1, n_max):
-        x, y, z = phi3_xyz_ref(n, b, c)
+        x, y, z = xyz(n, b, c)
         vals.append(-(x * vals[n - 1] + y * vals[n]) / z)
     return vals
 
@@ -240,8 +289,20 @@ def test_case_set_covers_the_regions_and_int_parameters():
 def test_threepoint_coeffs(n_max):
     for a, _, _, z in CASES:
         got = threepoint_coeffs(a, z, n_max)
-        for stream, ref in zip(got, _threepoint_ref(a, z, n_max)):
+        starts = (stream[0] for stream in got)
+        for stream, ref in zip(got, _threepoint_step_ref(a, complex(z), *starts, n_max)):
             assert _bits(stream) == _bits(ref), (a, z, n_max)
+
+
+def test_threepoint_step_regroups_exactly():
+    # The stepped factors and the shared za A_n change only the grouping: in
+    # Fraction arithmetic the step equals the formulas as written, at every n.
+    rng = random.Random(23)
+    for z in (Fraction(-1, 2), Fraction(7, 3)):
+        for _ in range(3):
+            a = Fraction(rng.randint(-300, 500), rng.randint(1, 100))
+            starts = [Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(3)]
+            assert _threepoint_step_ref(a, z, *starts, 40) == _threepoint_ref(a, z, *starts, 40), (a, z, starts)
 
 
 @pytest.mark.parametrize("n_max", N_MAX)
@@ -249,7 +310,19 @@ def test_phi3_sequence(n_max):
     for _, b, c, _ in CASES:
         for j in range(3):  # the pair eval_threepoint runs and the two shifts its columns replace
             got = phi3_sequence(n_max, b + j, c + j)
-            assert _bits(got) == _bits(_phi3_ref(n_max, b + j, c + j)), (b, c, j, n_max)
+            assert _bits(got) == _bits(_phi3_ref(n_max, b + j, c + j, _phi3_xyz_horner)), (b, c, j, n_max)
+
+
+def test_phi3_horner_matches_the_written_recurrence():
+    # the Horner factors of X_n, Y_n and Z_n are the written recurrence, exactly
+    rng = random.Random(2300)
+    for _ in range(40):
+        b = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        c = b + Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        if rng.random() < 0.25:
+            b, c = -b, c - 2 * b  # off the gate too: the stream serves any (b, c)
+        for n in (1, 2, 3, rng.randint(4, 200)):
+            assert _phi3_xyz_horner(n, b, c) == phi3_xyz_ref(n, b, c), (b, c, n)
 
 
 def _phi3_exact(n_max, b, c):
@@ -329,8 +402,8 @@ def test_threepoint_terms_match_the_three_stream_terms():
 
 
 def test_recurrence_xyz_float_and_fraction():
-    # The stream steps on a float index with the factors of X_n, Y_n, Z_n free of n
-    # evaluated once; phi3_xyz_ref evaluates every factor at an int index.  Each integer
+    # The stream steps on a float index with the Horner coefficients of X_n, Y_n, Z_n
+    # evaluated once; _phi3_xyz_horner evaluates them at an int index.  Each integer
     # subexpression of the index is exact in binary64, so the bits agree, for float
     # and for int-typed (b, c).  _phi3_exact runs phi3_xyz_ref in Fraction: at the exact
     # rational value of each double pair it tracks the stream to a few roundings per step.
@@ -343,7 +416,7 @@ def test_recurrence_xyz_float_and_fraction():
     assert any(isinstance(b, int) and isinstance(c, int) for b, c in pairs)
     for b, c in pairs:
         got = phi3_sequence(120, b, c)
-        assert _bits(got) == _bits(_phi3_ref(120, b, c)), (b, c)
+        assert _bits(got) == _bits(_phi3_ref(120, b, c, _phi3_xyz_horner)), (b, c)
         exact = _phi3_exact(40, Fraction(b), Fraction(c))
         for n in range(41):
             assert abs(Fraction(got[n]) - exact[n]) <= 4 * (n + 1) * Fraction(EPS) * abs(exact[n]), (b, c, n)
@@ -353,6 +426,12 @@ def test_recurrence_xyz_float_and_fraction():
     "stream, error, message",
     [
         (lambda: phi3_sequence(5, 1.0, 0.8), RecurrenceBreakdown, "Z_1 = 0 for b=1.0, c=0.8"),
+        # D(1) = -(6 + (5c + 2) + c + 4b(c - b)) is exactly 0; off the c > b > 0 gate, where D < 0
+        (
+            lambda: list(islice(_threepoint_terms(HypParams(1.2, 0.5, -0.875), 0.5 + 0.8j), 3)),
+            RecurrenceBreakdown,
+            "D_1 = 0 for b=0.5, c=-0.875",
+        ),
         (
             lambda: buhring_coeffs(1.0, 0.5, HypParams(1.0, 3.0, 4.0), 5),
             IntegerDifferenceError,
@@ -361,7 +440,7 @@ def test_recurrence_xyz_float_and_fraction():
         (lambda: phi_half_sequence(5, 2.1, -3.0), PoleError, "c + 3 = 0: recurrence pole"),
         (lambda: phi_w_sequence(5, 2.1, -3.0, 0.25), PoleError, "c + 3 = 0: recurrence pole"),
     ],
-    ids=["phi3", "buhring", "phi-half", "phi-w"],
+    ids=["phi3", "threepoint-d", "buhring", "phi-half", "phi-w"],
 )
 def test_error_messages_keep_an_integer_index(stream, error, message):
     # the streams step on a float index; their messages still print it as an integer
@@ -438,7 +517,86 @@ def test_references_overflow_in_the_same_place():
     a, z = 1.2, complex(0.5, math.sqrt(3.0) / 2.0)
     A = threepoint_coeffs(a, z, 400)[0]
     assert not all(math.isfinite(abs(v)) for v in A)
-    assert _bits(A) == _bits(_threepoint_ref(a, z, 400)[0])
+    starts = (stream[0] for stream in threepoint_coeffs(a, z, 0))
+    assert _bits(A) == _bits(_threepoint_step_ref(a, z, *starts, 400)[0])
+
+
+# --- accuracy of the regrouped three-point streams against mpmath -----------
+
+#: The located cancellation point of the three-point series (a, b, c, z).
+CANCELLATION_POINT = (4.14655, 2.55191, 2.59298, complex(-4.07808, 0.86988))
+#: The triples of the benchmark's shared sweep, drawn at z = exp(+-i pi/3) plus N(0, 0.3^2) jitter.
+SHARED_TRIPLES = ((1.2, 2.1, 3.0), (1.2, 2.5, 3.0), (1.2, 2.1, 3.5), (1.0, 3.0, 4.0))
+ACCURACY_STOPS = (10, 20, 40)
+
+
+def _accuracy_points(count):
+    """count seeded three-point points with c > b > 0, then the cancellation point.
+
+    Every third is a shared-sweep triple near exp(+-i pi/3), the rest uniform
+    (a, b, c) over a box that holds the region; every fifth has an integer b - a.
+    """
+    rng = random.Random(2313)
+    pts = []
+    while len(pts) < count:
+        i = len(pts)
+        if i % 3 == 0:
+            a, b, c = SHARED_TRIPLES[i // 3 % len(SHARED_TRIPLES)]
+            centre = Z_EXC if rng.random() < 0.5 else Z_EXC.conjugate()
+            z = centre + complex(rng.gauss(0.0, 0.3), rng.gauss(0.0, 0.3))
+        else:
+            b = rng.uniform(0.1, 5.0)
+            a, c = rng.uniform(-3.0, 5.0), b + rng.uniform(0.1, 5.0)
+            z = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+        if i % 5 == 0:
+            b = round(b * 1024.0) / 1024.0  # dyadic, so b - a is exactly the integer drawn
+            a = b - rng.randint(-2, 4)
+        if threepoint_margin(z) > 0.0:
+            pts.append((a, b, c, z))
+    return pts + [CANCELLATION_POINT]
+
+
+def _written_sums(a, b, c, z, stops):
+    """(value, est_error, size) at each stop of the sum over the written-out streams.
+
+    size is the sum over k of |A_k||Phi_k| + |B_k||m1_k| + |C_k||m2_k|.
+    """
+    A, B, C = _threepoint_ref(a, z, *(stream[0] for stream in threepoint_coeffs(a, z, 0)), stops[-1])
+    phi = _phi3_ref(stops[-1] + 1, b, c)
+    s, abs_sum, last, size = 0j, 0.0, 0.0, 0.0
+    out = []
+    for n in range(stops[-1] + 1):
+        d, pa1, pb1, pa2, pb2 = _columns_ref(n, b, c)
+        m1 = (pa1 * phi[n] - pb1 * phi[n + 1]) / d
+        m2 = (pa2 * phi[n] - pb2 * phi[n + 1]) / d
+        term = (-1.0 if n % 2 else 1.0) * (A[n] * phi[n] + B[n] * m1 + C[n] * m2)
+        s += term
+        last = abs(term)
+        abs_sum += last
+        size += abs(A[n]) * abs(phi[n]) + abs(B[n]) * abs(m1) + abs(C[n]) * abs(m2)
+        if n in stops:
+            out.append((s, tail_estimate(abs(s), abs_sum, last, n + 1), size))
+    return out
+
+
+def test_regrouped_threepoint_sum_is_as_accurate_as_the_written_one():
+    # Where the sum over the streams as written converges, the regrouped
+    # streams' error exceeds its error by at most 4 EPS times the size of the
+    # terms' three parts.  The errors are against mpmath.hyp2f1 at 20 digits,
+    # far below the EPS-level differences compared.
+    compared = 0
+    for a, b, c, z in _accuracy_points(700):
+        with mpmath.workdps(20):
+            want = mpmath.hyp2f1(a, b, c, mpmath.mpc(z.real, z.imag))
+        got = threepoint_sums(HypParams(a, b, c), z, ACCURACY_STOPS)
+        for n, res, (value, est, size) in zip(ACCURACY_STOPS, got, _written_sums(a, b, c, z, ACCURACY_STOPS)):
+            if not est <= 1e-12:
+                continue
+            compared += 1
+            err_new = float(abs(mpmath.mpc(res.value) - want))
+            err_old = float(abs(mpmath.mpc(value) - want))
+            assert err_new <= err_old + 4 * EPS * size, (a, b, c, z, n, err_new, err_old, size)
+    assert compared >= 1000
 
 
 # --- the summation loops, fed from the collectors ---------------------------

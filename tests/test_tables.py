@@ -42,8 +42,8 @@ TABLE_SHA256 = {
         "fc456082bf14bbcc3a8c1137fcbf6011ed2d1d245518f3e99496a326ef0eb341",
     ),
     4: (
-        "727a37b45ff30cb4d653d258942739508e016e5cdf4eec9bb9c708ab5e7802a4",
-        "6060cc36f082ad34e7ee43e32e650021bf87f4188af44748d331fe00d3eb6e1e",
+        "453574c31fa57c2b78faad95a3e1f20f0a1390853395acfe9a3138848facc963",
+        "b52bbb2a551b0a4f02c16d00591cb14c4eb0589d8f49e6e261fdbe7391999b39",
     ),
 }
 

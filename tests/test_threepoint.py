@@ -129,8 +129,10 @@ class TestPhi3:
     def test_recurrence_cannot_break_down_when_c_above_b_above_zero(self):
         # eval_threepoint relies on this: for c > b > 0 and n >= 1 the last
         # factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0.
-        # phi3_xyz_ref is the recurrence phi3_sequence runs, bit for bit
-        # (test_recursions_exact.test_recurrence_xyz_float_and_fraction).
+        # phi3_xyz_ref is the recurrence phi3_sequence runs: its Horner form
+        # equals it exactly and the stream runs that form bit for bit
+        # (test_recursions_exact.test_phi3_horner_matches_the_written_recurrence
+        # and test_recurrence_xyz_float_and_fraction).
         rng = random.Random(2013)
         for _ in range(300):
             b = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
