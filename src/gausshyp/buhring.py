@@ -20,18 +20,11 @@ b - a is allowed, but the reported error estimate is inflated by
 """
 
 import math
-from itertools import count, islice
+from itertools import count
 from typing import Iterator
 
-from .core import (
-    HypParams,
-    cpow_principal,
-    gamma_real,
-    recip_gamma_real,
-    require_finite_complex,
-    require_n_max,
-    sum_series,
-)
+from .core import HypParams, cpow_principal, gamma_real, recip_gamma_real, require_finite_complex
+from .core import stream_prefix, sum_series
 from .errors import BranchCutError, DomainError, GaussHypError, IntegerDifferenceError, OutsideDomain
 from .results import SeriesResult
 
@@ -67,8 +60,7 @@ def _d_stream(s: float, z0: complex | float, params: HypParams) -> Iterator[comp
 
 def buhring_coeffs(s: float, z0: complex, params: HypParams, n_max: int) -> list[complex]:
     """The coefficient stream d_0 .. d_{n_max} for expansion parameter s."""
-    require_n_max(n_max)
-    return list(islice(_d_stream(s, complex(z0), params), n_max + 1))
+    return stream_prefix(_d_stream(s, complex(z0), params), n_max)
 
 
 def _buhring_terms(s: float, z0: complex | float, params: HypParams, u: complex) -> Iterator[complex]:

@@ -1,19 +1,20 @@
 """Scalar numerics shared by every evaluation route.
 
 Principal-branch complex powers, rising factorials, real-argument gamma,
-the (a, b, c) parameter triple with its validity checks, and sum_series,
-the one loop that sums every series route with its error estimate.
-Parameters are restricted to real values; complex parameters are out of
-scope.
+the real (a, b, c) parameter triple with its validity checks, sum_series
+(the one loop that sums every series route, with its error estimate),
+stream_prefix (every collector's read of a stream) and expansion_refusal
+(the rational expansions' one gate).  Complex parameters are out of scope.
 """
 
 import cmath
 import math
 from collections import namedtuple
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .errors import ConfigError, DomainError, ParamDomainError, PoleError, RecurrenceBreakdown
+from .errors import ConfigError, DomainError, GaussHypError, OutsideDomain, ParamDomainError, PoleError
+from .errors import RecurrenceBreakdown, SingularityError
 from .results import SeriesResult
 
 #: Unit roundoff of IEEE double precision.
@@ -52,10 +53,11 @@ def json_value(x: object) -> object:
     return repr(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def require_n_max(n_max: int) -> None:
-    """Reject a negative last index of a coefficient or moment stream."""
+def stream_prefix(stream: Iterator, n_max: int) -> list:
+    """Items 0 .. n_max of a coefficient or moment stream; a negative n_max raises ValueError."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
+    return list(islice(stream, n_max + 1))
 
 
 def require_finite_sum(total_abs: float, n_summed: int) -> None:
@@ -206,3 +208,22 @@ class HypParams(namedtuple("HypParams", "a b c")):
     def param_refusal(self, needs: str) -> ParamDomainError | None:
         """None when c > b > 0, else the ParamDomainError whose message needs opens, e.g. "Euler integral needs"."""
         return None if self.c > self.b > 0 else ParamDomainError("%s c > b > 0, got b=%s, c=%s", needs, self.b, self.c)
+
+
+def expansion_refusal(
+    params: HypParams, z: complex, margin_of: Callable[[complex], float], region: str, singular=(), region_args=()
+) -> GaussHypError | None:
+    """The rational expansions' gate: None, or in order a non-finite z (DomainError), z in singular (SingularityError),
+    not c > b > 0 (ParamDomainError), margin_of(z) not > 0 (OutsideDomain, naming region % region_args)."""
+    try:
+        z = require_finite_complex(z)
+    except DomainError as exc:
+        return exc
+    if z in singular:
+        return SingularityError("z = %s: coefficient recursion is singular", z)
+    if refusal := params.param_refusal("expansion derived under"):
+        return refusal
+    margin = margin_of(z)
+    if not margin > 0.0:
+        return OutsideDomain(f"z = %s outside {region} (margin %s)", z, *region_args, margin)
+    return None

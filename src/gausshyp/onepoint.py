@@ -19,11 +19,11 @@ The terminating sum itself is the verification route (gausshyp.verify.phi_brute)
 """
 
 import math
-from itertools import count, islice
+from itertools import count
 from typing import Iterator
 
-from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
-from .errors import ConfigError, DomainError, GaussHypError, OutsideDomain, PoleError
+from .core import HypParams, cpow_principal, expansion_refusal, require_finite_complex, stream_prefix, sum_series
+from .errors import ConfigError, DomainError, GaussHypError, PoleError
 from .results import SeriesResult
 
 #: Default truncation index; forward recurrence accuracy is verified up to here.
@@ -65,14 +65,12 @@ def _phi_w_stream(b: float, c: float, w: complex | float) -> Iterator[complex | 
 
 def phi_half_sequence(n_max: int, b: float, c: float) -> list[float]:
     """Phi_0 .. Phi_{n_max} at w = 1/2, in real arithmetic."""
-    require_n_max(n_max)
-    return list(islice(_phi_w_stream(b, c, 0.5), n_max + 1))
+    return stream_prefix(_phi_w_stream(b, c, 0.5), n_max)
 
 
 def phi_w_sequence(n_max: int, b: float, c: float, w: complex) -> list[complex]:
     """Phi_0 .. Phi_{n_max} at generic w, in complex arithmetic."""
-    require_n_max(n_max)
-    return list(islice(_phi_w_stream(b, c, complex(w)), n_max + 1))
+    return stream_prefix(_phi_w_stream(b, c, complex(w)), n_max)
 
 
 def onepoint_margin(z: complex, w: complex) -> float:
@@ -104,12 +102,8 @@ def onepoint_refusal(params: HypParams, z: complex, w: complex | None) -> GaussH
         w = require_expansion_point(w)
     except (ConfigError, DomainError) as exc:
         return exc
-    if refusal := params.param_refusal("expansion derived under"):
-        return refusal
-    margin = onepoint_margin(z, w)
-    if not margin > 0.0:
-        return OutsideDomain("z = %s outside the w = %s expansion region (margin %s)", z, w, margin)
-    return None
+    region = "the w = %s expansion region"  # formatted only when the refusal is shown
+    return expansion_refusal(params, z, lambda z: onepoint_margin(z, w), region, region_args=(w,))
 
 
 def _onepoint_terms(params: HypParams, z: complex, w: complex) -> Iterator[complex]:

@@ -17,7 +17,7 @@ from .twopoint import eval_twopoint, in_region_twopoint, twopoint_margin, twopoi
 #: |z| below which the plain power series is preferred outright.
 MACLAURIN_RADIUS = 0.5
 
-#: Series routes judge converged against max(tol, SERIES_TOL_FLOOR).
+#: evaluate judges a series route's converged against max(tol, SERIES_TOL_FLOOR).
 SERIES_TOL_FLOOR = 1e-12
 
 
@@ -29,10 +29,6 @@ class Route(NamedTuple):
     refusal: Callable[[HypParams, complex, complex | None, complex], GaussHypError | None]
     run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0, max_terms)
     sums: Callable[..., Iterator[SeriesResult]] | None = None  # (params, z, stops, tol, w, z0)
-
-
-def _series_tol(tol: float) -> float:
-    return max(tol, SERIES_TOL_FLOOR)
 
 
 # Entries resolve this module's globals at call time, so a wrapper installed
@@ -51,32 +47,32 @@ ROUTES: dict[MethodId, Route] = {
     MethodId.BUHRING: Route(
         lambda z, w, z0: exclusion_margin(z, z0),
         lambda p, z, w, z0: buhring_refusal(p, z, z0),
-        lambda p, z, n, tol, w, z0, _: buhring_eval(p, z, z0=z0, n_terms=n, tol=_series_tol(tol)),
-        lambda p, z, stops, tol, w, z0: buhring_sums(p, z, stops, z0, _series_tol(tol)),
+        lambda p, z, n, tol, w, z0, _: buhring_eval(p, z, z0=z0, n_terms=n, tol=tol),
+        lambda p, z, stops, tol, w, z0: buhring_sums(p, z, stops, z0, tol),
     ),
     MethodId.ONEPOINT_HALF: Route(
         lambda z, w, z0: onepoint_margin(z, 0.5),
         lambda p, z, w, z0: onepoint_refusal(p, z, 0.5),
-        lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, w=0.5, n_terms=n, tol=_series_tol(tol)),
-        lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, 0.5, _series_tol(tol)),
+        lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, w=0.5, n_terms=n, tol=tol),
+        lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, 0.5, tol),
     ),
     MethodId.ONEPOINT_W: Route(
         lambda z, w, z0: onepoint_margin(z, require_w(w)),
         lambda p, z, w, z0: onepoint_refusal(p, z, w),
-        lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, w, n, _series_tol(tol)),
-        lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, w, _series_tol(tol)),
+        lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, w, n, tol),
+        lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, w, tol),
     ),
     MethodId.TWOPOINT: Route(
         lambda z, w, z0: twopoint_margin(z),
         lambda p, z, w, z0: twopoint_refusal(p, z),
-        lambda p, z, n, tol, w, z0, _: eval_twopoint(p, z, n_terms=n, tol=_series_tol(tol)),
-        lambda p, z, stops, tol, w, z0: twopoint_sums(p, z, stops, _series_tol(tol)),
+        lambda p, z, n, tol, w, z0, _: eval_twopoint(p, z, n_terms=n, tol=tol),
+        lambda p, z, stops, tol, w, z0: twopoint_sums(p, z, stops, tol),
     ),
     MethodId.THREEPOINT: Route(
         lambda z, w, z0: threepoint_margin(z),
         lambda p, z, w, z0: threepoint_refusal(p, z),
-        lambda p, z, n, tol, w, z0, _: eval_threepoint(p, z, n_terms=n, tol=_series_tol(tol)),
-        lambda p, z, stops, tol, w, z0: threepoint_sums(p, z, stops, _series_tol(tol)),
+        lambda p, z, n, tol, w, z0, _: eval_threepoint(p, z, n_terms=n, tol=tol),
+        lambda p, z, stops, tol, w, z0: threepoint_sums(p, z, stops, tol),
     ),
 }
 
@@ -140,9 +136,10 @@ def evaluate(
     The route comes from ROUTES.  maclaurin and euler-oracle judge
     converged against tol itself; the series routes (buhring, onepoint-*,
     twopoint, threepoint) sum indices 0 .. n_terms and judge it against
-    max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12).  An n_terms or max_terms
-    that is not an integer (a bool is not one), or is negative, and a tol
-    that is not a finite number > 0, raise ConfigError.  A non-finite z0,
+    max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12), which evaluate passes to
+    their run (ROUTES[m].run and .sums take tol as given).  An n_terms or
+    max_terms that is not an integer (a bool is not one), or is negative,
+    and a tol that is not a finite number > 0, raise ConfigError.  A non-finite z0,
     and a given w that is non-finite or zero, raise DomainError before any
     route is chosen, whatever the method.
     """
@@ -156,7 +153,9 @@ def evaluate(
     if w is not None:
         w = require_expansion_point(w)
     method_id = select_method(params, z, z0) if method == "auto" else MethodId.from_string(method)
-    return ROUTES[method_id].run(params, z, n_terms, tol, w, z0, max_terms), method_id
+    route = ROUTES[method_id]
+    tol = max(tol, SERIES_TOL_FLOOR) if route.sums is not None else tol
+    return route.run(params, z, n_terms, tol, w, z0, max_terms), method_id
 
 
 def hyp2f1(

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .buhring import DEFAULT_Z0
 from .core import HypParams, is_count, json_value, require_tol
 from .errors import ConfigError, GaussHypError, NotConvergedWarning
+from .onepoint import require_expansion_point, require_w
 from .reference import euler_integral
 from .results import MethodId
 from .select import ROUTES
@@ -28,6 +29,9 @@ from .select import buhring_eval, eval_onepoint, eval_threepoint, eval_twopoint
 Z_EXC = complex(0.5, math.sqrt(3.0) / 2.0)  # exp(i pi/3)
 
 N_LABELS = (0, 5, 10, 15, 20)
+
+#: The routes a table may feature against the continuation: the paper's new expansions.
+FEATURED = (MethodId.ONEPOINT_HALF, MethodId.ONEPOINT_W, MethodId.TWOPOINT, MethodId.THREEPOINT)
 
 #: Cell labels for evaluation failures, keyed by exception class name.
 ERROR_LABELS = {
@@ -138,12 +142,21 @@ def run_table(spec: TableSpec | int, oracle_tol: float = 1e-13) -> TableResult:
     Each (row, method) is summed once, by its route's stops form; an error labels
     its cell and the later ones.  Warns NotConvergedWarning for each row whose
     oracle value did not reach oracle_tol, which must be a finite number > 0.
+    A spec whose featured route is not in FEATURED, whose index_rule is not
+    "identity" or "half", or, for onepoint-w, whose w is missing raises
+    ConfigError before any work; a w that is zero or not finite, DomainError.
     """
     require_tol(oracle_tol)
     if not isinstance(spec, TableSpec):
         if not is_count(spec) or spec not in TABLES:
             raise ConfigError(f"unknown table id {spec!r}; known ids are {sorted(TABLES)}")
         spec = TABLES[spec]
+    if spec.featured not in FEATURED:
+        raise ConfigError(f"a table features one of {', '.join(map(str, FEATURED))}, got {spec.featured!r}")
+    if spec.index_rule not in ("identity", "half"):
+        raise ConfigError(f"index_rule must be 'identity' or 'half', got {spec.index_rule!r}")
+    if spec.featured is MethodId.ONEPOINT_W:
+        require_expansion_point(require_w(spec.w))
     methods = (MethodId.BUHRING, spec.featured)
     stops = tuple(spec.series_index(n) for n in N_LABELS)
     cells = []

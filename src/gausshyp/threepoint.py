@@ -51,11 +51,11 @@ are compared at large n.
 """
 
 import math
-from itertools import count, islice
+from itertools import count
 from typing import Iterator
 
-from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
-from .errors import DomainError, GaussHypError, OutsideDomain, PoleError, RecurrenceBreakdown, SingularityError
+from .core import HypParams, cpow_principal, expansion_refusal, stream_prefix, sum_series
+from .errors import GaussHypError, PoleError, RecurrenceBreakdown, SingularityError
 from .results import SeriesResult
 
 DEFAULT_TERMS = 40
@@ -110,8 +110,7 @@ def _abc_stream(a: float, z: complex) -> Iterator[tuple[complex, complex, comple
 
 def threepoint_coeffs(a: float, z: complex, n_max: int) -> tuple[tuple[complex, ...], ...]:
     """The streams (A, B, C), each over indices 0 .. n_max; z in {1, 2} is singular."""
-    require_n_max(n_max)
-    return tuple(zip(*islice(_abc_stream(a, z), n_max + 1)))
+    return tuple(zip(*stream_prefix(_abc_stream(a, z), n_max)))
 
 
 def _phi1_closed(b, c):
@@ -157,8 +156,7 @@ def _phi3_stream(b: float, c: float) -> Iterator[float]:
 
 def phi3_sequence(n_max: int, b: float, c: float) -> list[float]:
     """Phi_0 .. Phi_{n_max} of the three-point expansion."""
-    require_n_max(n_max)
-    return list(islice(_phi3_stream(b, c), n_max + 1))
+    return stream_prefix(_phi3_stream(b, c), n_max)
 
 
 def threepoint_margin(z: complex) -> float:
@@ -176,20 +174,8 @@ def in_region_threepoint(z: complex) -> tuple[bool, float]:
 
 
 def threepoint_refusal(params: HypParams, z: complex) -> GaussHypError | None:
-    """The error threepoint_sums raises at (params, z), or None.  In order: a non-finite z (DomainError),
-    z in {1, 2} (SingularityError), not c > b > 0 (ParamDomainError), a margin not > 0 (OutsideDomain)."""
-    try:
-        z = require_finite_complex(z)
-    except DomainError as exc:
-        return exc
-    if z == 1.0 or z == 2.0:
-        return SingularityError("z = %s: coefficient recursion is singular", z)
-    if refusal := params.param_refusal("expansion derived under"):
-        return refusal
-    margin = threepoint_margin(z)
-    if not margin > 0.0:
-        return OutsideDomain("z = %s outside |z|^3 < 6 sqrt(3)|(1-z)(2-z)| (margin %s)", z, margin)
-    return None
+    """The error threepoint_sums raises at (params, z), or None: the rational gate, singular at z in {1, 2}."""
+    return expansion_refusal(params, z, threepoint_margin, "|z|^3 < 6 sqrt(3)|(1-z)(2-z)|", (1.0, 2.0))
 
 
 def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:

@@ -33,11 +33,11 @@ matched precision (gausshyp.verify.twopoint_coeffs_mp).
 """
 
 import math
-from itertools import count, islice
+from itertools import count
 from typing import Iterator
 
-from .core import HypParams, cpow_principal, require_finite_complex, require_n_max, sum_series
-from .errors import DomainError, GaussHypError, OutsideDomain, SingularityError
+from .core import HypParams, cpow_principal, expansion_refusal, stream_prefix, sum_series
+from .errors import GaussHypError, SingularityError
 from .results import SeriesResult
 
 DEFAULT_TERMS = 40
@@ -68,11 +68,10 @@ def _recursion(a, z, A0, B0) -> Iterator[tuple]:
 
 def twopoint_coeffs_recursive(a: float, z: complex, n_max: int) -> tuple[tuple[complex, ...], ...]:
     """The streams (A, B), each over indices 0 .. n_max; z = 1 is singular."""
-    require_n_max(n_max)
     z = complex(z)
     if z == 1.0:
         raise SingularityError("z = 1: recursion divides by 1 - z")
-    return tuple(zip(*islice(_recursion(a, z, *_initial_pair(a, z)), n_max + 1)))
+    return tuple(zip(*stream_prefix(_recursion(a, z, *_initial_pair(a, z)), n_max)))
 
 
 def twopoint_margin(z: complex) -> float:
@@ -92,20 +91,8 @@ def in_region_twopoint(z: complex) -> tuple[bool, float]:
 
 
 def twopoint_refusal(params: HypParams, z: complex) -> GaussHypError | None:
-    """The error twopoint_sums raises at (params, z), or None.  In order: a non-finite z (DomainError),
-    z = 1 (SingularityError), not c > b > 0 (ParamDomainError), a margin not > 0 (OutsideDomain)."""
-    try:
-        z = require_finite_complex(z)
-    except DomainError as exc:
-        return exc
-    if z == 1.0:
-        return SingularityError("z = 1: coefficient recursion is singular")
-    if refusal := params.param_refusal("expansion derived under"):
-        return refusal
-    margin = twopoint_margin(z)
-    if not margin > 0.0:
-        return OutsideDomain("z = %s outside |z|^2 < 4|1-z| (margin %s)", z, margin)
-    return None
+    """The error twopoint_sums raises at (params, z), or None: the rational gate, singular at z = 1."""
+    return expansion_refusal(params, z, twopoint_margin, "|z|^2 < 4|1-z|", (1.0,))
 
 
 def _twopoint_terms(params: HypParams, z: complex) -> Iterator[complex]:

@@ -11,11 +11,10 @@ form of the three-point moments.  selftest_checks gathers the checks of
 import cmath
 import math
 from functools import partial
-from itertools import islice
 
 import mpmath
 
-from .core import HypParams, pochhammer
+from .core import HypParams, pochhammer, stream_prefix
 from .errors import PoleError, SingularityError
 from .onepoint import phi_half_sequence, require_expansion_point
 from .reference import classify_region, euler_integral
@@ -68,7 +67,7 @@ def twopoint_coeffs_mp(a: float, z: complex, n_max: int, dps: int) -> tuple[tupl
         raise SingularityError("z = 1: recursion divides by 1 - z")
     with mpmath.workdps(dps):
         am, zm = mpmath.mpf(a), _mpc(z)
-        pairs = islice(_recursion(am, zm, mpmath.mpc(1), (1 - zm) ** (-am) - 1), n_max + 1)
+        pairs = stream_prefix(_recursion(am, zm, mpmath.mpc(1), (1 - zm) ** (-am) - 1), n_max)
         return tuple(zip(*((complex(A), complex(B)) for A, B in pairs)))
 
 

@@ -4,11 +4,12 @@ import cmath
 import math
 import random
 import re
+from itertools import count
 
 import pytest
 
 from gausshyp import DomainError, HypParams, ParamDomainError, PoleError, RecurrenceBreakdown, evaluate
-from gausshyp.core import cpow_principal, gamma_real, json_value, pochhammer, recip_gamma_real
+from gausshyp.core import cpow_principal, gamma_real, json_value, pochhammer, recip_gamma_real, stream_prefix
 
 
 class TestCpowPrincipal:
@@ -207,3 +208,12 @@ def test_json_value_writes_non_finite_floats_as_strings():
     assert [json_value(x) for x in (math.inf, -math.inf, math.nan)] == ["inf", "-inf", "nan"]
     for x in (1.5, -0.0, 0, "INTEGER_DIFF", True, None):
         assert json_value(x) is x
+
+
+def test_stream_prefix_reads_indices_zero_to_n_max():
+    assert stream_prefix(count(), 3) == [0, 1, 2, 3]
+    assert stream_prefix(iter("ab"), 0) == ["a"]
+    stream = count()
+    with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
+        stream_prefix(stream, -1)
+    assert next(stream) == 0  # a refused prefix reads nothing

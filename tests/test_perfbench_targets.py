@@ -2,13 +2,17 @@
 
 perfbench/tracing.py replaces each (module, attribute) of its TARGETS with
 a timing wrapper when a traced run starts; a name that a refactor removed
-would make ``perfbench/run.py --trace 1`` fail at install.  The benches
-(benches.py, layers.py) also read a few names off the package root.
+would make ``perfbench/run.py --trace 1`` fail at install, and a caller
+that stopped looking a name up where it is wrapped would turn its metric
+to 0.  The benches (benches.py, layers.py) also read a few names off the
+package root.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from conftest import Z_EXC
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +42,42 @@ def test_root_names_resolve():
     import gausshyp
 
     assert [name for name in ROOT_NAMES if not hasattr(gausshyp, name)] == []
+
+
+#: Span names that a traced evaluate per method and the eval, table and region commands record today.
+LIVE_SPANS = (
+    "select.select_method",
+    "reference.maclaurin",
+    "reference.euler_integral",
+    "buhring.buhring_eval",
+    "onepoint.eval_onepoint",
+    "twopoint.eval_twopoint",
+    "threepoint.eval_threepoint",
+    "select.evaluate",
+    "select.method_margin",
+    "tables.run_table",
+    "raster.raster_to_csv",
+    "raster.region_raster",
+    "core.HypParams",
+)
+
+
+def test_traced_targets_see_calls(tmp_path):
+    from gausshyp import HypParams, MethodId, cli, evaluate
+
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        params = HypParams(1.2, 2.1, 3.0)
+        for method in ("auto", *MethodId):
+            z = 0.3 + 0.2j if method is MethodId.MACLAURIN else Z_EXC
+            evaluate(params, z, method, w=0.5 + 0.5j)
+        point = ["--a", "1.2", "--b", "2.1", "--c", "3", "--z", "exp(i*pi/3)"]
+        grid = ["--xmin=-4", "--xmax=4", "--ymin=-4", "--ymax=4", "--res=9"]
+        assert cli.main(["eval", *point, "--out", str(tmp_path / "eval.json")]) == 0
+        assert cli.main(["table", "--id", "3", "--out", str(tmp_path / "table.csv")]) == 0
+        assert cli.main(["region", "--method", "threepoint", *grid, "--out", str(tmp_path / "region.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    spans = {tracer.names[nid] for nid in tracer.name_id}
+    assert [name for name in LIVE_SPANS if name not in spans] == []

@@ -793,21 +793,25 @@ def _route_cases(method):
 
 @pytest.mark.parametrize("method", SERIES_METHODS)
 def test_stops_match_the_one_stop_calls(method):
-    sums = ROUTES[MethodId(method)].sums
+    # ROUTES' run and sums judge converged against the tol they are given;
+    # evaluate hands a series route max(tol, 1e-12)
+    route = ROUTES[MethodId(method)]
     for params, z, w in _route_cases(method):
-        want = [
-            _outcome(lambda n: _result_bits(evaluate(params, z, method, n_terms=n, w=w)[0]), n)
-            for n in STOPS
-        ]
-        got = []
-        try:
-            for res in sums(params, z, STOPS, 1e-13, w, 0.5):
-                got.append(_result_bits(res))
-        except GaussHypError as exc:
-            got.append((type(exc).__name__, str(exc)))
-        assert got == want[: len(got)], (method, params, z, w)
-        # an error ends the pass; the one-stop calls at the later stops fail too
-        assert all(len(outcome) == 2 for outcome in want[len(got) :]), (method, params, z, w)
+        one_stop_calls = (
+            (1e-13, lambda n: route.run(params, z, n, 1e-13, w, 0.5, 2000)),
+            (1e-12, lambda n: evaluate(params, z, method, n_terms=n, tol=1e-13, w=w)[0]),
+        )
+        for tol, one_stop in one_stop_calls:
+            want = [_outcome(lambda n: _result_bits(one_stop(n)), n) for n in STOPS]
+            got = []
+            try:
+                for res in route.sums(params, z, STOPS, tol, w, 0.5):
+                    got.append(_result_bits(res))
+            except GaussHypError as exc:
+                got.append((type(exc).__name__, str(exc)))
+            assert got == want[: len(got)], (method, params, z, w, tol)
+            # an error ends the pass; the one-stop calls at the later stops fail too
+            assert all(len(outcome) == 2 for outcome in want[len(got) :]), (method, params, z, w, tol)
 
 
 def test_stops_end_where_the_sum_overflows():

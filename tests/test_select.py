@@ -16,8 +16,10 @@ from gausshyp import (
     NoMethodError,
     NotConvergedWarning,
     OutsideDomain,
+    ParamDomainError,
     ROUTES,
     SeriesResult,
+    SingularityError,
     euler_integral,
     evaluate,
     hyp2f1,
@@ -517,3 +519,68 @@ class TestRefusal:
             routes.add(method)
             assert bits(evaluate(params, z, method)[0]) == bits(res), (params, z, method)
         assert routes == set(AUTO_ORDER)
+
+
+C_BELOW_B = HypParams(1.2, 2.1, 1.5)
+NAN_Z = complex(math.nan, 0.0)
+
+#: (route, params, z, w, class, message start) at points that fail several checks; the first check in the
+#: route's documented order decides.  z = -20 lies outside the two- and three-point regions, z = 5 outside
+#: the one-point regions at w = 1/2 and w = W.
+PRECEDENCE = [
+    (MethodId.THREEPOINT, C_BELOW_B, NAN_Z, None, DomainError, "z must have finite"),
+    (MethodId.THREEPOINT, C_BELOW_B, 1.0, None, SingularityError, "z = (1+0j): coefficient recursion is singular"),
+    (MethodId.THREEPOINT, C_BELOW_B, 2.0, None, SingularityError, "z = (2+0j): coefficient recursion is singular"),
+    (MethodId.THREEPOINT, C_BELOW_B, -20.0, None, ParamDomainError, "expansion derived under c > b > 0"),
+    (MethodId.THREEPOINT, PARAMS, -20.0, None, OutsideDomain, "z = (-20+0j) outside |z|^3 < 6 sqrt(3)|(1-z)(2-z)|"),
+    (MethodId.TWOPOINT, C_BELOW_B, NAN_Z, None, DomainError, "z must have finite"),
+    (MethodId.TWOPOINT, C_BELOW_B, 1.0, None, SingularityError, "z = (1+0j): coefficient recursion is singular"),
+    (MethodId.TWOPOINT, C_BELOW_B, -20.0, None, ParamDomainError, "expansion derived under c > b > 0"),
+    (MethodId.TWOPOINT, PARAMS, -20.0, None, OutsideDomain, "z = (-20+0j) outside |z|^2 < 4|1-z|"),
+    (MethodId.ONEPOINT_HALF, C_BELOW_B, NAN_Z, None, DomainError, "z must have finite"),
+    (MethodId.ONEPOINT_HALF, C_BELOW_B, 5.0, None, ParamDomainError, "expansion derived under c > b > 0"),
+    (MethodId.ONEPOINT_HALF, PARAMS, 5.0, None, OutsideDomain, "z = (5+0j) outside the w = (0.5+0j) expansion region"),
+    (MethodId.ONEPOINT_W, C_BELOW_B, NAN_Z, None, ConfigError, "method onepoint-w needs the expansion point w"),
+    (MethodId.ONEPOINT_W, C_BELOW_B, NAN_Z, 0, DomainError, "z must have finite"),
+    (MethodId.ONEPOINT_W, C_BELOW_B, -20.0, 0, DomainError, "expansion point w must be nonzero"),
+    (MethodId.ONEPOINT_W, C_BELOW_B, -20.0, NAN_Z, DomainError, "w must have finite"),
+    (MethodId.ONEPOINT_W, C_BELOW_B, 5.0, W, ParamDomainError, "expansion derived under c > b > 0"),
+    (MethodId.ONEPOINT_W, PARAMS, 5.0, W, OutsideDomain, "z = (5+0j) outside the w = (0.5+0.5j) expansion region"),
+]
+
+
+@pytest.mark.parametrize("method, params, z, w, error, message", PRECEDENCE)
+def test_refusal_precedence(method, params, z, w, error, message):
+    refusal = ROUTES[method].refusal(params, z, w, DEFAULT_Z0)
+    assert type(refusal) is error and str(refusal).startswith(message), refusal
+    with pytest.raises(error) as exc:
+        ROUTES[method].sums(params, z, (5,), 1e-13, w, DEFAULT_Z0)
+    assert str(exc.value) == str(refusal)
+
+
+#: (route, z, n) where the series' est_error at PARAMS lies in (1e-13, 1e-12].
+FLOOR_BAND = [
+    (MethodId.THREEPOINT, Z_EXC, 10),
+    (MethodId.TWOPOINT, Z_EXC, 20),
+    (MethodId.ONEPOINT_HALF, Z_EXC, 48),
+    (MethodId.ONEPOINT_W, Z_EXC, 40),
+    (MethodId.BUHRING, -1.0 + 1.0j, 29),
+]
+
+
+@pytest.mark.parametrize("method, z, n", FLOOR_BAND, ids=str)
+def test_routes_take_tol_as_given_and_evaluate_floors_it(method, z, n):
+    route = ROUTES[method]
+    run = route.run(PARAMS, z, n, 1e-13, W, DEFAULT_Z0, 2000)
+    (stop,) = route.sums(PARAMS, z, (n,), 1e-13, W, DEFAULT_Z0)
+    res, _ = evaluate(PARAMS, z, method, n_terms=n, tol=1e-13, w=W)
+    assert 1e-13 < res.est_error <= 1e-12
+    assert not run.converged and not stop.converged
+    assert res == run._replace(converged=True) == stop._replace(converged=True)
+
+
+@pytest.mark.parametrize("method", [MethodId.MACLAURIN, MethodId.EULER], ids=str)
+def test_evaluate_passes_tol_unfloored_to_routes_without_stops(method):
+    res, _ = evaluate(PARAMS, 0.3 + 0.2j, method, tol=1e-15)
+    assert res == ROUTES[method].run(PARAMS, 0.3 + 0.2j, 40, 1e-15, None, DEFAULT_Z0, 2000)
+    assert res.converged == (res.est_error <= 1e-15)

@@ -7,9 +7,9 @@ import warnings
 
 import pytest
 
-from gausshyp import ConfigError, MethodId, NotConvergedWarning, run_table, table_to_csv, table_to_json
+from gausshyp import ConfigError, DomainError, MethodId, NotConvergedWarning, run_table, table_to_csv, table_to_json
 from gausshyp.tables import TABLES, TableRow, TableSpec, format_rel_error
-from conftest import within_factor
+from conftest import Z_EXC, within_factor
 
 # reference featured-column values, row 1 of each table (z = exp(i pi/3) for
 # tables 1, 2, 4; table 3's exceptional-point row is its third)
@@ -119,6 +119,26 @@ class TestRunTable:
     @pytest.mark.parametrize("spec", [1.0, "1", None, True], ids=repr)
     def test_non_spec_non_integer_id(self, spec):
         with pytest.raises(ConfigError, match="unknown table id"):
+            run_table(spec)
+
+    @pytest.mark.parametrize(
+        "featured, extra, error, match",
+        [
+            (MethodId.MACLAURIN, {}, ConfigError, "a table features one of"),
+            (MethodId.EULER, {}, ConfigError, "a table features one of"),
+            (MethodId.TWOPOINT, {"index_rule": "bogus"}, ConfigError, "index_rule must be 'identity' or 'half'"),
+            (MethodId.ONEPOINT_W, {}, ConfigError, "onepoint-w needs the expansion point w"),
+            (MethodId.ONEPOINT_W, {"w": 0}, DomainError, "w must be nonzero"),
+        ],
+        ids=["maclaurin", "euler-oracle", "bogus-index-rule", "onepoint-w-no-w", "onepoint-w-zero-w"],
+    )
+    def test_bad_spec_raises_before_any_work(self, monkeypatch, featured, extra, error, match):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran for a bad spec")
+
+        monkeypatch.setattr("gausshyp.tables.euler_integral", no_oracle)
+        spec = TableSpec(9, (TableRow(1.2, 2.1, 3.0, Z_EXC, "x"),), featured, **extra)
+        with pytest.raises(error, match=match):
             run_table(spec)
 
     def test_integer_difference_cells_labeled(self):

@@ -66,6 +66,8 @@ class TestCoefficients:
     def test_negative_n_max_rejected(self):
         with pytest.raises(ValueError, match="n_max"):
             twopoint_coeffs_recursive(1.2, Z_EXC, -1)
+        with pytest.raises(ValueError, match="n_max"):
+            twopoint_coeffs_mp(1.2, Z_EXC, -1, dps=30)
 
     def test_taylor_reconstruction(self):
         # partial sums of sum (A_n + B_n t)(t(t-1))^n converge to (1-zt)^(-a)
