@@ -123,15 +123,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_eval(args) -> int:
     params = HypParams(args.a, args.b, args.c)
-    res, method = evaluate(
-        params,
-        args.z,
-        method=args.method,
-        n_terms=args.terms,
-        tol=args.tol,
-        w=args.w,
-        z0=args.z0,
-    )
+    res, method = evaluate(params, args.z, method=args.method, n_terms=args.terms, tol=args.tol, w=args.w, z0=args.z0)
     margin = method_margin(method, args.z, w=args.w, z0=args.z0)
     if args.format == "json":
         import json
@@ -202,10 +194,30 @@ def _cmd_selftest(_args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
+#: The options that take a number; every other option starts with another letter.
+_NUMBER_OPTIONS = ("a", "b", "c", "z", "w", "z0", "tol", "rho", "xmin", "xmax", "ymin", "ymax", "terms", "res")
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with each '-'-led value of a number option (or its abbreviation) attached as --opt=value.
+
+    argparse takes any '-'-led token but a plain decimal for an option, so "--z -1+1i" would leave --z empty.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out and tok.startswith("-") and not tok.startswith("--") else ""
+        name = prev[2:] if prev.startswith("--") and "=" not in prev else ""
+        if name and any(o.startswith(name) for o in _NUMBER_OPTIONS):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         return EXIT_OK if code in (0, None) else EXIT_USAGE

@@ -39,15 +39,16 @@ gives the other two columns from Phi_n and Phi_{n+1}:
 Every term of -D is positive when c > b > 0, so D never vanishes inside
 the expansion's gate; outside it a zero D raises RecurrenceBreakdown.
 
-Both recursions regroup their step formulas exactly, to save operations per
-term (_abc_stream steps its n-linear factors, _phi3_stream runs Horner
-polynomials), so their streams differ from the formulas only in the last bits.
+The streams regroup their step formulas to save operations per term.  Two
+regroupings are exact in binary64: _phi3_stream yields psi_n = M(n, 0) =
+(-1)^n Phi_n (Y_n and Phi_1 negated), and _abc_stream folds its powers of two
+into its factors.  The others move the last bits: stepping each n-linear
+factor by its slope (A/B/C, and Pa_j, Pb_j and D, whose slope steps by -12
+too) and running Phi's polynomials in Horner form.
 
 The terminating closed form above is the verification route
-(gausshyp.verify.phi3_direct_sequence): in double precision its sum cancels
-heavily for n beyond ~12 (Phi_n decays superexponentially while the 2^k
-terms do not), so it is evaluated in extended precision when the two routes
-are compared at large n.
+(gausshyp.verify.phi3_direct_sequence), run in extended precision at large n:
+in double precision its sum cancels heavily for n beyond ~12.
 """
 
 import math
@@ -76,33 +77,32 @@ def _abc_stream(a: float, z: complex) -> Iterator[tuple[complex, complex, comple
     q = z * z - 3.0 * z + 2.0
     z2 = z * z
     z3 = z2 * z
-    # The factors free of n, named <row>_<stream> after the row they sit in
-    # and the stream they multiply.  Each factor linear in n starts at its
-    # n = 0 value and steps by its slope d<name>, with the exact doublings
-    # 2(...) of the step formula folded into both; za A_n = 4z(3n + a) A_n is
-    # formed once for the three rows.
+    # The factors free of n, named <row>_<stream> after the row they sit in and the
+    # stream they multiply.  Each factor linear in n starts at its n = 0 value and
+    # steps by its slope d<name>.  The step's powers of two are folded into both (the
+    # A and B rows halved, c_a doubled), so A divides by n + 1 and B and C share the
+    # divisor (n + 1) q; za A_n = 2z(3n + a) A_n is formed once for the three rows.
     b_a = 26.0 * z - 3.0 * z2 - 24.0
-    c_a = 12.0 - 12.0 * z + z2
-    z4 = 4.0 * z
-    za, dza = z4 * a, 3.0 * z4
-    a_b, da_b = -4.0 + 0j, 6.0 * (z - 2.0)
-    a_c, da_c = 0j, 5.0 * z - 6.0
-    b_b = 2.0 * (48.0 - 4.0 * z * (18.0 + 5.0 * a) + 6.0 * z2 * (4.0 + 3.0 * a))
-    db_b = 6.0 * (48.0 - 96.0 * z + 50.0 * z2 - 3.0 * z3)
-    b_c = 4.0 * (20.0 - 6.0 * z * (5.0 + a) + 5.0 * z2 * (2.0 + a))
-    db_c = 264.0 - 516.0 * z + 262.0 * z2 - 15.0 * z3
+    c_a = 2.0 * (12.0 - 12.0 * z + z2)
+    za, dza = 2.0 * z * a, 6.0 * z
+    a_b, da_b = -2.0 + 0j, 3.0 * (z - 2.0)
+    a_c, da_c = 0j, 0.5 * (5.0 * z - 6.0)
+    b_b = 48.0 - 4.0 * z * (18.0 + 5.0 * a) + 6.0 * z2 * (4.0 + 3.0 * a)
+    db_b = 3.0 * (48.0 - 96.0 * z + 50.0 * z2 - 3.0 * z3)
+    b_c = 2.0 * (20.0 - 6.0 * z * (5.0 + a) + 5.0 * z2 * (2.0 + a))
+    db_c = 0.5 * (264.0 - 516.0 * z + 262.0 * z2 - 15.0 * z3)
     c_b = 4.0 * (6.0 * (3.0 + a) * z - (6.0 + 5.0 * a) * z2 - 12.0)
     dc_b = 6.0 * (z3 - 24.0 * z2 + 48.0 * z - 24.0)
     c_c = 4.0 * (2.0 * z * (9.0 + 2.0 * a) - 3.0 * z2 * (2.0 + a) - 12.0)
     dc_c = 5.0 * z3 - 132.0 * z2 + 276.0 * z - 144.0
     for n1 in count(1.0):
         yield An, Bn, Cn
-        den = 2.0 * n1
+        den = n1 * q
         zaa = za * An
         An, Bn, Cn = (
-            (a_b * Bn + zaa + a_c * Cn) / den,
-            (b_a * zaa + b_b * Bn + b_c * Cn) / (den * q),
-            (c_a * zaa + c_b * Bn + c_c * Cn) / (n1 * q),
+            (a_b * Bn + zaa + a_c * Cn) / n1,
+            (b_a * zaa + b_b * Bn + b_c * Cn) / den,
+            (c_a * zaa + c_b * Bn + c_c * Cn) / den,
         )
         za, a_b, a_c = za + dza, a_b + da_b, a_c + da_c
         b_b, b_c, c_b, c_c = b_b + db_b, b_c + db_c, c_b + dc_b, c_c + dc_c
@@ -113,31 +113,26 @@ def threepoint_coeffs(a: float, z: complex, n_max: int) -> tuple[tuple[complex, 
     return tuple(zip(*stream_prefix(_abc_stream(a, z), n_max)))
 
 
-def _phi1_closed(b, c):
-    den = 2 * c * (c + 1) * (c + 2)
-    if den == 0:
-        raise PoleError(f"c = {c}: pole of Phi_1")
-    return -b * (b - c) * (2 * b - c) / den
-
-
 def _phi3_stream(b: float, c: float) -> Iterator[float]:
-    """Phi_0, Phi_1, ... by the three-term recurrence, run forward from Phi_0 = 1, Phi_1.
+    """psi_n = (-1)^n Phi_n, n = 0, 1, ..., by the three-term recurrence run forward from psi_0 = 1, psi_1.
 
-    Step n solves X_n Phi_{n-1} + Y_n Phi_n + Z_n Phi_{n+1} = 0, with
-    X_n = n Q(n) E(n) and Z_n = K(n) R(n).  Q, E, Y, K and R are polynomials
-    in n of degree at most 3 whose coefficients depend on (b, c) alone and
-    are evaluated once, before the loop; each runs in Horner form.  n is a
-    float, as in every series loop: its integer subexpressions (6n, 432n)
-    are exact in binary64, so each step keeps the bits of an int index.
+    Step n solves X_n psi_{n-1} - Y_n psi_n + Z_n psi_{n+1} = 0, with X_n = n Q(n) E(n) and
+    Z_n = K(n) R(n).  Q, E, Y, K and R are polynomials in n of degree at most 3 whose coefficients
+    depend on (b, c) alone and are evaluated once, before the loop; each runs in Horner form, Y negated.
+    n is a float, as in every series loop: its integer subexpressions (6n, 432n) are exact in
+    binary64, so each step keeps the bits of an int index.
     """
     prev = 1.0
     yield prev
-    cur = _phi1_closed(b, c)
+    den = 2 * c * (c + 1) * (c + 2)
+    if den == 0:
+        raise PoleError(f"c = {c}: pole of Phi_1")
+    cur = b * (b - c) * (2 * b - c) / den
     yield cur
     # Q = q0 + n(q1 - 6n), E = e0 + n(e1 - n), K = 16(3n+c)(3n+c+1)(3n+c+2), R = Z_n / K
     q0, q1 = 4 * b * (b - c) - c, -(5 * c + 2)
     e0, e1 = (b - c + 1) * (b - 1), 2 - c
-    y_lead = 2 * (2 * b - c)
+    y_lead = 2 * (c - 2 * b)
     y0 = y_lead * 16 * b * (b - 1) * (b - c + 1) * (b - c)
     y1 = y_lead * (-4 + 21 * c + 40 * b * b - 17 * c * c - 32 * b * b * c + 32 * b * c * c - 40 * b * c)
     y2 = y_lead * (24 * b * c + 24 - 24 * b * b + 15 * c * c - 57 * c)
@@ -156,7 +151,7 @@ def _phi3_stream(b: float, c: float) -> Iterator[float]:
 
 def phi3_sequence(n_max: int, b: float, c: float) -> list[float]:
     """Phi_0 .. Phi_{n_max} of the three-point expansion."""
-    return stream_prefix(_phi3_stream(b, c), n_max)
+    return [-psi if n % 2 else psi for n, psi in enumerate(stream_prefix(_phi3_stream(b, c), n_max))]
 
 
 def threepoint_margin(z: complex) -> float:
@@ -179,29 +174,27 @@ def threepoint_refusal(params: HypParams, z: complex) -> GaussHypError | None:
 
 
 def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
-    """Term n of the three-point series: the A/B/C stream against one moment stream read one index ahead.
+    """Term n of the three-point series: the A/B/C stream against one signed moment stream read one index ahead.
 
-    Column j > 0 is m_j = (-1)^n M(n, j) = (Pa_j Phi_n - Pb_j Phi_{n+1}) / D (module docstring).
+    Column j > 0 is M(n, j) = (Pa_j psi_n + Pb_j psi_{n+1}) / D (module docstring).
     """
     b, c = params.b, params.c
-    # the n-free parts of D and of the last factors of Pa_1, Pa_2 and Pb_2
-    d0, d1 = c + 4 * b * (c - b), 5 * c + 2
-    pa1, pa2, pb2 = 2 * b - 2 * c - 1, b - c - 1, 2 * b + 2
-    phis = _phi3_stream(b, c)
-    phi = next(phis)
-    sign = 1.0
-    for n, (An, Bn, Cn), phi_next in zip(count(0.0), _abc_stream(params.a, z), phis):
-        bn = b + n
-        n3 = 3.0 * n
-        c3 = c + n3
-        d = -(n * (6.0 * n + d1) + d0)
+    # D and the linear factors of Pa_j and Pb_j at n = 0, each stepped by its slope (D's slope dd by -12):
+    # b + n, 2b - 2c - 1 - 3n, b - c - 1 - 2n, 4(c + 3n + 1), c + 3n + 2 and 2(c + 6n + 2b + 2)
+    d, dd = -(c + 4 * b * (c - b)), -(5 * c + 8)
+    bn, f1, f2 = b, 2 * b - 2 * c - 1, b - c - 1
+    g1, g2, h = 4 * (c + 1), c + 2, 2 * (c + (2 * b + 2))
+    psis = _phi3_stream(b, c)
+    psi = next(psis)
+    for n, (An, Bn, Cn), psi_next in zip(count(0.0), _abc_stream(params.a, z), psis):
         if d == 0.0:
             raise RecurrenceBreakdown(f"D_{int(n)} = 0 for b={b}, c={c}")
-        m1 = (bn * (pa1 - n3) * phi - 4.0 * (c3 + 1.0) * (c3 + 2.0) * phi_next) / d
-        m2 = (bn * (pa2 - 2.0 * n) * phi - 2.0 * (c3 + 2.0) * (c3 + n3 + pb2) * phi_next) / d
-        yield sign * (An * phi + Bn * m1 + Cn * m2)
-        phi = phi_next
-        sign = -sign
+        m1 = (bn * f1 * psi + g1 * g2 * psi_next) / d
+        m2 = (bn * f2 * psi + g2 * h * psi_next) / d
+        yield An * psi + Bn * m1 + Cn * m2
+        psi = psi_next
+        d, dd, bn, f1, f2 = d + dd, dd - 12.0, bn + 1.0, f1 - 3.0, f2 - 2.0
+        g1, g2, h = g1 + 12.0, g2 + 3.0, h + 12.0
 
 
 def threepoint_sums(

@@ -182,14 +182,9 @@ def selftest_checks() -> list[tuple]:
         )
 
     def twopoint_paths_agree():
-        A, B = twopoint_coeffs_recursive(1.2, -1.0 + 0j, 6)
-        for n in range(1, 7):
-            ae, be = twopoint_coeffs_explicit(1.2, -1.0 + 0j, n)
-            if abs(ae - A[n]) > 1e-10 * max(1.0, abs(ae)):
-                return False
-            if abs(be - B[n]) > 1e-10 * max(1.0, abs(be)):
-                return False
-        return True
+        recursive = zip(*twopoint_coeffs_recursive(1.2, -1.0 + 0j, 6))
+        pairs = zip(recursive, (twopoint_coeffs_explicit(1.2, -1.0 + 0j, n) for n in range(7)))
+        return all(abs(e - r) <= 1e-10 * max(1.0, abs(e)) for rec, expl in pairs for r, e in zip(rec, expl))
 
     def phi3_paths_agree():
         rec = phi3_sequence(15, 2.1, 3.0)

@@ -447,3 +447,63 @@ class TestReadme:
             assert argv[0] == "gausshyp"
             assert main(argv[1:]) == 0, (line, capsys.readouterr().err)
         assert (tmp_path / "table4.csv").exists()
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestSpacedNegativeValues:
+    """A value after a space that starts with '-' but is no plain decimal, like -1+1i or -1e-3.
+
+    argparse took such a token for an option and exited 2 with "expected one
+    argument"; each command must now print what its --opt=value form prints.
+    """
+
+    EVAL = ["eval", "--a", "1.2", "--b", "2.1", "--c", "3"]
+    REGION = ["region", "--method", "twopoint", "--xmin=-4", "--xmax=4", "--ymin=-4", "--ymax=4", "--res=3"]
+
+    @pytest.mark.parametrize(
+        "base, option, value",
+        [
+            # the reproducers: each exits 0
+            (EVAL + ["--method", "buhring"], "--z", "-1+1i"),
+            (["eval", "--b", "2.1", "--c", "3", "--z", "0.5"], "--a", "-1e-3"),
+            (REGION, "--ymin", "-1e1"),
+        ],
+    )
+    def test_reproducers(self, capsys, base, option, value):
+        spaced = _run(capsys, [*base, option, value])
+        assert spaced[0] == 0, spaced[2]
+        assert spaced == _run(capsys, [*base, f"{option}={value}"])
+
+    @pytest.mark.parametrize(
+        "base, option, value",
+        [
+            (["eval", "--b", "2.1", "--c", "3", "--z", "0.5"], "--a", "-12e-1"),
+            (["eval", "--a", "1.2", "--c", "3", "--z", "0.5"], "--b", "-21e-1"),
+            (["eval", "--a", "1.2", "--b", "2.1", "--z", "0.5"], "--c", "-25e-1"),
+            (EVAL, "--z", "-0.5-0.5i"),
+            (EVAL + ["--z", "0.5+0.5i", "--method", "onepoint-w"], "--w", "-5e-1+0.5i"),
+            (EVAL + ["--z", "0.5+0.5i", "--method", "buhring"], "--z0", "-1e-1+0.5i"),
+            (EVAL + ["--z", "0.5+0.5i"], "--tol", "-1e-13"),
+            (EVAL + ["--z", "0.5+0.5i"], "--terms", "-4e1"),
+            (REGION[:-1], "--res", "-3e0"),
+            (REGION[:1] + ["--method", "onepoint-w"] + REGION[3:], "--w", "-5e-1+0.5i"),
+            (REGION, "--rho", "-9e-1"),
+            (REGION, "--xmin", "-4e0"),
+            (REGION, "--xmax", "-1e-1"),
+            (REGION, "--ymin", "-4e0"),
+            (REGION, "--ymax", "-1e-1"),
+            (EVAL + ["--z", "0.5"], "--te", "-4e1"),  # an abbreviation takes its value the same way
+        ],
+    )
+    def test_every_number_option(self, capsys, base, option, value):
+        assert _run(capsys, [*base, option, value]) == _run(capsys, [*base, f"{option}={value}"])
+
+    def test_an_option_after_an_option_is_still_a_missing_value(self, capsys):
+        code, _, err = _run(capsys, ["eval", "--a", "--b", "2.1", "--c", "3", "--z", "0.5"])
+        assert code == 2
+        assert "argument --a: expected one argument" in err

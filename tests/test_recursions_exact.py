@@ -3,9 +3,10 @@
 Each production recursion computes the factors that do not depend on n
 once, before its loop.  The references below are the same recursions
 written with every factor inside the loop body, as the step formulas read.
-The two three-point streams also regroup their steps (stepped n-linear
-factors for A/B/C, Horner polynomials for Phi): their float references are
-the regrouped steps, which equal the formulas as written in Fraction
+The three-point streams also regroup their steps (stepped n-linear
+factors for A/B/C and for the columns' D, Pa_j and Pb_j, Horner polynomials
+for Phi, which runs signed as psi_n = (-1)^n Phi_n): their float references
+are the regrouped steps, which equal the formulas as written in Fraction
 arithmetic, and a gate against mpmath bounds what the regrouping costs.
 The summation references are the per-route loops that summed each series
 over its full coefficient and moment lists before one streaming loop,
@@ -48,9 +49,11 @@ from gausshyp import (
 )
 from gausshyp import reference
 from gausshyp.buhring import buhring_coeffs, buhring_refusal, exclusion_margin
-from gausshyp.core import EPS, cpow_principal, gamma_real, recip_gamma_real, require_finite_complex, tail_estimate
+from gausshyp.core import EPS, cpow_principal, gamma_real, recip_gamma_real, require_finite_complex, stream_prefix
+from gausshyp.core import tail_estimate
 from gausshyp.onepoint import onepoint_margin, phi_half_sequence, phi_w_sequence
 from gausshyp.threepoint import (
+    _phi3_stream,
     _threepoint_terms,
     phi3_sequence,
     threepoint_coeffs,
@@ -136,7 +139,10 @@ def _threepoint_step_ref(a, z, A0, B0, C0, n_max):
 
     Each linear factor is [its value at n = 0, its slope], the doublings 2(...)
     folded into both.  test_threepoint_step_regroups_exactly ties it to
-    _threepoint_ref in Fraction; the float pins tie it to threepoint_coeffs.
+    _threepoint_ref in Fraction; the float pins tie it to threepoint_coeffs,
+    whose stream folds the step's powers of two further (the A and B rows
+    halved, the A-term of the C row doubled), which scales by 2 and keeps
+    these bits.
     """
     A, B, C = [A0], [B0], [C0]
     q = z * z - 3 * z + 2
@@ -179,14 +185,17 @@ def _phi3_xyz_horner(n, b, c):
     return n * q * e, y0 + n * (y1 + n * (y2 + n * y3)), k * r
 
 
-def _phi3_ref(n_max, b, c, xyz=phi3_xyz_ref):
-    """Phi_0 .. Phi_{n_max} in float by the recurrence with the (X_n, Y_n, Z_n) of xyz."""
+def _phi3_ref(n_max, b, c, xyz=phi3_xyz_ref, sign=1):
+    """Phi_0 .. Phi_{n_max} in float by the recurrence with the (X_n, Y_n, Z_n) of xyz.
+
+    sign=-1 runs the signed moments psi_n = (-1)^n Phi_n instead: Phi_1 and Y_n negated.
+    """
     vals = [1.0]
     if n_max >= 1:
-        vals.append(-b * (b - c) * (2 * b - c) / (2 * c * (c + 1) * (c + 2)))
+        vals.append(sign * -b * (b - c) * (2 * b - c) / (2 * c * (c + 1) * (c + 2)))
     for n in range(1, n_max):
         x, y, z = xyz(n, b, c)
-        vals.append(-(x * vals[n - 1] + y * vals[n]) / z)
+        vals.append(-(x * vals[n - 1] + sign * y * vals[n]) / z)
     return vals
 
 
@@ -198,6 +207,25 @@ def _columns_ref(n, b, c):
     pa2 = (b + n) * ((b - c - 1) - 2 * n)
     pb2 = 2 * (c + 3 * n + 2) * (c + 3 * n + 3 * n + (2 * b + 2))
     return d, pa1, pb1, pa2, pb2
+
+
+def _columns_step_ref(n_max, b, c):
+    """(D, Pa_1, Pb_1, Pa_2, Pb_2) for n = 0 .. n_max as _threepoint_terms steps them.
+
+    D steps by its first difference, which steps by -12, and the linear factors
+    b + n, 2b - 2c - 1 - 3n, b - c - 1 - 2n, 4(c + 3n + 1), c + 3n + 2 and
+    2(c + 6n + 2b + 2) by their slopes.  test_column_steps_regroup_exactly ties
+    it to _columns_ref in Fraction.
+    """
+    d, dd = -(c + 4 * b * (c - b)), -(5 * c + 8)
+    bn, f1, f2 = b, 2 * b - 2 * c - 1, b - c - 1
+    g1, g2, h = 4 * (c + 1), c + 2, 2 * (c + (2 * b + 2))
+    out = []
+    for _ in range(n_max + 1):
+        out.append((d, bn * f1, g1 * g2, bn * f2, g2 * h))
+        d, dd, bn, f1, f2 = d + dd, dd - 12, bn + 1, f1 - 3, f2 - 2
+        g1, g2, h = g1 + 12, g2 + 3, h + 12
+    return out
 
 
 def _twopoint_ref(a, z, A0, B0, n_max):
@@ -307,10 +335,17 @@ def test_threepoint_step_regroups_exactly():
 
 @pytest.mark.parametrize("n_max", N_MAX)
 def test_phi3_sequence(n_max):
+    # The stream runs the signed moments psi_n, bit for bit; phi3_sequence negates
+    # the odd ones back.  Both negations are exact, so Phi_n keeps its bits, except
+    # that an exact zero can come out with the other sign.
     for _, b, c, _ in CASES:
         for j in range(3):  # the pair eval_threepoint runs and the two shifts its columns replace
+            psi = stream_prefix(_phi3_stream(b + j, c + j), n_max)
+            assert _bits(psi) == _bits(_phi3_ref(n_max, b + j, c + j, _phi3_xyz_horner, -1)), (b, c, j, n_max)
             got = phi3_sequence(n_max, b + j, c + j)
-            assert _bits(got) == _bits(_phi3_ref(n_max, b + j, c + j, _phi3_xyz_horner)), (b, c, j, n_max)
+            want = _phi3_ref(n_max, b + j, c + j, _phi3_xyz_horner)
+            assert got == want, (b, c, j, n_max)
+            assert _bits(g for g in got if g) == _bits(w for w in want if w), (b, c, j, n_max)
 
 
 def test_phi3_horner_matches_the_written_recurrence():
@@ -325,16 +360,45 @@ def test_phi3_horner_matches_the_written_recurrence():
             assert _phi3_xyz_horner(n, b, c) == phi3_xyz_ref(n, b, c), (b, c, n)
 
 
-def _phi3_exact(n_max, b, c):
+def _phi3_exact(n_max, b, c, sign=1):
     """Phi_0 .. Phi_{n_max} in exact rationals, by the recurrence that phi3_sequence runs.
 
     test_recurrence_xyz_float_and_fraction ties phi3_xyz_ref to the stream bit for bit.
+    sign=-1 runs the signed recurrence of the stream (Phi_1 and Y_n negated).
     """
-    vals = [Fraction(1), -b * (b - c) * (2 * b - c) / (2 * c * (c + 1) * (c + 2))]
+    vals = [Fraction(1), sign * -b * (b - c) * (2 * b - c) / (2 * c * (c + 1) * (c + 2))]
     for n in range(1, n_max):
         x, y, z = phi3_xyz_ref(n, b, c)
-        vals.append(-(x * vals[n - 1] + y * vals[n]) / z)
+        vals.append(-(x * vals[n - 1] + sign * y * vals[n]) / z)
     return vals
+
+
+def _rational_pairs(seed, count):
+    """count seeded rational (b, c) with c > b > 0, about a quarter of them moved off that gate."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        b = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        c = b + Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        if rng.random() < 0.25:
+            b, c = -b, c - 2 * b  # the streams serve any (b, c)
+        pairs.append((b, c))
+    assert any(not c > b > 0 for b, c in pairs)
+    return pairs
+
+
+def test_signed_phi3_recurrence_is_exact():
+    # negating Phi_1 and Y_n turns the recurrence into that of psi_n = (-1)^n Phi_n, exactly
+    for b, c in _rational_pairs(2501, 12):
+        phi = _phi3_exact(60, b, c)
+        assert _phi3_exact(60, b, c, -1) == [(-1) ** n * v for n, v in enumerate(phi)], (b, c)
+
+
+def test_column_steps_regroup_exactly():
+    # the stepped D, Pa_j and Pb_j equal the factors as written, at every n <= 200
+    for b, c in _rational_pairs(2502, 40):
+        stepped = _columns_step_ref(200, b, c)
+        assert stepped == [_columns_ref(n, b, c) for n in range(201)], (b, c)
 
 
 def test_column_relation_exact_in_fraction():
@@ -599,6 +663,18 @@ def test_regrouped_threepoint_sum_is_as_accurate_as_the_written_one():
     assert compared >= 1000
 
 
+def test_cancellation_point_stays_accurate():
+    # auto takes the three-point route at the located cancellation point, and its
+    # relative error against mpmath.hyp2f1 stays at 6.7e-13, below 1e-12
+    a, b, c, z = CANCELLATION_POINT
+    res, method = evaluate(HypParams(a, b, c), z)
+    assert method is MethodId.THREEPOINT
+    with mpmath.workdps(20):
+        want = mpmath.hyp2f1(a, b, c, mpmath.mpc(z.real, z.imag))
+        err = float(abs(mpmath.mpc(res.value) - want) / abs(want))
+    assert err <= 1e-12, err
+
+
 # --- the summation loops, fed from the collectors ---------------------------
 
 
@@ -614,16 +690,15 @@ def _sum_ref(contribs):
 
 
 def _threepoint_sum_ref(params, z, n_terms):
+    # the signed moments psi_n = (-1)^n Phi_n against the stepped columns, as the term loop forms them
     a, b, c = params.a, params.b, params.c
     A, B, C = threepoint_coeffs(a, z, n_terms)
-    phi = phi3_sequence(n_terms + 1, b, c)
+    psi = _phi3_ref(n_terms + 1, b, c, _phi3_xyz_horner, -1)
     contribs = []
-    for n in range(n_terms + 1):
-        sign = -1.0 if n % 2 else 1.0
-        d, pa1, pb1, pa2, pb2 = _columns_ref(n, b, c)
-        m1 = (pa1 * phi[n] - pb1 * phi[n + 1]) / d
-        m2 = (pa2 * phi[n] - pb2 * phi[n + 1]) / d
-        contribs.append(sign * (A[n] * phi[n] + B[n] * m1 + C[n] * m2))
+    for n, (d, pa1, pb1, pa2, pb2) in enumerate(_columns_step_ref(n_terms, b, c)):
+        m1 = (pa1 * psi[n] + pb1 * psi[n + 1]) / d
+        m2 = (pa2 * psi[n] + pb2 * psi[n + 1]) / d
+        contribs.append(A[n] * psi[n] + B[n] * m1 + C[n] * m2)
     return _sum_ref(contribs)
 
 
