@@ -1,0 +1,148 @@
+"""Layer times of the three-point route, each beside its largest relative error against mpmath.hyp2f1.
+
+Run from the root of a checkout, against src or against an installed package:
+
+    PYTHONPATH=src python bench/layers.py                      # writes BENCH_layers.json
+    python bench/layers.py --rounds 2 --number 5 --out x.json  # a quick run
+
+Every layer runs at one point, z = exp(i pi/3) and (a, b, c) = (1.2, 2.3, 3.5), in
+this one process.  The layers are interleaved: each round times each layer once
+over `number` calls, and the best round is kept.  A stream is timed per term it
+yields; a term generator and evaluate per call.  The Phi_3 moment stream, the
+term generator and evaluate are timed twice: on a cold store, where the psi_n
+prefix kept by threepoint._phi3_stream is emptied before each call (the emptying
+is inside the timed loop), and on the stored prefix.
+
+Each error compares what the layer computes with mpmath at 40 digits:
+  - the Phi_3 stream: Phi_n = (-1)^n (b)_n (c-b)_n / (2^n (c)_{2n}) 2F1(-n, b+n; c+2n; 2),
+    the worst n;
+  - the A/B/C stream: the three-point sum of its coefficients against the moments
+    in mpmath, to n = 40, against 2F1(a, b, c; z);
+  - a term generator and evaluate: their sum or value against 2F1(a, b, c; z).
+"""
+
+import argparse
+import cmath
+import json
+import math
+import os
+import platform
+import sys
+import time
+from itertools import islice
+from pathlib import Path
+
+import mpmath
+
+from gausshyp import HypParams, evaluate
+from gausshyp import threepoint
+from gausshyp.threepoint import DEFAULT_TERMS, _abc_stream, _phi3_stream, _threepoint_terms
+
+PARAMS = HypParams(1.2, 2.3, 3.5)
+Z = cmath.exp(1j * math.pi / 3.0)
+#: The psi_n a default term loop reads: indices 0 .. DEFAULT_TERMS + 1.
+N_PSI = DEFAULT_TERMS + 2
+#: The store, or an empty dict where the package keeps none.
+STORE = getattr(threepoint, "_PHI3", {})
+
+
+def _rel(got, want) -> float:
+    return float(abs(mpmath.mpmathify(got) - want) / abs(want))
+
+
+def _phi(n: int, b, c):
+    """Phi_n(b, c) by its closed form, at the working precision."""
+    return (-1) ** n * mpmath.rf(b, n) * mpmath.rf(c - b, n) / (2**n * mpmath.rf(c, 2 * n)) * mpmath.hyp2f1(
+        -n, b + n, c + 2 * n, 2
+    )
+
+
+def _errors() -> dict:
+    """Largest relative error of each layer's output against mpmath.hyp2f1 at 40 digits."""
+    a, b, c = (mpmath.mpf(v) for v in PARAMS)
+    with mpmath.workdps(40):
+        want = mpmath.hyp2f1(a, b, c, Z)
+        psi = list(islice(_phi3_stream(PARAMS.b, PARAMS.c), N_PSI))
+        phi3 = max(_rel((-1) ** n * p, _phi(n, b, c)) for n, p in enumerate(psi))
+        weights = (1, b / c, b * (b + 1) / (c * (c + 1)))
+        abc = sum(
+            (-1) ** n * sum(w * col * _phi(n, b + j, c + j) for j, (w, col) in enumerate(zip(weights, cols)))
+            for n, cols in enumerate(islice(_abc_stream(PARAMS.a, Z), DEFAULT_TERMS + 1))
+        )
+        terms = {n: _rel(mpmath.fsum(islice(_threepoint_terms(PARAMS, Z), n + 1)), want) for n in (10, 40)}
+        value = _rel(evaluate(PARAMS, Z, "threepoint")[0].value, want)
+    return {"phi3": phi3, "abc": _rel(abc, want), "terms10": terms[10], "terms40": terms[40], "evaluate": value}
+
+
+def _drain(stream, n: int) -> None:
+    for _ in islice(stream, n):
+        pass
+
+
+def _layers() -> dict:
+    """name -> (timed call, its divisor: terms per call or 1, unit, error key)."""
+    b, c = PARAMS.b, PARAMS.c
+
+    def cold(call):
+        def run():
+            STORE.clear()
+            call()
+
+        return run
+
+    phi3 = lambda: _drain(_phi3_stream(b, c), N_PSI)
+    abc = lambda: _drain(_abc_stream(PARAMS.a, Z), DEFAULT_TERMS + 1)
+    terms10 = lambda: _drain(_threepoint_terms(PARAMS, Z), 11)
+    terms40 = lambda: _drain(_threepoint_terms(PARAMS, Z), 41)
+    ev = lambda: evaluate(PARAMS, Z, "threepoint")
+    return {
+        "threepoint._phi3_stream[cold]": (cold(phi3), N_PSI, "us/term", "phi3"),
+        "threepoint._phi3_stream[stored]": (phi3, N_PSI, "us/term", "phi3"),
+        "threepoint._abc_stream": (abc, DEFAULT_TERMS + 1, "us/term", "abc"),
+        "threepoint._threepoint_terms[n=10, cold]": (cold(terms10), 1, "us", "terms10"),
+        "threepoint._threepoint_terms[n=10, stored]": (terms10, 1, "us", "terms10"),
+        "threepoint._threepoint_terms[n=40, cold]": (cold(terms40), 1, "us", "terms40"),
+        "threepoint._threepoint_terms[n=40, stored]": (terms40, 1, "us", "terms40"),
+        "select.evaluate[miss]": (cold(ev), 1, "us", "evaluate"),
+        "select.evaluate[hit]": (ev, 1, "us", "evaluate"),
+    }
+
+
+def measure(rounds: int, number: int) -> dict:
+    err = _errors()
+    layers = _layers()
+    best = dict.fromkeys(layers, math.inf)
+    for call, *_ in layers.values():  # fills the store, as a repeated (b, c) finds it
+        call()
+    for _ in range(rounds):
+        for name, (call, *_) in layers.items():
+            t0 = time.perf_counter()
+            for _ in range(number):
+                call()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    return {
+        "point": {"a": PARAMS.a, "b": PARAMS.b, "c": PARAMS.c, "z": "exp(i pi/3)"},
+        "settings": {"rounds": rounds, "number": number, "store": hasattr(threepoint, "_PHI3")},
+        "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
+        "layers": {
+            name: {"time": round(best[name] / number / per * 1e6, 4), "unit": unit, "max_rel_err": err[key]}
+            for name, (_, per, unit, key) in layers.items()
+        },
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rounds", type=int, default=15, help="rounds; the best one is kept (default 15)")
+    parser.add_argument("--number", type=int, default=300, help="calls per layer per round (default 300)")
+    parser.add_argument("--out", type=Path, default=Path(__file__).resolve().parents[1] / "BENCH_layers.json")
+    args = parser.parse_args(argv)
+    result = measure(args.rounds, args.number)
+    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    for name, rec in result["layers"].items():
+        print(f"{name:45s} {rec['time']:10.3f} {rec['unit']:8s} max rel err {rec['max_rel_err']:.2e}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

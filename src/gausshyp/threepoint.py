@@ -46,6 +46,15 @@ into its factors.  The others move the last bits: stepping each n-linear
 factor by its slope (A/B/C, and Pa_j, Pb_j and D, whose slope steps by -12
 too) and running Phi's polynomials in Horner form.
 
+The psi_n depend on (b, c) alone, and _phi3_stream keeps, per process, the
+prefix it has yielded for each exact (b, c): keyed on their types and the
+sign of zero too, since an int pair forms its n-free coefficients in exact
+integers.  A call yields the kept prefix and resumes the recurrence from its
+last two values only when read past it; the longer prefix replaces the kept
+one by one assignment of a tuple, with no lock.  The first call at a pair
+keeps psi_0 and psi_1 only, so pairs that never repeat copy no more.  At most
+64 pairs of at most 2 DEFAULT_TERMS + 2 values are kept, emptied past 64.
+
 The terminating closed form above is the verification route
 (gausshyp.verify.phi3_direct_sequence), run in extended precision at large n:
 in double precision its sum cancels heavily for n beyond ~12.
@@ -113,6 +122,11 @@ def threepoint_coeffs(a: float, z: complex, n_max: int) -> tuple[tuple[complex, 
     return tuple(zip(*stream_prefix(_abc_stream(a, z), n_max)))
 
 
+#: (b, c, their types and zero signs) -> the psi_n prefix _phi3_stream has yielded (module docstring)
+_PHI3_KEYS, _PHI3_LEN = 64, 2 * DEFAULT_TERMS + 2
+_PHI3: dict = {}
+
+
 def _phi3_stream(b: float, c: float) -> Iterator[float]:
     """psi_n = (-1)^n Phi_n, n = 0, 1, ..., by the three-term recurrence run forward from psi_0 = 1, psi_1.
 
@@ -120,33 +134,49 @@ def _phi3_stream(b: float, c: float) -> Iterator[float]:
     Z_n = K(n) R(n).  Q, E, Y, K and R are polynomials in n of degree at most 3 whose coefficients
     depend on (b, c) alone and are evaluated once, before the loop; each runs in Horner form, Y negated.
     n is a float, as in every series loop: its integer subexpressions (6n, 432n) are exact in
-    binary64, so each step keeps the bits of an int index.
+    binary64, so each step keeps the bits of an int index.  The prefix kept in _PHI3 comes first.
     """
-    prev = 1.0
-    yield prev
-    den = 2 * c * (c + 1) * (c + 2)
-    if den == 0:
-        raise PoleError(f"c = {c}: pole of Phi_1")
-    cur = b * (b - c) * (2 * b - c) / den
-    yield cur
-    # Q = q0 + n(q1 - 6n), E = e0 + n(e1 - n), K = 16(3n+c)(3n+c+1)(3n+c+2), R = Z_n / K
-    q0, q1 = 4 * b * (b - c) - c, -(5 * c + 2)
-    e0, e1 = (b - c + 1) * (b - 1), 2 - c
-    y_lead = 2 * (c - 2 * b)
-    y0 = y_lead * 16 * b * (b - 1) * (b - c + 1) * (b - c)
-    y1 = y_lead * (-4 + 21 * c + 40 * b * b - 17 * c * c - 32 * b * b * c + 32 * b * c * c - 40 * b * c)
-    y2 = y_lead * (24 * b * c + 24 - 24 * b * b + 15 * c * c - 57 * c)
-    y3 = y_lead * 18 * (c - 2)
-    k0, k1, k2 = 16 * c * (c + 1) * (c + 2), 48 * (3 * c * c + 6 * c + 2), 432 * (c + 1)
-    r0, r1 = 4 * (b * (b - c) + c - 1), 10 - 5 * c
-    for n in count(1.0):
-        x = n * (q0 + n * (q1 - 6.0 * n)) * (e0 + n * (e1 - n))
-        y = y0 + n * (y1 + n * (y2 + n * y3))
-        z = (k0 + n * (k1 + n * (k2 + 432.0 * n))) * (r0 + n * (r1 - 6.0 * n))
-        if z == 0.0:
-            raise RecurrenceBreakdown(f"Z_{int(n)} = 0 for b={b}, c={c}")
-        prev, cur = cur, -(x * prev + y * cur) / z
-        yield cur
+    key = b, c, type(b), type(c), math.copysign(1.0, b), math.copysign(1.0, c)
+    kept, fresh = _PHI3.get(key, ()), []
+    try:
+        yield from kept
+        if kept:
+            prev, cur = kept[-2:]
+        else:
+            prev = 1.0
+            yield prev
+            den = 2 * c * (c + 1) * (c + 2)
+            if den == 0:
+                raise PoleError(f"c = {c}: pole of Phi_1")
+            cur = b * (b - c) * (2 * b - c) / den
+            fresh += prev, cur
+            yield cur
+        # Q = q0 + n(q1 - 6n), E = e0 + n(e1 - n), K = 16(3n+c)(3n+c+1)(3n+c+2), R = Z_n / K
+        q0, q1 = 4 * b * (b - c) - c, -(5 * c + 2)
+        e0, e1 = (b - c + 1) * (b - 1), 2 - c
+        y_lead = 2 * (c - 2 * b)
+        y0 = y_lead * 16 * b * (b - 1) * (b - c + 1) * (b - c)
+        y1 = y_lead * (-4 + 21 * c + 40 * b * b - 17 * c * c - 32 * b * b * c + 32 * b * c * c - 40 * b * c)
+        y2 = y_lead * (24 * b * c + 24 - 24 * b * b + 15 * c * c - 57 * c)
+        y3 = y_lead * 18 * (c - 2)
+        k0, k1, k2 = 16 * c * (c + 1) * (c + 2), 48 * (3 * c * c + 6 * c + 2), 432 * (c + 1)
+        r0, r1 = 4 * (b * (b - c) + c - 1), 10 - 5 * c
+        keep, last = fresh.append, _PHI3_LEN - 1.0 if kept else 0.0  # a first call keeps psi_0, psi_1 only
+        for n in count(len(kept) + len(fresh) - 1.0):
+            x = n * (q0 + n * (q1 - 6.0 * n)) * (e0 + n * (e1 - n))
+            y = y0 + n * (y1 + n * (y2 + n * y3))
+            z = (k0 + n * (k1 + n * (k2 + 432.0 * n))) * (r0 + n * (r1 - 6.0 * n))
+            if z == 0.0:
+                raise RecurrenceBreakdown(f"Z_{int(n)} = 0 for b={b}, c={c}")
+            prev, cur = cur, -(x * prev + y * cur) / z
+            if n < last:
+                keep(cur)
+            yield cur
+    finally:
+        if fresh:
+            _PHI3[key] = kept + tuple(fresh)
+            if len(_PHI3) > _PHI3_KEYS:
+                _PHI3.clear()
 
 
 def phi3_sequence(n_max: int, b: float, c: float) -> list[float]:

@@ -3,8 +3,11 @@
 auto and each of the seven methods run on every input, with w = 0.5+0.5i,
 over two random ranges and a fixed set of edge inputs.  A bare Python
 exception (OverflowError, ZeroDivisionError, ...) fails the test with the
-inputs that raised it.  Each test prints how many calls returned; run
-pytest with -s or -rP to see the counts.
+inputs that raised it.  Every call runs twice, and the second must return the
+same result or raise the same error class and message, so no output depends
+on what the process evaluated before (the three-point moments are kept
+between calls).  Each test prints how many calls returned; run pytest with
+-s or -rP to see the counts.
 """
 
 import cmath
@@ -49,30 +52,42 @@ CASES = {
 }
 
 
+def _call(abc, z, method):
+    """evaluate's SeriesResult, or the (class, message) of the GaussHypError it raised; other exceptions propagate."""
+    try:
+        res, _ = evaluate(HypParams(*abc), z, method, w=W)
+    except GaussHypError as exc:
+        return type(exc), str(exc)
+    assert isinstance(res, SeriesResult)
+    return res
+
+
 def _run(cases):
-    """Per method, the number of calls that returned, and each (inputs, exception) that was not a GaussHypError."""
+    """Per method, the number of calls that returned; each (inputs, exception) that was not a GaussHypError; and
+    each (inputs, first, second) whose repeated call came out otherwise than the first."""
     returned = dict.fromkeys(METHODS, 0)
-    bare = []
+    bare, changed = [], []
     for abc, z in cases:
         for method in METHODS:
             try:
-                res, _ = evaluate(HypParams(*abc), z, method, w=W)
-            except GaussHypError:
-                continue
+                first, again = _call(abc, z, method), _call(abc, z, method)
             except Exception as exc:  # a bare Python exception: the failure this test looks for
                 bare.append((abc, z, method, repr(exc)))
                 continue
-            assert isinstance(res, SeriesResult)
-            assert cmath.isfinite(res.value), (abc, z, method, res)
-            returned[method] += 1
-    return returned, bare
+            if repr(again) != repr(first):  # repr tells -0.0 from 0.0
+                changed.append((abc, z, method, first, again))
+            if isinstance(first, SeriesResult):
+                assert cmath.isfinite(first.value), (abc, z, method, first)
+                returned[method] += 1
+    return returned, bare, changed
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_evaluate_returns_or_raises_a_library_error(name):
     cases = list(CASES[name]())
-    returned, bare = _run(cases)
+    returned, bare, changed = _run(cases)
     calls = len(cases) * len(METHODS)
     print(f"\n{name}: {sum(returned.values())} of {calls} evaluate calls returned; by method {returned}")
     assert bare == []
+    assert changed == []
     assert returned["auto"] > 0  # the inputs reach points that a route serves, not only refusals

@@ -1,18 +1,26 @@
 """Three-point expansion tests: coefficients, moment routes, region, evaluation."""
 
+import cmath
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from gausshyp import (
+    GaussHypError,
     HypParams,
     OutsideDomain,
     ParamDomainError,
+    PoleError,
     RecurrenceBreakdown,
     SingularityError,
     euler_integral,
+    evaluate,
+    threepoint,
 )
 from gausshyp.core import cpow_principal
 from gausshyp.threepoint import eval_threepoint, phi3_sequence, threepoint_coeffs, threepoint_margin
@@ -270,3 +278,169 @@ class TestEvalThreepoint:
     def test_param_domain(self):
         with pytest.raises(ParamDomainError):
             eval_threepoint(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, n_terms=10)
+
+
+@pytest.fixture
+def cold_store():
+    """The Phi_3 store, emptied, so the test starts cold."""
+    threepoint._PHI3.clear()
+    return threepoint._PHI3
+
+
+def _psi_read(b, c, n):
+    """Bits of up to n psi_n read off _phi3_stream, and the (class, message) of the error it raised, or None."""
+    bits = []
+    try:
+        for psi in islice(threepoint._phi3_stream(b, c), n):
+            bits.append(psi.hex())
+    except GaussHypError as exc:
+        return bits, (type(exc), str(exc))
+    return bits, None
+
+
+def _outcome(params, z, n_terms):
+    """repr of the three-point SeriesResult at n_terms, or the (class name, message) of its error."""
+    try:
+        return repr(evaluate(params, z, "threepoint", n_terms=n_terms)[0])
+    except GaussHypError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestPhi3Store:
+    """The psi_n prefixes kept between calls: no output depends on what the process read before."""
+
+    def test_bounds(self):
+        assert threepoint._PHI3_KEYS == 64
+        assert threepoint._PHI3_LEN == 2 * threepoint.DEFAULT_TERMS + 2
+
+    def test_a_pair_is_kept_in_full_from_its_second_call(self, cold_store):
+        want = _psi_read(2.3, 3.5, 120)
+        kept = lambda: [len(v) for v in cold_store.values()]
+        cold_store.clear()
+        assert _psi_read(2.3, 3.5, 42) == (want[0][:42], None) and kept() == [2]
+        assert _psi_read(2.3, 3.5, 12) == (want[0][:12], None) and kept() == [12]
+        assert _psi_read(2.3, 3.5, 42) == (want[0][:42], None) and kept() == [42]
+        assert _psi_read(2.3, 3.5, 120) == want and kept() == [threepoint._PHI3_LEN]
+        assert _psi_read(2.3, 3.5, 120) == want and kept() == [threepoint._PHI3_LEN]
+
+    def test_evaluate_does_not_depend_on_the_store(self, cold_store):
+        rng = random.Random(26)
+        for _ in range(200):
+            b = rng.uniform(0.1, 5.0)
+            params = HypParams(rng.uniform(-3.0, 5.0), b, b + rng.uniform(0.1, 5.0))
+            z = cmath.rect(1.0, rng.choice((1.0, -1.0)) * math.pi / 3.0)
+            z += cmath.rect(0.3 * rng.random(), rng.uniform(-math.pi, math.pi))
+            cold_store.clear()
+            cold = _outcome(params, z, 40)
+            assert _outcome(params, z, 40) == cold  # resumed from psi_0, psi_1
+            assert _outcome(params, z, 40) == cold  # the kept prefix
+            cold_store.clear()
+            cold_long = _outcome(params, z, 200)  # past the cap, from a cold store
+            cold_store.clear()
+            _outcome(params, z, 10)
+            _outcome(params, z, 10)
+            assert _outcome(params, z, 40) == cold  # resumed from a shorter prefix
+            assert _outcome(params, z, 200) == cold_long  # resumed to the cap and past it
+            assert _outcome(params, z, 200) == cold_long  # the full prefix, then past it
+            assert _outcome(params, z, 40) == cold  # a shorter n off the full prefix
+            assert isinstance(cold, str) and len(cold_store) == 1, (params, z, cold)
+
+    def test_int_and_float_pairs_keep_apart(self, cold_store):
+        # an int pair runs its n-free coefficients in exact integers, so its prefix can differ from the float pair's
+        rng = random.Random(27)
+        differ = 0
+        for _ in range(100):
+            b = rng.randint(10**6, 2 * 10**6)
+            ints = b, b + rng.randint(1, 10**6)
+            floats = float(ints[0]), float(ints[1])
+            for pair, other in ((ints, floats), (floats, ints)):
+                cold_store.clear()
+                want = _psi_read(*pair, 42)
+                cold_store.clear()
+                for _ in range(2):  # the second call keeps the full prefix
+                    differ += _psi_read(*other, 42) != want
+                assert _psi_read(*pair, 42) == want, pair
+            assert len(cold_store) == 2
+        assert differ > 0  # so a shared prefix would show
+
+    @pytest.mark.parametrize("c", [3.5, 0.7, 12.0])
+    def test_signed_zero_b_keeps_apart(self, cold_store, c):
+        want = {}
+        for b in (0.0, -0.0):
+            cold_store.clear()
+            want[b.hex()] = _psi_read(b, c, 42)
+        assert want["0x0.0p+0"] != want["-0x0.0p+0"]
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            cold_store.clear()
+            for _ in range(2):
+                assert _psi_read(first, c, 42) == want[first.hex()]
+            assert _psi_read(second, c, 42) == want[second.hex()]
+            assert len(cold_store) == 2
+
+    @pytest.mark.parametrize(
+        "b, c, n_read, error, message",
+        [
+            (1.2, -1.0, 1, PoleError, "c = -1.0: pole of Phi_1"),
+            (1.0, 0.8, 2, RecurrenceBreakdown, "Z_1 = 0 for b=1.0, c=0.8"),
+            (1.0, -15.0, 6, RecurrenceBreakdown, "Z_5 = 0 for b=1.0, c=-15.0"),
+        ],
+    )
+    def test_a_stream_that_raises_raises_alike_when_warm(self, cold_store, b, c, n_read, error, message):
+        cold = _psi_read(b, c, 50)
+        assert len(cold[0]) == n_read and cold[1] == (error, message)
+        for k in range(n_read + 1):  # from every shorter kept prefix, then from the longest
+            cold_store.clear()
+            _psi_read(b, c, k)
+            _psi_read(b, c, k)
+            assert _psi_read(b, c, 50) == cold, k
+            assert _psi_read(b, c, 50) == cold, k
+
+    def test_store_stays_within_its_bounds(self, cold_store):
+        rng = random.Random(28)
+        longest = 0
+        for _ in range(10_000):
+            b = rng.uniform(0.1, 5.0)
+            c = b + rng.uniform(0.1, 5.0)
+            for _ in range(2):  # a first call keeps two values, a second the values it reads, up to the cap
+                for _ in islice(threepoint._phi3_stream(b, c), rng.randint(0, 120)):
+                    pass
+            assert len(cold_store) <= threepoint._PHI3_KEYS
+            assert all(type(v) is tuple and 2 <= len(v) <= threepoint._PHI3_LEN for v in cold_store.values())
+            longest = max(longest, *map(len, cold_store.values()), 0)
+        assert longest == threepoint._PHI3_LEN
+
+    def test_threads_racing_on_one_pair_agree(self, cold_store):
+        # four threads read one (b, c) to different lengths, and other pairs in between, so the store
+        # fills and is emptied while they race; the switch interval makes them switch often
+        params, b, c = HypParams(1.2, 2.3, 3.5), 2.3, 3.5
+        lengths = (1, 2, 12, 42, 82, 120)
+        want = {}
+        for n in lengths:
+            cold_store.clear()
+            want[n] = _psi_read(b, c, n), _outcome(params, Z_EXC, max(n - 2, 0))
+        cold_store.clear()
+        results = [None] * 4
+
+        def run(i):
+            rng = random.Random(i)
+            same = []
+            for k in range(60):
+                n = lengths[(i + k) % len(lengths)]
+                same.append((_psi_read(b, c, n), _outcome(params, Z_EXC, max(n - 2, 0))) == want[n])
+                for _ in range(4):
+                    _psi_read(rng.uniform(0.1, 5.0), 6.0, 5)
+            results[i] = same
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[True] * 60] * 4
+        assert len(cold_store) <= threepoint._PHI3_KEYS
