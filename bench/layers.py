@@ -36,7 +36,8 @@ import mpmath
 
 from gausshyp import HypParams, evaluate
 from gausshyp import threepoint
-from gausshyp.threepoint import DEFAULT_TERMS, _abc_stream, _phi3_stream, _threepoint_terms
+from gausshyp.core import DEFAULT_TERMS
+from gausshyp.threepoint import _abc_stream, _phi3_stream, _threepoint_terms
 
 PARAMS = HypParams(1.2, 2.3, 3.5)
 Z = cmath.exp(1j * math.pi / 3.0)

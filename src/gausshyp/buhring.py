@@ -23,8 +23,8 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import HypParams, cpow_principal, gamma_real, recip_gamma_real, require_finite_complex
-from .core import stream_prefix, sum_series
+from .core import DEFAULT_TERMS, SERIES_TOL_FLOOR, HypParams, cpow_principal, gamma_real, recip_gamma_real
+from .core import require_finite_complex, stream_prefix, sum_series
 from .errors import BranchCutError, DomainError, GaussHypError, IntegerDifferenceError, OutsideDomain
 from .results import SeriesResult
 
@@ -110,7 +110,7 @@ def buhring_refusal(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> 
 
 
 def buhring_sums(
-    params: HypParams, z: complex, stops: tuple[int, ...], z0: complex = DEFAULT_Z0, tol: float = 1e-12
+    params: HypParams, z: complex, stops: tuple[int, ...], z0: complex = DEFAULT_Z0, tol: float = SERIES_TOL_FLOOR
 ) -> Iterator[SeriesResult]:
     """Both continuation series truncated at each index in stops, from one pass.
 
@@ -142,7 +142,7 @@ def buhring_sums(
 
 
 def buhring_eval(
-    params: HypParams, z: complex, z0: complex = DEFAULT_Z0, n_terms: int = 20, tol: float = 1e-12
+    params: HypParams, z: complex, z0: complex = DEFAULT_Z0, n_terms: int = DEFAULT_TERMS, tol: float = SERIES_TOL_FLOOR
 ) -> SeriesResult:
     """Sum both continuation series with indices 0 .. n_terms inclusive; terms_used is n_terms."""
     (res,) = buhring_sums(params, z, (n_terms,), z0, tol)

@@ -20,10 +20,10 @@ import sys
 from functools import cache
 
 from . import __version__
-from .core import HypParams, json_value
+from .core import DEFAULT_TERMS, DEFAULT_TOL, HypParams, json_value
 from .errors import ConfigError, GaussHypError, IntegerDifferenceError, PoleError, RecurrenceBreakdown
 from .results import MethodId
-from .select import evaluate, method_margin
+from .select import DEFAULT_Z0, evaluate, method_margin
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,17 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--c", type=float, required=True)
     pe.add_argument("--z", type=parse_complex, required=True)
     pe.add_argument("--method", choices=["auto", *(m.value for m in MethodId)], default="auto")
-    pe.add_argument("--terms", type=int, default=40, help="truncation index for series methods")
-    pe.add_argument("--tol", type=float, default=1e-13)
+    pe.add_argument("--terms", type=int, default=DEFAULT_TERMS, help="truncation index for series methods")
+    pe.add_argument("--tol", type=float, default=DEFAULT_TOL)
     pe.add_argument("--w", type=parse_complex, default=None, help="expansion point for onepoint-w")
-    pe.add_argument("--z0", type=parse_complex, default=0.5 + 0j, help="continuation expansion point")
+    pe.add_argument("--z0", type=parse_complex, default=DEFAULT_Z0, help="continuation expansion point")
     pe.add_argument("--format", choices=("json", "text"), default="json")
     pe.add_argument("--out", default=None)
 
     pt = sub.add_parser("table", help="reproduce a built-in relative-error table")
     pt.add_argument("--id", type=int, required=True)
     pt.add_argument("--format", choices=("csv", "json"), default="csv")
-    pt.add_argument("--tol", type=float, default=1e-13, help="oracle tolerance")
+    pt.add_argument("--tol", type=float, default=DEFAULT_TOL, help="oracle tolerance")
     pt.add_argument("--out", default=None)
 
     pr = sub.add_parser("region", help="rasterize a convergence region")

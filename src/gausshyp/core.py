@@ -23,11 +23,22 @@ EPS = 2.220446049250313e-16
 #: Tolerance for "is this float an integer" checks on parameters.
 _INT_TOL = 1e-12
 
+#: The evaluation defaults.  A series route sums indices 0 .. DEFAULT_TERMS unless told otherwise.
+DEFAULT_TERMS = 40
+#: The tol of evaluate, the power series, the quadrature oracle and the tables unless told otherwise.
+DEFAULT_TOL = 1e-13
+#: evaluate judges a series route's converged against max(tol, SERIES_TOL_FLOOR); the series forms' default tol.
+SERIES_TOL_FLOOR = 1e-12
+
 
 def require_finite_complex(z: complex, name: str = "z") -> complex:
-    """Reject NaN/Inf components, or a modulus past the largest double, up front;
-    comparisons with NaN are unordered and would otherwise slip past domain gates."""
-    z = complex(z)
+    """Reject NaN/Inf components, a modulus past the largest double, or a number past the double range (an
+    int, say), up front; comparisons with NaN are unordered and would otherwise slip past domain gates."""
+    try:
+        z = complex(z)
+    except OverflowError:  # an int past the double range, say
+        msg = f"{name} must have finite components and modulus, got a number past the double range"
+        raise DomainError(msg) from None
     if not math.isfinite(math.hypot(z.real, z.imag)):
         raise DomainError(f"{name} must have finite components and modulus, got {z}")
     return z
@@ -98,9 +109,9 @@ def sum_series(
     over the series, in the order given.  est_error is tail_estimate of that
     value, with the sizes |weight| |term| of all series added into one
     abs_sum and one last term; converged is est_error <= tol.  A partial sum
-    or weighted value that is not finite raises RecurrenceBreakdown.  Every
-    series route sums here; a one-stop caller unpacks (res,) = ..., which
-    ends the generator.
+    or weighted value that is not finite, or an overflow, raises
+    RecurrenceBreakdown.  Every series route sums here; a one-stop caller
+    unpacks (res,) = ..., which ends the generator.
     """
     running = [(0j, 0.0, 0.0)] * len(series)  # per series: partial sum, sum of sizes, last size
     start = 0
@@ -111,11 +122,14 @@ def sum_series(
         abs_sum = last = 0.0
         for i, (weight, terms) in enumerate(series):
             s, part_sum, size = running[i]
-            for term in islice(terms, n + 1 - start):
-                s += term
-                size = abs(term)
-                part_sum += size
-            require_finite_sum(abs(s), n + 1)
+            try:
+                for term in islice(terms, n + 1 - start):
+                    s += term
+                    size = abs(term)
+                    part_sum += size
+                require_finite_sum(abs(s), n + 1)
+            except OverflowError:  # a modulus past the largest double, or an int product float() cannot take
+                raise RecurrenceBreakdown(f"a term or partial sum overflowed double precision by index {n}") from None
             running[i] = s, part_sum, size
             value += weight * s
             abs_sum += abs(weight) * part_sum
@@ -195,10 +209,13 @@ class HypParams(namedtuple("HypParams", "a b c")):
 
     def __new__(cls, a: float, b: float, c: float) -> "HypParams":
         self = tuple.__new__(cls, (a, b, c))
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ParamDomainError(f"parameter {name} must be finite, got {v}")
+        try:
+            for name in ("a", "b", "c"):
+                v = getattr(self, name)
+                if not math.isfinite(v):
+                    raise ParamDomainError(f"parameter {name} must be finite, got {v}")
+        except OverflowError:  # an int past the double range, say
+            raise ParamDomainError(f"parameter {name} must be finite, got a number past the double range") from None
         if self.c <= 0.5 and abs(self.c - round(self.c)) < _INT_TOL and round(self.c) <= 0:
             raise ParamDomainError(
                 f"c = {self.c} is zero or a negative integer (pole of every series denominator)"

@@ -22,12 +22,10 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import HypParams, cpow_principal, expansion_refusal, require_finite_complex, stream_prefix, sum_series
+from .core import DEFAULT_TERMS, SERIES_TOL_FLOOR, HypParams, cpow_principal, expansion_refusal, require_finite_complex
+from .core import stream_prefix, sum_series
 from .errors import ConfigError, DomainError, GaussHypError, PoleError
 from .results import SeriesResult
-
-#: Default truncation index; forward recurrence accuracy is verified up to here.
-DEFAULT_TERMS = 40
 
 
 def require_w(w: complex | None) -> complex:
@@ -118,7 +116,7 @@ def _onepoint_terms(params: HypParams, z: complex, w: complex) -> Iterator[compl
 
 
 def onepoint_sums(
-    params: HypParams, z: complex, stops: tuple[int, ...], w: complex = 0.5, tol: float = 1e-12
+    params: HypParams, z: complex, stops: tuple[int, ...], w: complex = 0.5, tol: float = SERIES_TOL_FLOOR
 ) -> Iterator[SeriesResult]:
     """The single-point expansion truncated at each index in stops, from one pass.
 
@@ -134,7 +132,7 @@ def onepoint_sums(
 
 
 def eval_onepoint(
-    params: HypParams, z: complex, w: complex = 0.5, n_terms: int = DEFAULT_TERMS, tol: float = 1e-12
+    params: HypParams, z: complex, w: complex = 0.5, n_terms: int = DEFAULT_TERMS, tol: float = SERIES_TOL_FLOOR
 ) -> SeriesResult:
     """Truncated single-point expansion, indices 0 .. n_terms inclusive."""
     (res,) = onepoint_sums(params, z, (n_terms,), w, tol)

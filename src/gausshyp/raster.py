@@ -38,9 +38,13 @@ class RasterSpec(
         self = super().__new__(cls, *fields, **named)
         if not isinstance(self.method, MethodId):
             raise ConfigError(f"unknown method {self.method!r}")
-        for v in (self.xmin, self.xmax, self.ymin, self.ymax, self.xmax - self.xmin, self.ymax - self.ymin):
-            if not math.isfinite(v):
-                raise ConfigError("grid bounds and their spans must be finite")
+        bounds = self.xmin, self.xmax, self.ymin, self.ymax
+        try:  # a bound past the double range (an int, say) makes a span or isfinite raise OverflowError
+            finite = all(map(math.isfinite, (*bounds, self.xmax - self.xmin, self.ymax - self.ymin)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError("grid bounds and their spans must be finite")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ConfigError("grid bounds must satisfy xmax > xmin and ymax > ymin")
         require_finite_complex(self.z0, "z0")

@@ -23,7 +23,7 @@ import cmath
 import math
 from typing import Iterator
 
-from .core import EPS, HypParams, gamma_real, require_finite_complex, tail_estimate
+from .core import DEFAULT_TOL, EPS, HypParams, gamma_real, require_finite_complex, tail_estimate
 from .errors import BranchCutError, DomainError, GaussHypError, OutsideDomain, RecurrenceBreakdown
 from .results import SeriesResult
 
@@ -45,7 +45,7 @@ def maclaurin_refusal(z: complex) -> GaussHypError | None:
 def maclaurin(
     params: HypParams,
     z: complex,
-    tol: float = 1e-13,
+    tol: float = DEFAULT_TOL,
     max_terms: int = 2000,
 ) -> SeriesResult:
     """Partial sums of the defining power series, |z| < 1 only.
@@ -130,7 +130,7 @@ def euler_refusal(params: HypParams, z: complex) -> GaussHypError | None:
     return None
 
 
-def euler_integral(params: HypParams, z: complex, tol: float = 1e-13) -> SeriesResult:
+def euler_integral(params: HypParams, z: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
     """Tanh-sinh quadrature of the integral representation; requires c > b > 0.
 
     Each piece of [0, 1] maps to x = 1/(1 + exp(-2s)), s = (pi/2) sinh u.

@@ -1,10 +1,11 @@
 """Method selection, the route table and the one-call evaluation front end."""
 
+import sys
 import warnings
 from typing import Callable, Iterator, NamedTuple
 
 from .buhring import DEFAULT_Z0, buhring_eval, buhring_refusal, buhring_sums, exclusion_margin
-from .core import HypParams, is_count, require_finite_complex, require_tol
+from .core import DEFAULT_TERMS, DEFAULT_TOL, SERIES_TOL_FLOOR, HypParams, is_count, require_finite_complex, require_tol
 from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
 from .onepoint import eval_onepoint, in_region_onepoint, onepoint_margin, onepoint_refusal, onepoint_sums
@@ -17,9 +18,6 @@ from .twopoint import eval_twopoint, in_region_twopoint, twopoint_margin, twopoi
 #: |z| below which the plain power series is preferred outright.
 MACLAURIN_RADIUS = 0.5
 
-#: evaluate judges a series route's converged against max(tol, SERIES_TOL_FLOOR).
-SERIES_TOL_FLOOR = 1e-12
-
 
 class Route(NamedTuple):
     """One evaluation route: its signed region margin, its refusal, its evaluator and, for a series, its stops form."""
@@ -27,7 +25,7 @@ class Route(NamedTuple):
     margin: Callable[[complex, complex | None, complex], float]
     # (params, z, w, z0): the error run and sums raise before any work, or None where the route applies
     refusal: Callable[[HypParams, complex, complex | None, complex], GaussHypError | None]
-    run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0, max_terms)
+    run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0)
     sums: Callable[..., Iterator[SeriesResult]] | None = None  # (params, z, stops, tol, w, z0)
 
 
@@ -37,41 +35,41 @@ ROUTES: dict[MethodId, Route] = {
     MethodId.MACLAURIN: Route(
         lambda z, w, z0: 1.0 - abs(z),
         lambda p, z, w, z0: maclaurin_refusal(z),
-        lambda p, z, n, tol, w, z0, max_terms: maclaurin(p, z, tol=tol, max_terms=max_terms),
+        lambda p, z, n, tol, w, z0: maclaurin(p, z, tol=tol),
     ),
     MethodId.EULER: Route(
         lambda z, w, z0: abs(z.imag) if z.real >= 1.0 else abs(z - 1.0),  # distance from [1, inf)
         lambda p, z, w, z0: euler_refusal(p, z),
-        lambda p, z, n, tol, w, z0, max_terms: euler_integral(p, z, tol=tol),
+        lambda p, z, n, tol, w, z0: euler_integral(p, z, tol=tol),
     ),
     MethodId.BUHRING: Route(
         lambda z, w, z0: exclusion_margin(z, z0),
         lambda p, z, w, z0: buhring_refusal(p, z, z0),
-        lambda p, z, n, tol, w, z0, _: buhring_eval(p, z, z0=z0, n_terms=n, tol=tol),
+        lambda p, z, n, tol, w, z0: buhring_eval(p, z, z0=z0, n_terms=n, tol=tol),
         lambda p, z, stops, tol, w, z0: buhring_sums(p, z, stops, z0, tol),
     ),
     MethodId.ONEPOINT_HALF: Route(
         lambda z, w, z0: onepoint_margin(z, 0.5),
         lambda p, z, w, z0: onepoint_refusal(p, z, 0.5),
-        lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, w=0.5, n_terms=n, tol=tol),
+        lambda p, z, n, tol, w, z0: eval_onepoint(p, z, w=0.5, n_terms=n, tol=tol),
         lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, 0.5, tol),
     ),
     MethodId.ONEPOINT_W: Route(
         lambda z, w, z0: onepoint_margin(z, require_w(w)),
         lambda p, z, w, z0: onepoint_refusal(p, z, w),
-        lambda p, z, n, tol, w, z0, _: eval_onepoint(p, z, w, n, tol),
+        lambda p, z, n, tol, w, z0: eval_onepoint(p, z, w, n, tol),
         lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, w, tol),
     ),
     MethodId.TWOPOINT: Route(
         lambda z, w, z0: twopoint_margin(z),
         lambda p, z, w, z0: twopoint_refusal(p, z),
-        lambda p, z, n, tol, w, z0, _: eval_twopoint(p, z, n_terms=n, tol=tol),
+        lambda p, z, n, tol, w, z0: eval_twopoint(p, z, n_terms=n, tol=tol),
         lambda p, z, stops, tol, w, z0: twopoint_sums(p, z, stops, tol),
     ),
     MethodId.THREEPOINT: Route(
         lambda z, w, z0: threepoint_margin(z),
         lambda p, z, w, z0: threepoint_refusal(p, z),
-        lambda p, z, n, tol, w, z0, _: eval_threepoint(p, z, n_terms=n, tol=tol),
+        lambda p, z, n, tol, w, z0: eval_threepoint(p, z, n_terms=n, tol=tol),
         lambda p, z, stops, tol, w, z0: threepoint_sums(p, z, stops, tol),
     ),
 }
@@ -125,37 +123,37 @@ def evaluate(
     params: HypParams,
     z: complex,
     method: MethodId | str = "auto",
-    n_terms: int = 40,
-    tol: float = 1e-13,
+    n_terms: int = DEFAULT_TERMS,
+    tol: float = DEFAULT_TOL,
     w: complex | None = None,
     z0: complex = DEFAULT_Z0,
-    max_terms: int = 2000,
 ) -> tuple[SeriesResult, MethodId]:
     """Evaluate 2F1(params; z) by the chosen (or auto-selected) route.
 
-    The route comes from ROUTES.  maclaurin and euler-oracle judge
-    converged against tol itself; the series routes (buhring, onepoint-*,
-    twopoint, threepoint) sum indices 0 .. n_terms and judge it against
-    max(tol, SERIES_TOL_FLOOR) = max(tol, 1e-12), which evaluate passes to
-    their run (ROUTES[m].run and .sums take tol as given).  An n_terms or
-    max_terms that is not an integer (a bool is not one), or is negative,
-    and a tol that is not a finite number > 0, raise ConfigError.  A non-finite z0,
-    and a given w that is non-finite or zero, raise DomainError before any
-    route is chosen, whatever the method.
+    The route comes from ROUTES.  The series routes (buhring, onepoint-*,
+    twopoint, threepoint) sum indices 0 .. n_terms and judge converged against
+    max(tol, SERIES_TOL_FLOOR), which evaluate passes to their run (ROUTES[m].run
+    and .sums take tol as given).  maclaurin (within its own 2,000 terms) and
+    euler-oracle take no n_terms and judge converged against tol itself.  An
+    n_terms that is not an integer (a bool is not one), negative or past
+    sys.maxsize - 1, and a tol that is not a finite number > 0, raise ConfigError.
+    A non-finite z0, and a given w that is non-finite or zero, raise DomainError
+    before any route is chosen, whatever the method.
     """
-    for name, count in (("n_terms", n_terms), ("max_terms", max_terms)):
-        if not is_count(count):
-            raise ConfigError(f"{name} must be an integer, got {count!r}")
-        if count < 0:
-            raise ConfigError(f"{name} must be >= 0, got {count}")
+    if not is_count(n_terms):
+        raise ConfigError(f"n_terms must be an integer, got {n_terms!r}")
+    if n_terms < 0:
+        raise ConfigError(f"n_terms must be >= 0, got {n_terms}")
+    if n_terms >= sys.maxsize:  # sum_series reads n_terms + 1 terms through islice
+        raise ConfigError(f"n_terms must be <= sys.maxsize - 1 = {sys.maxsize - 1}, got a larger count")
     require_tol(tol)
-    z, z0 = complex(z), require_finite_complex(z0, "z0")
+    z0 = require_finite_complex(z0, "z0")
     if w is not None:
         w = require_expansion_point(w)
     method_id = select_method(params, z, z0) if method == "auto" else MethodId.from_string(method)
     route = ROUTES[method_id]
     tol = max(tol, SERIES_TOL_FLOOR) if route.sums is not None else tol
-    return route.run(params, z, n_terms, tol, w, z0, max_terms), method_id
+    return route.run(params, z, n_terms, tol, w, z0), method_id
 
 
 def hyp2f1(

@@ -16,7 +16,7 @@ import warnings
 from typing import NamedTuple
 
 from .buhring import DEFAULT_Z0
-from .core import HypParams, is_count, json_value, require_tol
+from .core import DEFAULT_TOL, HypParams, is_count, json_value, require_tol
 from .errors import ConfigError, GaussHypError, NotConvergedWarning
 from .onepoint import require_expansion_point, require_w
 from .reference import euler_integral
@@ -136,7 +136,7 @@ class TableResult(NamedTuple):
     cells: tuple[dict, ...]
 
 
-def run_table(spec: TableSpec | int, oracle_tol: float = 1e-13) -> TableResult:
+def run_table(spec: TableSpec | int, oracle_tol: float = DEFAULT_TOL) -> TableResult:
     """Relative errors of (buhring, featured expansion) against the oracle.
 
     Each (row, method) is summed once, by its route's stops form; an error labels
@@ -171,7 +171,7 @@ def run_table(spec: TableSpec | int, oracle_tol: float = 1e-13) -> TableResult:
         for method in methods:
             col = row_cells[method.value]
             try:
-                results = ROUTES[method].sums(row.params, row.z, stops, 1e-13, spec.w, DEFAULT_Z0)
+                results = ROUTES[method].sums(row.params, row.z, stops, DEFAULT_TOL, spec.w, DEFAULT_Z0)
                 for n, res in zip(N_LABELS, results):
                     col[n] = abs(res.value - reference) / ref_abs
             except GaussHypError as exc:

@@ -53,7 +53,7 @@ integers.  A call yields the kept prefix and resumes the recurrence from its
 last two values only when read past it; the longer prefix replaces the kept
 one by one assignment of a tuple, with no lock.  The first call at a pair
 keeps psi_0 and psi_1 only, so pairs that never repeat copy no more.  At most
-64 pairs of at most 2 DEFAULT_TERMS + 2 values are kept, emptied past 64.
+64 pairs of at most 2 core.DEFAULT_TERMS + 2 values are kept, emptied past 64.
 
 The terminating closed form above is the verification route
 (gausshyp.verify.phi3_direct_sequence), run in extended precision at large n:
@@ -64,11 +64,10 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import HypParams, cpow_principal, expansion_refusal, stream_prefix, sum_series
+from .core import DEFAULT_TERMS, SERIES_TOL_FLOOR, HypParams, cpow_principal, expansion_refusal, stream_prefix
+from .core import sum_series
 from .errors import GaussHypError, PoleError, RecurrenceBreakdown, SingularityError
 from .results import SeriesResult
-
-DEFAULT_TERMS = 40
 
 _SQRT3_6 = 6.0 * math.sqrt(3.0)
 
@@ -228,7 +227,7 @@ def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
 
 
 def threepoint_sums(
-    params: HypParams, z: complex, stops: tuple[int, ...], tol: float = 1e-12
+    params: HypParams, z: complex, stops: tuple[int, ...], tol: float = SERIES_TOL_FLOOR
 ) -> Iterator[SeriesResult]:
     """The three-point expansion truncated at each index in stops, from one pass.
 
@@ -241,7 +240,7 @@ def threepoint_sums(
 
 
 def eval_threepoint(
-    params: HypParams, z: complex, n_terms: int = DEFAULT_TERMS, tol: float = 1e-12
+    params: HypParams, z: complex, n_terms: int = DEFAULT_TERMS, tol: float = SERIES_TOL_FLOOR
 ) -> SeriesResult:
     """Truncated three-point expansion, indices 0 .. n_terms inclusive."""
     (res,) = threepoint_sums(params, z, (n_terms,), tol)

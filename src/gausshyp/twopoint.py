@@ -36,11 +36,10 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import HypParams, cpow_principal, expansion_refusal, stream_prefix, sum_series
+from .core import DEFAULT_TERMS, SERIES_TOL_FLOOR, HypParams, cpow_principal, expansion_refusal, stream_prefix
+from .core import sum_series
 from .errors import GaussHypError, SingularityError
 from .results import SeriesResult
-
-DEFAULT_TERMS = 40
 
 
 def _initial_pair(a: float, z: complex) -> tuple[complex, complex]:
@@ -106,7 +105,7 @@ def _twopoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
         moment *= (b + n) * (c - b + n) / ((c + 2.0 * n + 1.0) * (c + 2.0 * n + 2.0))
 
 def twopoint_sums(
-    params: HypParams, z: complex, stops: tuple[int, ...], tol: float = 1e-12
+    params: HypParams, z: complex, stops: tuple[int, ...], tol: float = SERIES_TOL_FLOOR
 ) -> Iterator[SeriesResult]:
     """The two-point expansion truncated at each index in stops, from one pass."""
     if refusal := twopoint_refusal(params, z):
@@ -115,7 +114,7 @@ def twopoint_sums(
 
 
 def eval_twopoint(
-    params: HypParams, z: complex, n_terms: int = DEFAULT_TERMS, tol: float = 1e-12
+    params: HypParams, z: complex, n_terms: int = DEFAULT_TERMS, tol: float = SERIES_TOL_FLOOR
 ) -> SeriesResult:
     """Truncated two-point expansion, indices 0 .. n_terms inclusive."""
     (res,) = twopoint_sums(params, z, (n_terms,), tol)

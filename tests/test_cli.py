@@ -171,6 +171,19 @@ class TestEvalCommand:
         assert main(["eval", *argv.split()]) == 2
         assert "n_terms must be >= 0" in capsys.readouterr().err
 
+    def test_non_integer_terms_exit_code(self, capsys):
+        argv = "--a 1.2 --b 2.1 --c 3 --z exp(i*pi/3) --terms 2.5"
+        assert main(["eval", *argv.split()]) == 2
+        assert "argument --terms: invalid int value: '2.5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("terms", ["9223372036854775807", "9223372036854775808", "1" + "0" * 400])
+    def test_terms_past_the_islice_bound_exit_code(self, capsys, terms):
+        # a count islice cannot take raised a bare ValueError from core.sum_series
+        argv = f"--a 1.2 --b 2.1 --c 3 --z 0.5+0.5i --terms {terms}"
+        assert main(["eval", *argv.split()]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: n_terms must be <= sys.maxsize - 1 = ")
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["eval", "--a", "1", "--b", "1", "--c", "2", "--z", "nonsense"]) == 2
         assert main(["eval", "--a", "1", "--b", "1", "--c", "2", "--z", "0.5", "--method", "bogus"]) == 2

@@ -134,6 +134,15 @@ class TestOverflow:
         for base, e in ((1e200 + 1j, -2.41), (-1e150 - 1j, 2.0), (1e-300, -1.02)):
             assert cpow_principal(base, e) == cmath.exp(e * cmath.log(base))
 
+    @pytest.mark.parametrize("b, c", [(10**62, 10**63), (10**155, 10**156), (1, 10**300)])
+    def test_int_parameter_products_past_the_double_range(self, b, c):
+        # an int pair forms the three-point moments' coefficients in exact integers, which float() could not
+        # take: a bare OverflowError, where the float pair's NaN sum raises RecurrenceBreakdown
+        with pytest.raises(RecurrenceBreakdown, match="overflowed double precision"):
+            evaluate(HypParams(1, b, c), -1, "threepoint")
+        with pytest.raises(RecurrenceBreakdown, match="overflowed double precision"):
+            evaluate(HypParams(1.0, float(b), float(c)), -1.0, "threepoint")
+
     def test_continuation_prefactor_overflow(self):
         # Buhring's prefactor (z0 - z)^(-a) at |z| = 1e200, a < 0
         with pytest.raises(RecurrenceBreakdown, match="overflows double precision"):
@@ -162,6 +171,13 @@ class TestHypParams:
     def test_non_finite_rejected(self):
         with pytest.raises(ParamDomainError):
             HypParams(math.inf, 1.0, 2.0)
+
+    def test_int_past_the_double_range_rejected(self):
+        # math.isfinite raised a bare OverflowError ("int too large to convert to float") here
+        for args in ((1.2, 10**400, 3), (-(10**400), 2.1, 3), (1.2, 2.1, 10**400)):
+            with pytest.raises(ParamDomainError, match="must be finite, got a number past the double range"):
+                HypParams(*args)
+        assert HypParams(1, 2, 10**300) == (1, 2, 10**300)  # an int inside the double range is kept as given
 
     def test_repr(self):
         assert repr(HypParams(1.2, 2.1, 3.0)) == "HypParams(a=1.2, b=2.1, c=3.0)"

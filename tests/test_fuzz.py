@@ -1,7 +1,7 @@
 """Seeded fuzz: every evaluate call returns a SeriesResult with a finite value or raises a GaussHypError.
 
 auto and each of the seven methods run on every input, with w = 0.5+0.5i,
-over two random ranges and a fixed set of edge inputs.  A bare Python
+over two random float ranges, random Python ints and a fixed set of edge inputs.  A bare Python
 exception (OverflowError, ZeroDivisionError, ...) fails the test with the
 inputs that raised it.  Every call runs twice, and the second must return the
 same result or raise the same error class and message, so no output depends
@@ -34,6 +34,17 @@ def _draws(seed, param_decades, z_decades):
         yield abc, cmath.rect(10.0 ** rng.uniform(-1.0, z_decades), rng.uniform(-math.pi, math.pi))
 
 
+#: Python ints: small ones, ones whose exact products pass the double range, and ones past it.
+INTS = (*range(-6, 7), 10**62, -(10**62), 10**300, -(10**300), 10**400, -(10**400))
+
+
+def _int_draws(seed):
+    """(a, b, c), z: each an int drawn from INTS."""
+    rng = random.Random(seed)
+    for _ in range(DRAWS):
+        yield tuple(rng.choice(INTS) for _ in range(3)), rng.choice(INTS)
+
+
 EDGE_PARAMS = [
     (1.2, 2.1, 0.0), (1.2, 2.1, -1.0), (1.2, 2.1, -2.0),  # c on a pole of every series
     (1.2, 2.2, 3.0), (1.0, 3.0, 4.0), (-2.0, 1.0, 3.5),  # integer b - a
@@ -44,6 +55,7 @@ EDGE_Z = [1.0, 2.0, 5e-324, 5e-324j, Z_EXC, -3.0, 3.0 + 1.0j]
 CASES = {
     "moderate": lambda: _draws(20, 2.5, 3.0),
     "extreme": lambda: _draws(21, 300.0, 308.0),
+    "ints": lambda: _int_draws(22),
     "edge": lambda: [
         (MACLAURIN_OVERFLOW[0], MACLAURIN_OVERFLOW[1]),
         (MACLAURIN_OVERFLOW[0], MACLAURIN_OVERFLOW[1].conjugate()),

@@ -118,6 +118,14 @@ class TestRasterConfig:
         points = list(region_raster(RasterSpec(MethodId.TWOPOINT, res=2, **bounds)))
         assert all(math.isfinite(x) and math.isfinite(y) for x, y, _, _ in points)
 
+    @pytest.mark.parametrize(
+        "bounds", [(-(10**400), 1, -1, 1), (-1.0, 10**400, -1, 1), (-1, 1, -1, 10**400), (-(10**308), 10**308, -1, 1)]
+    )
+    def test_int_bound_past_the_double_range_rejected(self, bounds):
+        # math.isfinite, or a float minus the int, raised a bare OverflowError here
+        with pytest.raises(ConfigError, match="spans must be finite"):
+            RasterSpec(MethodId.THREEPOINT, *bounds, 5)
+
     def test_onepoint_w_requires_w(self):
         with pytest.raises(ConfigError):
             RasterSpec(MethodId.ONEPOINT_W, 0, 1, 0, 1, res=8)

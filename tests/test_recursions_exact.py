@@ -873,7 +873,7 @@ def test_stops_match_the_one_stop_calls(method):
     route = ROUTES[MethodId(method)]
     for params, z, w in _route_cases(method):
         one_stop_calls = (
-            (1e-13, lambda n: route.run(params, z, n, 1e-13, w, 0.5, 2000)),
+            (1e-13, lambda n: route.run(params, z, n, 1e-13, w, 0.5)),
             (1e-12, lambda n: evaluate(params, z, method, n_terms=n, tol=1e-13, w=w)[0]),
         )
         for tol, one_stop in one_stop_calls:

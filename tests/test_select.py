@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import warnings
 
 import pytest
@@ -51,6 +52,22 @@ DIRECT_CALLS = {
     MethodId.TWOPOINT: (-1.0 + 0j, lambda z: eval_twopoint(PARAMS, z, n_terms=N, tol=TOL)),
     MethodId.THREEPOINT: (Z_EXC, lambda z: eval_threepoint(PARAMS, z, n_terms=N, tol=TOL)),
 }
+
+#: method -> its direct call with every default taken, which evaluate's defaults must reproduce
+DEFAULT_CALLS = {
+    MethodId.MACLAURIN: lambda z: maclaurin(PARAMS, z),
+    MethodId.EULER: lambda z: euler_integral(PARAMS, z),
+    MethodId.BUHRING: lambda z: buhring_eval(PARAMS, z),
+    MethodId.ONEPOINT_HALF: lambda z: eval_onepoint(PARAMS, z),
+    MethodId.ONEPOINT_W: lambda z: eval_onepoint(PARAMS, z, W),
+    MethodId.TWOPOINT: lambda z: eval_twopoint(PARAMS, z),
+    MethodId.THREEPOINT: lambda z: eval_threepoint(PARAMS, z),
+}
+
+
+def _bits(res):
+    v = complex(res.value)
+    return v.real.hex(), v.imag.hex(), res.terms_used, float(res.est_error).hex(), res.converged
 
 
 class TestSelectMethod:
@@ -296,7 +313,48 @@ class TestHugeArgument:
             assert method_margin(MethodId.THREEPOINT, z) == want
 
 
+#: An int past the double range, which complex() and math.isfinite cannot convert.
+PAST_DOUBLE = 10**400
+PAST_DOUBLE_Z = "z must have finite components and modulus, got a number past the double range"
+
+
+class TestIntPastTheDoubleRange:
+    # each raised a bare OverflowError ("int too large to convert to float") from complex() or math.isfinite
+    @pytest.mark.parametrize("z", [PAST_DOUBLE, -PAST_DOUBLE], ids=["plus", "minus"])
+    def test_evaluate_with_a_method(self, z):
+        with pytest.raises(DomainError, match=PAST_DOUBLE_Z):
+            evaluate(PARAMS, z, "threepoint")
+
+    def test_evaluate_auto(self):
+        with pytest.raises(DomainError, match=PAST_DOUBLE_Z):
+            evaluate(PARAMS, PAST_DOUBLE)
+
+    def test_select_method(self):
+        with pytest.raises(DomainError, match=PAST_DOUBLE_Z):
+            select_method(PARAMS, PAST_DOUBLE)
+
+    def test_method_margin(self):
+        with pytest.raises(DomainError, match=PAST_DOUBLE_Z):
+            method_margin("threepoint", PAST_DOUBLE)
+
+    @pytest.mark.parametrize("method", ["auto", *MethodId], ids=str)
+    def test_evaluate_z0(self, method):
+        with pytest.raises(DomainError, match="z0 must have finite components and modulus, got a number past"):
+            evaluate(PARAMS, Z_EXC, method, w=W, z0=PAST_DOUBLE)
+
+    @pytest.mark.parametrize("method", ["auto", *MethodId], ids=str)
+    def test_evaluate_w(self, method):
+        with pytest.raises(DomainError, match="w must have finite components and modulus, got a number past"):
+            evaluate(PARAMS, Z_EXC, method, w=PAST_DOUBLE)
+
+
 class TestRouteTable:
+    @pytest.mark.parametrize("method", list(MethodId), ids=str)
+    def test_defaults_agree(self, method):
+        # buhring_eval summed indices 0 .. 20 by default where evaluate summed 0 .. 40
+        z = DIRECT_CALLS[method][0]
+        assert _bits(DEFAULT_CALLS[method](z)) == _bits(evaluate(PARAMS, z, method, w=W)[0])
+
     @pytest.mark.parametrize("method", list(MethodId), ids=str)
     def test_evaluate_forwards_every_argument(self, method):
         assert set(ROUTES) == set(MethodId) == set(DIRECT_CALLS)
@@ -306,11 +364,6 @@ class TestRouteTable:
         assert method_margin(method, z, w=W, z0=Z0) > 0
         assert res == direct(z)
         assert res.converged
-
-    def test_evaluate_forwards_max_terms(self):
-        res, _ = evaluate(PARAMS, 0.9 + 0j, MethodId.MACLAURIN, max_terms=5)
-        assert res == maclaurin(PARAMS, 0.9 + 0j, max_terms=5)
-        assert res.terms_used == 5
 
 
 class TestEvaluate:
@@ -360,16 +413,16 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="tol must be a finite number > 0"):
             hyp2f1(1.2, 2.1, 3.0, Z_EXC, method=method, tol=tol, w=W)
 
-    @pytest.mark.parametrize("max_terms", ["x", 2.5, True, -3, None])
-    def test_max_terms_gets_the_n_terms_check(self, max_terms):
-        with pytest.raises(ConfigError, match=r"max_terms must be (an integer|>= 0), got"):
-            evaluate(PARAMS, 0.3 + 0j, "maclaurin", max_terms=max_terms)
+    def test_tiny_tol_is_accepted(self):
+        # the power series runs until its terms underflow, short of its 2,000-term budget
+        res, _ = evaluate(PARAMS, 0.3 + 0j, "maclaurin", tol=5e-324)
+        assert 0 < res.terms_used < 2000 and not res.converged
 
-    def test_tiny_tol_and_zero_max_terms_are_accepted(self):
-        res, _ = evaluate(PARAMS, 0.3 + 0j, "maclaurin", tol=5e-324, max_terms=0)
-        assert res.terms_used == 0 and not res.converged
-        res, _ = evaluate(PARAMS, 0.3 + 0j, "maclaurin", tol=1, max_terms=3)
-        assert res.terms_used <= 3
+    def test_huge_n_terms_is_a_config_error(self):
+        # sum_series reads n_terms + 1 terms through islice, whose bound is sys.maxsize
+        for n_terms in (sys.maxsize, sys.maxsize + 1, 10**400):
+            with pytest.raises(ConfigError, match=r"n_terms must be <= sys.maxsize - 1 = \d+, got a larger count"):
+                evaluate(PARAMS, Z_EXC, "threepoint", n_terms=n_terms)
 
     @pytest.mark.parametrize("method", ["auto", *MethodId], ids=str)
     def test_invalid_z0_or_w_is_rejected_before_routing(self, method):
@@ -437,7 +490,7 @@ REFUSAL_SAMPLES = _refusal_samples()
 def _first_result(method, params, z, w, z0):
     route = ROUTES[method]
     if route.sums is None:
-        return route.run(params, z, 5, 1e-13, w, z0, 60)
+        return route.run(params, z, 5, 1e-13, w, z0)
     return next(route.sums(params, z, (5,), 1e-13, w, z0))
 
 
@@ -495,10 +548,6 @@ class TestRefusal:
         def draw():
             return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.2)
 
-        def bits(res):
-            v = complex(res.value)
-            return v.real.hex(), v.imag.hex(), res.terms_used, float(res.est_error).hex(), res.converged
-
         def points():
             yield PARAMS, 1.9 + 0.3j  # twopoint
             yield HypParams(1.2, 2.2, 3.0), 1.5 + 0.01j  # euler-oracle
@@ -517,7 +566,7 @@ class TestRefusal:
             except (DomainError, ConfigError, NoMethodError):
                 continue
             routes.add(method)
-            assert bits(evaluate(params, z, method)[0]) == bits(res), (params, z, method)
+            assert _bits(evaluate(params, z, method)[0]) == _bits(res), (params, z, method)
         assert routes == set(AUTO_ORDER)
 
 
@@ -571,7 +620,7 @@ FLOOR_BAND = [
 @pytest.mark.parametrize("method, z, n", FLOOR_BAND, ids=str)
 def test_routes_take_tol_as_given_and_evaluate_floors_it(method, z, n):
     route = ROUTES[method]
-    run = route.run(PARAMS, z, n, 1e-13, W, DEFAULT_Z0, 2000)
+    run = route.run(PARAMS, z, n, 1e-13, W, DEFAULT_Z0)
     (stop,) = route.sums(PARAMS, z, (n,), 1e-13, W, DEFAULT_Z0)
     res, _ = evaluate(PARAMS, z, method, n_terms=n, tol=1e-13, w=W)
     assert 1e-13 < res.est_error <= 1e-12
@@ -582,5 +631,5 @@ def test_routes_take_tol_as_given_and_evaluate_floors_it(method, z, n):
 @pytest.mark.parametrize("method", [MethodId.MACLAURIN, MethodId.EULER], ids=str)
 def test_evaluate_passes_tol_unfloored_to_routes_without_stops(method):
     res, _ = evaluate(PARAMS, 0.3 + 0.2j, method, tol=1e-15)
-    assert res == ROUTES[method].run(PARAMS, 0.3 + 0.2j, 40, 1e-15, None, DEFAULT_Z0, 2000)
+    assert res == ROUTES[method].run(PARAMS, 0.3 + 0.2j, 40, 1e-15, None, DEFAULT_Z0)
     assert res.converged == (res.est_error <= 1e-15)
