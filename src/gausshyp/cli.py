@@ -195,7 +195,7 @@ def _cmd_selftest(_args) -> int:
 
 
 #: The options that take a number; every other option starts with another letter.
-_NUMBER_OPTIONS = ("a", "b", "c", "z", "w", "z0", "tol", "rho", "xmin", "xmax", "ymin", "ymax", "terms", "res")
+_NUMBER_OPTIONS = ("a", "b", "c", "z", "w", "z0", "tol", "rho", "xmin", "xmax", "ymin", "ymax", "terms", "res", "id")
 
 
 def _attach_values(argv: list[str]) -> list[str]:

@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Callable, Iterator
 
 from .errors import ConfigError, DomainError, GaussHypError, OutsideDomain, ParamDomainError, PoleError
-from .errors import RecurrenceBreakdown, SingularityError
+from .errors import RecurrenceBreakdown, SingularityError, shown
 from .results import SeriesResult
 
 #: Unit roundoff of IEEE double precision.
@@ -50,13 +50,13 @@ def is_count(n: object) -> bool:
 
 
 def require_tol(tol: float) -> None:
-    """Raise ConfigError unless tol is a finite number > 0 (a bool is not a number here)."""
+    """Raise ConfigError unless tol is a finite number > 0 that float() takes (a bool is not a number here)."""
     try:
-        ok = not isinstance(tol, bool) and 0.0 < tol < math.inf
-    except TypeError:
+        ok = not isinstance(tol, bool) and 0.0 < tol and math.isfinite(tol)
+    except (TypeError, OverflowError):  # OverflowError: an int past the double range
         ok = False
     if not ok:
-        raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
+        raise ConfigError(f"tol must be a finite number > 0, got {shown(tol)}")
 
 
 def json_value(x: object) -> object:
@@ -67,7 +67,7 @@ def json_value(x: object) -> object:
 def stream_prefix(stream: Iterator, n_max: int) -> list:
     """Items 0 .. n_max of a coefficient or moment stream; a negative n_max raises ValueError."""
     if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
+        raise ValueError(f"n_max must be non-negative, got {shown(n_max)}")
     return list(islice(stream, n_max + 1))
 
 
@@ -100,7 +100,7 @@ def tail_estimate(total_abs: float, abs_sum: float, last: float, n_summed: int) 
 
 
 def sum_series(
-    stops: tuple[int, ...], tol: float, *series: tuple[complex, Iterator[complex]]
+    stops: tuple[int, ...], tol: float, *series: tuple[complex, Iterator[complex]], stop: float = 0.0
 ) -> Iterator[SeriesResult]:
     """Yield the sum of terms 0 .. n of each (weight, terms) series for each n in the ascending stops.
 
@@ -111,10 +111,15 @@ def sum_series(
     abs_sum and one last term; converged is est_error <= tol.  A partial sum
     or weighted value that is not finite, or an overflow, raises
     RecurrenceBreakdown.  Every series route sums here; a one-stop caller
-    unpacks (res,) = ..., which ends the generator.
+    unpacks (res,) = ..., which ends the generator.  A stop > 0 (one series
+    only) ends the pass at the first index k whose term and the one before
+    are each at most stop * |partial sum|: the result at k, converged only
+    so, is the last yielded, and an overflow names its term's index.
     """
+    if stop and len(series) != 1:
+        raise ValueError("a stop is defined for one series")
     running = [(0j, 0.0, 0.0)] * len(series)  # per series: partial sum, sum of sizes, last size
-    start = 0
+    start = k = below = 0  # with a stop: the index of the term being summed, and how many in a row were small
     for n in stops:
         if n < start:
             raise ValueError(f"stops must be ascending non-negative integers, got {stops}")
@@ -127,16 +132,25 @@ def sum_series(
                     s += term
                     size = abs(term)
                     part_sum += size
+                    if stop:
+                        below = below + 1 if size <= stop * abs(s) else 0
+                        if below == 2:
+                            n = k
+                            break
+                        k += 1
                 require_finite_sum(abs(s), n + 1)
             except OverflowError:  # a modulus past the largest double, or an int product float() cannot take
-                raise RecurrenceBreakdown(f"a term or partial sum overflowed double precision by index {n}") from None
+                msg = f"a term or partial sum overflowed double precision by term {k if stop else n}"
+                raise RecurrenceBreakdown(msg) from None
             running[i] = s, part_sum, size
             value += weight * s
             abs_sum += abs(weight) * part_sum
             last += abs(weight) * size
         start = n + 1
         est = tail_estimate(abs(value), abs_sum, last, n + 1)
-        yield SeriesResult(value, n, est, est <= tol)
+        yield SeriesResult(value, n, est, est <= tol and (below == 2 or not stop))
+        if below == 2:
+            return
 
 
 def cpow_principal(base: complex, exponent: float) -> complex:

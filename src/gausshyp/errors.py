@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the one warning.
+"""Exception hierarchy, the one warning, and shown (a value as an error message prints it).
 
 Every error raised by the library derives from GaussHypError so callers
 (and the CLI exit-code mapping) can distinguish library failures from bugs.
@@ -54,3 +54,10 @@ class ConfigError(GaussHypError):
 
 class NotConvergedWarning(RuntimeWarning):
     """hyp2f1 or run_table used a value that did not reach the tolerance."""
+
+
+def shown(value: object) -> str:
+    """repr(value), but an int past the double range by its bit length: repr raises ValueError past 4,300 digits."""
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    return repr(value)

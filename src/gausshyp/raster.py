@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .buhring import DEFAULT_Z0
 from .core import is_count, require_finite_complex
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from .onepoint import require_expansion_point
 from .reference import classical_moduli
 from .results import MethodId
@@ -37,7 +37,7 @@ class RasterSpec(
     def __new__(cls, *fields, **named) -> "RasterSpec":
         self = super().__new__(cls, *fields, **named)
         if not isinstance(self.method, MethodId):
-            raise ConfigError(f"unknown method {self.method!r}")
+            raise ConfigError(f"unknown method {shown(self.method)}")
         bounds = self.xmin, self.xmax, self.ymin, self.ymax
         try:  # a bound past the double range (an int, say) makes a span or isfinite raise OverflowError
             finite = all(map(math.isfinite, (*bounds, self.xmax - self.xmin, self.ymax - self.ymin)))
@@ -51,13 +51,13 @@ class RasterSpec(
         if self.w is not None:
             require_expansion_point(self.w)
         if not is_count(self.res):
-            raise ConfigError(f"resolution must be an integer, got {self.res!r}")
+            raise ConfigError(f"resolution must be an integer, got {shown(self.res)}")
         if not (2 <= self.res <= MAX_RESOLUTION):
-            raise ConfigError(f"resolution must be in [2, {MAX_RESOLUTION}], got {self.res}")
+            raise ConfigError(f"resolution must be in [2, {MAX_RESOLUTION}], got {shown(self.res)}")
         if self.method is MethodId.ONEPOINT_W and self.w is None:
             raise ConfigError("onepoint-w raster needs the expansion point w")
         if self.method is MethodId.MACLAURIN and not (0.0 < self.rho < 1.0):
-            raise ConfigError(f"classification radius rho must be in (0, 1), got {self.rho}")
+            raise ConfigError(f"classification radius rho must be in (0, 1), got {shown(self.rho)}")
         return self
 
 

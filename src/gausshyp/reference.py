@@ -21,10 +21,12 @@ rho < 1.
 
 import cmath
 import math
+from itertools import accumulate, count
+from operator import mul
 from typing import Iterator
 
-from .core import DEFAULT_TOL, EPS, HypParams, gamma_real, require_finite_complex, tail_estimate
-from .errors import BranchCutError, DomainError, GaussHypError, OutsideDomain, RecurrenceBreakdown
+from .core import DEFAULT_TOL, EPS, HypParams, gamma_real, require_finite_complex, sum_series
+from .errors import BranchCutError, DomainError, GaussHypError, OutsideDomain, RecurrenceBreakdown, shown
 from .results import SeriesResult
 
 #: Labels of the six classical series regions, in a fixed order.
@@ -42,43 +44,17 @@ def maclaurin_refusal(z: complex) -> GaussHypError | None:
     return None
 
 
-def maclaurin(
-    params: HypParams,
-    z: complex,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = 2000,
-) -> SeriesResult:
-    """Partial sums of the defining power series, |z| < 1 only.
-
-    Summation stops once two successive terms fall below tol * |partial sum|
-    (a single small term is not trusted: terms with complex z can rotate
-    through near-cancellation), or after max_terms terms.  A term or partial
-    sum whose modulus overflows raises RecurrenceBreakdown.
-    """
+def maclaurin(params: HypParams, z: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
+    """Partial sums of the defining power series, |z| < 1 only, by core.sum_series with stop = tol: the pass
+    ends at two successive terms below tol * |partial sum| (one small term is not trusted: terms with complex z
+    can rotate through near-cancellation), or at index 1999.  A term or partial sum whose modulus overflows
+    raises RecurrenceBreakdown, which names the term's index."""
     if refusal := maclaurin_refusal(z):
         raise refusal
-    z = complex(z)
-    a, b, c = params.a, params.b, params.c
-    s = 0j
-    term = 1.0 + 0j
-    abs_sum = 0.0
-    last = 0.0
-    n = 0
-    below = 0
-    try:
-        while n < max_terms:
-            s += term
-            last = abs(term)
-            abs_sum += last
-            below = below + 1 if last <= tol * abs(s) else 0
-            term *= (a + n) * (b + n) * z / ((c + n) * (n + 1))
-            n += 1
-            if below == 2:
-                break
-    except OverflowError:
-        raise RecurrenceBreakdown(f"power series term {n} overflows double precision") from None
-    est = tail_estimate(abs(s), abs_sum, last, n)
-    return SeriesResult(value=s, terms_used=n, est_error=est, converged=below == 2 and est <= tol)
+    (a, b, c), z = params, complex(z)
+    terms = accumulate(((a + n) * (b + n) * z / ((c + n) * (n + 1)) for n in count()), mul, initial=1.0 + 0j)
+    (res,) = sum_series((1999,), tol, (1.0, terms), stop=tol)
+    return res
 
 
 #: Each side of u = 0 ends at its first term below this share of the running sum.
@@ -224,9 +200,9 @@ def classify_region(z: complex, rho: float) -> set[str]:
     """Which of the six classical series regions contain z at radius rho.
 
     Returns the (possibly empty) set of labels from REGION_LABELS whose
-    modulus is <= rho.  Requires 0 < rho < 1.
+    modulus is <= rho.  Requires 0 < rho < 1; a non-finite z raises DomainError.
     """
     if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho must be in (0, 1), got {rho}")
-    moduli = region_moduli(z)
+        raise DomainError(f"rho must be in (0, 1), got {shown(rho)}")
+    moduli = region_moduli(require_finite_complex(z))
     return {label for label in REGION_LABELS if moduli[label] <= rho}

@@ -3,7 +3,7 @@
 import enum
 from collections import namedtuple
 
-from .errors import ConfigError
+from .errors import ConfigError, shown
 
 
 class MethodId(enum.Enum):
@@ -26,7 +26,7 @@ class MethodId(enum.Enum):
         try:
             return cls(name)
         except ValueError:
-            raise ConfigError(f"unknown method {name!r}") from None
+            raise ConfigError(f"unknown method {shown(name)}") from None
 
 
 class SeriesResult(namedtuple("SeriesResult", "value terms_used est_error converged")):

@@ -6,7 +6,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .buhring import DEFAULT_Z0, buhring_eval, buhring_refusal, buhring_sums, exclusion_margin
 from .core import DEFAULT_TERMS, DEFAULT_TOL, SERIES_TOL_FLOOR, HypParams, is_count, require_finite_complex, require_tol
-from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning
+from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning, shown
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
 from .onepoint import eval_onepoint, in_region_onepoint, onepoint_margin, onepoint_refusal, onepoint_sums
 from .onepoint import require_expansion_point, require_w
@@ -88,9 +88,10 @@ def select_method(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> Me
 
     The power series in the safe disk |z| <= 1/2, else the first route of
     AUTO_ORDER whose refusal is None.  Raises DomainError for a non-finite
-    z, and NoMethodError, naming each route's refusal, when all refuse.
+    z or z0, and NoMethodError, naming each route's refusal, when all refuse.
     """
     z = require_finite_complex(z)
+    z0 = require_finite_complex(z0, "z0")
     if abs(z) <= MACLAURIN_RADIUS:
         return MethodId.MACLAURIN
     for method, route in _AUTO_ROUTES:
@@ -141,9 +142,9 @@ def evaluate(
     before any route is chosen, whatever the method.
     """
     if not is_count(n_terms):
-        raise ConfigError(f"n_terms must be an integer, got {n_terms!r}")
+        raise ConfigError(f"n_terms must be an integer, got {shown(n_terms)}")
     if n_terms < 0:
-        raise ConfigError(f"n_terms must be >= 0, got {n_terms}")
+        raise ConfigError(f"n_terms must be >= 0, got {shown(n_terms)}")
     if n_terms >= sys.maxsize:  # sum_series reads n_terms + 1 terms through islice
         raise ConfigError(f"n_terms must be <= sys.maxsize - 1 = {sys.maxsize - 1}, got a larger count")
     require_tol(tol)

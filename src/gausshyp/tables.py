@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .buhring import DEFAULT_Z0
 from .core import DEFAULT_TOL, HypParams, is_count, json_value, require_tol
-from .errors import ConfigError, GaussHypError, NotConvergedWarning
+from .errors import ConfigError, GaussHypError, NotConvergedWarning, shown
 from .onepoint import require_expansion_point, require_w
 from .reference import euler_integral
 from .results import MethodId
@@ -149,12 +149,12 @@ def run_table(spec: TableSpec | int, oracle_tol: float = DEFAULT_TOL) -> TableRe
     require_tol(oracle_tol)
     if not isinstance(spec, TableSpec):
         if not is_count(spec) or spec not in TABLES:
-            raise ConfigError(f"unknown table id {spec!r}; known ids are {sorted(TABLES)}")
+            raise ConfigError(f"unknown table id {shown(spec)}; known ids are {sorted(TABLES)}")
         spec = TABLES[spec]
     if spec.featured not in FEATURED:
-        raise ConfigError(f"a table features one of {', '.join(map(str, FEATURED))}, got {spec.featured!r}")
+        raise ConfigError(f"a table features one of {', '.join(map(str, FEATURED))}, got {shown(spec.featured)}")
     if spec.index_rule not in ("identity", "half"):
-        raise ConfigError(f"index_rule must be 'identity' or 'half', got {spec.index_rule!r}")
+        raise ConfigError(f"index_rule must be 'identity' or 'half', got {shown(spec.index_rule)}")
     if spec.featured is MethodId.ONEPOINT_W:
         require_expansion_point(require_w(spec.w))
     methods = (MethodId.BUHRING, spec.featured)

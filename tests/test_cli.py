@@ -516,6 +516,21 @@ class TestSpacedNegativeValues:
     def test_every_number_option(self, capsys, base, option, value):
         assert _run(capsys, [*base, option, value]) == _run(capsys, [*base, f"{option}={value}"])
 
+    def test_number_options_are_the_parsers(self):
+        # the tuple missed --id, so "table --id -0x1" took -0x1 for an option
+        typed = {
+            action.dest
+            for command in build_parser()._subparsers._group_actions[0].choices.values()
+            for action in command._actions
+            if action.type in (float, int, parse_complex)
+        }
+        assert typed == set(gausshyp.cli._NUMBER_OPTIONS)
+
+    def test_spaced_negative_table_id(self, capsys):
+        spaced = _run(capsys, ["table", "--id", "-0x1"])
+        assert spaced == _run(capsys, ["table", "--id=-0x1"])
+        assert spaced[0] == 2 and "invalid int value: '-0x1'" in spaced[2]
+
     def test_an_option_after_an_option_is_still_a_missing_value(self, capsys):
         code, _, err = _run(capsys, ["eval", "--a", "--b", "2.1", "--c", "3", "--z", "0.5"])
         assert code == 2

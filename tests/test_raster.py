@@ -96,6 +96,13 @@ class TestRasterConfig:
         with pytest.raises(ConfigError, match="resolution must be an integer"):
             RasterSpec(MethodId.THREEPOINT, -1, 1, -1, 1, res)
 
+    def test_values_past_the_int_to_str_limit(self):
+        # str() of the int raised a bare ValueError in place of the ConfigError
+        with pytest.raises(ConfigError, match=r"resolution must be in \[2, 4096\], got an int of 16610 bits"):
+            RasterSpec(MethodId.TWOPOINT, -1, 1, -1, 1, 10**5000)
+        with pytest.raises(ConfigError, match=r"rho must be in \(0, 1\), got an int of 16610 bits"):
+            RasterSpec(MethodId.MACLAURIN, -1, 1, -1, 1, 8, rho=10**5000)
+
     @pytest.mark.parametrize("method", ["threepoint", None], ids=repr)
     def test_method_must_be_a_method_id(self, method):
         with pytest.raises(ConfigError, match="unknown method"):

@@ -155,6 +155,14 @@ class TestSelectMethod:
                 else:
                     assert method is MethodId.EULER and PARAMS.param_refusal("Euler integral needs") is None
 
+    @pytest.mark.parametrize(
+        "params, z0", [(PARAMS, math.nan), (HypParams(1.2, 2.1, 1.5), math.inf)], ids=["nan", "inf"]
+    )
+    def test_non_finite_z0_is_a_domain_error(self, params, z0):
+        # nan failed only buhring's margin, so auto chose euler-oracle; with c = 1.5 inf raised NoMethodError
+        with pytest.raises(DomainError, match="z0 must have finite components and modulus"):
+            select_method(params, 3 + 0.5j, z0)
+
 
 class TestAutoRouteAcceptsThePoint:
     """The route auto picks must accept the point: evaluate(params, z) raises
@@ -347,6 +355,30 @@ class TestIntPastTheDoubleRange:
         with pytest.raises(DomainError, match="w must have finite components and modulus, got a number past"):
             evaluate(PARAMS, Z_EXC, method, w=PAST_DOUBLE)
 
+    def test_evaluate_tol(self):
+        # 0 < 10**400 < inf held, and the power series overflowed at its first term
+        with pytest.raises(ConfigError, match="tol must be a finite number > 0, got an int of 1329 bits"):
+            evaluate(PARAMS, 0.3, tol=PAST_DOUBLE)
+
+
+#: An int past Python's int-to-str limit (4,300 digits), whose str() raises ValueError.
+PAST_STR_LIMIT = 10**5000
+
+
+class TestIntPastTheStrLimit:
+    # each message called str() on the int, whose ValueError replaced the library error
+    def test_negative_n_terms(self):
+        with pytest.raises(ConfigError, match="n_terms must be >= 0, got a negative int of 16610 bits"):
+            evaluate(PARAMS, Z_EXC, "threepoint", n_terms=-PAST_STR_LIMIT)
+
+    def test_tol(self):
+        with pytest.raises(ConfigError, match="tol must be a finite number > 0, got a negative int of 16610 bits"):
+            evaluate(PARAMS, Z_EXC, tol=-PAST_STR_LIMIT)
+
+    def test_method(self):
+        with pytest.raises(ConfigError, match="unknown method an int of 16610 bits"):
+            evaluate(PARAMS, Z_EXC, PAST_STR_LIMIT)
+
 
 class TestRouteTable:
     @pytest.mark.parametrize("method", list(MethodId), ids=str)
@@ -406,7 +438,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("method", ["auto", *MethodId], ids=str)
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0, -0.0, True, "1e-13", 1e-13j])
     def test_tol_must_be_a_finite_positive_number(self, method, tol):
-        # inf let the oracle call est_error = inf converged, nan ran maclaurin to max_terms,
+        # inf let the oracle call est_error = inf converged, nan ran maclaurin to its budget,
         # and -1 ran the oracle through every level
         with pytest.raises(ConfigError, match="tol must be a finite number > 0"):
             evaluate(PARAMS, Z_EXC, method, tol=tol, w=W)

@@ -116,6 +116,11 @@ class TestRunTable:
         with pytest.raises(ConfigError, match=r"unknown table id 9; known ids are \[1, 2, 3, 4\]"):
             run_table(9)
 
+    def test_id_past_the_int_to_str_limit(self):
+        # str() of the id raised a bare ValueError in place of the ConfigError
+        with pytest.raises(ConfigError, match=r"unknown table id an int of 16610 bits; known ids are \[1, 2, 3, 4\]"):
+            run_table(10**5000)
+
     @pytest.mark.parametrize("spec", [1.0, "1", None, True], ids=repr)
     def test_non_spec_non_integer_id(self, spec):
         with pytest.raises(ConfigError, match="unknown table id"):
@@ -188,6 +193,11 @@ class TestRunTable:
     def test_oracle_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ConfigError, match="tol must be a finite number > 0"):
             run_table(1, oracle_tol=tol)
+
+    def test_oracle_tol_past_the_double_range(self):
+        # 0 < 10**400 < inf held, and the table ran
+        with pytest.raises(ConfigError, match="tol must be a finite number > 0, got an int of 1329 bits"):
+            run_table(1, oracle_tol=10**400)
 
 
 class TestSpecs:
