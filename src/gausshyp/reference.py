@@ -25,12 +25,17 @@ from itertools import accumulate, count
 from operator import mul
 from typing import Iterator
 
-from .core import DEFAULT_TOL, EPS, HypParams, gamma_real, require_finite_complex, sum_series
+from .core import DEFAULT_TOL, EPS, HypParams, gamma_real, require_finite_complex, require_tol, sum_series
 from .errors import BranchCutError, DomainError, GaussHypError, OutsideDomain, RecurrenceBreakdown, shown
 from .results import SeriesResult
 
 #: Labels of the six classical series regions, in a fixed order.
 REGION_LABELS = ("z", "1/z", "1-z", "1/(1-z)", "z/(1-z)", "(z-1)/z")
+
+
+def maclaurin_margin(z: complex) -> float:
+    """1 - |z|, positive inside the disk |z| < 1 where the power series converges."""
+    return 1.0 - abs(z)
 
 
 def maclaurin_refusal(z: complex) -> GaussHypError | None:
@@ -39,9 +44,7 @@ def maclaurin_refusal(z: complex) -> GaussHypError | None:
         z = require_finite_complex(z)
     except DomainError as exc:
         return exc
-    if abs(z) >= 1:
-        return OutsideDomain("|z| = %s >= 1: power series diverges", abs(z))
-    return None
+    return None if maclaurin_margin(z) > 0.0 else OutsideDomain("|z| = %s >= 1: power series diverges", abs(z))
 
 
 def maclaurin(params: HypParams, z: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
@@ -49,6 +52,7 @@ def maclaurin(params: HypParams, z: complex, tol: float = DEFAULT_TOL) -> Series
     ends at two successive terms below tol * |partial sum| (one small term is not trusted: terms with complex z
     can rotate through near-cancellation), or at index 1999.  A term or partial sum whose modulus overflows
     raises RecurrenceBreakdown, which names the term's index."""
+    require_tol(tol)
     if refusal := maclaurin_refusal(z):
         raise refusal
     (a, b, c), z = params, complex(z)
@@ -92,6 +96,11 @@ def _nodes(start: float, step: float) -> Iterator[tuple[float, float, float, flo
             _LADDER[start, step] = (kept + tuple(fresh), end)
 
 
+def euler_margin(z: complex) -> float:
+    """The distance from z to the branch cut [1, inf), positive where the integral representation holds."""
+    return abs(z.imag) if z.real >= 1.0 else abs(z - 1.0)
+
+
 def euler_refusal(params: HypParams, z: complex) -> GaussHypError | None:
     """The error euler_integral raises at (params, z), or None.  In order: not c > b > 0 (ParamDomainError),
     a non-finite z (DomainError), z on the cut [1, inf) (BranchCutError)."""
@@ -101,9 +110,7 @@ def euler_refusal(params: HypParams, z: complex) -> GaussHypError | None:
         z = require_finite_complex(z)
     except DomainError as exc:
         return exc
-    if z.imag == 0.0 and z.real >= 1.0:
-        return BranchCutError("z = %s lies on the branch cut [1, inf)", z)
-    return None
+    return None if euler_margin(z) > 0.0 else BranchCutError("z = %s lies on the branch cut [1, inf)", z)
 
 
 def euler_integral(params: HypParams, z: complex, tol: float = DEFAULT_TOL) -> SeriesResult:
@@ -119,6 +126,7 @@ def euler_integral(params: HypParams, z: complex, tol: float = DEFAULT_TOL) -> S
     most; est_error is that relative difference, floored at EPS.  terms_used
     counts integrand evaluations.
     """
+    require_tol(tol)
     if refusal := euler_refusal(params, z):
         raise refusal
     z = complex(z)

@@ -10,7 +10,7 @@ from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarni
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
 from .onepoint import eval_onepoint, in_region_onepoint, onepoint_margin, onepoint_refusal, onepoint_sums
 from .onepoint import require_expansion_point, require_w
-from .reference import euler_integral, euler_refusal, maclaurin, maclaurin_refusal
+from .reference import euler_integral, euler_margin, euler_refusal, maclaurin, maclaurin_margin, maclaurin_refusal
 from .results import MethodId, SeriesResult
 from .threepoint import eval_threepoint, in_region_threepoint, threepoint_margin, threepoint_refusal, threepoint_sums
 from .twopoint import eval_twopoint, in_region_twopoint, twopoint_margin, twopoint_refusal, twopoint_sums
@@ -33,12 +33,12 @@ class Route(NamedTuple):
 # on, e.g., gausshyp.select.eval_threepoint sees every call.
 ROUTES: dict[MethodId, Route] = {
     MethodId.MACLAURIN: Route(
-        lambda z, w, z0: 1.0 - abs(z),
+        lambda z, w, z0: maclaurin_margin(z),
         lambda p, z, w, z0: maclaurin_refusal(z),
         lambda p, z, n, tol, w, z0: maclaurin(p, z, tol=tol),
     ),
     MethodId.EULER: Route(
-        lambda z, w, z0: abs(z.imag) if z.real >= 1.0 else abs(z - 1.0),  # distance from [1, inf)
+        lambda z, w, z0: euler_margin(z),
         lambda p, z, w, z0: euler_refusal(p, z),
         lambda p, z, n, tol, w, z0: euler_integral(p, z, tol=tol),
     ),
@@ -148,7 +148,7 @@ def evaluate(
     if n_terms >= sys.maxsize:  # sum_series reads n_terms + 1 terms through islice
         raise ConfigError(f"n_terms must be <= sys.maxsize - 1 = {sys.maxsize - 1}, got a larger count")
     require_tol(tol)
-    z0 = require_finite_complex(z0, "z0")
+    z0 = z0 if method == "auto" else require_finite_complex(z0, "z0")  # auto: select_method checks it
     if w is not None:
         w = require_expansion_point(w)
     method_id = select_method(params, z, z0) if method == "auto" else MethodId.from_string(method)

@@ -53,7 +53,7 @@ integers.  A call yields the kept prefix and resumes the recurrence from its
 last two values only when read past it; the longer prefix replaces the kept
 one by one assignment of a tuple, with no lock.  The first call at a pair
 keeps psi_0 and psi_1 only, so pairs that never repeat copy no more.  At most
-64 pairs of at most 2 core.DEFAULT_TERMS + 2 values are kept, emptied past 64.
+64 pairs of at most core.DEFAULT_TERMS + 2 values are kept, emptied past 64.
 
 The terminating closed form above is the verification route
 (gausshyp.verify.phi3_direct_sequence), run in extended precision at large n:
@@ -122,7 +122,7 @@ def threepoint_coeffs(a: float, z: complex, n_max: int) -> tuple[tuple[complex, 
 
 
 #: (b, c, their types and zero signs) -> the psi_n prefix _phi3_stream has yielded (module docstring)
-_PHI3_KEYS, _PHI3_LEN = 64, 2 * DEFAULT_TERMS + 2
+_PHI3_KEYS, _PHI3_LEN = 64, DEFAULT_TERMS + 2
 _PHI3: dict = {}
 
 

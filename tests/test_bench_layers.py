@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import gausshyp
+
 ROOT = Path(__file__).resolve().parents[1]
 
 LAYERS = {
@@ -23,7 +25,8 @@ LAYERS = {
 
 def test_layers_script_runs_at_reduced_size(tmp_path):
     out = tmp_path / "layers.json"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    # the script imports the gausshyp this suite imports: src/ or the installed package
+    path = os.pathsep.join(filter(None, [str(Path(gausshyp.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, str(ROOT / "bench" / "layers.py"), "--rounds", "1", "--number", "2", "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=path),

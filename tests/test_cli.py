@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,19 @@ class TestEvalCommand:
         assert main(["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z=3+1i", extra]) == 3
         assert capsys.readouterr().err.startswith("error (DomainError):")
 
+    @pytest.mark.parametrize(
+        "z, method, extra",
+        [("exp(i*pi/3)", "threepoint", "--terms 40 --tol 1e-13"), ("0.3+0.35i", "maclaurin", "--terms 5")],
+        ids=["defaults", "power-series-disk"],
+    )
+    def test_output_is_that_of_the_options_it_implies(self, capsys, z, method, extra):
+        # --terms and --tol default to core.DEFAULT_TERMS and DEFAULT_TOL; the power series
+        # that auto takes at |z| <= 1/2 stops on its own terms and takes no --terms
+        argv = ["eval", "--a=1.2", "--b=2.1", "--c=3", f"--z={z}"]
+        plain = _run(capsys, argv)
+        assert plain[0] == 0 and json.loads(plain[1])["method"] == method
+        assert _run(capsys, [*argv, *extra.split()]) == plain
+
     def test_real_ray_names_each_refusal(self, capsys):
         assert main(["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z", "3"]) == 3
         err = capsys.readouterr().err
@@ -290,6 +304,14 @@ class TestTableCommand:
         assert payload["table"] == 4
         assert payload["rows"][0]["errors"]["threepoint"]["20"] < 1e-10
 
+    @pytest.mark.parametrize("table_id", ["1", "2", "3", "4"])
+    def test_writes_nothing_on_stderr(self, capsys, table_id):
+        # a row's unconverged oracle would warn NotConvergedWarning, which a console shows on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["table", "--id", table_id]) == 0
+        assert capsys.readouterr().err == "" and caught == []
+
     def test_bad_id(self, capsys):
         assert main(["table", "--id", "9"]) == 2
 
@@ -311,6 +333,10 @@ class TestRegionCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "x,y,inside,margin"
         assert len(lines) == 1 + 17 * 17
+
+    def test_threepoint_csv_has_a_line_per_point(self, capsys):
+        assert main("region --method threepoint --xmin=-4 --xmax=4 --ymin=-4 --ymax=4 --res=9".split()) == 0
+        assert capsys.readouterr().out.count("\n") == 1 + 9 * 9
 
     def test_resolution_guard(self, capsys):
         code = main(

@@ -8,6 +8,7 @@ import pytest
 
 from gausshyp import (
     BranchCutError,
+    ConfigError,
     DomainError,
     HypParams,
     OutsideDomain,
@@ -40,6 +41,12 @@ class TestMaclaurin:
             maclaurin(params_main, 1.0 + 0.5j)
         with pytest.raises(OutsideDomain):
             maclaurin(params_main, -1.0 + 0j)
+
+    @pytest.mark.parametrize("a, tol", [(-3, 0.0), (-3, -1.0), (-3, math.nan), (1.2, 10**400)])
+    def test_bad_tol_is_a_config_error(self, a, tol):
+        # at a = -3 (a 4-term polynomial) tol 0, -1 and nan summed all 2,000 terms; 10**400 raised RecurrenceBreakdown
+        with pytest.raises(ConfigError, match="tol must be a finite number > 0"):
+            maclaurin(HypParams(a, 2.1, 3), 0.3, tol=tol)
 
     def test_cross_oracle_agreement(self, params_main):
         m = maclaurin(params_main, 0.3 + 0j)
@@ -82,6 +89,11 @@ class TestEulerIntegral:
             euler_integral(HypParams(1.0, 2.5, 2.0), 0.2 + 0j)  # c < b
         with pytest.raises(ParamDomainError):
             euler_integral(HypParams(1.0, -0.5, 2.0), 0.2 + 0j)  # b < 0
+
+    def test_bad_tol_is_a_config_error(self):
+        # tol = -1 ran all seven levels (1,516 integrand evaluations)
+        with pytest.raises(ConfigError, match="tol must be a finite number > 0"):
+            euler_integral(HypParams(1.2, 2.1, 3), 0.3, tol=-1.0)
 
     def test_branch_cut(self, params_main):
         for z in (1.0 + 0j, 1.5 + 0j, 40.0 + 0j):

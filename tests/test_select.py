@@ -30,6 +30,7 @@ from gausshyp import (
 )
 from gausshyp.buhring import DEFAULT_Z0, buhring_eval, buhring_refusal
 from gausshyp.onepoint import eval_onepoint, onepoint_margin
+from gausshyp.reference import euler_margin, euler_refusal, maclaurin_margin, maclaurin_refusal
 from gausshyp.select import AUTO_ORDER
 from gausshyp.threepoint import eval_threepoint, threepoint_margin
 from gausshyp.twopoint import eval_twopoint, twopoint_margin
@@ -558,6 +559,20 @@ class TestRefusal:
                 accepted += 1
         assert refused == REFUSED[method]
         assert accepted >= 20
+
+    def test_disk_and_cut_refusals_are_their_margins(self):
+        # for finite z, each refusal is its region error exactly where its margin is not positive (under
+        # c > b > 0 for the cut), and None elsewhere; the extra points lie on and beside [1, inf)
+        edge = [1.0, 2.0, 1 + 1e-300j, 1 - 1e-300j, 1 - 1e-16]
+        edge += [complex(x, -0.0) for x in (0.5, 1.0, 3.0)]
+        for params, z in [(p, z) for p, z, _, _ in REFUSAL_SAMPLES] + [(PARAMS, z) for z in edge]:
+            if not math.isfinite(abs(z)):
+                continue
+            outside = OutsideDomain if maclaurin_margin(z) <= 0.0 else type(None)
+            assert type(maclaurin_refusal(z)) is outside, z
+            if params.c > params.b > 0:
+                on_cut = BranchCutError if euler_margin(z) <= 0.0 else type(None)
+                assert type(euler_refusal(params, z)) is on_cut, (params, z)
 
     @pytest.mark.parametrize("method", [m for m in MethodId if ROUTES[m].sums is not None], ids=str)
     def test_stops_form_refuses_when_called(self, method):

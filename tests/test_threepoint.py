@@ -311,7 +311,7 @@ class TestPhi3Store:
 
     def test_bounds(self):
         assert threepoint._PHI3_KEYS == 64
-        assert threepoint._PHI3_LEN == 2 * threepoint.DEFAULT_TERMS + 2
+        assert threepoint._PHI3_LEN == threepoint.DEFAULT_TERMS + 2  # what a default call reads
 
     def test_a_pair_is_kept_in_full_from_its_second_call(self, cold_store):
         want = _psi_read(2.3, 3.5, 120)

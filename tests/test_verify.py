@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gausshyp"
+import gausshyp
+
+SRC = Path(gausshyp.__file__).parent  # src/gausshyp, or the installed package the suite runs against
 
 #: The CLI selftest compares the routes against the references.
 VERIFY_CLIENTS = {"cli.py"}
@@ -43,7 +45,7 @@ def _importers(pred):
 
 
 def _run_python(code):
-    """stdout of code run in a fresh interpreter that imports gausshyp from src."""
+    """stdout of code run in a fresh interpreter that imports gausshyp from SRC."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -151,13 +153,12 @@ def test_root_stores_an_on_demand_name_on_first_access():
 
 
 def test_root_lists_and_serves_every_public_name():
-    import gausshyp
-
     assert len(gausshyp.__all__) == 32
     # each route is evaluated as evaluate(..., method=m); its one-stop wrapper lives in its module only
     wrappers = ("buhring_eval", "eval_onepoint", "eval_threepoint", "eval_twopoint")
     assert [name for name in wrappers if hasattr(gausshyp, name)] == []
     assert set(gausshyp.__all__) <= set(dir(gausshyp))
+    assert all(hasattr(gausshyp, name) for name in gausshyp.__all__)  # an on-demand name that fails to load raises
     assert gausshyp.RasterSpec is gausshyp.raster.RasterSpec
     assert gausshyp.region_raster is gausshyp.raster.region_raster
     assert not hasattr(gausshyp, "no_such_name")
