@@ -322,21 +322,18 @@ class TestTableCommand:
 
 class TestRegionCommand:
     def test_csv(self, capsys):
-        code = main(
-            [
-                "region", "--method", "twopoint",
-                "--xmin", "-4", "--xmax", "4", "--ymin", "-4", "--ymax", "4",
-                "--res", "17",
-            ]
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == "x,y,inside,margin"
-        assert len(lines) == 1 + 17 * 17
-
-    def test_threepoint_csv_has_a_line_per_point(self, capsys):
-        assert main("region --method threepoint --xmin=-4 --xmax=4 --ymin=-4 --ymax=4 --res=9".split()) == 0
-        assert capsys.readouterr().out.count("\n") == 1 + 9 * 9
+        for method, res in [("twopoint", 17), ("threepoint", 9)]:
+            code = main(
+                [
+                    "region", "--method", method,
+                    "--xmin", "-4", "--xmax", "4", "--ymin", "-4", "--ymax", "4",
+                    "--res", str(res),
+                ]
+            )
+            assert code == 0
+            lines = capsys.readouterr().out.strip().split("\n")
+            assert lines[0] == "x,y,inside,margin"
+            assert len(lines) == 1 + res * res
 
     def test_resolution_guard(self, capsys):
         code = main(

@@ -105,13 +105,15 @@ print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))
 
 
 
-#: Run one CLI command with its stdout discarded, then print its exit code and the loaded modules.
+#: Run one CLI command as `python -m gausshyp` does, through gausshyp/__main__.py, with its stdout
+#: discarded; then print its exit code and the loaded modules.
 _LOADED_AFTER = """
-import io, sys
-from gausshyp.cli import main
-sys.stdout = io.StringIO()
-rc = main({argv!r})
-print(rc, *sorted(sys.modules), file=sys.__stdout__)
+import io, runpy, sys
+sys.argv, sys.stdout = ["gausshyp", *{argv!r}], io.StringIO()
+try:
+    runpy.run_module("gausshyp", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    print(stop.code, *sorted(sys.modules), file=sys.__stdout__)
 """
 
 _EVAL = ["eval", "--a=1.2", "--b=2.1", "--c=3", "--z=exp(i*pi/3)"]
