@@ -8,17 +8,22 @@ Run from the root of a checkout, against src or against an installed package:
 Every layer runs at one point, z = exp(i pi/3) and (a, b, c) = (1.2, 2.3, 3.5), in
 this one process.  The layers are interleaved: each round times each layer once
 over `number` calls, and the best round is kept.  A stream is timed per term it
-yields; a term generator and evaluate per call.  The Phi_3 moment stream, the
-term generator and evaluate are timed twice: on a cold store, where the psi_n
-prefix kept by threepoint._phi3_stream is emptied before each call (the emptying
-is inside the timed loop), and on the stored prefix.
+yields; a term generator, the summation and evaluate per call.  The Phi_3 moment
+stream, the term generator and evaluate are timed twice: on a cold store, where
+the psi_n prefix kept by threepoint._phi3_stream is emptied before each call (the
+emptying is inside the timed loop), and on the stored prefix.
+
+The term generator steps A/B/C inside its own loop and reads psi_n from the Phi_3
+stream; _abc_stream is the reference stream behind threepoint_coeffs, timed on its
+own.  core.sum_series sums 41 precomputed terms, so the summation's own cost shows
+apart from the cost of the terms.
 
 Each error compares what the layer computes with mpmath at 40 digits:
   - the Phi_3 stream: Phi_n = (-1)^n (b)_n (c-b)_n / (2^n (c)_{2n}) 2F1(-n, b+n; c+2n; 2),
     the worst n;
   - the A/B/C stream: the three-point sum of its coefficients against the moments
     in mpmath, to n = 40, against 2F1(a, b, c; z);
-  - a term generator and evaluate: their sum or value against 2F1(a, b, c; z).
+  - a term generator, the summation and evaluate: their sum or value against 2F1(a, b, c; z).
 """
 
 import argparse
@@ -36,7 +41,7 @@ import mpmath
 
 from gausshyp import HypParams, evaluate
 from gausshyp import threepoint
-from gausshyp.core import DEFAULT_TERMS
+from gausshyp.core import DEFAULT_TERMS, SERIES_TOL_FLOOR, sum_series
 from gausshyp.threepoint import _abc_stream, _phi3_stream, _threepoint_terms
 
 PARAMS = HypParams(1.2, 2.3, 3.5)
@@ -71,8 +76,17 @@ def _errors() -> dict:
             for n, cols in enumerate(islice(_abc_stream(PARAMS.a, Z), DEFAULT_TERMS + 1))
         )
         terms = {n: _rel(mpmath.fsum(islice(_threepoint_terms(PARAMS, Z), n + 1)), want) for n in (10, 40)}
+        (summed,) = sum_series((40,), SERIES_TOL_FLOOR, (1.0, _threepoint_terms(PARAMS, Z)))
+        sum40 = _rel(summed.value, want)
         value = _rel(evaluate(PARAMS, Z, "threepoint")[0].value, want)
-    return {"phi3": phi3, "abc": _rel(abc, want), "terms10": terms[10], "terms40": terms[40], "evaluate": value}
+    return {
+        "phi3": phi3,
+        "abc": _rel(abc, want),
+        "terms10": terms[10],
+        "terms40": terms[40],
+        "sum40": sum40,
+        "evaluate": value,
+    }
 
 
 def _drain(stream, n: int) -> None:
@@ -95,6 +109,8 @@ def _layers() -> dict:
     abc = lambda: _drain(_abc_stream(PARAMS.a, Z), DEFAULT_TERMS + 1)
     terms10 = lambda: _drain(_threepoint_terms(PARAMS, Z), 11)
     terms40 = lambda: _drain(_threepoint_terms(PARAMS, Z), 41)
+    terms = list(islice(_threepoint_terms(PARAMS, Z), 41))
+    sum40 = lambda: tuple(sum_series((40,), SERIES_TOL_FLOOR, (1.0, iter(terms))))
     ev = lambda: evaluate(PARAMS, Z, "threepoint")
     return {
         "threepoint._phi3_stream[cold]": (cold(phi3), N_PSI, "us/term", "phi3"),
@@ -104,6 +120,7 @@ def _layers() -> dict:
         "threepoint._threepoint_terms[n=10, stored]": (terms10, 1, "us", "terms10"),
         "threepoint._threepoint_terms[n=40, cold]": (cold(terms40), 1, "us", "terms40"),
         "threepoint._threepoint_terms[n=40, stored]": (terms40, 1, "us", "terms40"),
+        "core.sum_series[n=40]": (sum40, 1, "us", "sum40"),
         "select.evaluate[miss]": (cold(ev), 1, "us", "evaluate"),
         "select.evaluate[hit]": (ev, 1, "us", "evaluate"),
     }

@@ -41,10 +41,12 @@ the expansion's gate; outside it a zero D raises RecurrenceBreakdown.
 
 The streams regroup their step formulas to save operations per term.  Two
 regroupings are exact in binary64: _phi3_stream yields psi_n = M(n, 0) =
-(-1)^n Phi_n (Y_n and Phi_1 negated), and _abc_stream folds its powers of two
-into its factors.  The others move the last bits: stepping each n-linear
+(-1)^n Phi_n (Y_n and Phi_1 negated), and the A/B/C step folds its powers of
+two into its factors.  The others move the last bits: stepping each n-linear
 factor by its slope (A/B/C, and Pa_j, Pb_j and D, whose slope steps by -12
-too) and running Phi's polynomials in Horner form.
+too) and running Phi's polynomials in Horner form.  The term loop steps A/B/C
+itself, one generator fewer per term, from _abc_start and with the operations
+of _abc_stream, which stays as the reference stream behind threepoint_coeffs.
 
 The psi_n depend on (b, c) alone, and _phi3_stream keeps, per process, the
 prefix it has yielded for each exact (b, c): keyed on their types and the
@@ -72,19 +74,13 @@ from .results import SeriesResult
 _SQRT3_6 = 6.0 * math.sqrt(3.0)
 
 
-def _abc_stream(a: float, z: complex) -> Iterator[tuple[complex, complex, complex]]:
-    """(A_n, B_n, C_n) for n = 0, 1, ... by forward recursion; z in {1, 2} is singular."""
+def _abc_start(a: float, z: complex) -> tuple:
+    """A_0, B_0, C_0, q = (z-1)(z-2) and the n-free factors of the A/B/C step; z in {1, 2} is singular."""
     z = complex(z)
     if z == 1.0 or z == 2.0:
         raise SingularityError(f"z = {z}: recursion divides by (z-1)(z-2)")
-    pow_half = cpow_principal(1.0 - z / 2.0, -a)
-    pow_one = cpow_principal(1.0 - z, -a)
-    An = 1.0 + 0j
-    Bn = 4.0 * pow_half - pow_one - 3.0
-    Cn = 2.0 + 2.0 * pow_one - 4.0 * pow_half
-    q = z * z - 3.0 * z + 2.0
-    z2 = z * z
-    z3 = z2 * z
+    pow_half, pow_one = cpow_principal(1.0 - z / 2.0, -a), cpow_principal(1.0 - z, -a)
+    q, z2, z3 = z * z - 3.0 * z + 2.0, z * z, z * z * z
     # The factors free of n, named <row>_<stream> after the row they sit in and the
     # stream they multiply.  Each factor linear in n starts at its n = 0 value and
     # steps by its slope d<name>.  The step's powers of two are folded into both (the
@@ -92,9 +88,6 @@ def _abc_stream(a: float, z: complex) -> Iterator[tuple[complex, complex, comple
     # divisor (n + 1) q; za A_n = 2z(3n + a) A_n is formed once for the three rows.
     b_a = 26.0 * z - 3.0 * z2 - 24.0
     c_a = 2.0 * (12.0 - 12.0 * z + z2)
-    za, dza = 2.0 * z * a, 6.0 * z
-    a_b, da_b = -2.0 + 0j, 3.0 * (z - 2.0)
-    a_c, da_c = 0j, 0.5 * (5.0 * z - 6.0)
     b_b = 48.0 - 4.0 * z * (18.0 + 5.0 * a) + 6.0 * z2 * (4.0 + 3.0 * a)
     db_b = 3.0 * (48.0 - 96.0 * z + 50.0 * z2 - 3.0 * z3)
     b_c = 2.0 * (20.0 - 6.0 * z * (5.0 + a) + 5.0 * z2 * (2.0 + a))
@@ -103,6 +96,16 @@ def _abc_stream(a: float, z: complex) -> Iterator[tuple[complex, complex, comple
     dc_b = 6.0 * (z3 - 24.0 * z2 + 48.0 * z - 24.0)
     c_c = 4.0 * (2.0 * z * (9.0 + 2.0 * a) - 3.0 * z2 * (2.0 + a) - 12.0)
     dc_c = 5.0 * z3 - 132.0 * z2 + 276.0 * z - 144.0
+    An, Bn, Cn = 1.0 + 0j, 4.0 * pow_half - pow_one - 3.0, 2.0 + 2.0 * pow_one - 4.0 * pow_half
+    za, dza, a_b, da_b, a_c, da_c = 2.0 * z * a, 6.0 * z, -2.0 + 0j, 3.0 * (z - 2.0), 0j, 0.5 * (5.0 * z - 6.0)
+    return An, Bn, Cn, q, b_a, c_a, za, dza, a_b, da_b, a_c, da_c, b_b, db_b, b_c, db_c, c_b, dc_b, c_c, dc_c
+
+
+def _abc_stream(a: float, z: complex) -> Iterator[tuple[complex, complex, complex]]:
+    """(A_n, B_n, C_n) for n = 0, 1, ... by forward recursion: the reference for _threepoint_terms' inline step."""
+    An, Bn, Cn, q, b_a, c_a, za, dza, a_b, da_b, a_c, da_c, b_b, db_b, b_c, db_c, c_b, dc_b, c_c, dc_c = (
+        _abc_start(a, z)
+    )
     for n1 in count(1.0):
         yield An, Bn, Cn
         den = n1 * q
@@ -203,11 +206,14 @@ def threepoint_refusal(params: HypParams, z: complex) -> GaussHypError | None:
 
 
 def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
-    """Term n of the three-point series: the A/B/C stream against one signed moment stream read one index ahead.
+    """Term n of the three-point series: A/B/C stepped inline as _abc_stream steps them, against psi_n, psi_{n+1}.
 
     Column j > 0 is M(n, j) = (Pa_j psi_n + Pb_j psi_{n+1}) / D (module docstring).
     """
     b, c = params.b, params.c
+    An, Bn, Cn, q, b_a, c_a, za, dza, a_b, da_b, a_c, da_c, b_b, db_b, b_c, db_c, c_b, dc_b, c_c, dc_c = (
+        _abc_start(params.a, z)
+    )
     # D and the linear factors of Pa_j and Pb_j at n = 0, each stepped by its slope (D's slope dd by -12):
     # b + n, 2b - 2c - 1 - 3n, b - c - 1 - 2n, 4(c + 3n + 1), c + 3n + 2 and 2(c + 6n + 2b + 2)
     d, dd = -(c + 4 * b * (c - b)), -(5 * c + 8)
@@ -215,15 +221,23 @@ def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
     g1, g2, h = 4 * (c + 1), c + 2, 2 * (c + (2 * b + 2))
     psis = _phi3_stream(b, c)
     psi = next(psis)
-    for n, (An, Bn, Cn), psi_next in zip(count(0.0), _abc_stream(params.a, z), psis):
+    for n1, psi_next in zip(count(1.0), psis):
         if d == 0.0:
-            raise RecurrenceBreakdown(f"D_{int(n)} = 0 for b={b}, c={c}")
+            raise RecurrenceBreakdown(f"D_{int(n1) - 1} = 0 for b={b}, c={c}")
         m1 = (bn * f1 * psi + g1 * g2 * psi_next) / d
         m2 = (bn * f2 * psi + g2 * h * psi_next) / d
         yield An * psi + Bn * m1 + Cn * m2
         psi = psi_next
         d, dd, bn, f1, f2 = d + dd, dd - 12.0, bn + 1.0, f1 - 3.0, f2 - 2.0
         g1, g2, h = g1 + 12.0, g2 + 3.0, h + 12.0
+        den, zaa = n1 * q, za * An
+        An, Bn, Cn = (
+            (a_b * Bn + zaa + a_c * Cn) / n1,
+            (b_a * zaa + b_b * Bn + b_c * Cn) / den,
+            (c_a * zaa + c_b * Bn + c_c * Cn) / den,
+        )
+        za, a_b, a_c = za + dza, a_b + da_b, a_c + da_c
+        b_b, b_c, c_b, c_c = b_b + db_b, b_c + db_c, c_b + dc_b, c_c + dc_c
 
 
 def threepoint_sums(

@@ -18,6 +18,7 @@ LAYERS = {
     "threepoint._threepoint_terms[n=10, stored]",
     "threepoint._threepoint_terms[n=40, cold]",
     "threepoint._threepoint_terms[n=40, stored]",
+    "core.sum_series[n=40]",
     "select.evaluate[miss]",
     "select.evaluate[hit]",
 }

@@ -43,6 +43,7 @@ from gausshyp import (
     PoleError,
     RecurrenceBreakdown,
     SeriesResult,
+    SingularityError,
     euler_integral,
     evaluate,
     maclaurin,
@@ -496,6 +497,17 @@ def test_recurrence_xyz_float_and_fraction():
             RecurrenceBreakdown,
             "D_1 = 0 for b=0.5, c=-0.875",
         ),
+        # the gate refuses z in {1, 2} before any route runs; the term loop's own A/B/C start refuses them too
+        (
+            lambda: list(islice(_threepoint_terms(HypParams(1.2, 2.1, 3.0), 1 + 0j), 3)),
+            SingularityError,
+            "z = (1+0j): recursion divides by (z-1)(z-2)",
+        ),
+        (
+            lambda: list(islice(_threepoint_terms(HypParams(1.2, 2.1, 3.0), 2 + 0j), 3)),
+            SingularityError,
+            "z = (2+0j): recursion divides by (z-1)(z-2)",
+        ),
         (
             lambda: buhring_coeffs(1.0, 0.5, HypParams(1.0, 3.0, 4.0), 5),
             IntegerDifferenceError,
@@ -504,7 +516,7 @@ def test_recurrence_xyz_float_and_fraction():
         (lambda: phi_half_sequence(5, 2.1, -3.0), PoleError, "c + 3 = 0: recurrence pole"),
         (lambda: phi_w_sequence(5, 2.1, -3.0, 0.25), PoleError, "c + 3 = 0: recurrence pole"),
     ],
-    ids=["phi3", "threepoint-d", "buhring", "phi-half", "phi-w"],
+    ids=["phi3", "threepoint-d", "threepoint-z1", "threepoint-z2", "buhring", "phi-half", "phi-w"],
 )
 def test_error_messages_keep_an_integer_index(stream, error, message):
     # the streams step on a float index; their messages still print it as an integer
