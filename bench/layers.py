@@ -1,13 +1,15 @@
-"""Layer times of the three-point route, each beside its largest relative error against mpmath.hyp2f1.
+"""Layer times of the three-point route and the continuation, each beside its relative error against mpmath.
 
 Run from the root of a checkout, against src or against an installed package:
 
     PYTHONPATH=src python bench/layers.py                      # writes BENCH_layers.json
     python bench/layers.py --rounds 2 --number 5 --out x.json  # a quick run
 
-Every layer runs at one point, z = exp(i pi/3) and (a, b, c) = (1.2, 2.3, 3.5), in
-this one process.  The layers are interleaved: each round times each layer once
-over `number` calls, and the best round is kept.  A stream is timed per term it
+Every three-point layer runs at one point, z = exp(i pi/3) and (a, b, c) = (1.2, 2.3, 3.5),
+and every layer of Buhring's continuation at z = -2 + 2i with the same (a, b, c) and
+z0 = 1/2, where its two series reach the rounding level by n = 40; all in this one
+process.  The layers are interleaved: each round times each layer once over `number`
+calls, and the best round is kept.  A stream is timed per term it
 yields; a term generator, the summation and evaluate per call.  The Phi_3 moment
 stream, the term generator and evaluate are timed twice: on a cold store, where
 the psi_n prefix kept by threepoint._phi3_stream is emptied before each call (the
@@ -16,14 +18,20 @@ emptying is inside the timed loop), and on the stored prefix.
 The term generator steps A/B/C inside its own loop and reads psi_n from the Phi_3
 stream; _abc_stream is the reference stream behind threepoint_coeffs, timed on its
 own.  core.sum_series sums 41 precomputed terms, so the summation's own cost shows
-apart from the cost of the terms.
+apart from the cost of the terms.  The continuation's term generator steps d_n inside
+its own loop too; its row times the two series, s = a and s = b, that buhring_sums
+runs, and _d_stream, the reference stream behind buhring_coeffs, is timed per term
+of the s = a series.
 
 Each error compares what the layer computes with mpmath at 40 digits:
   - the Phi_3 stream: Phi_n = (-1)^n (b)_n (c-b)_n / (2^n (c)_{2n}) 2F1(-n, b+n; c+2n; 2),
     the worst n;
   - the A/B/C stream: the three-point sum of its coefficients against the moments
     in mpmath, to n = 40, against 2F1(a, b, c; z);
-  - a term generator, the summation and evaluate: their sum or value against 2F1(a, b, c; z).
+  - a term generator, the summation and evaluate: their sum or value against 2F1(a, b, c; z);
+  - the d_n stream: the continuation summed from its d_n of both series, to n = 40, with the
+    gamma prefactors and the powers of z - z0 in mpmath, against 2F1(a, b, c; z);
+  - the continuation's term generators and buhring_sums: their value against 2F1(a, b, c; z).
 """
 
 import argparse
@@ -41,6 +49,7 @@ import mpmath
 
 from gausshyp import HypParams, evaluate
 from gausshyp import threepoint
+from gausshyp.buhring import _buhring_terms, _d_stream, buhring_sums
 from gausshyp.core import DEFAULT_TERMS, SERIES_TOL_FLOOR, sum_series
 from gausshyp.threepoint import _abc_stream, _phi3_stream, _threepoint_terms
 
@@ -50,6 +59,9 @@ Z = cmath.exp(1j * math.pi / 3.0)
 N_PSI = DEFAULT_TERMS + 2
 #: The store, or an empty dict where the package keeps none.
 STORE = getattr(threepoint, "_PHI3", {})
+#: The continuation's point and expansion point, and 1/(z - z0), the ratio of its terms.
+Z_BUHRING, Z0 = complex(-2.0, 2.0), 0.5
+U = 1.0 / (Z_BUHRING - Z0)
 
 
 def _rel(got, want) -> float:
@@ -79,6 +91,19 @@ def _errors() -> dict:
         (summed,) = sum_series((40,), SERIES_TOL_FLOOR, (1.0, _threepoint_terms(PARAMS, Z)))
         sum40 = _rel(summed.value, want)
         value = _rel(evaluate(PARAMS, Z, "threepoint")[0].value, want)
+        want_b = mpmath.hyp2f1(a, b, c, Z_BUHRING)
+        w = Z0 - mpmath.mpc(Z_BUHRING)
+        # (s, the continuation's gamma prefactor times (z0 - z)^(-s)) for s = a and s = b
+        series = (
+            (PARAMS.a, mpmath.gamma(c) * mpmath.gamma(b - a) / (mpmath.gamma(b) * mpmath.gamma(c - a)) * w**-a),
+            (PARAMS.b, mpmath.gamma(c) * mpmath.gamma(a - b) / (mpmath.gamma(a) * mpmath.gamma(c - b)) * w**-b),
+        )
+        d_sum = sum(
+            fac * mpmath.fsum(d * (-1 / w) ** n for n, d in enumerate(islice(_d_stream(s, Z0, PARAMS), 41)))
+            for s, fac in series
+        )
+        b_terms = sum(fac * mpmath.fsum(islice(_buhring_terms(s, Z0, PARAMS, U), 41)) for s, fac in series)
+        (b_summed,) = buhring_sums(PARAMS, Z_BUHRING, (40,), Z0)
     return {
         "phi3": phi3,
         "abc": _rel(abc, want),
@@ -86,6 +111,9 @@ def _errors() -> dict:
         "terms40": terms[40],
         "sum40": sum40,
         "evaluate": value,
+        "d": _rel(d_sum, want_b),
+        "bterms40": _rel(b_terms, want_b),
+        "bsums40": _rel(b_summed.value, want_b),
     }
 
 
@@ -112,6 +140,9 @@ def _layers() -> dict:
     terms = list(islice(_threepoint_terms(PARAMS, Z), 41))
     sum40 = lambda: tuple(sum_series((40,), SERIES_TOL_FLOOR, (1.0, iter(terms))))
     ev = lambda: evaluate(PARAMS, Z, "threepoint")
+    d = lambda: _drain(_d_stream(PARAMS.a, Z0, PARAMS), DEFAULT_TERMS + 1)
+    bterms40 = lambda: [_drain(_buhring_terms(s, Z0, PARAMS, U), 41) for s in (PARAMS.a, b)]
+    bsums40 = lambda: tuple(buhring_sums(PARAMS, Z_BUHRING, (40,), Z0))
     return {
         "threepoint._phi3_stream[cold]": (cold(phi3), N_PSI, "us/term", "phi3"),
         "threepoint._phi3_stream[stored]": (phi3, N_PSI, "us/term", "phi3"),
@@ -123,6 +154,9 @@ def _layers() -> dict:
         "core.sum_series[n=40]": (sum40, 1, "us", "sum40"),
         "select.evaluate[miss]": (cold(ev), 1, "us", "evaluate"),
         "select.evaluate[hit]": (ev, 1, "us", "evaluate"),
+        "buhring._d_stream": (d, DEFAULT_TERMS + 1, "us/term", "d"),
+        "buhring._buhring_terms[n=40]": (bterms40, 1, "us", "bterms40"),
+        "buhring.buhring_sums[n=40]": (bsums40, 1, "us", "bsums40"),
     }
 
 
@@ -139,7 +173,7 @@ def measure(rounds: int, number: int) -> dict:
                 call()
             best[name] = min(best[name], time.perf_counter() - t0)
     return {
-        "point": {"a": PARAMS.a, "b": PARAMS.b, "c": PARAMS.c, "z": "exp(i pi/3)"},
+        "point": {"a": PARAMS.a, "b": PARAMS.b, "c": PARAMS.c, "z": "exp(i pi/3)", "z_buhring": "-2+2i", "z0": Z0},
         "settings": {"rounds": rounds, "number": number, "store": hasattr(threepoint, "_PHI3")},
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "layers": {

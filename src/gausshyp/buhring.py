@@ -36,26 +36,25 @@ INTEGER_DIFF_TOL = 1e-8
 DEFAULT_Z0 = 0.5
 
 
+def _d_start(s: float, z0: complex | float, params: HypParams) -> tuple:
+    """d_{-1}, d_0 in the type of z0 and the n-free factors 2s, z0 (1-z0), 1-2 z0, (a+b+1) z0 of the d_n step."""
+    d_prev2, d_prev = (0j, 1.0 + 0j) if isinstance(z0, complex) else (0.0, 1.0)
+    return d_prev2, d_prev, 2.0 * s, z0 * (1.0 - z0), 1.0 - 2.0 * z0, (params.a + params.b + 1.0) * z0
+
+
 def _d_stream(s: float, z0: complex | float, params: HypParams) -> Iterator[complex | float]:
-    """d_0(s, z0), d_1(s, z0), ... by forward recurrence from d_{-1} = 0, d_0 = 1, in the type of z0."""
+    """d_0(s, z0), d_1(s, z0), ... by forward recurrence: the reference for _buhring_terms' inline step."""
     a, b, c = params.a, params.b, params.c
-    s2 = 2.0 * s
-    z0_one_z0 = z0 * (1.0 - z0)
-    one_2z0 = 1.0 - 2.0 * z0
-    abz0 = (a + b + 1.0) * z0
-    d_prev, d_prev2 = (1.0 + 0j, 0j) if isinstance(z0, complex) else (1.0, 0.0)
-    yield d_prev
+    d_prev2, d_prev, s2, z0_one_z0, one_2z0, abz0 = _d_start(s, z0, params)
     for n in count(1.0):
+        yield d_prev
         den = n * (n + s2 - a - b)
         if den == 0.0:
-            raise IntegerDifferenceError(
-                f"recurrence denominator vanishes at n={int(n)} for s={s} (b-a integer)"
-            )
+            raise IntegerDifferenceError(f"recurrence denominator vanishes at n={int(n)} for s={s} (b-a integer)")
         ns = n + s
         d_prev2, d_prev = d_prev, (ns - 1.0) / den * (
             z0_one_z0 * (ns - 2.0) * d_prev2 + (ns * one_2z0 + abz0 - c) * d_prev
         )
-        yield d_prev
 
 
 def buhring_coeffs(s: float, z0: complex, params: HypParams, n_max: int) -> list[complex]:
@@ -64,11 +63,20 @@ def buhring_coeffs(s: float, z0: complex, params: HypParams, n_max: int) -> list
 
 
 def _buhring_terms(s: float, z0: complex | float, params: HypParams, u: complex) -> Iterator[complex]:
-    """Term n of the continuation series for s: d_n(s, z0) u^n."""
+    """Term n of the continuation series for s: d_n(s, z0) u^n, stepping d_n as _d_stream does."""
+    a, b, c = params.a, params.b, params.c
+    d_prev2, d_prev, s2, z0_one_z0, one_2z0, abz0 = _d_start(s, z0, params)
     upow = 1.0 + 0j
-    for d in _d_stream(s, z0, params):
-        yield d * upow
+    for n in count(1.0):
+        yield d_prev * upow
         upow *= u
+        den = n * (n + s2 - a - b)
+        if den == 0.0:
+            raise IntegerDifferenceError(f"recurrence denominator vanishes at n={int(n)} for s={s} (b-a integer)")
+        ns = n + s
+        d_prev2, d_prev = d_prev, (ns - 1.0) / den * (
+            z0_one_z0 * (ns - 2.0) * d_prev2 + (ns * one_2z0 + abz0 - c) * d_prev
+        )
 
 
 def exclusion_radius(z0: complex) -> float:
@@ -127,8 +135,9 @@ def buhring_sums(
     z, z0 = complex(z), complex(z0)
     w = z0 - z
 
-    pref_a = gamma_real(c) * gamma_real(diff) * recip_gamma_real(b) * recip_gamma_real(c - a)
-    pref_b = gamma_real(c) * gamma_real(-diff) * recip_gamma_real(a) * recip_gamma_real(c - b)
+    gamma_c = gamma_real(c)
+    pref_a = gamma_c * gamma_real(diff) * recip_gamma_real(b) * recip_gamma_real(c - a)
+    pref_b = gamma_c * gamma_real(-diff) * recip_gamma_real(a) * recip_gamma_real(c - b)
     fac_a = pref_a * cpow_principal(w, -a)
     fac_b = pref_b * cpow_principal(w, -b)
 

@@ -1,6 +1,6 @@
 """Benchmark tables: relative errors of the continuation vs. each new expansion.
 
-Four built-in tables compare, row by row, the relative error of Buhring's
+Five built-in tables compare, row by row, the relative error of Buhring's
 continuation and of one featured expansion against the quadrature oracle,
 at truncation labels n = 0, 5, 10, 15, 20.
 
@@ -126,6 +126,12 @@ TABLES: dict[int, TableSpec] = {
                 (1.2, 2.01, 3.0, -5.0 + 0j, "-5"),
             ]
         ),
+    ),
+    # b = a + 1 + delta, delta = 1e-1 .. 1e-7 and 0: the continuation degrades as b - a nears an integer
+    5: TableSpec(
+        table_id=5,
+        featured=MethodId.THREEPOINT,
+        rows=_rows((1.2, b, 3.5, Z_EXC, "exp(i*pi/3)") for b in (2.3, 2.201, 2.20001, 2.2000001, 2.2)),
     ),
 }
 

@@ -21,6 +21,9 @@ LAYERS = {
     "core.sum_series[n=40]",
     "select.evaluate[miss]",
     "select.evaluate[hit]",
+    "buhring._d_stream",
+    "buhring._buhring_terms[n=40]",
+    "buhring.buhring_sums[n=40]",
 }
 
 

@@ -317,7 +317,7 @@ class TestTableCommand:
 
     def test_bad_id_names_the_known_ids(self, capsys):
         assert main(["table", "--id", "9"]) == 2
-        assert capsys.readouterr().err == "error: unknown table id 9; known ids are [1, 2, 3, 4]\n"
+        assert capsys.readouterr().err == "error: unknown table id 9; known ids are [1, 2, 3, 4, 5]\n"
 
 
 class TestRegionCommand:

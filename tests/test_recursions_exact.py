@@ -845,21 +845,22 @@ def test_series_routes_sum_in_the_loop_order(n_terms):
 @pytest.mark.parametrize("n_terms", N_MAX)
 def test_buhring_sums_both_series_in_the_loop_order(n_terms):
     # buhring_eval adds the two series' term sizes per series, this loop per
-    # index, so est_error may differ in the last bits
-    for a, b, c, z in CASES:
-        if not _buhring_applies(a, b, c, z):
-            continue
-        params = HypParams(a, b, c)
-        want = _outcome(_buhring_ref, params, z, n_terms)
-        got = _outcome(lambda: evaluate(params, z, "buhring", n_terms=n_terms)[0])
-        if isinstance(want[0], str):
-            assert got == want, (params, z)
-            continue
-        value, est = want
-        assert _bits([got.value]) == _bits([value]), (params, z, n_terms)
-        assert got.terms_used == n_terms
-        assert got.converged == (est <= 1e-12), (params, z, n_terms, est, got.est_error)
-        assert abs(got.est_error - est) <= 8 * EPS * est
+    # index, so est_error may differ in the last bits.  A real z0 runs the
+    # d_n step in real arithmetic, a complex one in complex arithmetic.
+    for z0 in (0.5, 0.5 + 0.1j):
+        cases = [(HypParams(a, b, c), z) for a, b, c, z in CASES if buhring_refusal(HypParams(a, b, c), z, z0) is None]
+        assert len(cases) >= 5, z0
+        for params, z in cases:
+            want = _outcome(_buhring_ref, params, z, n_terms, z0)
+            got = _outcome(lambda: evaluate(params, z, "buhring", n_terms=n_terms, z0=z0)[0])
+            if isinstance(want[0], str):
+                assert got == want, (params, z, z0)
+                continue
+            value, est = want
+            assert _bits([got.value]) == _bits([value]), (params, z, z0, n_terms)
+            assert got.terms_used == n_terms
+            assert got.converged == (est <= 1e-12), (params, z, z0, n_terms, est, got.est_error)
+            assert abs(got.est_error - est) <= 8 * EPS * est
 
 
 # --- the stops form: every truncation index off one pass --------------------

@@ -227,7 +227,7 @@ def _oracle_sweep():
 class TestOracleAgainstMpmath:
     def test_table_rows(self):
         rows = [row for spec in TABLES.values() for row in spec.rows]
-        assert len(rows) == 18
+        assert len(rows) == 23
         for row in rows:
             res = euler_integral(row.params, row.z)
             assert res.converged

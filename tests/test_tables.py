@@ -7,7 +7,11 @@ import warnings
 
 import pytest
 
-from gausshyp import ConfigError, DomainError, MethodId, NotConvergedWarning, run_table, table_to_csv, table_to_json
+import mpmath
+
+from gausshyp import ConfigError, DomainError, IntegerDifferenceError, MethodId, NotConvergedWarning, evaluate
+from gausshyp import run_table, table_to_csv, table_to_json
+from gausshyp.buhring import buhring_refusal
 from gausshyp.tables import TABLES, TableRow, TableSpec, format_rel_error
 from conftest import Z_EXC, within_factor
 
@@ -45,6 +49,10 @@ TABLE_SHA256 = {
         "453574c31fa57c2b78faad95a3e1f20f0a1390853395acfe9a3138848facc963",
         "b52bbb2a551b0a4f02c16d00591cb14c4eb0589d8f49e6e261fdbe7391999b39",
     ),
+    5: (
+        "c3a2012ca0ba6bbb514bcdc1001657da68fef92e577e47f9f29ff7e418c9a213",
+        "cb56b8f46e1719496acb00d2afec176d951ef030e533a8b609e51b6e29150096",
+    ),
 }
 
 
@@ -74,6 +82,30 @@ class TestRunTable:
         for n, expected in REFERENCE_BUHRING_T1.items():
             assert within_factor(col[n], expected), (n, col[n], expected)
 
+    def test_table5_integer_b_minus_a_claim(self):
+        # the abstract's claim: the continuation degrades as b - a nears an integer,
+        # and is undefined at one, while the three-point expansion does not care
+        spec = TABLES[5]
+        assert spec.featured is MethodId.THREEPOINT
+        errors = {"buhring": [], "threepoint": []}
+        for row in spec.rows:
+            with mpmath.workdps(30):
+                want = mpmath.hyp2f1(row.a, row.b, row.c, row.z)
+            for method, col in errors.items():
+                try:
+                    got = evaluate(row.params, row.z, method, n_terms=20)[0].value
+                except IntegerDifferenceError:
+                    col.append(None)
+                    continue
+                col.append(float(abs(got - want) / abs(want)))
+        deltas = [row.b - row.a - 1.0 for row in spec.rows]
+        assert [round(math.log10(d)) for d in deltas[:-1]] == [-1, -3, -5, -7] and abs(deltas[-1]) < 1e-15
+        assert max(errors["threepoint"]) <= 1e-14
+        buhring = errors["buhring"]
+        assert buhring[-1] is None
+        for coarse, fine in zip(buhring[:-2], buhring[1:-1]):
+            assert fine >= 50.0 * coarse, buhring
+
     def test_buhring_column_table4_half_indexing(self):
         result = run_table(4)
         col = result.cells[0][MethodId.BUHRING.value]
@@ -85,8 +117,11 @@ class TestRunTable:
 
         for table_id in TABLES:
             result = run_table(table_id)
-            for row_cells in result.cells:
-                for col in row_cells.values():
+            for row, row_cells in zip(result.spec.rows, result.cells):
+                for method, col in row_cells.items():
+                    if method == "buhring" and isinstance(buhring_refusal(row.params, row.z), IntegerDifferenceError):
+                        assert col[0] == "INTEGER_DIFF", (table_id, row.caption)
+                        continue
                     assert isinstance(col[0], float)
                     assert math.isfinite(col[0]) and col[0] > 0.0
 
@@ -113,12 +148,12 @@ class TestRunTable:
             run_table(4)
 
     def test_unknown_table_id(self):
-        with pytest.raises(ConfigError, match=r"unknown table id 9; known ids are \[1, 2, 3, 4\]"):
+        with pytest.raises(ConfigError, match=r"unknown table id 9; known ids are \[1, 2, 3, 4, 5\]"):
             run_table(9)
 
     def test_id_past_the_int_to_str_limit(self):
         # str() of the id raised a bare ValueError in place of the ConfigError
-        with pytest.raises(ConfigError, match=r"unknown table id an int of 16610 bits; known ids are \[1, 2, 3, 4\]"):
+        with pytest.raises(ConfigError, match=r"unknown table id an int of 16610 bits; known ids are \[1, 2, 3, 4, 5\]"):
             run_table(10**5000)
 
     @pytest.mark.parametrize("spec", [1.0, "1", None, True], ids=repr)
