@@ -50,7 +50,9 @@ def _d_stream(s: float, z0: complex | float, params: HypParams) -> Iterator[comp
         yield d_prev
         den = n * (n + s2 - a - b)
         if den == 0.0:
-            raise IntegerDifferenceError(f"recurrence denominator vanishes at n={int(n)} for s={s} (b-a integer)")
+            raise IntegerDifferenceError(
+                f"recurrence denominator vanishes at n={int(n)} for s={s} (b-a integer)"
+            )
         ns = n + s
         d_prev2, d_prev = d_prev, (ns - 1.0) / den * (
             z0_one_z0 * (ns - 2.0) * d_prev2 + (ns * one_2z0 + abz0 - c) * d_prev
@@ -72,7 +74,9 @@ def _buhring_terms(s: float, z0: complex | float, params: HypParams, u: complex)
         upow *= u
         den = n * (n + s2 - a - b)
         if den == 0.0:
-            raise IntegerDifferenceError(f"recurrence denominator vanishes at n={int(n)} for s={s} (b-a integer)")
+            raise IntegerDifferenceError(
+                f"recurrence denominator vanishes at n={int(n)} for s={s} (b-a integer)"
+            )
         ns = n + s
         d_prev2, d_prev = d_prev, (ns - 1.0) / den * (
             z0_one_z0 * (ns - 2.0) * d_prev2 + (ns * one_2z0 + abz0 - c) * d_prev

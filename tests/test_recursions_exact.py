@@ -1011,14 +1011,17 @@ def _splits(z):
     return 0.0 < r.real < 1.0 and abs(r.imag) < min(r.real, 1.0 - r.real) / 2.0 + 0.25
 
 
+ORACLE_ROWS = [(row.params, row.z, 1e-13) for spec in TABLES.values() for row in spec.rows]
+
+
 def _oracle_cases():
-    """(params, z, tol): table rows, and seeded one-piece and split points at two tolerances."""
-    cases = [(row.params, row.z, 1e-13) for spec in TABLES.values() for row in spec.rows]
+    """(params, z, tol): the table rows, then 60 seeded one-piece and split points at two tolerances."""
+    cases = list(ORACLE_ROWS)
     rng = random.Random(609)
-    while len(cases) < 18 + 60:
+    while len(cases) < len(ORACLE_ROWS) + 60:
         b = rng.choice((rng.uniform(0.01, 5.0), 10.0 ** rng.uniform(-4.0, -2.0)))  # small b: long walks
         params = HypParams(rng.uniform(-3.0, 5.0), b, b + rng.uniform(0.05, 5.0))
-        if len(cases) % 2:
+        if (len(cases) - len(ORACLE_ROWS)) % 2:
             z = 1.0 / complex(rng.uniform(0.05, 0.95), rng.uniform(-0.3, 0.3))  # split at Re(1/z)
         else:
             z = cmath.rect(math.exp(rng.uniform(math.log(0.1), math.log(31.0))), rng.uniform(-math.pi, math.pi))
@@ -1071,7 +1074,7 @@ def test_adversarial_call_leaves_the_ladder_within_its_bound():
 
 def test_oracle_threads_share_the_ladder():
     # more threads than cores, switching often, each in its own order, racing to build the same levels
-    cases = ORACLE_CASES[:30]
+    cases = ORACLE_CASES[: len(ORACLE_ROWS) + 12]  # every table row and 12 seeded points
     want = [_oracle_ref_bits(*case) for case in cases]
     reference._LADDER.clear()
     results = [None] * 4
