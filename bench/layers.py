@@ -1,4 +1,4 @@
-"""Layer times of the three-point route and the continuation, each beside its relative error against mpmath.
+"""Layer times of the three-point route, the continuation and auto's route choice, each beside its error.
 
 Run from the root of a checkout, against src or against an installed package:
 
@@ -21,7 +21,11 @@ own.  core.sum_series sums 41 precomputed terms, so the summation's own cost sho
 apart from the cost of the terms.  The continuation's term generator steps d_n inside
 its own loop too; its row times the two series, s = a and s = b, that buhring_sums
 runs, and _d_stream, the reference stream behind buhring_coeffs, is timed per term
-of the s = a series.
+of the s = a series.  select_method is timed at exp(i pi/3), where auto takes threepoint,
+and at z = 2 + 2i, where the rate gate defers threepoint (rate 0.49) to the continuation
+(rate 0.20); each route's rate is timed at exp(i pi/3); and evaluate on the fallback path
+at (0.59, 1.66, 4.38), z = 1.544 - 0.879i, where the continuation the gate picks stops
+short of tol and the three-point route runs after it.
 
 Each error compares what the layer computes with mpmath at 40 digits:
   - the Phi_3 stream: Phi_n = (-1)^n (b)_n (c-b)_n / (2^n (c)_{2n}) 2F1(-n, b+n; c+2n; 2),
@@ -31,7 +35,10 @@ Each error compares what the layer computes with mpmath at 40 digits:
   - a term generator, the summation and evaluate: their sum or value against 2F1(a, b, c; z);
   - the d_n stream: the continuation summed from its d_n of both series, to n = 40, with the
     gamma prefactors and the powers of z - z0 in mpmath, against 2F1(a, b, c; z);
-  - the continuation's term generators and buhring_sums: their value against 2F1(a, b, c; z).
+  - the continuation's term generators and buhring_sums: their value against 2F1(a, b, c; z);
+  - select_method: the value of auto's evaluate at its point against 2F1(a, b, c; z);
+  - a rate: against its formula in mpmath;
+  - evaluate on the fallback path: its value against 2F1 at its point.
 """
 
 import argparse
@@ -47,7 +54,7 @@ from pathlib import Path
 
 import mpmath
 
-from gausshyp import HypParams, evaluate
+from gausshyp import ROUTES, HypParams, MethodId, evaluate, select_method
 from gausshyp import threepoint
 from gausshyp.buhring import _buhring_terms, _d_stream, buhring_sums
 from gausshyp.core import DEFAULT_TERMS, SERIES_TOL_FLOOR, sum_series
@@ -62,6 +69,16 @@ STORE = getattr(threepoint, "_PHI3", {})
 #: The continuation's point and expansion point, and 1/(z - z0), the ratio of its terms.
 Z_BUHRING, Z0 = complex(-2.0, 2.0), 0.5
 U = 1.0 / (Z_BUHRING - Z0)
+#: A point whose three-point rate is past the gate, and (params, z) where auto falls back to threepoint.
+Z_DEFERRED = complex(2.0, 2.0)
+FALLBACK = HypParams(0.59, 1.66, 4.38), complex(1.544, -0.879)
+#: Each rate's formula at (z, z0), for mpmath numbers.
+RATES = {
+    MethodId.THREEPOINT: lambda z, z0: abs(z) ** 3 / (6 * mpmath.sqrt(3) * abs((1 - z) * (2 - z))),
+    MethodId.TWOPOINT: lambda z, z0: abs(z) ** 2 / (4 * abs(1 - z)),
+    MethodId.ONEPOINT_HALF: lambda z, z0: abs(z) / abs(2 - z),
+    MethodId.BUHRING: lambda z, z0: max(abs(z0), abs(z0 - 1)) / abs(z - z0),
+}
 
 
 def _rel(got, want) -> float:
@@ -104,7 +121,13 @@ def _errors() -> dict:
         )
         b_terms = sum(fac * mpmath.fsum(islice(_buhring_terms(s, Z0, PARAMS, U), 41)) for s, fac in series)
         (b_summed,) = buhring_sums(PARAMS, Z_BUHRING, (40,), Z0)
+        deferred = _rel(evaluate(PARAMS, Z_DEFERRED)[0].value, mpmath.hyp2f1(a, b, c, Z_DEFERRED))
+        rates = {
+            f"rate[{m}]": _rel(ROUTES[m].rate(Z, Z0), rate(mpmath.mpc(Z), mpmath.mpf(Z0))) for m, rate in RATES.items()
+        }
+        fallback = _rel(evaluate(*FALLBACK)[0].value, mpmath.hyp2f1(*FALLBACK[0], FALLBACK[1]))
     return {
+        **rates,
         "phi3": phi3,
         "abc": _rel(abc, want),
         "terms10": terms[10],
@@ -114,6 +137,8 @@ def _errors() -> dict:
         "d": _rel(d_sum, want_b),
         "bterms40": _rel(b_terms, want_b),
         "bsums40": _rel(b_summed.value, want_b),
+        "deferred": deferred,
+        "fallback": fallback,
     }
 
 
@@ -143,6 +168,9 @@ def _layers() -> dict:
     d = lambda: _drain(_d_stream(PARAMS.a, Z0, PARAMS), DEFAULT_TERMS + 1)
     bterms40 = lambda: [_drain(_buhring_terms(s, Z0, PARAMS, U), 41) for s in (PARAMS.a, b)]
     bsums40 = lambda: tuple(buhring_sums(PARAMS, Z_BUHRING, (40,), Z0))
+    rates = {
+        f"select.rate[{m}]": ((lambda rate=ROUTES[m].rate: rate(Z, Z0)), 1, "us", f"rate[{m}]") for m in RATES
+    }
     return {
         "threepoint._phi3_stream[cold]": (cold(phi3), N_PSI, "us/term", "phi3"),
         "threepoint._phi3_stream[stored]": (phi3, N_PSI, "us/term", "phi3"),
@@ -157,6 +185,10 @@ def _layers() -> dict:
         "buhring._d_stream": (d, DEFAULT_TERMS + 1, "us/term", "d"),
         "buhring._buhring_terms[n=40]": (bterms40, 1, "us", "bterms40"),
         "buhring.buhring_sums[n=40]": (bsums40, 1, "us", "bsums40"),
+        "select.select_method[threepoint]": (lambda: select_method(PARAMS, Z), 1, "us", "evaluate"),
+        "select.select_method[deferred]": (lambda: select_method(PARAMS, Z_DEFERRED), 1, "us", "deferred"),
+        **rates,
+        "select.evaluate[fallback]": (lambda: evaluate(*FALLBACK), 1, "us", "fallback"),
     }
 
 
@@ -173,7 +205,10 @@ def measure(rounds: int, number: int) -> dict:
                 call()
             best[name] = min(best[name], time.perf_counter() - t0)
     return {
-        "point": {"a": PARAMS.a, "b": PARAMS.b, "c": PARAMS.c, "z": "exp(i pi/3)", "z_buhring": "-2+2i", "z0": Z0},
+        "point": {
+            "a": PARAMS.a, "b": PARAMS.b, "c": PARAMS.c, "z": "exp(i pi/3)", "z_buhring": "-2+2i", "z0": Z0,
+            "z_deferred": "2+2i", "fallback": "(0.59, 1.66, 4.38) at 1.544-0.879i",
+        },
         "settings": {"rounds": rounds, "number": number, "store": hasattr(threepoint, "_PHI3")},
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "layers": {

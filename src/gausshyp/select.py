@@ -1,12 +1,13 @@
 """Method selection, the route table and the one-call evaluation front end."""
 
+import math
 import sys
 import warnings
 from typing import Callable, Iterator, NamedTuple
 
-from .buhring import DEFAULT_Z0, buhring_eval, buhring_refusal, buhring_sums, exclusion_margin
+from .buhring import DEFAULT_Z0, buhring_eval, buhring_refusal, buhring_sums, exclusion_margin, exclusion_radius
 from .core import DEFAULT_TERMS, DEFAULT_TOL, SERIES_TOL_FLOOR, HypParams, is_count, require_finite_complex, require_tol
-from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning, shown
+from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning, RecurrenceBreakdown, shown
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
 from .onepoint import eval_onepoint, in_region_onepoint, onepoint_margin, onepoint_refusal, onepoint_sums
 from .onepoint import require_expansion_point, require_w
@@ -20,13 +21,24 @@ MACLAURIN_RADIUS = 0.5
 
 
 class Route(NamedTuple):
-    """One evaluation route: its signed region margin, its refusal, its evaluator and, for a series, its stops form."""
+    """One route: its signed region margin, its refusal, its evaluator and, for a series, its stops form and rate."""
 
     margin: Callable[[complex, complex | None, complex], float]
     # (params, z, w, z0): the error run and sums raise before any work, or None where the route applies
     refusal: Callable[[HypParams, complex, complex | None, complex], GaussHypError | None]
     run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0)
     sums: Callable[..., Iterator[SeriesResult]] | None = None  # (params, z, stops, tol, w, z0)
+    rate: Callable[[complex, complex], float] | None = None  # (z, z0): the terms' asymptotic ratio, < 1 iff margin > 0
+
+
+def _rate(formula: Callable[[complex, complex], float]) -> Callable[[complex, complex], float]:
+    """formula as a route's rate: inf, not a raise, where it overflows or divides by zero (the margin is not > 0)."""
+    def rate(z: complex, z0: complex) -> float:
+        try:
+            return formula(z, z0)
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+    return rate
 
 
 # Entries resolve this module's globals at call time, so a wrapper installed
@@ -47,12 +59,14 @@ ROUTES: dict[MethodId, Route] = {
         lambda p, z, w, z0: buhring_refusal(p, z, z0),
         lambda p, z, n, tol, w, z0: buhring_eval(p, z, z0=z0, n_terms=n, tol=tol),
         lambda p, z, stops, tol, w, z0: buhring_sums(p, z, stops, z0, tol),
+        _rate(lambda z, z0: exclusion_radius(z0) / abs(z - z0)),
     ),
     MethodId.ONEPOINT_HALF: Route(
         lambda z, w, z0: onepoint_margin(z, 0.5),
         lambda p, z, w, z0: onepoint_refusal(p, z, 0.5),
         lambda p, z, n, tol, w, z0: eval_onepoint(p, z, w=0.5, n_terms=n, tol=tol),
         lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, 0.5, tol),
+        _rate(lambda z, z0: abs(z) / abs(2.0 - z)),
     ),
     MethodId.ONEPOINT_W: Route(
         lambda z, w, z0: onepoint_margin(z, require_w(w)),
@@ -65,12 +79,14 @@ ROUTES: dict[MethodId, Route] = {
         lambda p, z, w, z0: twopoint_refusal(p, z),
         lambda p, z, n, tol, w, z0: eval_twopoint(p, z, n_terms=n, tol=tol),
         lambda p, z, stops, tol, w, z0: twopoint_sums(p, z, stops, tol),
+        _rate(lambda z, z0: abs(z) ** 2 / (4.0 * abs(1.0 - z))),
     ),
     MethodId.THREEPOINT: Route(
         lambda z, w, z0: threepoint_margin(z),
         lambda p, z, w, z0: threepoint_refusal(p, z),
         lambda p, z, n, tol, w, z0: eval_threepoint(p, z, n_terms=n, tol=tol),
         lambda p, z, stops, tol, w, z0: threepoint_sums(p, z, stops, tol),
+        _rate(lambda z, z0: abs(z) ** 3 / (108.0**0.5 * abs((1.0 - z) * (2.0 - z)))),  # 108**0.5 = 6 sqrt(3)
     ),
 }
 
@@ -82,25 +98,39 @@ AUTO_ORDER = (
 )
 _AUTO_ROUTES = tuple((method, ROUTES[method]) for method in AUTO_ORDER)  # no MethodId hash per route asked
 
+RATE_GATE = 0.45  #: the largest rate at which auto sums a series route: 0.45**40 = 1.3e-14 < SERIES_TOL_FLOOR
+
+
+def _auto_choice(params: HypParams, z: complex, z0: complex) -> tuple[MethodId, MethodId]:
+    """(auto's route, the first accepting route of AUTO_ORDER) for finite z and z0 with |z| > MACLAURIN_RADIUS."""
+    first = None  # the first accepting series route, once its rate has put it past RATE_GATE
+    for method, route in _AUTO_ROUTES:
+        if first is None:  # the margin first, as it builds no error; the rate only where the route accepts
+            if route.margin(z, None, z0) > 0.0 and route.refusal(params, z, None, z0) is None:
+                if route.rate is None or route.rate(z, z0) <= RATE_GATE:
+                    return method, method
+                first = method
+        elif route.rate is None:  # the series routes come first; past them, first stands
+            return first, first
+        elif route.rate(z, z0) <= RATE_GATE and route.refusal(params, z, None, z0) is None:
+            return method, first
+    refusals = ((method, route.refusal(params, z, None, z0)) for method, route in _AUTO_ROUTES)
+    reasons = "; ".join(f"{method}: {type(refusal).__name__}: {refusal}" for method, refusal in refusals)
+    raise NoMethodError(f"no evaluation method applies at z = {z} for {params}: {reasons}")
+
 
 def select_method(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> MethodId:
     """Deterministic route choice for a (params, z) pair.
 
-    The power series in the safe disk |z| <= 1/2, else the first route of
-    AUTO_ORDER whose refusal is None.  Raises DomainError for a non-finite
-    z or z0, and NoMethodError, naming each route's refusal, when all refuse.
+    The power series in the safe disk |z| <= 1/2, else the first route of AUTO_ORDER whose refusal is None,
+    unless its rate is past RATE_GATE and a later series route accepts within it.  Raises DomainError for a
+    non-finite z or z0, and NoMethodError, naming each route's refusal, when all refuse.
     """
     z = require_finite_complex(z)
     z0 = require_finite_complex(z0, "z0")
     if abs(z) <= MACLAURIN_RADIUS:
         return MethodId.MACLAURIN
-    for method, route in _AUTO_ROUTES:
-        # a refusal is None only where the margin is positive; asking that first builds no error per route passed
-        if route.margin(z, None, z0) > 0.0 and route.refusal(params, z, None, z0) is None:
-            return method
-    refusals = ((method, route.refusal(params, z, None, z0)) for method, route in _AUTO_ROUTES)
-    reasons = "; ".join(f"{method}: {type(refusal).__name__}: {refusal}" for method, refusal in refusals)
-    raise NoMethodError(f"no evaluation method applies at z = {z} for {params}: {reasons}")
+    return _auto_choice(params, z, z0)[0]
 
 
 def method_margin(
@@ -139,7 +169,8 @@ def evaluate(
     n_terms that is not an integer (a bool is not one), negative or past
     sys.maxsize - 1, and a tol that is not a finite number > 0, raise ConfigError.
     A non-finite z0, and a given w that is non-finite or zero, raise DomainError
-    before any route is chosen, whatever the method.
+    before any route is chosen, whatever the method.  Where auto's rate gate moved the point and its route
+    returns converged=False or raises RecurrenceBreakdown, the first accepting route runs instead.
     """
     if not is_count(n_terms):
         raise ConfigError(f"n_terms must be an integer, got {shown(n_terms)}")
@@ -154,7 +185,15 @@ def evaluate(
     method_id = select_method(params, z, z0) if method == "auto" else MethodId.from_string(method)
     route = ROUTES[method_id]
     tol = max(tol, SERIES_TOL_FLOOR) if route.sums is not None else tol
-    return route.run(params, z, n_terms, tol, w, z0), method_id
+    gated = method == "auto" and route.rate is not None  # a series route that auto's rate gate may have moved to
+    try:
+        res = route.run(params, z, n_terms, tol, w, z0)
+        if res.converged or not gated or (first := _auto_choice(params, complex(z), complex(z0))[1]) is method_id:
+            return res, method_id
+    except RecurrenceBreakdown:
+        if not gated or (first := _auto_choice(params, complex(z), complex(z0))[1]) is method_id:
+            raise
+    return ROUTES[first].run(params, z, n_terms, tol, w, z0), first
 
 
 def hyp2f1(

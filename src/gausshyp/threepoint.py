@@ -220,15 +220,15 @@ def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
     bn, f1, f2 = b, 2 * b - 2 * c - 1, b - c - 1
     g1, g2, h = 4 * (c + 1), c + 2, 2 * (c + (2 * b + 2))
     psis = _phi3_stream(b, c)
-    psi = next(psis)
-    for n1, psi_next in zip(count(1.0), psis):
+    psi, n1 = next(psis), 1.0
+    for psi_next in psis:
         if d == 0.0:
             raise RecurrenceBreakdown(f"D_{int(n1) - 1} = 0 for b={b}, c={c}")
         m1 = (bn * f1 * psi + g1 * g2 * psi_next) / d
         m2 = (bn * f2 * psi + g2 * h * psi_next) / d
         yield An * psi + Bn * m1 + Cn * m2
-        psi = psi_next
-        d, dd, bn, f1, f2 = d + dd, dd - 12.0, bn + 1.0, f1 - 3.0, f2 - 2.0
+        psi, d, dd = psi_next, d + dd, dd - 12.0
+        bn, f1, f2 = bn + 1.0, f1 - 3.0, f2 - 2.0
         g1, g2, h = g1 + 12.0, g2 + 3.0, h + 12.0
         den, zaa = n1 * q, za * An
         An, Bn, Cn = (
@@ -237,7 +237,8 @@ def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
             (c_a * zaa + c_b * Bn + c_c * Cn) / den,
         )
         za, a_b, a_c = za + dza, a_b + da_b, a_c + da_c
-        b_b, b_c, c_b, c_c = b_b + db_b, b_c + db_c, c_b + dc_b, c_c + dc_c
+        b_b, b_c, n1 = b_b + db_b, b_c + db_c, n1 + 1.0
+        c_b, c_c = c_b + dc_b, c_c + dc_c
 
 
 def threepoint_sums(

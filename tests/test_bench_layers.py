@@ -24,6 +24,13 @@ LAYERS = {
     "buhring._d_stream",
     "buhring._buhring_terms[n=40]",
     "buhring.buhring_sums[n=40]",
+    "select.select_method[threepoint]",
+    "select.select_method[deferred]",
+    "select.rate[threepoint]",
+    "select.rate[twopoint]",
+    "select.rate[onepoint-half]",
+    "select.rate[buhring]",
+    "select.evaluate[fallback]",
 }
 
 

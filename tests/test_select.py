@@ -31,7 +31,7 @@ from gausshyp import (
 from gausshyp.buhring import DEFAULT_Z0, buhring_eval, buhring_refusal
 from gausshyp.onepoint import eval_onepoint, onepoint_margin
 from gausshyp.reference import euler_margin, euler_refusal, maclaurin_margin, maclaurin_refusal
-from gausshyp.select import AUTO_ORDER
+from gausshyp.select import AUTO_ORDER, MACLAURIN_RADIUS, RATE_GATE, _auto_choice
 from gausshyp.threepoint import eval_threepoint, threepoint_margin
 from gausshyp.twopoint import eval_twopoint, twopoint_margin
 from conftest import Z_EXC, rel_err
@@ -94,6 +94,14 @@ class TestSelectMethod:
         z = 1.5 + 0.01j
         p = HypParams(1.2, 2.2, 3.0)
         assert select_method(p, z) is MethodId.EULER
+
+    def test_rate_gate_defers_a_slow_route(self):
+        # twopoint accepts z at rate 0.97, and the continuation takes it at rate 0.35
+        z = 1.9 + 0.3j
+        assert twopoint_margin(z) > 0.0 and ROUTES[MethodId.TWOPOINT].rate(z, DEFAULT_Z0) > RATE_GATE
+        assert select_method(PARAMS, z) is MethodId.BUHRING
+        # with an integer b - a the continuation refuses, and the deferred route stands
+        assert select_method(HypParams(1.2, 2.2, 3.0), z) is MethodId.TWOPOINT
 
     def test_no_method(self):
         z = 1.5 + 0.01j
@@ -193,6 +201,8 @@ class TestAutoRouteAcceptsThePoint:
     def _assert_accepted(params, z, z0=DEFAULT_Z0):
         try:
             evaluate(params, z, z0=z0)
+            if abs(z) > MACLAURIN_RADIUS:  # auto's route and the one evaluate falls back to accept z too
+                assert [ROUTES[m].refusal(params, z, None, z0) for m in _auto_choice(params, z, z0)] == [None] * 2
         except OutsideDomain as exc:
             pytest.fail(f"auto chose a route that refuses {params}, z = {z!r}, z0 = {z0!r}: {exc}")
         except BranchCutError:
@@ -208,6 +218,24 @@ class TestAutoRouteAcceptsThePoint:
         assert used is method
         if converges:
             assert res.converged
+
+    @pytest.mark.parametrize(
+        "params, z",
+        [
+            # the continuation returns est_error 9.5e-12, converged=False
+            (HypParams(0.59, 1.66, 4.38), 1.544 - 0.879j),
+            # the continuation raises RecurrenceBreakdown: gamma(175.24) overflows
+            (HypParams(-9.78, 155.5, 175.24), 3.27 + 4.25j),
+        ],
+        ids=["unconverged", "breakdown"],
+    )
+    def test_fallback_runs_the_first_accepting_route(self, params, z):
+        # the gate sends z past a slow threepoint to the continuation; where that fails, threepoint runs
+        assert select_method(params, z) is MethodId.BUHRING
+        self._assert_accepted(params, z)
+        res, used = evaluate(params, z)
+        assert used is MethodId.THREEPOINT and res.converged
+        assert _bits(res) == _bits(evaluate(params, z, MethodId.THREEPOINT)[0])
 
     def test_near_re_z_one(self):
         rng = random.Random(15)
@@ -263,6 +291,49 @@ class TestMethodMargin:
             method_margin(MethodId.BUHRING, 2.0, z0=bad)
         with pytest.raises(DomainError):
             method_margin(MethodId.TWOPOINT, bad)
+
+
+#: The routes with a rate: the series routes auto asks.
+RATED = [MethodId.BUHRING, MethodId.ONEPOINT_HALF, MethodId.TWOPOINT, MethodId.THREEPOINT]
+
+#: z where a rate's formula overflows, where |z| itself does, and the poles z = 1, 2; each rate there.
+RATE_EDGES = (1e200, complex(1e308, 1e308), complex(1.5e308, 1.5e308), 1.0, 2.0)
+RATES_AT_EDGES = {
+    MethodId.BUHRING: (0.5 / (1e200 - 0.5), 0.5 / abs(complex(1e308 - 0.5, 1e308)), math.inf, 1.0, 1.0 / 3.0),
+    MethodId.ONEPOINT_HALF: (1.0, 1.0, math.inf, 1.0, math.inf),
+    MethodId.TWOPOINT: (math.inf, math.inf, math.inf, math.inf, 1.0),
+    MethodId.THREEPOINT: (math.inf,) * 5,
+}
+
+
+class TestRate:
+    def test_the_series_routes_of_auto_have_a_rate(self):
+        assert [m for m in MethodId if ROUTES[m].rate is not None] == RATED
+        assert set(RATED) < set(AUTO_ORDER)
+
+    @pytest.mark.parametrize("method", RATED, ids=str)
+    def test_overflow_and_poles(self, method):
+        # inf where the margin reads -inf or the formula divides by zero, as no raise; rate < 1 iff margin > 0
+        for z, expected in zip(map(complex, RATE_EDGES), RATES_AT_EDGES[method]):
+            rate = ROUTES[method].rate(z, DEFAULT_Z0)
+            assert rate == pytest.approx(expected, rel=1e-15), z
+            if math.isfinite(math.hypot(z.real, z.imag)):  # a margin takes only what evaluate lets through
+                assert (rate < 1.0) == (ROUTES[method].margin(z, None, DEFAULT_Z0) > 0.0), z
+
+    @pytest.mark.parametrize("method", RATED, ids=str)
+    def test_rate_below_one_exactly_where_the_margin_is_positive(self, method):
+        rng = random.Random(23)
+        inside = 0
+        for _ in range(2000):
+            t = rng.uniform(-math.pi, math.pi)
+            z = 10.0 ** rng.uniform(-1.0, 2.0) * complex(math.cos(t), math.sin(t))
+            z0 = rng.choice((DEFAULT_Z0, 0.5 + 0.5j, 0.3 - 0.8j))
+            rate = ROUTES[method].rate(z, z0)
+            if abs(rate - 1.0) < 1e-9:  # away from the boundary only
+                continue
+            assert (rate < 1.0) == (ROUTES[method].margin(z, None, z0) > 0.0), (z, z0, rate)
+            inside += rate < 1.0
+        assert 200 <= inside <= 1800
 
 
 #: Finite z whose |z|^3 overflows double precision, then one whose |z| does.
@@ -596,7 +667,9 @@ class TestRefusal:
             return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 1.2)
 
         def points():
-            yield PARAMS, 1.9 + 0.3j  # twopoint
+            yield PARAMS, 1.9 + 0.3j  # buhring, past twopoint's rate
+            yield HypParams(1.2, 2.2, 3.0), 1.9 + 0.3j  # twopoint: with an integer b - a no continuation takes it
+            yield HypParams(1.2, 2.2, 3.0), -50.0 + 0j  # onepoint-half, likewise
             yield HypParams(1.2, 2.2, 3.0), 1.5 + 0.01j  # euler-oracle
             for _ in range(1500):
                 try:
