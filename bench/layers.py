@@ -18,7 +18,10 @@ emptying is inside the timed loop), and on the stored prefix.
 The term generator steps A/B/C inside its own loop and reads psi_n from the Phi_3
 stream; _abc_stream is the reference stream behind threepoint_coeffs, timed on its
 own.  core.sum_series sums 41 precomputed terms, so the summation's own cost shows
-apart from the cost of the terms.  The continuation's term generator steps d_n inside
+apart from the cost of the terms.  select.eval_threepoint, the one-stop runner the
+route table calls, sums the stored term loop to n = 40; its time less that of the
+term loop is the summation and the runner's plumbing, and evaluate[hit] less it is
+evaluate's own checks and route lookup.  The continuation's term generator steps d_n inside
 its own loop too; its row times the two series, s = a and s = b, that buhring_sums
 runs, and _d_stream, the reference stream behind buhring_coeffs, is timed per term
 of the s = a series.  select_method is timed at exp(i pi/3), where auto takes threepoint,
@@ -32,7 +35,7 @@ Each error compares what the layer computes with mpmath at 40 digits:
     the worst n;
   - the A/B/C stream: the three-point sum of its coefficients against the moments
     in mpmath, to n = 40, against 2F1(a, b, c; z);
-  - a term generator, the summation and evaluate: their sum or value against 2F1(a, b, c; z);
+  - a term generator, the summation, the runner and evaluate: their sum or value against 2F1(a, b, c; z);
   - the d_n stream: the continuation summed from its d_n of both series, to n = 40, with the
     gamma prefactors and the powers of z - z0 in mpmath, against 2F1(a, b, c; z);
   - the continuation's term generators and buhring_sums: their value against 2F1(a, b, c; z);
@@ -58,6 +61,7 @@ from gausshyp import ROUTES, HypParams, MethodId, evaluate, select_method
 from gausshyp import threepoint
 from gausshyp.buhring import _buhring_terms, _d_stream, buhring_sums
 from gausshyp.core import DEFAULT_TERMS, SERIES_TOL_FLOOR, sum_series
+from gausshyp.select import eval_threepoint
 from gausshyp.threepoint import _abc_stream, _phi3_stream, _threepoint_terms
 
 PARAMS = HypParams(1.2, 2.3, 3.5)
@@ -107,6 +111,7 @@ def _errors() -> dict:
         terms = {n: _rel(mpmath.fsum(islice(_threepoint_terms(PARAMS, Z), n + 1)), want) for n in (10, 40)}
         (summed,) = sum_series((40,), SERIES_TOL_FLOOR, (1.0, _threepoint_terms(PARAMS, Z)))
         sum40 = _rel(summed.value, want)
+        runner = _rel(eval_threepoint(PARAMS, Z, 40).value, want)
         value = _rel(evaluate(PARAMS, Z, "threepoint")[0].value, want)
         want_b = mpmath.hyp2f1(a, b, c, Z_BUHRING)
         w = Z0 - mpmath.mpc(Z_BUHRING)
@@ -133,6 +138,7 @@ def _errors() -> dict:
         "terms10": terms[10],
         "terms40": terms[40],
         "sum40": sum40,
+        "runner": runner,
         "evaluate": value,
         "d": _rel(d_sum, want_b),
         "bterms40": _rel(b_terms, want_b),
@@ -180,6 +186,7 @@ def _layers() -> dict:
         "threepoint._threepoint_terms[n=40, cold]": (cold(terms40), 1, "us", "terms40"),
         "threepoint._threepoint_terms[n=40, stored]": (terms40, 1, "us", "terms40"),
         "core.sum_series[n=40]": (sum40, 1, "us", "sum40"),
+        "select.eval_threepoint[n=40, stored]": (lambda: eval_threepoint(PARAMS, Z, 40), 1, "us", "runner"),
         "select.evaluate[miss]": (cold(ev), 1, "us", "evaluate"),
         "select.evaluate[hit]": (ev, 1, "us", "evaluate"),
         "buhring._d_stream": (d, DEFAULT_TERMS + 1, "us/term", "d"),

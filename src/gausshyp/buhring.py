@@ -23,7 +23,7 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import DEFAULT_TERMS, SERIES_TOL_FLOOR, HypParams, cpow_principal, gamma_real, recip_gamma_real
+from .core import SERIES_TOL_FLOOR, HypParams, cpow_principal, gamma_real, recip_gamma_real
 from .core import require_finite_complex, stream_prefix, sum_series
 from .errors import BranchCutError, DomainError, GaussHypError, IntegerDifferenceError, OutsideDomain
 from .results import SeriesResult
@@ -152,11 +152,3 @@ def buhring_sums(
     inflation = max(1.0, 1.0 / abs(math.sin(math.pi * diff)))
     sums = sum_series(stops, tol, (fac_a, terms_a), (fac_b, terms_b))
     return (SeriesResult(value, n, est * inflation, est * inflation <= tol) for value, n, est, _ in sums)
-
-
-def buhring_eval(
-    params: HypParams, z: complex, z0: complex = DEFAULT_Z0, n_terms: int = DEFAULT_TERMS, tol: float = SERIES_TOL_FLOOR
-) -> SeriesResult:
-    """Sum both continuation series with indices 0 .. n_terms inclusive; terms_used is n_terms."""
-    (res,) = buhring_sums(params, z, (n_terms,), z0, tol)
-    return res

@@ -22,7 +22,7 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import DEFAULT_TERMS, SERIES_TOL_FLOOR, HypParams, cpow_principal, expansion_refusal, require_finite_complex
+from .core import SERIES_TOL_FLOOR, HypParams, cpow_principal, expansion_refusal, require_finite_complex
 from .core import stream_prefix, sum_series
 from .errors import ConfigError, DomainError, GaussHypError, PoleError
 from .results import SeriesResult
@@ -129,11 +129,3 @@ def onepoint_sums(
     z, w = complex(z), complex(w)
     prefactor = cpow_principal(1.0 - w * z, -params.a)
     return sum_series(stops, tol, (prefactor, _onepoint_terms(params, z, w)))
-
-
-def eval_onepoint(
-    params: HypParams, z: complex, w: complex = 0.5, n_terms: int = DEFAULT_TERMS, tol: float = SERIES_TOL_FLOOR
-) -> SeriesResult:
-    """Truncated single-point expansion, indices 0 .. n_terms inclusive."""
-    (res,) = onepoint_sums(params, z, (n_terms,), w, tol)
-    return res

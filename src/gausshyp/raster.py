@@ -45,6 +45,8 @@ class RasterSpec(
             finite = False
         if not finite:
             raise ConfigError("grid bounds and their spans must be finite")
+        if not math.isfinite(math.hypot(max(abs(self.xmin), abs(self.xmax)), max(abs(self.ymin), abs(self.ymax)))):
+            raise ConfigError("the grid's farthest corner from 0 must have a finite modulus")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ConfigError("grid bounds must satisfy xmax > xmin and ymax > ymin")
         require_finite_complex(self.z0, "z0")

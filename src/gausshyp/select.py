@@ -5,16 +5,16 @@ import sys
 import warnings
 from typing import Callable, Iterator, NamedTuple
 
-from .buhring import DEFAULT_Z0, buhring_eval, buhring_refusal, buhring_sums, exclusion_margin, exclusion_radius
+from .buhring import DEFAULT_Z0, buhring_refusal, buhring_sums, exclusion_margin, exclusion_radius
 from .core import DEFAULT_TERMS, DEFAULT_TOL, SERIES_TOL_FLOOR, HypParams, is_count, require_finite_complex, require_tol
 from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning, RecurrenceBreakdown, shown
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
-from .onepoint import eval_onepoint, in_region_onepoint, onepoint_margin, onepoint_refusal, onepoint_sums
+from .onepoint import in_region_onepoint, onepoint_margin, onepoint_refusal, onepoint_sums
 from .onepoint import require_expansion_point, require_w
 from .reference import euler_integral, euler_margin, euler_refusal, maclaurin, maclaurin_margin, maclaurin_refusal
 from .results import MethodId, SeriesResult
-from .threepoint import eval_threepoint, in_region_threepoint, threepoint_margin, threepoint_refusal, threepoint_sums
-from .twopoint import eval_twopoint, in_region_twopoint, twopoint_margin, twopoint_refusal, twopoint_sums
+from .threepoint import in_region_threepoint, threepoint_margin, threepoint_refusal, threepoint_sums
+from .twopoint import in_region_twopoint, twopoint_margin, twopoint_refusal, twopoint_sums
 
 #: |z| below which the plain power series is preferred outright.
 MACLAURIN_RADIUS = 0.5
@@ -32,10 +32,10 @@ class Route(NamedTuple):
 
 
 def _rate(formula: Callable[[complex, complex], float]) -> Callable[[complex, complex], float]:
-    """formula as a route's rate: inf, not a raise, where it overflows or divides by zero (the margin is not > 0)."""
+    """formula as a route's rate: inf, not a raise or NaN, where it overflows or divides by 0 (margin not > 0)."""
     def rate(z: complex, z0: complex) -> float:
         try:
-            return formula(z, z0)
+            return r if (r := formula(z, z0)) == r else math.inf  # r != r: NaN from inf / inf; the margin reads -inf
         except (OverflowError, ZeroDivisionError):
             return math.inf
     return rate
@@ -71,7 +71,7 @@ ROUTES: dict[MethodId, Route] = {
     MethodId.ONEPOINT_W: Route(
         lambda z, w, z0: onepoint_margin(z, require_w(w)),
         lambda p, z, w, z0: onepoint_refusal(p, z, w),
-        lambda p, z, n, tol, w, z0: eval_onepoint(p, z, w, n, tol),
+        lambda p, z, n, tol, w, z0: eval_onepoint(p, z, n, tol, w),
         lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, w, tol),
     ),
     MethodId.TWOPOINT: Route(
@@ -79,7 +79,7 @@ ROUTES: dict[MethodId, Route] = {
         lambda p, z, w, z0: twopoint_refusal(p, z),
         lambda p, z, n, tol, w, z0: eval_twopoint(p, z, n_terms=n, tol=tol),
         lambda p, z, stops, tol, w, z0: twopoint_sums(p, z, stops, tol),
-        _rate(lambda z, z0: abs(z) ** 2 / (4.0 * abs(1.0 - z))),
+        _rate(lambda z, z0: abs(z) * abs(z) / (4.0 * abs(1.0 - z))),  # as twopoint_margin reads it
     ),
     MethodId.THREEPOINT: Route(
         lambda z, w, z0: threepoint_margin(z),
@@ -89,6 +89,22 @@ ROUTES: dict[MethodId, Route] = {
         _rate(lambda z, z0: abs(z) ** 3 / (108.0**0.5 * abs((1.0 - z) * (2.0 - z)))),  # 108**0.5 = 6 sqrt(3)
     ),
 }
+
+
+def _one_stop(sums: Callable[..., Iterator[SeriesResult]]) -> Callable[..., SeriesResult]:
+    """A route's stops form as one call: the series truncated at index n_terms, summed 0 .. n_terms inclusive."""
+    def run(params: HypParams, z: complex, n_terms: int = DEFAULT_TERMS, tol: float = SERIES_TOL_FLOOR,
+            w: complex | None = None, z0: complex = DEFAULT_Z0) -> SeriesResult:
+        (res,) = sums(params, z, (n_terms,), tol, w, z0)
+        return res
+    return run
+
+
+# The names the series entries of ROUTES call; bound to .sums here, so a call pays no MethodId hash.
+eval_threepoint = _one_stop(ROUTES[MethodId.THREEPOINT].sums)
+eval_twopoint = _one_stop(ROUTES[MethodId.TWOPOINT].sums)
+eval_onepoint = _one_stop(ROUTES[MethodId.ONEPOINT_W].sums)  # w = 0.5 for onepoint-half
+buhring_eval = _one_stop(ROUTES[MethodId.BUHRING].sums)
 
 #: The routes auto asks outside the disk |z| <= MACLAURIN_RADIUS, in order of preference: the
 #: three- and two-point expansions (fast convergence, no integer b-a restriction), the half-point

@@ -252,11 +252,3 @@ def threepoint_sums(
     if refusal := threepoint_refusal(params, z):
         raise refusal
     return sum_series(stops, tol, (1.0, _threepoint_terms(params, complex(z))))
-
-
-def eval_threepoint(
-    params: HypParams, z: complex, n_terms: int = DEFAULT_TERMS, tol: float = SERIES_TOL_FLOOR
-) -> SeriesResult:
-    """Truncated three-point expansion, indices 0 .. n_terms inclusive."""
-    (res,) = threepoint_sums(params, z, (n_terms,), tol)
-    return res

@@ -36,7 +36,7 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import DEFAULT_TERMS, SERIES_TOL_FLOOR, HypParams, cpow_principal, expansion_refusal, stream_prefix
+from .core import SERIES_TOL_FLOOR, HypParams, cpow_principal, expansion_refusal, stream_prefix
 from .core import sum_series
 from .errors import GaussHypError, SingularityError
 from .results import SeriesResult
@@ -111,11 +111,3 @@ def twopoint_sums(
     if refusal := twopoint_refusal(params, z):
         raise refusal
     return sum_series(stops, tol, (1.0, _twopoint_terms(params, complex(z))))
-
-
-def eval_twopoint(
-    params: HypParams, z: complex, n_terms: int = DEFAULT_TERMS, tol: float = SERIES_TOL_FLOOR
-) -> SeriesResult:
-    """Truncated two-point expansion, indices 0 .. n_terms inclusive."""
-    (res,) = twopoint_sums(params, z, (n_terms,), tol)
-    return res

@@ -21,10 +21,10 @@ from gausshyp import (
     run_table,
 )
 from gausshyp.core import cpow_principal, pochhammer
-from gausshyp.buhring import buhring_eval
-from gausshyp.onepoint import eval_onepoint, onepoint_margin
-from gausshyp.threepoint import eval_threepoint, phi3_sequence, threepoint_coeffs, threepoint_margin
-from gausshyp.twopoint import eval_twopoint, twopoint_coeffs_recursive, twopoint_margin
+from gausshyp.onepoint import onepoint_margin
+from gausshyp.select import buhring_eval, eval_onepoint, eval_threepoint, eval_twopoint
+from gausshyp.threepoint import phi3_sequence, threepoint_coeffs, threepoint_margin
+from gausshyp.twopoint import twopoint_coeffs_recursive, twopoint_margin
 from gausshyp.verify import phi3_direct_sequence, twopoint_coeffs_explicit, twopoint_coeffs_mp
 from conftest import TABLE_PARAM_SETS, Z_EXC, rel_err, sample_in_region, within_factor
 

@@ -19,6 +19,7 @@ LAYERS = {
     "threepoint._threepoint_terms[n=40, cold]",
     "threepoint._threepoint_terms[n=40, stored]",
     "core.sum_series[n=40]",
+    "select.eval_threepoint[n=40, stored]",
     "select.evaluate[miss]",
     "select.evaluate[hit]",
     "buhring._d_stream",

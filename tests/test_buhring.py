@@ -13,7 +13,8 @@ from gausshyp import (
     buhring_coeffs,
     euler_integral,
 )
-from gausshyp.buhring import buhring_eval, buhring_refusal
+from gausshyp.buhring import buhring_refusal
+from gausshyp.select import buhring_eval
 from conftest import Z_EXC, rel_err, within_factor
 
 PARAMS = HypParams(1.2, 2.1, 3.0)

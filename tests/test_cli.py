@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import random
 import shlex
 import warnings
 from pathlib import Path
@@ -350,6 +351,36 @@ class TestRegionCommand:
         argv += ["--ymin=-1.5e308", "--ymax=1.5e308", "--res", "2"]
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("quadrant", [(1, 1), (-1, 1), (-1, -1), (1, -1)], ids=str)
+    @pytest.mark.parametrize("method", [m.value for m in MethodId])
+    def test_grid_past_the_double_range_exit_code(self, capsys, method, quadrant):
+        # each span is finite, but |z| at the far corner is not: abs(z) in a margin raised a bare OverflowError
+        (x0, x1), (y0, y1) = (sorted((sign * 1e308, sign * 1.7e308)) for sign in quadrant)
+        argv = ["region", "--method", method, "--w=0.5+0.5i", f"--xmin={x0!r}", f"--xmax={x1!r}"]
+        argv += [f"--ymin={y0!r}", f"--ymax={y1!r}", "--res=2"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: the grid's farthest corner from 0 must have a finite modulus\n")
+
+    @pytest.mark.parametrize("method", [m.value for m in MethodId])
+    def test_seeded_fuzz_ends_in_a_csv_or_an_error_line(self, capsys, method):
+        rng = random.Random(33)
+
+        def bound():  # across the double range, half of them in its top decade
+            exponent = rng.uniform(307.0, 308.25) if rng.random() < 0.5 else rng.uniform(-2.0, 307.0)
+            return rng.choice((-1.0, 1.0)) * 10.0**exponent
+
+        for _ in range(150):
+            (x0, x1), (y0, y1) = sorted((bound(), bound())), sorted((bound(), bound()))
+            w = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+            argv = ["region", "--method", method, f"--w={w!r}", f"--xmin={x0!r}", f"--xmax={x1!r}"]
+            argv += [f"--ymin={y0!r}", f"--ymax={y1!r}", f"--res={rng.randint(2, 4)}"]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert err == "" and out.startswith("x,y,inside,margin\n"), argv
+            else:
+                assert code in (2, 3) and out == "" and err.startswith("error"), argv
 
     @pytest.mark.parametrize("w", ["nan", "inf", "-inf", "0", "0+0i"])
     def test_non_finite_w_exit_code(self, capsys, w):

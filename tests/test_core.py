@@ -199,17 +199,14 @@ class TestHypParams:
 class TestFiniteArgumentGuard:
     def test_every_evaluator_rejects_non_finite_z(self):
         from gausshyp import euler_integral, maclaurin
-        from gausshyp.buhring import buhring_eval
-        from gausshyp.onepoint import eval_onepoint
-        from gausshyp.threepoint import eval_threepoint
-        from gausshyp.twopoint import eval_twopoint
+        from gausshyp.select import buhring_eval, eval_onepoint, eval_threepoint, eval_twopoint
 
         p = HypParams(1.2, 2.1, 3.0)
         evaluators = (
             lambda z: maclaurin(p, z),
             lambda z: euler_integral(p, z),
             lambda z: buhring_eval(p, z, n_terms=5),
-            lambda z: eval_onepoint(p, z, n_terms=5),
+            lambda z: eval_onepoint(p, z, n_terms=5, w=0.5),
             lambda z: eval_twopoint(p, z, n_terms=5),
             lambda z: eval_threepoint(p, z, n_terms=5),
         )

@@ -15,7 +15,8 @@ from gausshyp import (
     evaluate,
 )
 from gausshyp.core import pochhammer
-from gausshyp.onepoint import _phi_w_stream, eval_onepoint, onepoint_margin, phi_half_sequence, phi_w_sequence
+from gausshyp.onepoint import _phi_w_stream, onepoint_margin, phi_half_sequence, phi_w_sequence
+from gausshyp.select import eval_onepoint
 from gausshyp.verify import phi_brute
 from conftest import ONEPOINT_OVERFLOW, Z_EXC, rel_err, within_factor
 

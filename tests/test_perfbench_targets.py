@@ -72,6 +72,7 @@ def test_traced_targets_see_calls(tmp_path):
         for method in ("auto", *MethodId):
             z = 0.3 + 0.2j if method is MethodId.MACLAURIN else Z_EXC
             evaluate(params, z, method, w=0.5 + 0.5j)
+        evaluated = len(tracer.start)
         point = ["--a", "1.2", "--b", "2.1", "--c", "3", "--z", "exp(i*pi/3)"]
         grid = ["--xmin=-4", "--xmax=4", "--ymin=-4", "--ymax=4", "--res=9"]
         assert cli.main(["eval", *point, "--out", str(tmp_path / "eval.json")]) == 0
@@ -81,3 +82,6 @@ def test_traced_targets_see_calls(tmp_path):
         tracer.uninstall()
     spans = {tracer.names[nid] for nid in tracer.name_id}
     assert [name for name in LIVE_SPANS if name not in spans] == []
+    # perfbench times buhring_coeffs on (a, b, c, z0, n) read off these calls: z0 must reach it as z0, not as n
+    buhring = [i for i in range(evaluated) if tracer.names[tracer.name_id[i]] == "buhring.buhring_eval"]
+    assert [tracer.info[i] for i in buhring] == [(1.2, 2.1, 3.0, 0.5, 0.0, 40)]

@@ -125,6 +125,13 @@ class TestRasterConfig:
         points = list(region_raster(RasterSpec(MethodId.TWOPOINT, res=2, **bounds)))
         assert all(math.isfinite(x) and math.isfinite(y) for x, y, _, _ in points)
 
+    def test_grid_whose_far_corner_overflows_rejected(self):
+        # each bound and span is finite, but |z| at a corner is past the largest double: no margin can read it
+        with pytest.raises(ConfigError, match="farthest corner from 0 must have a finite modulus"):
+            RasterSpec(MethodId.TWOPOINT, 1e308, 1.7e308, -1.7e308, -1e308, 2)
+        points = list(region_raster(RasterSpec(MethodId.MACLAURIN, -1.2e308, -1e308, 1e308, 1.2e308, 2)))
+        assert [margin for *_, margin in points] == [0.9] * 4  # a corner just inside: the 1/z moduli read 0
+
     @pytest.mark.parametrize(
         "bounds", [(-(10**400), 1, -1, 1), (-1.0, 10**400, -1, 1), (-1, 1, -1, 10**400), (-(10**308), 10**308, -1, 1)]
     )

@@ -28,12 +28,13 @@ from gausshyp import (
     method_margin,
     select_method,
 )
-from gausshyp.buhring import DEFAULT_Z0, buhring_eval, buhring_refusal
-from gausshyp.onepoint import eval_onepoint, onepoint_margin
+from gausshyp.buhring import DEFAULT_Z0, buhring_refusal, buhring_sums
+from gausshyp.onepoint import onepoint_margin, onepoint_sums
 from gausshyp.reference import euler_margin, euler_refusal, maclaurin_margin, maclaurin_refusal
 from gausshyp.select import AUTO_ORDER, MACLAURIN_RADIUS, RATE_GATE, _auto_choice
-from gausshyp.threepoint import eval_threepoint, threepoint_margin
-from gausshyp.twopoint import eval_twopoint, twopoint_margin
+from gausshyp.select import buhring_eval, eval_onepoint, eval_threepoint, eval_twopoint
+from gausshyp.threepoint import threepoint_margin, threepoint_sums
+from gausshyp.twopoint import twopoint_margin, twopoint_sums
 from conftest import Z_EXC, rel_err
 
 PARAMS = HypParams(1.2, 2.1, 3.0)
@@ -43,24 +44,25 @@ PARAMS = HypParams(1.2, 2.1, 3.0)
 #: changes the result.
 N, TOL, W, Z0 = 8, 0.5, complex(0.5, 0.5), complex(0.5, 0.1)
 
-#: method -> (in-region z, the direct call evaluate must reproduce)
+#: method -> (in-region z, the direct call evaluate must reproduce); a series route's is its stops form
 DIRECT_CALLS = {
     MethodId.MACLAURIN: (0.3 + 0.2j, lambda z: maclaurin(PARAMS, z, tol=TOL)),
     MethodId.EULER: (Z_EXC, lambda z: euler_integral(PARAMS, z, tol=TOL)),
-    MethodId.BUHRING: (2.0 + 1.0j, lambda z: buhring_eval(PARAMS, z, z0=Z0, n_terms=N, tol=TOL)),
-    MethodId.ONEPOINT_HALF: (-1.0 + 1.0j, lambda z: eval_onepoint(PARAMS, z, n_terms=N, tol=TOL)),
-    MethodId.ONEPOINT_W: (Z_EXC, lambda z: eval_onepoint(PARAMS, z, w=W, n_terms=N, tol=TOL)),
-    MethodId.TWOPOINT: (-1.0 + 0j, lambda z: eval_twopoint(PARAMS, z, n_terms=N, tol=TOL)),
-    MethodId.THREEPOINT: (Z_EXC, lambda z: eval_threepoint(PARAMS, z, n_terms=N, tol=TOL)),
+    MethodId.BUHRING: (2.0 + 1.0j, lambda z: next(buhring_sums(PARAMS, z, (N,), Z0, TOL))),
+    MethodId.ONEPOINT_HALF: (-1.0 + 1.0j, lambda z: next(onepoint_sums(PARAMS, z, (N,), 0.5, TOL))),
+    MethodId.ONEPOINT_W: (Z_EXC, lambda z: next(onepoint_sums(PARAMS, z, (N,), W, TOL))),
+    MethodId.TWOPOINT: (-1.0 + 0j, lambda z: next(twopoint_sums(PARAMS, z, (N,), TOL))),
+    MethodId.THREEPOINT: (Z_EXC, lambda z: next(threepoint_sums(PARAMS, z, (N,), TOL))),
 }
 
-#: method -> its direct call with every default taken, which evaluate's defaults must reproduce
+#: method -> its direct call with every default taken, which evaluate's defaults must reproduce;
+#: a series route's is select's one-stop runner, which has no default w
 DEFAULT_CALLS = {
     MethodId.MACLAURIN: lambda z: maclaurin(PARAMS, z),
     MethodId.EULER: lambda z: euler_integral(PARAMS, z),
     MethodId.BUHRING: lambda z: buhring_eval(PARAMS, z),
-    MethodId.ONEPOINT_HALF: lambda z: eval_onepoint(PARAMS, z),
-    MethodId.ONEPOINT_W: lambda z: eval_onepoint(PARAMS, z, W),
+    MethodId.ONEPOINT_HALF: lambda z: eval_onepoint(PARAMS, z, w=0.5),
+    MethodId.ONEPOINT_W: lambda z: eval_onepoint(PARAMS, z, w=W),
     MethodId.TWOPOINT: lambda z: eval_twopoint(PARAMS, z),
     MethodId.THREEPOINT: lambda z: eval_threepoint(PARAMS, z),
 }
@@ -335,6 +337,31 @@ class TestRate:
             inside += rate < 1.0
         assert 200 <= inside <= 1800
 
+    @pytest.mark.parametrize("method", RATED, ids=str)
+    def test_rate_and_margin_agree_on_both_sides_of_the_boundary(self, method):
+        # each seeded ray from 0 (from z0 for the continuation) is bisected to the two adjacent doubles t whose
+        # points lie either side of the boundary, and both points are checked, with no band.  twopoint's rate
+        # once read |z|**2 where its margin reads |z| * |z|, and disagreed at 14 of these points.
+        route, rng = ROUTES[method], random.Random(33)
+        checked = 0
+        for _ in range(10_000):
+            d = complex(math.cos(phi := rng.uniform(-math.pi, math.pi)), math.sin(phi))
+            z0 = rng.choice((DEFAULT_Z0, 0.5 + 0.5j, 0.3 - 0.8j))
+            center = z0 if method is MethodId.BUHRING else 0j
+            inside = lambda t: route.margin(center + t * d, None, z0) > 0.0
+            lo, hi, lo_inside = 1e-3, 1e3, inside(1e-3)
+            if inside(hi) == lo_inside:
+                continue
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if inside(mid) == lo_inside:
+                    lo = mid
+                else:
+                    hi = mid
+            for z in (center + lo * d, center + hi * d):
+                assert (route.rate(z, z0) < 1.0) == (route.margin(z, None, z0) > 0.0), (z, z0)
+            checked += 2
+        assert checked >= 9_000
+
 
 #: Finite z whose |z|^3 overflows double precision, then one whose |z| does.
 HUGE_Z = (1e200, 1e103j, complex(-1e150, 1.0), complex(1e308, 1e308), complex(1.5e308, 1.5e308))
@@ -458,6 +485,14 @@ class TestRouteTable:
         # buhring_eval summed indices 0 .. 20 by default where evaluate summed 0 .. 40
         z = DIRECT_CALLS[method][0]
         assert _bits(DEFAULT_CALLS[method](z)) == _bits(evaluate(PARAMS, z, method, w=W)[0])
+
+    @pytest.mark.parametrize("method", [m for m in MethodId if ROUTES[m].sums is not None], ids=str)
+    def test_run_is_the_one_stop_of_sums(self, method):
+        # the series runs go through select's one-stop runner; it must forward n, tol, w and z0 unchanged
+        z, w, z0 = DIRECT_CALLS[method][0], 0.3 + 0.4j, 0.3 + 0.1j
+        for n in (0, 7, 40):
+            (want,) = ROUTES[method].sums(PARAMS, z, (n,), TOL, w, z0)
+            assert _bits(ROUTES[method].run(PARAMS, z, n, TOL, w, z0)) == _bits(want), n
 
     @pytest.mark.parametrize("method", list(MethodId), ids=str)
     def test_evaluate_forwards_every_argument(self, method):

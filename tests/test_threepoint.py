@@ -23,7 +23,8 @@ from gausshyp import (
     threepoint,
 )
 from gausshyp.core import cpow_principal
-from gausshyp.threepoint import eval_threepoint, phi3_sequence, threepoint_coeffs, threepoint_margin
+from gausshyp.select import eval_threepoint
+from gausshyp.threepoint import phi3_sequence, threepoint_coeffs, threepoint_margin
 from gausshyp.verify import phi3_direct_sequence
 from conftest import Z_EXC, phi3_xyz_ref, rel_err, sample_in_region
 
@@ -135,7 +136,7 @@ class TestPhi3:
 
 
     def test_recurrence_cannot_break_down_when_c_above_b_above_zero(self):
-        # eval_threepoint relies on this: for c > b > 0 and n >= 1 the last
+        # threepoint_sums relies on this: for c > b > 0 and n >= 1 the last
         # factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0.
         # phi3_xyz_ref is the recurrence phi3_sequence runs: its Horner form
         # equals it exactly and the stream runs that form bit for bit
@@ -151,7 +152,7 @@ class TestPhi3:
             z = 16 * (3 * n + c) * (3 * n + 1 + c) * (3 * n + 2 + c) * last
             assert phi3_xyz_ref(n, b, c)[2] == z, (b, c, n)
         # and in floating point no Z_n rounds to zero on the pair
-        # eval_threepoint passes, or on the shifts its columns replace
+        # threepoint_sums passes, or on the shifts its columns replace
         for _ in range(150):
             b = 10.0 ** rng.uniform(-12.0, 12.0)
             c = b * (1.0 + 10.0 ** rng.uniform(-12.0, 3.0))

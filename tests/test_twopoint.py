@@ -15,7 +15,8 @@ from gausshyp import (
     euler_integral,
 )
 from gausshyp.core import cpow_principal, pochhammer
-from gausshyp.twopoint import _twopoint_terms, eval_twopoint, twopoint_coeffs_recursive, twopoint_margin
+from gausshyp.select import eval_twopoint
+from gausshyp.twopoint import _twopoint_terms, twopoint_coeffs_recursive, twopoint_margin
 from gausshyp.verify import twopoint_coeffs_explicit, twopoint_coeffs_mp
 from conftest import Z_EXC, rel_err, sample_in_region, within_factor
 

@@ -156,7 +156,7 @@ def test_root_stores_an_on_demand_name_on_first_access():
 
 def test_root_lists_and_serves_every_public_name():
     assert len(gausshyp.__all__) == 32
-    # each route is evaluated as evaluate(..., method=m); its one-stop wrapper lives in its module only
+    # each route is evaluated as evaluate(..., method=m); the one-stop runner's names live in select only
     wrappers = ("buhring_eval", "eval_onepoint", "eval_threepoint", "eval_twopoint")
     assert [name for name in wrappers if hasattr(gausshyp, name)] == []
     assert set(gausshyp.__all__) <= set(dir(gausshyp))
