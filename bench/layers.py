@@ -4,6 +4,7 @@ Run from the root of a checkout, against src or against an installed package:
 
     PYTHONPATH=src python bench/layers.py                      # writes BENCH_layers.json
     python bench/layers.py --rounds 2 --number 5 --out x.json  # a quick run
+    PYTHONPATH=src python bench/layers.py --parent ../old/src  # beside each row, the same layer of ../old/src
 
 Every three-point layer runs at one point, z = exp(i pi/3) and (a, b, c) = (1.2, 2.3, 3.5),
 and every layer of Buhring's continuation at z = -2 + 2i with the same (a, b, c) and
@@ -28,7 +29,16 @@ of the s = a series.  select_method is timed at exp(i pi/3), where auto takes th
 and at z = 2 + 2i, where the rate gate defers threepoint (rate 0.49) to the continuation
 (rate 0.20); each route's rate is timed at exp(i pi/3); and evaluate on the fallback path
 at (0.59, 1.66, 4.38), z = 1.544 - 0.879i, where the continuation the gate picks stops
-short of tol and the three-point route runs after it.
+short of tol and the three-point route runs after it.  The fixed cost of an auto call that the
+continuation serves is timed at (1.2, 2.1, 3), z = 3 + 0.5i: core.HypParams, select_method there,
+and auto's evaluate beside buhring_sums at n = 40; evaluate less buhring_sums and select_method is
+evaluate's own checks and plumbing.
+
+With --parent DIR, the gausshyp package under DIR (DIR/gausshyp, or DIR/src/gausshyp) is imported
+a second time under another name, and each round times each layer on both trees, in alternating
+order, so that a slow spell of the host reaches both alike.  Each row then carries the parent's
+best time beside its own; a layer that the parent tree lacks is skipped there.  Errors are this
+tree's only.
 
 Each error compares what the layer computes with mpmath at 40 digits:
   - the Phi_3 stream: Phi_n = (-1)^n (b)_n (c-b)_n / (2^n (c)_{2n}) 2F1(-n, b+n; c+2n; 2),
@@ -39,13 +49,14 @@ Each error compares what the layer computes with mpmath at 40 digits:
   - the d_n stream: the continuation summed from its d_n of both series, to n = 40, with the
     gamma prefactors and the powers of z - z0 in mpmath, against 2F1(a, b, c; z);
   - the continuation's term generators and buhring_sums: their value against 2F1(a, b, c; z);
-  - select_method: the value of auto's evaluate at its point against 2F1(a, b, c; z);
+  - select_method and core.HypParams: the value of auto's evaluate at the point against 2F1(a, b, c; z);
   - a rate: against its formula in mpmath;
   - evaluate on the fallback path: its value against 2F1 at its point.
 """
 
 import argparse
 import cmath
+import importlib.util
 import json
 import math
 import os
@@ -57,7 +68,8 @@ from pathlib import Path
 
 import mpmath
 
-from gausshyp import ROUTES, HypParams, MethodId, evaluate, select_method
+import gausshyp
+from gausshyp import ROUTES, HypParams, MethodId, evaluate
 from gausshyp import threepoint
 from gausshyp.buhring import _buhring_terms, _d_stream, buhring_sums
 from gausshyp.core import DEFAULT_TERMS, SERIES_TOL_FLOOR, sum_series
@@ -68,14 +80,14 @@ PARAMS = HypParams(1.2, 2.3, 3.5)
 Z = cmath.exp(1j * math.pi / 3.0)
 #: The psi_n a default term loop reads: indices 0 .. DEFAULT_TERMS + 1.
 N_PSI = DEFAULT_TERMS + 2
-#: The store, or an empty dict where the package keeps none.
-STORE = getattr(threepoint, "_PHI3", {})
 #: The continuation's point and expansion point, and 1/(z - z0), the ratio of its terms.
 Z_BUHRING, Z0 = complex(-2.0, 2.0), 0.5
 U = 1.0 / (Z_BUHRING - Z0)
 #: A point whose three-point rate is past the gate, and (params, z) where auto falls back to threepoint.
 Z_DEFERRED = complex(2.0, 2.0)
-FALLBACK = HypParams(0.59, 1.66, 4.38), complex(1.544, -0.879)
+FALLBACK = (0.59, 1.66, 4.38), complex(1.544, -0.879)
+#: (a, b, c) and z where auto takes the continuation, for the fixed cost of such a call.
+AUTO_BUHRING = (1.2, 2.1, 3.0), complex(3.0, 0.5)
 #: Each rate's formula at (z, z0), for mpmath numbers.
 RATES = {
     MethodId.THREEPOINT: lambda z, z0: abs(z) ** 3 / (6 * mpmath.sqrt(3) * abs((1 - z) * (2 - z))),
@@ -130,7 +142,11 @@ def _errors() -> dict:
         rates = {
             f"rate[{m}]": _rel(ROUTES[m].rate(Z, Z0), rate(mpmath.mpc(Z), mpmath.mpf(Z0))) for m, rate in RATES.items()
         }
-        fallback = _rel(evaluate(*FALLBACK)[0].value, mpmath.hyp2f1(*FALLBACK[0], FALLBACK[1]))
+        want_fallback = mpmath.hyp2f1(*FALLBACK[0], FALLBACK[1])
+        fallback = _rel(evaluate(HypParams(*FALLBACK[0]), FALLBACK[1])[0].value, want_fallback)
+        auto_params, auto_z = HypParams(*AUTO_BUHRING[0]), AUTO_BUHRING[1]
+        want_auto = mpmath.hyp2f1(*AUTO_BUHRING[0], auto_z)
+        (auto_summed,) = buhring_sums(auto_params, auto_z, (40,), Z0)
     return {
         **rates,
         "phi3": phi3,
@@ -145,6 +161,8 @@ def _errors() -> dict:
         "bsums40": _rel(b_summed.value, want_b),
         "deferred": deferred,
         "fallback": fallback,
+        "auto": _rel(evaluate(auto_params, auto_z)[0].value, want_auto),
+        "asums40": _rel(auto_summed.value, want_auto),
     }
 
 
@@ -153,29 +171,35 @@ def _drain(stream, n: int) -> None:
         pass
 
 
-def _layers() -> dict:
-    """name -> (timed call, its divisor: terms per call or 1, unit, error key)."""
-    b, c = PARAMS.b, PARAMS.c
+def _layers(pkg) -> dict:
+    """name -> (timed call, its divisor: terms per call or 1, unit, error key), on the gausshyp package pkg."""
+    tp, bu, select, core = pkg.threepoint, pkg.buhring, pkg.select, pkg.core
+    params = pkg.HypParams(*PARAMS)
+    a, b, c = params
+    store = getattr(tp, "_PHI3", {})  # an empty dict where the package keeps no store
 
     def cold(call):
         def run():
-            STORE.clear()
+            store.clear()
             call()
 
         return run
 
-    phi3 = lambda: _drain(_phi3_stream(b, c), N_PSI)
-    abc = lambda: _drain(_abc_stream(PARAMS.a, Z), DEFAULT_TERMS + 1)
-    terms10 = lambda: _drain(_threepoint_terms(PARAMS, Z), 11)
-    terms40 = lambda: _drain(_threepoint_terms(PARAMS, Z), 41)
-    terms = list(islice(_threepoint_terms(PARAMS, Z), 41))
-    sum40 = lambda: tuple(sum_series((40,), SERIES_TOL_FLOOR, (1.0, iter(terms))))
-    ev = lambda: evaluate(PARAMS, Z, "threepoint")
-    d = lambda: _drain(_d_stream(PARAMS.a, Z0, PARAMS), DEFAULT_TERMS + 1)
-    bterms40 = lambda: [_drain(_buhring_terms(s, Z0, PARAMS, U), 41) for s in (PARAMS.a, b)]
-    bsums40 = lambda: tuple(buhring_sums(PARAMS, Z_BUHRING, (40,), Z0))
+    phi3 = lambda: _drain(tp._phi3_stream(b, c), N_PSI)
+    abc = lambda: _drain(tp._abc_stream(a, Z), DEFAULT_TERMS + 1)
+    terms10 = lambda: _drain(tp._threepoint_terms(params, Z), 11)
+    terms40 = lambda: _drain(tp._threepoint_terms(params, Z), 41)
+    terms = list(islice(tp._threepoint_terms(params, Z), 41))
+    sum40 = lambda: tuple(core.sum_series((40,), SERIES_TOL_FLOOR, (1.0, iter(terms))))
+    ev = lambda: pkg.evaluate(params, Z, "threepoint")
+    d = lambda: _drain(bu._d_stream(a, Z0, params), DEFAULT_TERMS + 1)
+    bterms40 = lambda: [_drain(bu._buhring_terms(s, Z0, params, U), 41) for s in (a, b)]
+    bsums40 = lambda: tuple(bu.buhring_sums(params, Z_BUHRING, (40,), Z0))
+    fallback = pkg.HypParams(*FALLBACK[0]), FALLBACK[1]
+    auto_params, auto_z = pkg.HypParams(*AUTO_BUHRING[0]), AUTO_BUHRING[1]
     rates = {
-        f"select.rate[{m}]": ((lambda rate=ROUTES[m].rate: rate(Z, Z0)), 1, "us", f"rate[{m}]") for m in RATES
+        f"select.rate[{m}]": ((lambda rate=pkg.ROUTES[pkg.MethodId(m.value)].rate: rate(Z, Z0)), 1, "us", f"rate[{m}]")
+        for m in RATES
     }
     return {
         "threepoint._phi3_stream[cold]": (cold(phi3), N_PSI, "us/term", "phi3"),
@@ -186,42 +210,78 @@ def _layers() -> dict:
         "threepoint._threepoint_terms[n=40, cold]": (cold(terms40), 1, "us", "terms40"),
         "threepoint._threepoint_terms[n=40, stored]": (terms40, 1, "us", "terms40"),
         "core.sum_series[n=40]": (sum40, 1, "us", "sum40"),
-        "select.eval_threepoint[n=40, stored]": (lambda: eval_threepoint(PARAMS, Z, 40), 1, "us", "runner"),
+        "select.eval_threepoint[n=40, stored]": (lambda: select.eval_threepoint(params, Z, 40), 1, "us", "runner"),
         "select.evaluate[miss]": (cold(ev), 1, "us", "evaluate"),
         "select.evaluate[hit]": (ev, 1, "us", "evaluate"),
         "buhring._d_stream": (d, DEFAULT_TERMS + 1, "us/term", "d"),
         "buhring._buhring_terms[n=40]": (bterms40, 1, "us", "bterms40"),
         "buhring.buhring_sums[n=40]": (bsums40, 1, "us", "bsums40"),
-        "select.select_method[threepoint]": (lambda: select_method(PARAMS, Z), 1, "us", "evaluate"),
-        "select.select_method[deferred]": (lambda: select_method(PARAMS, Z_DEFERRED), 1, "us", "deferred"),
+        "select.select_method[threepoint]": (lambda: pkg.select_method(params, Z), 1, "us", "evaluate"),
+        "select.select_method[deferred]": (lambda: pkg.select_method(params, Z_DEFERRED), 1, "us", "deferred"),
         **rates,
-        "select.evaluate[fallback]": (lambda: evaluate(*FALLBACK), 1, "us", "fallback"),
+        "select.evaluate[fallback]": (lambda: pkg.evaluate(*fallback), 1, "us", "fallback"),
+        "core.HypParams": (lambda: pkg.HypParams(*AUTO_BUHRING[0]), 1, "us", "auto"),
+        "select.select_method[buhring]": (lambda: pkg.select_method(auto_params, auto_z), 1, "us", "auto"),
+        "buhring.buhring_sums[n=40, 3+0.5i]": (
+            lambda: tuple(bu.buhring_sums(auto_params, auto_z, (40,), Z0)), 1, "us", "asums40"
+        ),
+        "select.evaluate[buhring]": (lambda: pkg.evaluate(auto_params, auto_z), 1, "us", "auto"),
     }
 
 
-def measure(rounds: int, number: int) -> dict:
+def load_parent(root: Path):
+    """The gausshyp package under root (root/gausshyp or root/src/gausshyp), imported as gausshyp_parent."""
+    pkg = next((p for p in (root / "gausshyp", root / "src" / "gausshyp") if (p / "__init__.py").is_file()), None)
+    if pkg is None:
+        raise SystemExit(f"no gausshyp package under {root}")
+    spec = importlib.util.spec_from_file_location("gausshyp_parent", pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def measure(rounds: int, number: int, parent=None) -> dict:
     err = _errors()
-    layers = _layers()
-    best = dict.fromkeys(layers, math.inf)
-    for call, *_ in layers.values():  # fills the store, as a repeated (b, c) finds it
-        call()
-    for _ in range(rounds):
-        for name, (call, *_) in layers.items():
-            t0 = time.perf_counter()
-            for _ in range(number):
+    trees = {"time": _layers(gausshyp)}
+    if parent is not None:
+        trees["parent_time"] = _layers(parent)
+    for key, layers in trees.items():  # fills the store, as a repeated (b, c) finds it
+        for name, (call, *_) in list(layers.items()):
+            try:
                 call()
-            best[name] = min(best[name], time.perf_counter() - t0)
+            except (AttributeError, TypeError):  # a name, or a route's rate, that the parent tree lacks
+                if key == "time":
+                    raise
+                del layers[name]
+    best = {key: dict.fromkeys(layers, math.inf) for key, layers in trees.items()}
+    for r in range(rounds):
+        for name in trees["time"]:
+            for key in sorted(trees, reverse=r % 2 == 1):  # alternate which tree goes first
+                if name in trees[key]:
+                    call = trees[key][name][0]
+                    t0 = time.perf_counter()
+                    for _ in range(number):
+                        call()
+                    best[key][name] = min(best[key][name], time.perf_counter() - t0)
+    rows = {}
+    for name, (_, per, unit, key) in trees["time"].items():
+        rows[name] = {"time": round(best["time"][name] / number / per * 1e6, 4), "unit": unit}
+        if parent is not None:
+            t = best["parent_time"].get(name, math.inf)
+            rows[name]["parent_time"] = round(t / number / per * 1e6, 4) if t < math.inf else None
+        rows[name]["max_rel_err"] = err[key]
     return {
         "point": {
             "a": PARAMS.a, "b": PARAMS.b, "c": PARAMS.c, "z": "exp(i pi/3)", "z_buhring": "-2+2i", "z0": Z0,
             "z_deferred": "2+2i", "fallback": "(0.59, 1.66, 4.38) at 1.544-0.879i",
+            "auto_buhring": "(1.2, 2.1, 3) at 3+0.5i",
         },
-        "settings": {"rounds": rounds, "number": number, "store": hasattr(threepoint, "_PHI3")},
+        "settings": {"rounds": rounds, "number": number, "store": hasattr(threepoint, "_PHI3"),
+                     "paired": parent is not None},
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
-        "layers": {
-            name: {"time": round(best[name] / number / per * 1e6, 4), "unit": unit, "max_rel_err": err[key]}
-            for name, (_, per, unit, key) in layers.items()
-        },
+        "layers": rows,
     }
 
 
@@ -230,11 +290,14 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=15, help="rounds; the best one is kept (default 15)")
     parser.add_argument("--number", type=int, default=300, help="calls per layer per round (default 300)")
     parser.add_argument("--out", type=Path, default=Path(__file__).resolve().parents[1] / "BENCH_layers.json")
+    parser.add_argument("--parent", type=Path, help="a second tree, timed in the same rounds (DIR/gausshyp or DIR/src)")
     args = parser.parse_args(argv)
-    result = measure(args.rounds, args.number)
+    result = measure(args.rounds, args.number, args.parent and load_parent(args.parent))
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     for name, rec in result["layers"].items():
-        print(f"{name:45s} {rec['time']:10.3f} {rec['unit']:8s} max rel err {rec['max_rel_err']:.2e}")
+        parent = rec.get("parent_time")
+        beside = "" if parent is None else f"  parent {parent:10.3f} ({rec['time'] / parent - 1.0:+6.1%})"
+        print(f"{name:45s} {rec['time']:10.3f} {rec['unit']:8s}{beside}  max rel err {rec['max_rel_err']:.2e}")
     return 0
 
 

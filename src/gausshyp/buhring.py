@@ -134,6 +134,11 @@ def buhring_sums(
     """
     if refusal := buhring_refusal(params, z, z0):
         raise refusal
+    return _buhring_sums(params, z, stops, tol, None, z0)
+
+
+def _buhring_sums(params: HypParams, z: complex, stops: tuple, tol: float, _w, z0: complex) -> Iterator[SeriesResult]:
+    """buhring_sums past its refusal, in the route table's argument order (w unused)."""
     a, b, c = params.a, params.b, params.c
     diff = b - a
     z, z0 = complex(z), complex(z0)
@@ -150,5 +155,4 @@ def buhring_sums(
     terms_a = _buhring_terms(a, z0_coeffs, params, u)
     terms_b = _buhring_terms(b, z0_coeffs, params, u)
     inflation = max(1.0, 1.0 / abs(math.sin(math.pi * diff)))
-    sums = sum_series(stops, tol, (fac_a, terms_a), (fac_b, terms_b))
-    return (SeriesResult(value, n, est * inflation, est * inflation <= tol) for value, n, est, _ in sums)
+    return sum_series(stops, tol, (fac_a, terms_a), (fac_b, terms_b), inflation=inflation)

@@ -100,7 +100,8 @@ def tail_estimate(total_abs: float, abs_sum: float, last: float, n_summed: int) 
 
 
 def sum_series(
-    stops: tuple[int, ...], tol: float, *series: tuple[complex, Iterator[complex]], stop: float = 0.0
+    stops: tuple[int, ...], tol: float, *series: tuple[complex, Iterator[complex]], stop: float = 0.0,
+    inflation: float = 1.0,
 ) -> Iterator[SeriesResult]:
     """Yield the sum of terms 0 .. n of each (weight, terms) series for each n in the ascending stops.
 
@@ -108,7 +109,7 @@ def sum_series(
     that of stops = (n,).  The value is the sum of weight * (partial sum)
     over the series, in the order given.  est_error is tail_estimate of that
     value, with the sizes |weight| |term| of all series added into one
-    abs_sum and one last term; converged is est_error <= tol.  A partial sum
+    abs_sum and one last term, times inflation; converged is est_error <= tol.  A partial sum
     or weighted value that is not finite, or an overflow, raises
     RecurrenceBreakdown.  Every series route sums here; a one-stop caller
     unpacks (res,) = ..., which ends the generator.  A stop > 0 (one series
@@ -147,7 +148,7 @@ def sum_series(
             abs_sum += abs(weight) * part_sum
             last += abs(weight) * size
         start = n + 1
-        est = tail_estimate(abs(value), abs_sum, last, n + 1)
+        est = tail_estimate(abs(value), abs_sum, last, n + 1) * inflation
         yield SeriesResult(value, n, est, est <= tol and (below == 2 or not stop))
         if below == 2:
             return
@@ -222,19 +223,20 @@ class HypParams(namedtuple("HypParams", "a b c")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the checks too
 
     def __new__(cls, a: float, b: float, c: float) -> "HypParams":
-        self = tuple.__new__(cls, (a, b, c))
         try:
-            for name in ("a", "b", "c"):
-                v = getattr(self, name)
-                if not math.isfinite(v):
-                    raise ParamDomainError(f"parameter {name} must be finite, got {v}")
-        except OverflowError:  # an int past the double range, say
-            raise ParamDomainError(f"parameter {name} must be finite, got a number past the double range") from None
-        if self.c <= 0.5 and abs(self.c - round(self.c)) < _INT_TOL and round(self.c) <= 0:
-            raise ParamDomainError(
-                f"c = {self.c} is zero or a negative integer (pole of every series denominator)"
-            )
-        return self
+            finite = math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+        except OverflowError:  # an int past the double range, say; the loop below names it
+            finite = False
+        if not finite:  # the first parameter at fault, in order
+            try:
+                for name, v in zip("abc", (a, b, c)):
+                    if not math.isfinite(v):
+                        raise ParamDomainError(f"parameter {name} must be finite, got {v}")
+            except OverflowError:
+                raise ParamDomainError(f"parameter {name} must be finite, got a number past the double range") from None
+        if c <= 0.5 and abs(c - round(c)) < _INT_TOL and round(c) <= 0:
+            raise ParamDomainError(f"c = {c} is zero or a negative integer (pole of every series denominator)")
+        return tuple.__new__(cls, (a, b, c))
 
     def param_refusal(self, needs: str) -> ParamDomainError | None:
         """None when c > b > 0, else the ParamDomainError whose message needs opens, e.g. "Euler integral needs"."""

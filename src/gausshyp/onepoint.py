@@ -126,6 +126,11 @@ def onepoint_sums(
     """
     if refusal := onepoint_refusal(params, z, w):
         raise refusal
+    return _onepoint_sums(params, z, stops, tol, w)
+
+
+def _onepoint_sums(params: HypParams, z: complex, stops: tuple, tol: float, w: complex, *_) -> Iterator[SeriesResult]:
+    """onepoint_sums past its refusal, in the route table's argument order (z0 unused)."""
     z, w = complex(z), complex(w)
     prefactor = cpow_principal(1.0 - w * z, -params.a)
     return sum_series(stops, tol, (prefactor, _onepoint_terms(params, z, w)))

@@ -5,16 +5,16 @@ import sys
 import warnings
 from typing import Callable, Iterator, NamedTuple
 
-from .buhring import DEFAULT_Z0, buhring_refusal, buhring_sums, exclusion_margin, exclusion_radius
+from .buhring import DEFAULT_Z0, _buhring_sums, buhring_refusal, buhring_sums, exclusion_margin, exclusion_radius
 from .core import DEFAULT_TERMS, DEFAULT_TOL, SERIES_TOL_FLOOR, HypParams, is_count, require_finite_complex, require_tol
 from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning, RecurrenceBreakdown, shown
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
-from .onepoint import in_region_onepoint, onepoint_margin, onepoint_refusal, onepoint_sums
+from .onepoint import _onepoint_sums, in_region_onepoint, onepoint_margin, onepoint_refusal, onepoint_sums
 from .onepoint import require_expansion_point, require_w
 from .reference import euler_integral, euler_margin, euler_refusal, maclaurin, maclaurin_margin, maclaurin_refusal
 from .results import MethodId, SeriesResult
-from .threepoint import in_region_threepoint, threepoint_margin, threepoint_refusal, threepoint_sums
-from .twopoint import in_region_twopoint, twopoint_margin, twopoint_refusal, twopoint_sums
+from .threepoint import _threepoint_sums, in_region_threepoint, threepoint_margin, threepoint_refusal, threepoint_sums
+from .twopoint import _twopoint_sums, in_region_twopoint, twopoint_margin, twopoint_refusal, twopoint_sums
 
 #: |z| below which the plain power series is preferred outright.
 MACLAURIN_RADIUS = 0.5
@@ -24,10 +24,10 @@ class Route(NamedTuple):
     """One route: its signed region margin, its refusal, its evaluator and, for a series, its stops form and rate."""
 
     margin: Callable[[complex, complex | None, complex], float]
-    # (params, z, w, z0): the error run and sums raise before any work, or None where the route applies
+    # (params, z, w, z0): the error sums (or a non-series run) raises before any work, or None where the route applies
     refusal: Callable[[HypParams, complex, complex | None, complex], GaussHypError | None]
-    run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0)
-    sums: Callable[..., Iterator[SeriesResult]] | None = None  # (params, z, stops, tol, w, z0)
+    run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0); a series run leaves the refusal to its caller
+    sums: Callable[..., Iterator[SeriesResult]] | None = None  # (params, z, stops, tol, w, z0): refusal, then sums
     rate: Callable[[complex, complex], float] | None = None  # (z, z0): the terms' asymptotic ratio, < 1 iff margin > 0
 
 
@@ -91,20 +91,20 @@ ROUTES: dict[MethodId, Route] = {
 }
 
 
-def _one_stop(sums: Callable[..., Iterator[SeriesResult]]) -> Callable[..., SeriesResult]:
-    """A route's stops form as one call: the series truncated at index n_terms, summed 0 .. n_terms inclusive."""
+def _one_stop(body: Callable[..., Iterator[SeriesResult]]) -> Callable[..., SeriesResult]:
+    """A series body as one call, summed 0 .. n_terms inclusive, past the refusal that its caller asks."""
     def run(params: HypParams, z: complex, n_terms: int = DEFAULT_TERMS, tol: float = SERIES_TOL_FLOOR,
             w: complex | None = None, z0: complex = DEFAULT_Z0) -> SeriesResult:
-        (res,) = sums(params, z, (n_terms,), tol, w, z0)
+        (res,) = body(params, z, (n_terms,), tol, w, z0)
         return res
     return run
 
 
-# The names the series entries of ROUTES call; bound to .sums here, so a call pays no MethodId hash.
-eval_threepoint = _one_stop(ROUTES[MethodId.THREEPOINT].sums)
-eval_twopoint = _one_stop(ROUTES[MethodId.TWOPOINT].sums)
-eval_onepoint = _one_stop(ROUTES[MethodId.ONEPOINT_W].sums)  # w = 0.5 for onepoint-half
-buhring_eval = _one_stop(ROUTES[MethodId.BUHRING].sums)
+# The names the series run entries of ROUTES call, bound to the bodies past each refusal; the tracer wraps them.
+eval_threepoint = _one_stop(_threepoint_sums)
+eval_twopoint = _one_stop(_twopoint_sums)
+eval_onepoint = _one_stop(_onepoint_sums)  # w = 0.5 for onepoint-half
+buhring_eval = _one_stop(_buhring_sums)
 
 #: The routes auto asks outside the disk |z| <= MACLAURIN_RADIUS, in order of preference: the
 #: three- and two-point expansions (fast convergence, no integer b-a restriction), the half-point
@@ -117,22 +117,33 @@ _AUTO_ROUTES = tuple((method, ROUTES[method]) for method in AUTO_ORDER)  # no Me
 RATE_GATE = 0.45  #: the largest rate at which auto sums a series route: 0.45**40 = 1.3e-14 < SERIES_TOL_FLOOR
 
 
-def _auto_choice(params: HypParams, z: complex, z0: complex) -> tuple[MethodId, MethodId]:
-    """(auto's route, the first accepting route of AUTO_ORDER) for finite z and z0 with |z| > MACLAURIN_RADIUS."""
-    first = None  # the first accepting series route, once its rate has put it past RATE_GATE
+def _auto_choice(params: HypParams, z: complex, z0: complex) -> MethodId:
+    """auto's route for finite z, z0 with |z| > MACLAURIN_RADIUS; defers the refusals of routes past the gate."""
+    rest = []  # the routes with a positive margin that the gate passes over, in order
     for method, route in _AUTO_ROUTES:
-        if first is None:  # the margin first, as it builds no error; the rate only where the route accepts
-            if route.margin(z, None, z0) > 0.0 and route.refusal(params, z, None, z0) is None:
-                if route.rate is None or route.rate(z, z0) <= RATE_GATE:
-                    return method, method
-                first = method
-        elif route.rate is None:  # the series routes come first; past them, first stands
-            return first, first
-        elif route.rate(z, z0) <= RATE_GATE and route.refusal(params, z, None, z0) is None:
-            return method, first
+        if route.margin(z, None, z0) > 0.0:  # the margin first, as it builds no error
+            if route.rate is None or route.rate(z, z0) > RATE_GATE:
+                rest.append((method, route))
+            elif route.refusal(params, z, None, z0) is None:
+                return method
+    for method, route in rest:
+        if route.refusal(params, z, None, z0) is None:
+            return method
     refusals = ((method, route.refusal(params, z, None, z0)) for method, route in _AUTO_ROUTES)
     reasons = "; ".join(f"{method}: {type(refusal).__name__}: {refusal}" for method, refusal in refusals)
     raise NoMethodError(f"no evaluation method applies at z = {z} for {params}: {reasons}")
+
+
+def _first_accepting(params: HypParams, z: complex, z0: complex, method: MethodId) -> MethodId:
+    """The first route of AUTO_ORDER to accept finite z where the walk took method: past RATE_GATE, method (every
+    route before it refused); within it, asks the refusals the walk deferred, of routes before it past the gate."""
+    z, z0 = complex(z), complex(z0)
+    if (rate := ROUTES[method].rate) is not None and rate(z, z0) <= RATE_GATE:
+        for first, route in _AUTO_ROUTES[:AUTO_ORDER.index(method)]:
+            if route.margin(z, None, z0) > 0.0 and route.rate(z, z0) > RATE_GATE:
+                if route.refusal(params, z, None, z0) is None:
+                    return first
+    return method
 
 
 def select_method(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> MethodId:
@@ -146,7 +157,7 @@ def select_method(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> Me
     z0 = require_finite_complex(z0, "z0")
     if abs(z) <= MACLAURIN_RADIUS:
         return MethodId.MACLAURIN
-    return _auto_choice(params, z, z0)[0]
+    return _auto_choice(params, z, z0)
 
 
 def method_margin(
@@ -185,8 +196,9 @@ def evaluate(
     n_terms that is not an integer (a bool is not one), negative or past
     sys.maxsize - 1, and a tol that is not a finite number > 0, raise ConfigError.
     A non-finite z0, and a given w that is non-finite or zero, raise DomainError
-    before any route is chosen, whatever the method.  Where auto's rate gate moved the point and its route
-    returns converged=False or raises RecurrenceBreakdown, the first accepting route runs instead.
+    before any route is chosen, whatever the method.  A series refusal is asked once, by select_method or here.
+    Where auto's rate gate moved the point and its route returns converged=False
+    or raises RecurrenceBreakdown, the first accepting route runs instead.
     """
     if not is_count(n_terms):
         raise ConfigError(f"n_terms must be an integer, got {shown(n_terms)}")
@@ -195,19 +207,23 @@ def evaluate(
     if n_terms >= sys.maxsize:  # sum_series reads n_terms + 1 terms through islice
         raise ConfigError(f"n_terms must be <= sys.maxsize - 1 = {sys.maxsize - 1}, got a larger count")
     require_tol(tol)
-    z0 = z0 if method == "auto" else require_finite_complex(z0, "z0")  # auto: select_method checks it
+    auto = method == "auto"
+    z0 = z0 if auto else require_finite_complex(z0, "z0")  # auto: select_method checks it
     if w is not None:
         w = require_expansion_point(w)
-    method_id = select_method(params, z, z0) if method == "auto" else MethodId.from_string(method)
+    method_id = select_method(params, z, z0) if auto else MethodId.from_string(method)
     route = ROUTES[method_id]
-    tol = max(tol, SERIES_TOL_FLOOR) if route.sums is not None else tol
-    gated = method == "auto" and route.rate is not None  # a series route that auto's rate gate may have moved to
+    if route.sums is None:  # maclaurin and euler-oracle ask their own refusal, again under auto
+        return route.run(params, z, n_terms, tol, w, z0), method_id
+    tol = max(tol, SERIES_TOL_FLOOR)
+    if not auto and (refusal := route.refusal(params, z, w, z0)):
+        raise refusal
     try:
         res = route.run(params, z, n_terms, tol, w, z0)
-        if res.converged or not gated or (first := _auto_choice(params, complex(z), complex(z0))[1]) is method_id:
+        if res.converged or not auto or (first := _first_accepting(params, z, z0, method_id)) is method_id:
             return res, method_id
     except RecurrenceBreakdown:
-        if not gated or (first := _auto_choice(params, complex(z), complex(z0))[1]) is method_id:
+        if not auto or (first := _first_accepting(params, z, z0, method_id)) is method_id:
             raise
     return ROUTES[first].run(params, z, n_terms, tol, w, z0), first
 

@@ -244,11 +244,16 @@ def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
 def threepoint_sums(
     params: HypParams, z: complex, stops: tuple[int, ...], tol: float = SERIES_TOL_FLOOR
 ) -> Iterator[SeriesResult]:
-    """The three-point expansion truncated at each index in stops, from one pass.
+    """The three-point expansion truncated at each index in stops, from one pass; raises threepoint_refusal's error.
 
     The moments cannot break down here: under c > b > 0, D < 0 and the last
     factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0.
     """
     if refusal := threepoint_refusal(params, z):
         raise refusal
+    return _threepoint_sums(params, z, stops, tol)
+
+
+def _threepoint_sums(params: HypParams, z: complex, stops: tuple[int, ...], tol: float, *_) -> Iterator[SeriesResult]:
+    """threepoint_sums past its refusal, in the route table's argument order (w and z0 unused)."""
     return sum_series(stops, tol, (1.0, _threepoint_terms(params, complex(z))))

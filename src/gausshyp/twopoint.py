@@ -107,7 +107,12 @@ def _twopoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
 def twopoint_sums(
     params: HypParams, z: complex, stops: tuple[int, ...], tol: float = SERIES_TOL_FLOOR
 ) -> Iterator[SeriesResult]:
-    """The two-point expansion truncated at each index in stops, from one pass."""
+    """The two-point expansion truncated at each index in stops, from one pass; raises twopoint_refusal's error."""
     if refusal := twopoint_refusal(params, z):
         raise refusal
+    return _twopoint_sums(params, z, stops, tol)
+
+
+def _twopoint_sums(params: HypParams, z: complex, stops: tuple[int, ...], tol: float, *_) -> Iterator[SeriesResult]:
+    """twopoint_sums past its refusal, in the route table's argument order (w and z0 unused)."""
     return sum_series(stops, tol, (1.0, _twopoint_terms(params, complex(z))))

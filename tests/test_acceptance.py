@@ -17,6 +17,7 @@ from gausshyp import (
     MethodId,
     classify_region,
     euler_integral,
+    evaluate,
     maclaurin,
     run_table,
 )
@@ -225,7 +226,7 @@ def test_criterion_8_region_coverage():
 def test_criterion_9_integer_difference_handling():
     for b in (2.2, 1.2, 0.2, 4.2):  # b - a in {1, 0, -1, 3}
         with pytest.raises(IntegerDifferenceError):
-            buhring_eval(HypParams(1.2, b, 3.0), -5.0 + 0j, n_terms=10)
+            evaluate(HypParams(1.2, b, 3.0), -5.0 + 0j, "buhring", n_terms=10)
 
     near = HypParams(1.2, 2.2 + 1e-6, 3.0)
     res = buhring_eval(near, Z_EXC, n_terms=20)

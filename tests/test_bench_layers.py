@@ -32,26 +32,47 @@ LAYERS = {
     "select.rate[onepoint-half]",
     "select.rate[buhring]",
     "select.evaluate[fallback]",
+    "core.HypParams",
+    "select.select_method[buhring]",
+    "buhring.buhring_sums[n=40, 3+0.5i]",
+    "select.evaluate[buhring]",
 }
 
 
-def test_layers_script_runs_at_reduced_size(tmp_path):
-    out = tmp_path / "layers.json"
-    # the script imports the gausshyp this suite imports: src/ or the installed package
-    path = os.pathsep.join(filter(None, [str(Path(gausshyp.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+#: The directory that holds the gausshyp this suite imports: src/ or site-packages.
+PACKAGE_ROOT = Path(gausshyp.__file__).parents[1]
+
+
+def _run_layers(out: Path, *args: str) -> dict:
+    # the script imports the gausshyp this suite imports
+    path = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")]))
     subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "layers.py"), "--rounds", "1", "--number", "2", "--out", str(out)],
+        [sys.executable, str(ROOT / "bench" / "layers.py"), "--rounds", "1", "--number", "2", "--out", str(out), *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         check=True,
         timeout=120,
     )
-    result = json.loads(out.read_text(encoding="utf-8"))
-    assert result["settings"] == {"rounds": 1, "number": 2, "store": True}
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_layers_script_runs_at_reduced_size(tmp_path):
+    result = _run_layers(tmp_path / "layers.json")
+    assert result["settings"] == {"rounds": 1, "number": 2, "store": True, "paired": False}
     assert set(result["layers"]) == LAYERS
     for name, rec in result["layers"].items():
         assert rec["time"] > 0.0 and rec["unit"] in ("us", "us/term"), name
         assert 0.0 <= rec["max_rel_err"] <= 1e-13, name
+        assert "parent_time" not in rec, name
+
+
+def test_paired_mode_times_a_parent_tree_beside_each_layer(tmp_path):
+    # this tree as its own parent: every layer is found there, and timed in the same rounds
+    result = _run_layers(tmp_path / "paired.json", "--parent", str(PACKAGE_ROOT))
+    assert result["settings"]["paired"] is True
+    assert set(result["layers"]) == LAYERS
+    for name, rec in result["layers"].items():
+        assert rec["parent_time"] > 0.0 and rec["time"] > 0.0, name
 
 
 def test_committed_ledger_has_every_layer():

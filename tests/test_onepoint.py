@@ -15,7 +15,7 @@ from gausshyp import (
     evaluate,
 )
 from gausshyp.core import pochhammer
-from gausshyp.onepoint import _phi_w_stream, onepoint_margin, phi_half_sequence, phi_w_sequence
+from gausshyp.onepoint import _phi_w_stream, onepoint_margin, onepoint_sums, phi_half_sequence, phi_w_sequence
 from gausshyp.select import eval_onepoint
 from gausshyp.verify import phi_brute
 from conftest import ONEPOINT_OVERFLOW, Z_EXC, rel_err, within_factor
@@ -201,11 +201,11 @@ class TestEvalOnepoint:
 
     def test_outside_region(self):
         with pytest.raises(OutsideDomain):
-            eval_onepoint(PARAMS, 2.0 + 0j, w=0.5, n_terms=10)
+            onepoint_sums(PARAMS, 2.0 + 0j, (10,), 0.5)
 
     def test_param_domain(self):
         with pytest.raises(ParamDomainError):
-            eval_onepoint(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, w=0.5, n_terms=10)
+            onepoint_sums(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, (10,), 0.5)
 
     def test_invalid_w(self):
         with pytest.raises(DomainError):

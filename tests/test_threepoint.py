@@ -24,7 +24,7 @@ from gausshyp import (
 )
 from gausshyp.core import cpow_principal
 from gausshyp.select import eval_threepoint
-from gausshyp.threepoint import phi3_sequence, threepoint_coeffs, threepoint_margin
+from gausshyp.threepoint import phi3_sequence, threepoint_coeffs, threepoint_margin, threepoint_sums
 from gausshyp.verify import phi3_direct_sequence
 from conftest import Z_EXC, phi3_xyz_ref, rel_err, sample_in_region
 
@@ -263,7 +263,7 @@ class TestEvalThreepoint:
 
     def test_outside_region(self):
         with pytest.raises(OutsideDomain):
-            eval_threepoint(PARAMS, 3.0 + 0j, n_terms=10)
+            threepoint_sums(PARAMS, 3.0 + 0j, (10,))
 
     def test_overflow_raises_instead_of_nan(self):
         # from n = 244 the coefficients overflow to inf and the moments
@@ -278,7 +278,7 @@ class TestEvalThreepoint:
 
     def test_param_domain(self):
         with pytest.raises(ParamDomainError):
-            eval_threepoint(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, n_terms=10)
+            threepoint_sums(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, (10,))
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from gausshyp import (
 )
 from gausshyp.core import cpow_principal, pochhammer
 from gausshyp.select import eval_twopoint
-from gausshyp.twopoint import _twopoint_terms, twopoint_coeffs_recursive, twopoint_margin
+from gausshyp.twopoint import _twopoint_terms, twopoint_coeffs_recursive, twopoint_margin, twopoint_sums
 from gausshyp.verify import twopoint_coeffs_explicit, twopoint_coeffs_mp
 from conftest import Z_EXC, rel_err, sample_in_region, within_factor
 
@@ -185,7 +185,7 @@ class TestEvalTwopoint:
 
     def test_outside_region(self):
         with pytest.raises(OutsideDomain):
-            eval_twopoint(PARAMS, 3.0 + 0j, n_terms=10)
+            twopoint_sums(PARAMS, 3.0 + 0j, (10,))
 
     def test_overflow_raises_instead_of_nan(self):
         # from n = 536 the coefficients overflow to inf and the moments
@@ -195,8 +195,8 @@ class TestEvalTwopoint:
 
     def test_singularity(self):
         with pytest.raises(SingularityError):
-            eval_twopoint(PARAMS, 1.0 + 0j, n_terms=10)
+            twopoint_sums(PARAMS, 1.0 + 0j, (10,))
 
     def test_param_domain(self):
         with pytest.raises(ParamDomainError):
-            eval_twopoint(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, n_terms=10)
+            twopoint_sums(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, (10,))
