@@ -23,16 +23,17 @@ apart from the cost of the terms.  select.eval_threepoint, the one-stop runner t
 route table calls, sums the stored term loop to n = 40; its time less that of the
 term loop is the summation and the runner's plumbing, and evaluate[hit] less it is
 evaluate's own checks and route lookup.  The continuation's term generator steps d_n inside
-its own loop too; its row times the two series, s = a and s = b, that buhring_sums
-runs, and _d_stream, the reference stream behind buhring_coeffs, is timed per term
+its own loop too; its row times the two series, s = a and s = b, that the continuation's
+Route.sums runs, and _d_stream, the reference stream behind buhring_coeffs, is timed per term
 of the s = a series.  select_method is timed at exp(i pi/3), where auto takes threepoint,
 and at z = 2 + 2i, where the rate gate defers threepoint (rate 0.49) to the continuation
 (rate 0.20); each route's rate is timed at exp(i pi/3); and evaluate on the fallback path
 at (0.59, 1.66, 4.38), z = 1.544 - 0.879i, where the continuation the gate picks stops
 short of tol and the three-point route runs after it.  The fixed cost of an auto call that the
 continuation serves is timed at (1.2, 2.1, 3), z = 3 + 0.5i: core.HypParams, select_method there,
-and auto's evaluate beside buhring_sums at n = 40; evaluate less buhring_sums and select_method is
-evaluate's own checks and plumbing.
+and auto's evaluate beside the continuation's Route.sums at n = 40; evaluate less that and select_method
+is evaluate's own checks and plumbing.  Route.sums is called with all six arguments by position, the one
+order that every tree's route table takes.
 
 With --parent DIR, the gausshyp package under DIR (DIR/gausshyp, or DIR/src/gausshyp) is imported
 a second time under another name, and each round times each layer on both trees, in alternating
@@ -48,7 +49,7 @@ Each error compares what the layer computes with mpmath at 40 digits:
   - a term generator, the summation, the runner and evaluate: their sum or value against 2F1(a, b, c; z);
   - the d_n stream: the continuation summed from its d_n of both series, to n = 40, with the
     gamma prefactors and the powers of z - z0 in mpmath, against 2F1(a, b, c; z);
-  - the continuation's term generators and buhring_sums: their value against 2F1(a, b, c; z);
+  - the continuation's term generators and its Route.sums: their value against 2F1(a, b, c; z);
   - select_method and core.HypParams: the value of auto's evaluate at the point against 2F1(a, b, c; z);
   - a rate: against its formula in mpmath;
   - evaluate on the fallback path: its value against 2F1 at its point.
@@ -71,7 +72,7 @@ import mpmath
 import gausshyp
 from gausshyp import ROUTES, HypParams, MethodId, evaluate
 from gausshyp import threepoint
-from gausshyp.buhring import _buhring_terms, _d_stream, buhring_sums
+from gausshyp.buhring import _buhring_terms, _d_stream
 from gausshyp.core import DEFAULT_TERMS, SERIES_TOL_FLOOR, sum_series
 from gausshyp.select import eval_threepoint
 from gausshyp.threepoint import _abc_stream, _phi3_stream, _threepoint_terms
@@ -137,7 +138,7 @@ def _errors() -> dict:
             for s, fac in series
         )
         b_terms = sum(fac * mpmath.fsum(islice(_buhring_terms(s, Z0, PARAMS, U), 41)) for s, fac in series)
-        (b_summed,) = buhring_sums(PARAMS, Z_BUHRING, (40,), Z0)
+        (b_summed,) = ROUTES[MethodId.BUHRING].sums(PARAMS, Z_BUHRING, (40,), z0=Z0)
         deferred = _rel(evaluate(PARAMS, Z_DEFERRED)[0].value, mpmath.hyp2f1(a, b, c, Z_DEFERRED))
         rates = {
             f"rate[{m}]": _rel(ROUTES[m].rate(Z, Z0), rate(mpmath.mpc(Z), mpmath.mpf(Z0))) for m, rate in RATES.items()
@@ -146,7 +147,7 @@ def _errors() -> dict:
         fallback = _rel(evaluate(HypParams(*FALLBACK[0]), FALLBACK[1])[0].value, want_fallback)
         auto_params, auto_z = HypParams(*AUTO_BUHRING[0]), AUTO_BUHRING[1]
         want_auto = mpmath.hyp2f1(*AUTO_BUHRING[0], auto_z)
-        (auto_summed,) = buhring_sums(auto_params, auto_z, (40,), Z0)
+        (auto_summed,) = ROUTES[MethodId.BUHRING].sums(auto_params, auto_z, (40,), z0=Z0)
     return {
         **rates,
         "phi3": phi3,
@@ -194,7 +195,8 @@ def _layers(pkg) -> dict:
     ev = lambda: pkg.evaluate(params, Z, "threepoint")
     d = lambda: _drain(bu._d_stream(a, Z0, params), DEFAULT_TERMS + 1)
     bterms40 = lambda: [_drain(bu._buhring_terms(s, Z0, params, U), 41) for s in (a, b)]
-    bsums40 = lambda: tuple(bu.buhring_sums(params, Z_BUHRING, (40,), Z0))
+    bsums = pkg.ROUTES[pkg.MethodId.BUHRING].sums
+    bsums40 = lambda: tuple(bsums(params, Z_BUHRING, (40,), SERIES_TOL_FLOOR, None, Z0))
     fallback = pkg.HypParams(*FALLBACK[0]), FALLBACK[1]
     auto_params, auto_z = pkg.HypParams(*AUTO_BUHRING[0]), AUTO_BUHRING[1]
     rates = {
@@ -215,15 +217,15 @@ def _layers(pkg) -> dict:
         "select.evaluate[hit]": (ev, 1, "us", "evaluate"),
         "buhring._d_stream": (d, DEFAULT_TERMS + 1, "us/term", "d"),
         "buhring._buhring_terms[n=40]": (bterms40, 1, "us", "bterms40"),
-        "buhring.buhring_sums[n=40]": (bsums40, 1, "us", "bsums40"),
+        "select.Route.sums[buhring, n=40]": (bsums40, 1, "us", "bsums40"),
         "select.select_method[threepoint]": (lambda: pkg.select_method(params, Z), 1, "us", "evaluate"),
         "select.select_method[deferred]": (lambda: pkg.select_method(params, Z_DEFERRED), 1, "us", "deferred"),
         **rates,
         "select.evaluate[fallback]": (lambda: pkg.evaluate(*fallback), 1, "us", "fallback"),
         "core.HypParams": (lambda: pkg.HypParams(*AUTO_BUHRING[0]), 1, "us", "auto"),
         "select.select_method[buhring]": (lambda: pkg.select_method(auto_params, auto_z), 1, "us", "auto"),
-        "buhring.buhring_sums[n=40, 3+0.5i]": (
-            lambda: tuple(bu.buhring_sums(auto_params, auto_z, (40,), Z0)), 1, "us", "asums40"
+        "select.Route.sums[buhring, n=40, 3+0.5i]": (
+            lambda: tuple(bsums(auto_params, auto_z, (40,), SERIES_TOL_FLOOR, None, Z0)), 1, "us", "asums40"
         ),
         "select.evaluate[buhring]": (lambda: pkg.evaluate(auto_params, auto_z), 1, "us", "auto"),
     }

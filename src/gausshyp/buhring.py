@@ -23,7 +23,7 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import SERIES_TOL_FLOOR, HypParams, cpow_principal, gamma_real, recip_gamma_real
+from .core import HypParams, cpow_principal, gamma_real, recip_gamma_real
 from .core import require_finite_complex, stream_prefix, sum_series
 from .errors import BranchCutError, DomainError, GaussHypError, IntegerDifferenceError, OutsideDomain
 from .results import SeriesResult
@@ -97,7 +97,7 @@ def exclusion_margin(z: complex, z0: complex) -> float:
 
 
 def buhring_refusal(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> GaussHypError | None:
-    """The error buhring_sums raises at (params, z, z0), or None where the continuation applies.
+    """The error the continuation's Route.sums raises at (params, z, z0), or None where the continuation applies.
 
     In order: integer b - a (IntegerDifferenceError), a non-finite z or z0
     (DomainError), z not outside the excluded disk or |z - z0| past the
@@ -121,24 +121,12 @@ def buhring_refusal(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> 
     return None
 
 
-def buhring_sums(
-    params: HypParams, z: complex, stops: tuple[int, ...], z0: complex = DEFAULT_Z0, tol: float = SERIES_TOL_FLOOR
-) -> Iterator[SeriesResult]:
-    """Both continuation series truncated at each index in stops, from one pass.
-
-    Raises the error of buhring_refusal when called, where the continuation
-    does not apply.  est_error is the last-term ratio of the combined value,
-    with the two series' term sizes weighted by their prefactors and added
-    (core.sum_series), floored at the rounding level and multiplied by the
-    near-integer inflation factor.
-    """
-    if refusal := buhring_refusal(params, z, z0):
-        raise refusal
-    return _buhring_sums(params, z, stops, tol, None, z0)
-
-
 def _buhring_sums(params: HypParams, z: complex, stops: tuple, tol: float, _w, z0: complex) -> Iterator[SeriesResult]:
-    """buhring_sums past its refusal, in the route table's argument order (w unused)."""
+    """Both continuation series at each index in stops, from one pass past buhring_refusal; w unused.
+
+    est_error is the last-term ratio of the combined value, with the two series' term sizes weighted by their
+    prefactors and added (core.sum_series), floored at the rounding level and multiplied by the near-integer inflation.
+    """
     a, b, c = params.a, params.b, params.c
     diff = b - a
     z, z0 = complex(z), complex(z0)

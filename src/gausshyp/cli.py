@@ -2,7 +2,7 @@
 
 Subcommands:
   eval      single evaluation with explicit or auto-selected method
-  table     reproduce one of the four built-in relative-error tables
+  table     reproduce one of the five built-in relative-error tables
   region    rasterize a method's convergence region to CSV
   selftest  check every route against the quadrature oracle, the oracle
             against the power series, and the double-precision recursions

@@ -22,8 +22,7 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import SERIES_TOL_FLOOR, HypParams, cpow_principal, expansion_refusal, require_finite_complex
-from .core import stream_prefix, sum_series
+from .core import HypParams, cpow_principal, expansion_refusal, require_finite_complex, stream_prefix, sum_series
 from .errors import ConfigError, DomainError, GaussHypError, PoleError
 from .results import SeriesResult
 
@@ -92,8 +91,8 @@ def in_region_onepoint(z: complex, w: complex = 0.5) -> tuple[bool, float]:
 
 
 def onepoint_refusal(params: HypParams, z: complex, w: complex | None) -> GaussHypError | None:
-    """The error onepoint_sums raises at (params, z, w), or None.  In order: a missing w (ConfigError), a non-finite
-    z, a non-finite or zero w (DomainError), not c > b > 0 (ParamDomainError), a margin not > 0 (OutsideDomain)."""
+    """The error a one-point Route.sums raises at (params, z, w), or None.  In order: no w (ConfigError), non-finite z,
+    a non-finite or zero w (DomainError), not c > b > 0 (ParamDomainError), a margin <= 0 (OutsideDomain)."""
     try:
         w = require_w(w)
         z = require_finite_complex(z)
@@ -105,7 +104,7 @@ def onepoint_refusal(params: HypParams, z: complex, w: complex | None) -> GaussH
 
 
 def _onepoint_terms(params: HypParams, z: complex, w: complex) -> Iterator[complex]:
-    """Term n of the one-point sum; the prefactor (1-wz)^(-a) is onepoint_sums' sum_series weight."""
+    """Term n of the one-point sum; the prefactor (1-wz)^(-a) is _onepoint_sums' sum_series weight."""
     phis = _phi_w_stream(params.b, params.c, w.real if w.imag == 0.0 else w)
     a = params.a
     ratio = w * z / (w * z - 1.0)
@@ -115,22 +114,11 @@ def _onepoint_terms(params: HypParams, z: complex, w: complex) -> Iterator[compl
         term *= (a + n) / (n + 1.0) * ratio
 
 
-def onepoint_sums(
-    params: HypParams, z: complex, stops: tuple[int, ...], w: complex = 0.5, tol: float = SERIES_TOL_FLOOR
-) -> Iterator[SeriesResult]:
-    """The single-point expansion truncated at each index in stops, from one pass.
-
-    Raises the error of onepoint_refusal when called.  The prefactor
-    (1-wz)^(-a) is the series weight in core.sum_series, so the finite
-    check and est_error cover the weighted value.
-    """
-    if refusal := onepoint_refusal(params, z, w):
-        raise refusal
-    return _onepoint_sums(params, z, stops, tol, w)
-
-
 def _onepoint_sums(params: HypParams, z: complex, stops: tuple, tol: float, w: complex, *_) -> Iterator[SeriesResult]:
-    """onepoint_sums past its refusal, in the route table's argument order (z0 unused)."""
+    """The single-point expansion at each index in stops, from one pass past onepoint_refusal; z0 unused.
+
+    The prefactor (1-wz)^(-a) is the core.sum_series weight, so the finite check and est_error cover the weighted value.
+    """
     z, w = complex(z), complex(w)
     prefactor = cpow_principal(1.0 - w * z, -params.a)
     return sum_series(stops, tol, (prefactor, _onepoint_terms(params, z, w)))

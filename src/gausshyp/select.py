@@ -5,30 +5,37 @@ import sys
 import warnings
 from typing import Callable, Iterator, NamedTuple
 
-from .buhring import DEFAULT_Z0, _buhring_sums, buhring_refusal, buhring_sums, exclusion_margin, exclusion_radius
+from .buhring import DEFAULT_Z0, _buhring_sums, buhring_refusal, exclusion_margin, exclusion_radius
 from .core import DEFAULT_TERMS, DEFAULT_TOL, SERIES_TOL_FLOOR, HypParams, is_count, require_finite_complex, require_tol
 from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning, RecurrenceBreakdown, shown
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
-from .onepoint import _onepoint_sums, in_region_onepoint, onepoint_margin, onepoint_refusal, onepoint_sums
+from .onepoint import _onepoint_sums, in_region_onepoint, onepoint_margin, onepoint_refusal
 from .onepoint import require_expansion_point, require_w
 from .reference import euler_integral, euler_margin, euler_refusal, maclaurin, maclaurin_margin, maclaurin_refusal
 from .results import MethodId, SeriesResult
-from .threepoint import _threepoint_sums, in_region_threepoint, threepoint_margin, threepoint_refusal, threepoint_sums
-from .twopoint import _twopoint_sums, in_region_twopoint, twopoint_margin, twopoint_refusal, twopoint_sums
+from .threepoint import _threepoint_sums, in_region_threepoint, threepoint_margin, threepoint_refusal
+from .twopoint import _twopoint_sums, in_region_twopoint, twopoint_margin, twopoint_refusal
 
 #: |z| below which the plain power series is preferred outright.
 MACLAURIN_RADIUS = 0.5
 
 
 class Route(NamedTuple):
-    """One route: its signed region margin, its refusal, its evaluator and, for a series, its stops form and rate."""
+    """One route: its signed region margin, its refusal, its evaluator and, for a series, its summing body and rate."""
 
     margin: Callable[[complex, complex | None, complex], float]
     # (params, z, w, z0): the error sums (or a non-series run) raises before any work, or None where the route applies
     refusal: Callable[[HypParams, complex, complex | None, complex], GaussHypError | None]
     run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0); a series run leaves the refusal to its caller
-    sums: Callable[..., Iterator[SeriesResult]] | None = None  # (params, z, stops, tol, w, z0): refusal, then sums
+    body: Callable[..., Iterator[SeriesResult]] | None = None  # (params, z, stops, tol, w, z0), past the refusal
     rate: Callable[[complex, complex], float] | None = None  # (z, z0): the terms' asymptotic ratio, < 1 iff margin > 0
+
+    def sums(self, params: HypParams, z: complex, stops: tuple[int, ...], tol: float = SERIES_TOL_FLOOR,
+             w: complex | None = None, z0: complex = DEFAULT_Z0) -> Iterator[SeriesResult]:
+        """A series route truncated at each index in stops, from one lazy pass; raises the route's refusal first."""
+        if refusal := self.refusal(params, z, w, z0):
+            raise refusal
+        return self.body(params, z, stops, tol, w, z0)
 
 
 def _rate(formula: Callable[[complex, complex], float]) -> Callable[[complex, complex], float]:
@@ -41,8 +48,8 @@ def _rate(formula: Callable[[complex, complex], float]) -> Callable[[complex, co
     return rate
 
 
-# Entries resolve this module's globals at call time, so a wrapper installed
-# on, e.g., gausshyp.select.eval_threepoint sees every call.
+# The run entries resolve this module's globals at call time, so a wrapper
+# installed on, e.g., gausshyp.select.eval_threepoint sees every call.
 ROUTES: dict[MethodId, Route] = {
     MethodId.MACLAURIN: Route(
         lambda z, w, z0: maclaurin_margin(z),
@@ -58,34 +65,34 @@ ROUTES: dict[MethodId, Route] = {
         lambda z, w, z0: exclusion_margin(z, z0),
         lambda p, z, w, z0: buhring_refusal(p, z, z0),
         lambda p, z, n, tol, w, z0: buhring_eval(p, z, z0=z0, n_terms=n, tol=tol),
-        lambda p, z, stops, tol, w, z0: buhring_sums(p, z, stops, z0, tol),
+        _buhring_sums,
         _rate(lambda z, z0: exclusion_radius(z0) / abs(z - z0)),
     ),
     MethodId.ONEPOINT_HALF: Route(
         lambda z, w, z0: onepoint_margin(z, 0.5),
         lambda p, z, w, z0: onepoint_refusal(p, z, 0.5),
         lambda p, z, n, tol, w, z0: eval_onepoint(p, z, w=0.5, n_terms=n, tol=tol),
-        lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, 0.5, tol),
+        lambda p, z, stops, tol, w, z0: _onepoint_sums(p, z, stops, tol, 0.5),
         _rate(lambda z, z0: abs(z) / abs(2.0 - z)),
     ),
     MethodId.ONEPOINT_W: Route(
         lambda z, w, z0: onepoint_margin(z, require_w(w)),
         lambda p, z, w, z0: onepoint_refusal(p, z, w),
         lambda p, z, n, tol, w, z0: eval_onepoint(p, z, n, tol, w),
-        lambda p, z, stops, tol, w, z0: onepoint_sums(p, z, stops, w, tol),
+        _onepoint_sums,
     ),
     MethodId.TWOPOINT: Route(
         lambda z, w, z0: twopoint_margin(z),
         lambda p, z, w, z0: twopoint_refusal(p, z),
         lambda p, z, n, tol, w, z0: eval_twopoint(p, z, n_terms=n, tol=tol),
-        lambda p, z, stops, tol, w, z0: twopoint_sums(p, z, stops, tol),
+        _twopoint_sums,
         _rate(lambda z, z0: abs(z) * abs(z) / (4.0 * abs(1.0 - z))),  # as twopoint_margin reads it
     ),
     MethodId.THREEPOINT: Route(
         lambda z, w, z0: threepoint_margin(z),
         lambda p, z, w, z0: threepoint_refusal(p, z),
         lambda p, z, n, tol, w, z0: eval_threepoint(p, z, n_terms=n, tol=tol),
-        lambda p, z, stops, tol, w, z0: threepoint_sums(p, z, stops, tol),
+        _threepoint_sums,
         _rate(lambda z, z0: abs(z) ** 3 / (108.0**0.5 * abs((1.0 - z) * (2.0 - z)))),  # 108**0.5 = 6 sqrt(3)
     ),
 }
@@ -213,7 +220,7 @@ def evaluate(
         w = require_expansion_point(w)
     method_id = select_method(params, z, z0) if auto else MethodId.from_string(method)
     route = ROUTES[method_id]
-    if route.sums is None:  # maclaurin and euler-oracle ask their own refusal, again under auto
+    if route.body is None:  # maclaurin and euler-oracle ask their own refusal, again under auto
         return route.run(params, z, n_terms, tol, w, z0), method_id
     tol = max(tol, SERIES_TOL_FLOOR)
     if not auto and (refusal := route.refusal(params, z, w, z0)):

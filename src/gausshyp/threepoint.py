@@ -66,8 +66,7 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import DEFAULT_TERMS, SERIES_TOL_FLOOR, HypParams, cpow_principal, expansion_refusal, stream_prefix
-from .core import sum_series
+from .core import DEFAULT_TERMS, HypParams, cpow_principal, expansion_refusal, stream_prefix, sum_series
 from .errors import GaussHypError, PoleError, RecurrenceBreakdown, SingularityError
 from .results import SeriesResult
 
@@ -201,7 +200,7 @@ def in_region_threepoint(z: complex) -> tuple[bool, float]:
 
 
 def threepoint_refusal(params: HypParams, z: complex) -> GaussHypError | None:
-    """The error threepoint_sums raises at (params, z), or None: the rational gate, singular at z in {1, 2}."""
+    """The error the three-point Route.sums raises at (params, z), or None: the rational gate, singular at 1 and 2."""
     return expansion_refusal(params, z, threepoint_margin, "|z|^3 < 6 sqrt(3)|(1-z)(2-z)|", (1.0, 2.0))
 
 
@@ -241,19 +240,10 @@ def _threepoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
         c_b, c_c = c_b + dc_b, c_c + dc_c
 
 
-def threepoint_sums(
-    params: HypParams, z: complex, stops: tuple[int, ...], tol: float = SERIES_TOL_FLOOR
-) -> Iterator[SeriesResult]:
-    """The three-point expansion truncated at each index in stops, from one pass; raises threepoint_refusal's error.
-
-    The moments cannot break down here: under c > b > 0, D < 0 and the last
-    factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0.
-    """
-    if refusal := threepoint_refusal(params, z):
-        raise refusal
-    return _threepoint_sums(params, z, stops, tol)
-
-
 def _threepoint_sums(params: HypParams, z: complex, stops: tuple[int, ...], tol: float, *_) -> Iterator[SeriesResult]:
-    """threepoint_sums past its refusal, in the route table's argument order (w and z0 unused)."""
+    """The three-point expansion at each index in stops, from one pass past threepoint_refusal; w and z0 unused.
+
+    The moments cannot break down past the refusal: under c > b > 0, D < 0 and
+    the last factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0.
+    """
     return sum_series(stops, tol, (1.0, _threepoint_terms(params, complex(z))))

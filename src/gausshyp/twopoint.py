@@ -36,8 +36,7 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import SERIES_TOL_FLOOR, HypParams, cpow_principal, expansion_refusal, stream_prefix
-from .core import sum_series
+from .core import HypParams, cpow_principal, expansion_refusal, stream_prefix, sum_series
 from .errors import GaussHypError, SingularityError
 from .results import SeriesResult
 
@@ -90,7 +89,7 @@ def in_region_twopoint(z: complex) -> tuple[bool, float]:
 
 
 def twopoint_refusal(params: HypParams, z: complex) -> GaussHypError | None:
-    """The error twopoint_sums raises at (params, z), or None: the rational gate, singular at z = 1."""
+    """The error the two-point Route.sums raises at (params, z), or None: the rational gate, singular at z = 1."""
     return expansion_refusal(params, z, twopoint_margin, "|z|^2 < 4|1-z|", (1.0,))
 
 
@@ -104,15 +103,7 @@ def _twopoint_terms(params: HypParams, z: complex) -> Iterator[complex]:
         sign = -sign
         moment *= (b + n) * (c - b + n) / ((c + 2.0 * n + 1.0) * (c + 2.0 * n + 2.0))
 
-def twopoint_sums(
-    params: HypParams, z: complex, stops: tuple[int, ...], tol: float = SERIES_TOL_FLOOR
-) -> Iterator[SeriesResult]:
-    """The two-point expansion truncated at each index in stops, from one pass; raises twopoint_refusal's error."""
-    if refusal := twopoint_refusal(params, z):
-        raise refusal
-    return _twopoint_sums(params, z, stops, tol)
-
 
 def _twopoint_sums(params: HypParams, z: complex, stops: tuple[int, ...], tol: float, *_) -> Iterator[SeriesResult]:
-    """twopoint_sums past its refusal, in the route table's argument order (w and z0 unused)."""
+    """The two-point expansion at each index in stops, from one pass past twopoint_refusal; w and z0 unused."""
     return sum_series(stops, tol, (1.0, _twopoint_terms(params, complex(z))))

@@ -19,8 +19,8 @@ from .errors import PoleError, SingularityError
 from .onepoint import phi_half_sequence, require_expansion_point
 from .reference import classify_region, euler_integral
 from .results import MethodId
-from .select import evaluate, method_margin
-from .threepoint import phi3_sequence, threepoint_coeffs, threepoint_sums
+from .select import ROUTES, evaluate, method_margin
+from .threepoint import phi3_sequence, threepoint_coeffs
 from .twopoint import _initial_pair, _recursion, twopoint_coeffs_recursive
 
 
@@ -198,7 +198,7 @@ def selftest_checks() -> list[tuple]:
         s0, s1, s2 = (phi3_sequence(15, b + j, c + j) for j in range(3))
         w1, w2 = b / c, b * (b + 1.0) / (c * (c + 1.0))
         terms = [(-1) ** n * (A[n] * s0[n] + w1 * B[n] * s1[n] + w2 * C[n] * s2[n]) for n in range(16)]
-        sums = enumerate(threepoint_sums(params, z_exc, tuple(range(16))))
+        sums = enumerate(ROUTES[MethodId.THREEPOINT].sums(params, z_exc, tuple(range(16))))
         return all(abs(res.value - sum(terms[: n + 1])) <= 1e-13 * abs(res.value) for n, res in sums)
 
     return [

@@ -24,7 +24,7 @@ LAYERS = {
     "select.evaluate[hit]",
     "buhring._d_stream",
     "buhring._buhring_terms[n=40]",
-    "buhring.buhring_sums[n=40]",
+    "select.Route.sums[buhring, n=40]",
     "select.select_method[threepoint]",
     "select.select_method[deferred]",
     "select.rate[threepoint]",
@@ -34,7 +34,7 @@ LAYERS = {
     "select.evaluate[fallback]",
     "core.HypParams",
     "select.select_method[buhring]",
-    "buhring.buhring_sums[n=40, 3+0.5i]",
+    "select.Route.sums[buhring, n=40, 3+0.5i]",
     "select.evaluate[buhring]",
 }
 

@@ -9,11 +9,13 @@ from gausshyp import (
     DomainError,
     HypParams,
     IntegerDifferenceError,
+    MethodId,
     OutsideDomain,
+    ROUTES,
     buhring_coeffs,
     euler_integral,
 )
-from gausshyp.buhring import buhring_refusal, buhring_sums
+from gausshyp.buhring import buhring_refusal
 from gausshyp.select import buhring_eval
 from conftest import Z_EXC, rel_err, within_factor
 
@@ -106,7 +108,7 @@ class TestBuhringEval:
     def test_integer_difference_rejected(self):
         for b in (1.2, 2.2, 3.2, 0.2):
             with pytest.raises(IntegerDifferenceError):
-                buhring_sums(HypParams(1.2, b, 3.0), -5.0 + 0j, (5,))
+                ROUTES[MethodId.BUHRING].sums(HypParams(1.2, b, 3.0), -5.0 + 0j, (5,))
 
     def test_near_integer_inflates_estimate(self):
         near = HypParams(1.2, 2.2 + 1e-6, 3.0)
@@ -117,13 +119,13 @@ class TestBuhringEval:
 
     def test_excluded_disk(self):
         with pytest.raises(OutsideDomain):
-            buhring_sums(PARAMS, 0.7 + 0.1j, (5,))  # |z - 1/2| < 1/2
+            ROUTES[MethodId.BUHRING].sums(PARAMS, 0.7 + 0.1j, (5,))  # |z - 1/2| < 1/2
         with pytest.raises(OutsideDomain):
-            buhring_sums(PARAMS, 1.0 + 0j, (5,))  # boundary |z - 1/2| = 1/2
+            ROUTES[MethodId.BUHRING].sums(PARAMS, 1.0 + 0j, (5,))  # boundary |z - 1/2| = 1/2
 
     def test_branch_cut(self):
         with pytest.raises(BranchCutError):
-            buhring_sums(PARAMS, 3.0 + 0j, (5,))
+            ROUTES[MethodId.BUHRING].sums(PARAMS, 3.0 + 0j, (5,))
 
     @pytest.mark.parametrize(
         "params, z, z0, error",
@@ -139,7 +141,7 @@ class TestBuhringEval:
     def test_refusal_is_what_the_sums_raise(self, params, z, z0, error):
         assert type(buhring_refusal(params, z, z0)) is error
         with pytest.raises(error):
-            buhring_sums(params, z, (5,), z0)
+            ROUTES[MethodId.BUHRING].sums(params, z, (5,), z0=z0)
 
     def test_no_refusal_where_the_continuation_applies(self):
         assert buhring_refusal(PARAMS, Z_EXC, 0.5) is None

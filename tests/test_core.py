@@ -198,20 +198,16 @@ class TestHypParams:
 
 class TestFiniteArgumentGuard:
     def test_every_evaluator_rejects_non_finite_z(self):
-        from gausshyp import euler_integral, maclaurin
-        from gausshyp.buhring import buhring_sums
-        from gausshyp.onepoint import onepoint_sums
-        from gausshyp.threepoint import threepoint_sums
-        from gausshyp.twopoint import twopoint_sums
+        from gausshyp import ROUTES, MethodId, euler_integral, maclaurin
 
         p = HypParams(1.2, 2.1, 3.0)
         evaluators = (
             lambda z: maclaurin(p, z),
             lambda z: euler_integral(p, z),
-            lambda z: buhring_sums(p, z, (5,)),
-            lambda z: onepoint_sums(p, z, (5,), 0.5),
-            lambda z: twopoint_sums(p, z, (5,)),
-            lambda z: threepoint_sums(p, z, (5,)),
+            lambda z: ROUTES[MethodId.BUHRING].sums(p, z, (5,)),
+            lambda z: ROUTES[MethodId.ONEPOINT_HALF].sums(p, z, (5,)),
+            lambda z: ROUTES[MethodId.TWOPOINT].sums(p, z, (5,)),
+            lambda z: ROUTES[MethodId.THREEPOINT].sums(p, z, (5,)),
         )
         bad = (complex(math.nan, 0.0), complex(1.0, math.inf))
         for fn in evaluators:

@@ -8,14 +8,16 @@ import pytest
 from gausshyp import (
     DomainError,
     HypParams,
+    MethodId,
     OutsideDomain,
     ParamDomainError,
+    ROUTES,
     RecurrenceBreakdown,
     euler_integral,
     evaluate,
 )
 from gausshyp.core import pochhammer
-from gausshyp.onepoint import _phi_w_stream, onepoint_margin, onepoint_sums, phi_half_sequence, phi_w_sequence
+from gausshyp.onepoint import _phi_w_stream, onepoint_margin, phi_half_sequence, phi_w_sequence
 from gausshyp.select import eval_onepoint
 from gausshyp.verify import phi_brute
 from conftest import ONEPOINT_OVERFLOW, Z_EXC, rel_err, within_factor
@@ -201,11 +203,11 @@ class TestEvalOnepoint:
 
     def test_outside_region(self):
         with pytest.raises(OutsideDomain):
-            onepoint_sums(PARAMS, 2.0 + 0j, (10,), 0.5)
+            ROUTES[MethodId.ONEPOINT_HALF].sums(PARAMS, 2.0 + 0j, (10,))
 
     def test_param_domain(self):
         with pytest.raises(ParamDomainError):
-            onepoint_sums(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, (10,), 0.5)
+            ROUTES[MethodId.ONEPOINT_HALF].sums(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, (10,))
 
     def test_invalid_w(self):
         with pytest.raises(DomainError):

@@ -59,7 +59,6 @@ from gausshyp.threepoint import (
     phi3_sequence,
     threepoint_coeffs,
     threepoint_margin,
-    threepoint_sums,
 )
 from gausshyp.verify import phi3_direct_sequence, phi_brute
 from gausshyp.twopoint import _recursion, twopoint_coeffs_recursive, twopoint_margin
@@ -664,7 +663,7 @@ def test_regrouped_threepoint_sum_is_as_accurate_as_the_written_one():
     for a, b, c, z in _accuracy_points(700):
         with mpmath.workdps(20):
             want = mpmath.hyp2f1(a, b, c, mpmath.mpc(z.real, z.imag))
-        got = threepoint_sums(HypParams(a, b, c), z, ACCURACY_STOPS)
+        got = ROUTES[MethodId.THREEPOINT].sums(HypParams(a, b, c), z, ACCURACY_STOPS)
         for n, res, (value, est, size) in zip(ACCURACY_STOPS, got, _written_sums(a, b, c, z, ACCURACY_STOPS)):
             if not est <= 1e-12:
                 continue
@@ -905,7 +904,7 @@ def test_stops_match_the_one_stop_calls(method):
 def test_stops_end_where_the_sum_overflows():
     # at exp(i pi/3) the three-point coefficients overflow from n = 244 on
     params = HypParams(1.2, 2.1, 3.0)
-    results = threepoint_sums(params, Z_EXC, (20, 40, 300))
+    results = ROUTES[MethodId.THREEPOINT].sums(params, Z_EXC, (20, 40, 300))
     for n in (20, 40):
         assert _result_bits(next(results)) == _result_bits(evaluate(params, Z_EXC, "threepoint", n_terms=n)[0])
     with pytest.raises(RecurrenceBreakdown, match="after 301 terms") as exc:

@@ -28,13 +28,13 @@ from gausshyp import (
     method_margin,
     select_method,
 )
-from gausshyp.buhring import DEFAULT_Z0, buhring_refusal, buhring_sums
-from gausshyp.onepoint import onepoint_margin, onepoint_sums
+from gausshyp.buhring import DEFAULT_Z0, buhring_refusal
+from gausshyp.onepoint import onepoint_margin
 from gausshyp.reference import euler_margin, euler_refusal, maclaurin_margin, maclaurin_refusal
 from gausshyp.select import AUTO_ORDER, MACLAURIN_RADIUS, RATE_GATE, _first_accepting
 from gausshyp.select import buhring_eval, eval_onepoint, eval_threepoint, eval_twopoint
-from gausshyp.threepoint import threepoint_margin, threepoint_sums
-from gausshyp.twopoint import twopoint_margin, twopoint_sums
+from gausshyp.threepoint import threepoint_margin
+from gausshyp.twopoint import twopoint_margin
 from conftest import Z_EXC, rel_err
 
 PARAMS = HypParams(1.2, 2.1, 3.0)
@@ -48,11 +48,11 @@ N, TOL, W, Z0 = 8, 0.5, complex(0.5, 0.5), complex(0.5, 0.1)
 DIRECT_CALLS = {
     MethodId.MACLAURIN: (0.3 + 0.2j, lambda z: maclaurin(PARAMS, z, tol=TOL)),
     MethodId.EULER: (Z_EXC, lambda z: euler_integral(PARAMS, z, tol=TOL)),
-    MethodId.BUHRING: (2.0 + 1.0j, lambda z: next(buhring_sums(PARAMS, z, (N,), Z0, TOL))),
-    MethodId.ONEPOINT_HALF: (-1.0 + 1.0j, lambda z: next(onepoint_sums(PARAMS, z, (N,), 0.5, TOL))),
-    MethodId.ONEPOINT_W: (Z_EXC, lambda z: next(onepoint_sums(PARAMS, z, (N,), W, TOL))),
-    MethodId.TWOPOINT: (-1.0 + 0j, lambda z: next(twopoint_sums(PARAMS, z, (N,), TOL))),
-    MethodId.THREEPOINT: (Z_EXC, lambda z: next(threepoint_sums(PARAMS, z, (N,), TOL))),
+    MethodId.BUHRING: (2.0 + 1.0j, lambda z: next(ROUTES[MethodId.BUHRING].sums(PARAMS, z, (N,), TOL, z0=Z0))),
+    MethodId.ONEPOINT_HALF: (-1.0 + 1.0j, lambda z: next(ROUTES[MethodId.ONEPOINT_HALF].sums(PARAMS, z, (N,), TOL))),
+    MethodId.ONEPOINT_W: (Z_EXC, lambda z: next(ROUTES[MethodId.ONEPOINT_W].sums(PARAMS, z, (N,), TOL, W))),
+    MethodId.TWOPOINT: (-1.0 + 0j, lambda z: next(ROUTES[MethodId.TWOPOINT].sums(PARAMS, z, (N,), TOL))),
+    MethodId.THREEPOINT: (Z_EXC, lambda z: next(ROUTES[MethodId.THREEPOINT].sums(PARAMS, z, (N,), TOL))),
 }
 
 #: method -> its direct call with every default taken, which evaluate's defaults must reproduce;
@@ -488,7 +488,7 @@ class TestRouteTable:
         z = DIRECT_CALLS[method][0]
         assert _bits(DEFAULT_CALLS[method](z)) == _bits(evaluate(PARAMS, z, method, w=W)[0])
 
-    @pytest.mark.parametrize("method", [m for m in MethodId if ROUTES[m].sums is not None], ids=str)
+    @pytest.mark.parametrize("method", [m for m in MethodId if ROUTES[m].body is not None], ids=str)
     def test_run_is_the_one_stop_of_sums(self, method):
         # the series runs go through select's one-stop runner; it must forward n, tol, w and z0 unchanged
         z, w, z0 = DIRECT_CALLS[method][0], 0.3 + 0.4j, 0.3 + 0.1j
@@ -630,7 +630,7 @@ REFUSAL_SAMPLES = _refusal_samples()
 
 def _first_result(method, params, z, w, z0):
     route = ROUTES[method]
-    if route.sums is None:
+    if route.body is None:
         return route.run(params, z, 5, 1e-13, w, z0)
     return next(route.sums(params, z, (5,), 1e-13, w, z0))
 
@@ -682,7 +682,7 @@ class TestRefusal:
                 on_cut = BranchCutError if euler_margin(z) <= 0.0 else type(None)
                 assert type(euler_refusal(params, z)) is on_cut, (params, z)
 
-    @pytest.mark.parametrize("method", [m for m in MethodId if ROUTES[m].sums is not None], ids=str)
+    @pytest.mark.parametrize("method", [m for m in MethodId if ROUTES[m].body is not None], ids=str)
     def test_stops_form_refuses_when_called(self, method):
         # a refused point raises from the sums call itself, before any next()
         refused = 0

@@ -193,6 +193,18 @@ class TestRunTable:
         three = result.cells[0][MethodId.THREEPOINT.value]
         assert all(isinstance(cell, float) for cell in three.values())
 
+    def test_breakdown_at_a_later_stop_labels_that_cell_and_the_later_ones(self):
+        # threepoint's partial sum overflows to nan after 11 terms, so the stops 0 and 5 that it
+        # yielded first keep their errors; the continuation breaks at its gamma prefactor, before any stop
+        spec = TableSpec(98, (TableRow(-438.5, 94.6, 95.0, 2.6 - 4.18j, "2.6-4.18i"),), MethodId.THREEPOINT)
+        with pytest.warns(NotConvergedWarning, match="oracle did not converge"):
+            result = run_table(spec)
+        three = result.cells[0][MethodId.THREEPOINT.value]
+        assert [isinstance(three[n], float) for n in (0, 5)] == [True, True]
+        assert [three[n] for n in (10, 15, 20)] == ["RECURRENCE_BREAKDOWN"] * 3
+        buh = result.cells[0][MethodId.BUHRING.value]
+        assert set(buh.values()) == {"RECURRENCE_BREAKDOWN"}
+
     def test_csv_shape(self):
         result = run_table(1)
         text = table_to_csv(result)

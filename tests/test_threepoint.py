@@ -13,9 +13,11 @@ import pytest
 from gausshyp import (
     GaussHypError,
     HypParams,
+    MethodId,
     OutsideDomain,
     ParamDomainError,
     PoleError,
+    ROUTES,
     RecurrenceBreakdown,
     SingularityError,
     euler_integral,
@@ -24,7 +26,7 @@ from gausshyp import (
 )
 from gausshyp.core import cpow_principal
 from gausshyp.select import eval_threepoint
-from gausshyp.threepoint import phi3_sequence, threepoint_coeffs, threepoint_margin, threepoint_sums
+from gausshyp.threepoint import phi3_sequence, threepoint_coeffs, threepoint_margin
 from gausshyp.verify import phi3_direct_sequence
 from conftest import Z_EXC, phi3_xyz_ref, rel_err, sample_in_region
 
@@ -136,7 +138,7 @@ class TestPhi3:
 
 
     def test_recurrence_cannot_break_down_when_c_above_b_above_zero(self):
-        # threepoint_sums relies on this: for c > b > 0 and n >= 1 the last
+        # the three-point series relies on this: for c > b > 0 and n >= 1 the last
         # factor of Z_n is -[(4b+5n-4)(c-b) + b(5n-4) + 2(3n-2)(n-1)] < 0.
         # phi3_xyz_ref is the recurrence phi3_sequence runs: its Horner form
         # equals it exactly and the stream runs that form bit for bit
@@ -152,7 +154,7 @@ class TestPhi3:
             z = 16 * (3 * n + c) * (3 * n + 1 + c) * (3 * n + 2 + c) * last
             assert phi3_xyz_ref(n, b, c)[2] == z, (b, c, n)
         # and in floating point no Z_n rounds to zero on the pair
-        # threepoint_sums passes, or on the shifts its columns replace
+        # the three-point series passes, or on the shifts its columns replace
         for _ in range(150):
             b = 10.0 ** rng.uniform(-12.0, 12.0)
             c = b * (1.0 + 10.0 ** rng.uniform(-12.0, 3.0))
@@ -263,7 +265,7 @@ class TestEvalThreepoint:
 
     def test_outside_region(self):
         with pytest.raises(OutsideDomain):
-            threepoint_sums(PARAMS, 3.0 + 0j, (10,))
+            ROUTES[MethodId.THREEPOINT].sums(PARAMS, 3.0 + 0j, (10,))
 
     def test_overflow_raises_instead_of_nan(self):
         # from n = 244 the coefficients overflow to inf and the moments
@@ -278,7 +280,7 @@ class TestEvalThreepoint:
 
     def test_param_domain(self):
         with pytest.raises(ParamDomainError):
-            threepoint_sums(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, (10,))
+            ROUTES[MethodId.THREEPOINT].sums(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, (10,))
 
 
 @pytest.fixture

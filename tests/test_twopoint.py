@@ -8,15 +8,17 @@ import pytest
 
 from gausshyp import (
     HypParams,
+    MethodId,
     OutsideDomain,
     ParamDomainError,
+    ROUTES,
     RecurrenceBreakdown,
     SingularityError,
     euler_integral,
 )
 from gausshyp.core import cpow_principal, pochhammer
 from gausshyp.select import eval_twopoint
-from gausshyp.twopoint import _twopoint_terms, twopoint_coeffs_recursive, twopoint_margin, twopoint_sums
+from gausshyp.twopoint import _twopoint_terms, twopoint_coeffs_recursive, twopoint_margin
 from gausshyp.verify import twopoint_coeffs_explicit, twopoint_coeffs_mp
 from conftest import Z_EXC, rel_err, sample_in_region, within_factor
 
@@ -185,7 +187,7 @@ class TestEvalTwopoint:
 
     def test_outside_region(self):
         with pytest.raises(OutsideDomain):
-            twopoint_sums(PARAMS, 3.0 + 0j, (10,))
+            ROUTES[MethodId.TWOPOINT].sums(PARAMS, 3.0 + 0j, (10,))
 
     def test_overflow_raises_instead_of_nan(self):
         # from n = 536 the coefficients overflow to inf and the moments
@@ -195,8 +197,8 @@ class TestEvalTwopoint:
 
     def test_singularity(self):
         with pytest.raises(SingularityError):
-            twopoint_sums(PARAMS, 1.0 + 0j, (10,))
+            ROUTES[MethodId.TWOPOINT].sums(PARAMS, 1.0 + 0j, (10,))
 
     def test_param_domain(self):
         with pytest.raises(ParamDomainError):
-            twopoint_sums(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, (10,))
+            ROUTES[MethodId.TWOPOINT].sums(HypParams(1.0, 2.5, 2.0), -1.0 + 0j, (10,))
