@@ -33,7 +33,9 @@ short of tol and the three-point route runs after it.  The fixed cost of an auto
 continuation serves is timed at (1.2, 2.1, 3), z = 3 + 0.5i: core.HypParams, select_method there,
 and auto's evaluate beside the continuation's Route.sums at n = 40; evaluate less that and select_method
 is evaluate's own checks and plumbing.  Route.sums is called with all six arguments by position, the one
-order that every tree's route table takes.
+order that every tree's route table takes.  At an integer b - a, (1.2, 2.2, 3) at z = 12 + 5i, the
+continuation refuses: the 1/z series' Route.sums is timed at n = 10 and n = 40, and auto's evaluate,
+which takes that series, beside evaluate with the quadrature oracle, which auto took there before it.
 
 With --parent DIR, the gausshyp package under DIR (DIR/gausshyp, or DIR/src/gausshyp) is imported
 a second time under another name, and each round times each layer on both trees, in alternating
@@ -52,7 +54,9 @@ Each error compares what the layer computes with mpmath at 40 digits:
   - the continuation's term generators and its Route.sums: their value against 2F1(a, b, c; z);
   - select_method and core.HypParams: the value of auto's evaluate at the point against 2F1(a, b, c; z);
   - a rate: against its formula in mpmath;
-  - evaluate on the fallback path: its value against 2F1 at its point.
+  - evaluate on the fallback path: its value against 2F1 at its point;
+  - the 1/z series' Route.sums, auto's evaluate and the oracle at the integer b - a point: their value
+    against 2F1 there.
 """
 
 import argparse
@@ -89,6 +93,8 @@ Z_DEFERRED = complex(2.0, 2.0)
 FALLBACK = (0.59, 1.66, 4.38), complex(1.544, -0.879)
 #: (a, b, c) and z where auto takes the continuation, for the fixed cost of such a call.
 AUTO_BUHRING = (1.2, 2.1, 3.0), complex(3.0, 0.5)
+#: (a, b, c) with an integer b - a, and z, where auto takes the 1/z series.
+INTEGER = (1.2, 2.2, 3.0), complex(12.0, 5.0)
 #: Each rate's formula at (z, z0), for mpmath numbers.
 RATES = {
     MethodId.THREEPOINT: lambda z, z0: abs(z) ** 3 / (6 * mpmath.sqrt(3) * abs((1 - z) * (2 - z))),
@@ -148,6 +154,11 @@ def _errors() -> dict:
         auto_params, auto_z = HypParams(*AUTO_BUHRING[0]), AUTO_BUHRING[1]
         want_auto = mpmath.hyp2f1(*AUTO_BUHRING[0], auto_z)
         (auto_summed,) = ROUTES[MethodId.BUHRING].sums(auto_params, auto_z, (40,), z0=Z0)
+        int_params, int_z = HypParams(*INTEGER[0]), INTEGER[1]
+        want_int = mpmath.hyp2f1(*INTEGER[0], int_z)
+        connection = ROUTES[MethodId.CONNECTION].sums(int_params, int_z, (10, 40))
+        csums = {res.terms_used: _rel(res.value, want_int) for res in connection}
+        integer = {m: _rel(evaluate(int_params, int_z, m)[0].value, want_int) for m in ("auto", "euler-oracle")}
     return {
         **rates,
         "phi3": phi3,
@@ -164,6 +175,10 @@ def _errors() -> dict:
         "fallback": fallback,
         "auto": _rel(evaluate(auto_params, auto_z)[0].value, want_auto),
         "asums40": _rel(auto_summed.value, want_auto),
+        "csums10": csums[10],
+        "csums40": csums[40],
+        "integer": integer["auto"],
+        "integer_oracle": integer["euler-oracle"],
     }
 
 
@@ -199,6 +214,11 @@ def _layers(pkg) -> dict:
     bsums40 = lambda: tuple(bsums(params, Z_BUHRING, (40,), SERIES_TOL_FLOOR, None, Z0))
     fallback = pkg.HypParams(*FALLBACK[0]), FALLBACK[1]
     auto_params, auto_z = pkg.HypParams(*AUTO_BUHRING[0]), AUTO_BUHRING[1]
+    int_params, int_z = pkg.HypParams(*INTEGER[0]), INTEGER[1]
+    # looked up at call time: a parent tree without the route raises AttributeError there, and skips the row
+    csums = lambda n: tuple(
+        pkg.ROUTES[pkg.MethodId.CONNECTION].sums(int_params, int_z, (n,), SERIES_TOL_FLOOR, None, Z0)
+    )
     rates = {
         f"select.rate[{m}]": ((lambda rate=pkg.ROUTES[pkg.MethodId(m.value)].rate: rate(Z, Z0)), 1, "us", f"rate[{m}]")
         for m in RATES
@@ -228,6 +248,12 @@ def _layers(pkg) -> dict:
             lambda: tuple(bsums(auto_params, auto_z, (40,), SERIES_TOL_FLOOR, None, Z0)), 1, "us", "asums40"
         ),
         "select.evaluate[buhring]": (lambda: pkg.evaluate(auto_params, auto_z), 1, "us", "auto"),
+        "select.Route.sums[connection, n=10]": (lambda: csums(10), 1, "us", "csums10"),
+        "select.Route.sums[connection, n=40]": (lambda: csums(40), 1, "us", "csums40"),
+        "select.evaluate[integer b-a]": (lambda: pkg.evaluate(int_params, int_z), 1, "us", "integer"),
+        "select.evaluate[integer b-a, euler-oracle]": (
+            lambda: pkg.evaluate(int_params, int_z, "euler-oracle"), 1, "us", "integer_oracle"
+        ),
     }
 
 
@@ -278,7 +304,7 @@ def measure(rounds: int, number: int, parent=None) -> dict:
         "point": {
             "a": PARAMS.a, "b": PARAMS.b, "c": PARAMS.c, "z": "exp(i pi/3)", "z_buhring": "-2+2i", "z0": Z0,
             "z_deferred": "2+2i", "fallback": "(0.59, 1.66, 4.38) at 1.544-0.879i",
-            "auto_buhring": "(1.2, 2.1, 3) at 3+0.5i",
+            "auto_buhring": "(1.2, 2.1, 3) at 3+0.5i", "integer": "(1.2, 2.2, 3) at 12+5i",
         },
         "settings": {"rounds": rounds, "number": number, "store": hasattr(threepoint, "_PHI3"),
                      "paired": parent is not None},

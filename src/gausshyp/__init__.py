@@ -13,6 +13,7 @@ Evaluation routes:
                       converges on |z|^2 < 4|1-z|
 * threepoint       -- three-point expansion (base points 0, 1/2, 1);
                       converges on |z|^3 < 6 sqrt(3) |(1-z)(2-z)|
+* connection       -- the logarithmic series in 1/z at integer b - a, |z| > 1
 
 The rational expansions keep the exceptional points exp(+-i pi/3) well
 inside their convergence regions and remain valid when b - a is an

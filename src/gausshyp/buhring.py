@@ -13,8 +13,8 @@ convergent outside the circle |z - z0| = max(|z0|, |z0 - 1|) for
 
 with d_{-1} = 0 and d_0 = 1.  When b - a is an integer the gamma factors
 and the recurrence denominators degenerate simultaneously and the two
-series cancel; that case needs a limiting form which this module does not
-implement, so it raises IntegerDifferenceError instead.  Near-integer
+series cancel, so this route raises IntegerDifferenceError; the limiting
+form in 1/z is the "connection" route (gausshyp.connection).  Near-integer
 b - a is allowed, but the reported error estimate is inflated by
 1/|sin(pi (b-a))| to account for the cancellation between the two series.
 """

@@ -202,6 +202,25 @@ def gamma_real(x: float) -> float:
         raise RecurrenceBreakdown(f"gamma({x}) overflows double precision") from None
 
 
+#: B_2k / 2k for k = 1 .. 7: digamma's asymptotic series through the B_14 term (DLMF 5.11.2).
+_DIGAMMA_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
+
+
+def digamma(x: float) -> float:
+    """psi(x) = Gamma'(x) / Gamma(x) for real x: reflection below 1/2, the recurrence up to x >= 10, then the
+    asymptotic series.  A non-positive integer raises PoleError."""
+    if x < 0.5:
+        if x == math.floor(x):
+            raise PoleError(f"digamma pole at {x}")
+        return digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))  # x - round(x) is exact
+    shift = tail = 0.0
+    while x < 10.0:
+        shift, x = shift + 1.0 / x, x + 1.0
+    for coef in reversed(_DIGAMMA_SERIES):
+        tail = tail / (x * x) + coef
+    return math.log(x) - 0.5 / x - tail / (x * x) - shift
+
+
 def recip_gamma_real(x: float) -> float:
     """1 / gamma(x), which is entire: 0.0 at the poles of gamma; RecurrenceBreakdown past double range."""
     if x <= 0 and x == math.floor(x):

@@ -7,7 +7,7 @@ from .errors import ConfigError, shown
 
 
 class MethodId(enum.Enum):
-    """The seven computation routes exposed by the library."""
+    """The eight computation routes exposed by the library."""
 
     MACLAURIN = "maclaurin"
     EULER = "euler-oracle"
@@ -16,6 +16,7 @@ class MethodId(enum.Enum):
     ONEPOINT_W = "onepoint-w"
     TWOPOINT = "twopoint"
     THREEPOINT = "threepoint"
+    CONNECTION = "connection"
 
     def __str__(self) -> str:
         return self.value

@@ -6,6 +6,7 @@ import warnings
 from typing import Callable, Iterator, NamedTuple
 
 from .buhring import DEFAULT_Z0, _buhring_sums, buhring_refusal, exclusion_margin, exclusion_radius
+from .connection import _connection_sums, connection_margin, connection_refusal
 from .core import DEFAULT_TERMS, DEFAULT_TOL, SERIES_TOL_FLOOR, HypParams, is_count, require_finite_complex, require_tol
 from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning, RecurrenceBreakdown, shown
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
@@ -95,6 +96,13 @@ ROUTES: dict[MethodId, Route] = {
         _threepoint_sums,
         _rate(lambda z, z0: abs(z) ** 3 / (108.0**0.5 * abs((1.0 - z) * (2.0 - z)))),  # 108**0.5 = 6 sqrt(3)
     ),
+    MethodId.CONNECTION: Route(
+        lambda z, w, z0: connection_margin(z),
+        lambda p, z, w, z0: connection_refusal(p, z),
+        lambda p, z, n, tol, w, z0: eval_connection(p, z, n_terms=n, tol=tol),
+        _connection_sums,
+        _rate(lambda z, z0: 1.0 / abs(z)),
+    ),
 }
 
 
@@ -112,12 +120,15 @@ eval_threepoint = _one_stop(_threepoint_sums)
 eval_twopoint = _one_stop(_twopoint_sums)
 eval_onepoint = _one_stop(_onepoint_sums)  # w = 0.5 for onepoint-half
 buhring_eval = _one_stop(_buhring_sums)
+eval_connection = _one_stop(_connection_sums)
 
 #: The routes auto asks outside the disk |z| <= MACLAURIN_RADIUS, in order of preference: the
 #: three- and two-point expansions (fast convergence, no integer b-a restriction), the half-point
-#: expansion, the continuation around z0, the quadrature oracle, and the power series for |z| < 1.
+#: expansion, the continuation around z0, the quadrature oracle, the 1/z series at an integer b-a
+#: (within RATE_GATE the walk takes it before the deferred oracle), and the power series for |z| < 1.
 AUTO_ORDER = (
-    MethodId.THREEPOINT, MethodId.TWOPOINT, MethodId.ONEPOINT_HALF, MethodId.BUHRING, MethodId.EULER, MethodId.MACLAURIN
+    MethodId.THREEPOINT, MethodId.TWOPOINT, MethodId.ONEPOINT_HALF, MethodId.BUHRING, MethodId.EULER,
+    MethodId.CONNECTION, MethodId.MACLAURIN,
 )
 _AUTO_ROUTES = tuple((method, ROUTES[method]) for method in AUTO_ORDER)  # no MethodId hash per route asked
 
@@ -147,7 +158,7 @@ def _first_accepting(params: HypParams, z: complex, z0: complex, method: MethodI
     z, z0 = complex(z), complex(z0)
     if (rate := ROUTES[method].rate) is not None and rate(z, z0) <= RATE_GATE:
         for first, route in _AUTO_ROUTES[:AUTO_ORDER.index(method)]:
-            if route.margin(z, None, z0) > 0.0 and route.rate(z, z0) > RATE_GATE:
+            if route.margin(z, None, z0) > 0.0 and (route.rate is None or route.rate(z, z0) > RATE_GATE):
                 if route.refusal(params, z, None, z0) is None:
                     return first
     return method
@@ -196,7 +207,7 @@ def evaluate(
     """Evaluate 2F1(params; z) by the chosen (or auto-selected) route.
 
     The route comes from ROUTES.  The series routes (buhring, onepoint-*,
-    twopoint, threepoint) sum indices 0 .. n_terms and judge converged against
+    twopoint, threepoint, connection) sum indices 0 .. n_terms and judge converged against
     max(tol, SERIES_TOL_FLOOR), which evaluate passes to their run (ROUTES[m].run
     and .sums take tol as given).  maclaurin (within its own 2,000 terms) and
     euler-oracle take no n_terms and judge converged against tol itself.  An
@@ -205,7 +216,7 @@ def evaluate(
     A non-finite z0, and a given w that is non-finite or zero, raise DomainError
     before any route is chosen, whatever the method.  A series refusal is asked once, by select_method or here.
     Where auto's rate gate moved the point and its route returns converged=False
-    or raises RecurrenceBreakdown, the first accepting route runs instead.
+    or raises RecurrenceBreakdown, the first accepting route runs instead, with the tol it would take as auto's pick.
     """
     if not is_count(n_terms):
         raise ConfigError(f"n_terms must be an integer, got {shown(n_terms)}")
@@ -222,17 +233,17 @@ def evaluate(
     route = ROUTES[method_id]
     if route.body is None:  # maclaurin and euler-oracle ask their own refusal, again under auto
         return route.run(params, z, n_terms, tol, w, z0), method_id
-    tol = max(tol, SERIES_TOL_FLOOR)
     if not auto and (refusal := route.refusal(params, z, w, z0)):
         raise refusal
     try:
-        res = route.run(params, z, n_terms, tol, w, z0)
+        res = route.run(params, z, n_terms, max(tol, SERIES_TOL_FLOOR), w, z0)
         if res.converged or not auto or (first := _first_accepting(params, z, z0, method_id)) is method_id:
             return res, method_id
     except RecurrenceBreakdown:
         if not auto or (first := _first_accepting(params, z, z0, method_id)) is method_id:
             raise
-    return ROUTES[first].run(params, z, n_terms, tol, w, z0), first
+    fallback = ROUTES[first]  # the oracle too, past a series route after it: tol as auto's own pick takes it
+    return fallback.run(params, z, n_terms, tol if fallback.body is None else max(tol, SERIES_TOL_FLOOR), w, z0), first
 
 
 def hyp2f1(

@@ -159,6 +159,7 @@ def selftest_checks() -> list[tuple]:
         (MethodId.ONEPOINT_W, params, z_exc, "exp(i*pi/3)", 20, 1.5e-6),
         (MethodId.TWOPOINT, params, z_exc, "exp(i*pi/3)", 20, 1e-10),
         (MethodId.THREEPOINT, params, z_exc, "exp(i*pi/3)", 20, 1e-10),
+        (MethodId.CONNECTION, HypParams(1.2, 2.2, 3.0), 12.0 + 5.0j, "12+5i, b-a=1", 40, 1e-12),
     ]
 
     def route_matches_oracle(method, p, z, n, tol):

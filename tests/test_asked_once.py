@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from gausshyp import HypParams, MethodId, evaluate
-from gausshyp import buhring, onepoint, reference, select, threepoint, twopoint
+from gausshyp import buhring, connection, onepoint, reference, select, threepoint, twopoint
 
 #: Each route's refusal, by its module and name; onepoint-half and onepoint-w share one.
 REFUSALS = {
@@ -23,6 +23,7 @@ REFUSALS = {
     MethodId.BUHRING: (buhring, "buhring_refusal"),
     MethodId.EULER: (reference, "euler_refusal"),
     MethodId.MACLAURIN: (reference, "maclaurin_refusal"),
+    MethodId.CONNECTION: (connection, "connection_refusal"),
 }
 MARGINS = (
     (threepoint, "threepoint_margin"),
@@ -31,6 +32,7 @@ MARGINS = (
     (buhring, "exclusion_margin"),
     (reference, "euler_margin"),
     (reference, "maclaurin_margin"),
+    (connection, "connection_margin"),
 )
 
 #: (params, z, n_terms, the route evaluate returns) for auto
@@ -46,6 +48,8 @@ AUTO_POINTS = {
     # c < b: every route within the gate refuses; past it onepoint-half refuses and the continuation
     # (rate 0.52) accepts but stops short of tol, and it was the first route to accept
     "c<b, past the gate": (HypParams(1.2, 3.0, 2.5), 1.1 * cmath.exp(1j * math.pi / 3.0), 40, MethodId.BUHRING),
+    # integer b - a: the continuation refuses, and the 1/z series (rate 0.08) comes before the deferred oracle
+    "integer b-a": (HypParams(1.2, 2.2, 3.0), 12.0 + 5.0j, 40, MethodId.CONNECTION),
 }
 
 #: The runner name in select that each series route's run reaches.
@@ -55,10 +59,11 @@ RUNNERS = {
     MethodId.ONEPOINT_HALF: "eval_onepoint",
     MethodId.ONEPOINT_W: "eval_onepoint",
     MethodId.BUHRING: "buhring_eval",
+    MethodId.CONNECTION: "eval_connection",
 }
 
 PARAMS, W = HypParams(1.2, 2.1, 3.0), 0.5 + 0.5j
-#: A point each route accepts at PARAMS (onepoint-w at w = W).
+#: A point each route accepts at PARAMS (onepoint-w at w = W; connection at b - a = 1, as PARAMS_OF gives).
 EXPLICIT_POINTS = {
     MethodId.MACLAURIN: 0.3 + 0.2j,
     MethodId.EULER: cmath.exp(1j * math.pi / 3.0),
@@ -67,7 +72,9 @@ EXPLICIT_POINTS = {
     MethodId.ONEPOINT_W: cmath.exp(1j * math.pi / 3.0),
     MethodId.TWOPOINT: -1.0 + 0j,
     MethodId.THREEPOINT: cmath.exp(1j * math.pi / 3.0),
+    MethodId.CONNECTION: 12.0 + 5.0j,
 }
+PARAMS_OF = {MethodId.CONNECTION: HypParams(1.2, 2.2, 3.0)}
 
 
 @pytest.fixture
@@ -111,7 +118,7 @@ def test_auto_walks_once_and_asks_each_refusal_at_most_once(asked, params, z, n,
 
 @pytest.mark.parametrize("method", list(MethodId), ids=str)
 def test_explicit_method_asks_its_refusal_once(asked, method):
-    evaluate(PARAMS, EXPLICIT_POINTS[method], method, w=W)
+    evaluate(PARAMS_OF.get(method, PARAMS), EXPLICIT_POINTS[method], method, w=W)
     assert asked["walk"] == 0
     assert _refusals(asked) == {REFUSALS[method][1]: 1}, dict(asked)
     if method in RUNNERS:

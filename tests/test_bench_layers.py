@@ -36,6 +36,10 @@ LAYERS = {
     "select.select_method[buhring]",
     "select.Route.sums[buhring, n=40, 3+0.5i]",
     "select.evaluate[buhring]",
+    "select.Route.sums[connection, n=10]",
+    "select.Route.sums[connection, n=40]",
+    "select.evaluate[integer b-a]",
+    "select.evaluate[integer b-a, euler-oracle]",
 }
 
 

@@ -90,14 +90,27 @@ class TestEvalCommand:
         assert payload["converged"] is True
 
     def test_json_reports_unconverged_result(self, capsys):
-        # integer b - a at z = -50: auto takes onepoint-half, which stops
-        # well short of tol at the default 40 terms
-        code = main(["eval", "--a", "1.2", "--b", "2.2", "--c", "3", "--z", "-50"])
+        # integer b - a and c < b at z = 1.5+0.01i: only the 1/z series accepts, at rate 0.67,
+        # and it stops short of tol at the default 40 terms
+        code = main(["eval", "--a", "1.2", "--b", "2.2", "--c", "2", "--z", "1.5+0.01i"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["method"] == "onepoint-half"
+        assert payload["method"] == "connection"
         assert payload["converged"] is False
         assert payload["est_error"] > 1e-12
+
+    def test_connection_json_is_strict(self, capsys):
+        argv = ["eval", "--a", "1.2", "--b", "2.2", "--c", "3", "--z", "12+5i", "--method", "connection"]
+        assert main(argv) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["method"] == "connection" and payload["converged"] is True
+        assert payload["in_region_margin"] == 1.0 - 1.0 / 13.0
+        assert abs(complex(payload["value"]["re"], payload["value"]["im"]) - euler_integral(
+            HypParams(1.2, 2.2, 3.0), 12 + 5j).value) <= 1e-12
 
     def test_threepoint_at_exceptional_point(self, capsys):
         code = main(
@@ -335,6 +348,15 @@ class TestRegionCommand:
             lines = capsys.readouterr().out.strip().split("\n")
             assert lines[0] == "x,y,inside,margin"
             assert len(lines) == 1 + res * res
+
+    def test_connection_csv(self, tmp_path, capsys):
+        target = tmp_path / "connection.csv"
+        argv = ["region", "--method", "connection", "--xmin=-2", "--xmax=2", "--ymin=-2", "--ymax=2", "--res=5"]
+        assert main([*argv, "--out", str(target)]) == 0
+        lines = target.read_text().strip().split("\n")
+        assert lines[0] == "x,y,inside,margin" and len(lines) == 1 + 5 * 5
+        # inside exactly where |z| > 1: all but the five grid points 0, +-1 and +-i
+        assert sum(line.split(",")[2] == "1" for line in lines[1:]) == 20
 
     def test_resolution_guard(self, capsys):
         code = main(

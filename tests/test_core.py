@@ -9,7 +9,8 @@ from itertools import count
 import pytest
 
 from gausshyp import DomainError, HypParams, ParamDomainError, PoleError, RecurrenceBreakdown, evaluate
-from gausshyp.core import cpow_principal, gamma_real, json_value, pochhammer, recip_gamma_real, stream_prefix
+from gausshyp.core import EPS, cpow_principal, digamma, gamma_real, json_value, pochhammer, recip_gamma_real
+from gausshyp.core import stream_prefix
 
 
 class TestCpowPrincipal:
@@ -107,6 +108,36 @@ class TestGammaReal:
         for x in (0.0, -1.0, -7.0):
             with pytest.raises(PoleError):
                 gamma_real(x)
+
+
+class TestDigamma:
+    #: the positive root of digamma
+    ROOT = 1.4616321449683623
+
+    def test_against_mpmath(self):
+        # the recurrence's and the reflection's sums cancel near the root and near -n + 1/2; the absolute
+        # error stays within a few EPS of max(1, |psi|) on a seeded grid over [-10, 40] off the poles
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(29)
+        xs = [rng.uniform(-10.0, 40.0) for _ in range(3000)]
+        xs += [self.ROOT + rng.uniform(-1e-3, 1e-3) for _ in range(200)]
+        xs += [-n + s * 10.0 ** rng.uniform(-12.0, -1.0) for n in range(10) for s in (-1.0, 1.0)]
+        xs += [0.5, 1.0, 10.0, self.ROOT]
+        for x in xs:
+            if x == round(x) and x <= 0:
+                continue
+            want = float(mpmath.digamma(x))
+            assert abs(digamma(x) - want) <= 8.0 * EPS * max(1.0, abs(want)), x
+
+    def test_known_values(self):
+        euler_gamma = 0.5772156649015329
+        for x, want in [(1.0, -euler_gamma), (0.5, -euler_gamma - 2.0 * math.log(2.0)), (self.ROOT, 0.0)]:
+            assert abs(digamma(x) - want) <= 8.0 * EPS * max(1.0, abs(want)), x
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, -7.0, -1e17])
+    def test_poles(self, x):
+        with pytest.raises(PoleError):
+            digamma(x)
 
 
 class TestOverflow:

@@ -70,8 +70,8 @@ def test_traced_targets_see_calls(tmp_path):
     try:
         params = HypParams(1.2, 2.1, 3.0)
         for method in ("auto", *MethodId):
-            z = 0.3 + 0.2j if method is MethodId.MACLAURIN else Z_EXC
-            evaluate(params, z, method, w=0.5 + 0.5j)
+            z = {MethodId.MACLAURIN: 0.3 + 0.2j, MethodId.CONNECTION: 12.0 + 5.0j}.get(method, Z_EXC)
+            evaluate(HypParams(1.2, 2.2, 3.0) if method is MethodId.CONNECTION else params, z, method, w=0.5 + 0.5j)
         evaluated = len(tracer.start)
         point = ["--a", "1.2", "--b", "2.1", "--c", "3", "--z", "exp(i*pi/3)"]
         grid = ["--xmin=-4", "--xmax=4", "--ymin=-4", "--ymax=4", "--res=9"]

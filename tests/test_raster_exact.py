@@ -78,6 +78,7 @@ MARGIN_REF = {
     MethodId.ONEPOINT_W: lambda z, w, z0: _onepoint_ref(z, w)[1],
     MethodId.TWOPOINT: lambda z, w, z0: _twopoint_ref(z)[1],
     MethodId.THREEPOINT: lambda z, w, z0: _threepoint_ref(z)[1],
+    MethodId.CONNECTION: lambda z, w, z0: 1.0 - _moduli_ref(z)["1/z"],
 }
 
 

@@ -32,12 +32,14 @@ from gausshyp.buhring import DEFAULT_Z0, buhring_refusal
 from gausshyp.onepoint import onepoint_margin
 from gausshyp.reference import euler_margin, euler_refusal, maclaurin_margin, maclaurin_refusal
 from gausshyp.select import AUTO_ORDER, MACLAURIN_RADIUS, RATE_GATE, _first_accepting
-from gausshyp.select import buhring_eval, eval_onepoint, eval_threepoint, eval_twopoint
+from gausshyp.select import buhring_eval, eval_connection, eval_onepoint, eval_threepoint, eval_twopoint
 from gausshyp.threepoint import threepoint_margin
 from gausshyp.twopoint import twopoint_margin
 from conftest import Z_EXC, rel_err
 
 PARAMS = HypParams(1.2, 2.1, 3.0)
+#: b - a = 1, for the 1/z series, which refuses PARAMS.
+INTEGER_PARAMS = HypParams(1.2, 2.2, 3.0)
 
 #: Non-default arguments for the route-forwarding test.  No route reaches
 #: the default tol at n = 8, so dropping tol, like dropping n, w or z0,
@@ -53,6 +55,7 @@ DIRECT_CALLS = {
     MethodId.ONEPOINT_W: (Z_EXC, lambda z: next(ROUTES[MethodId.ONEPOINT_W].sums(PARAMS, z, (N,), TOL, W))),
     MethodId.TWOPOINT: (-1.0 + 0j, lambda z: next(ROUTES[MethodId.TWOPOINT].sums(PARAMS, z, (N,), TOL))),
     MethodId.THREEPOINT: (Z_EXC, lambda z: next(ROUTES[MethodId.THREEPOINT].sums(PARAMS, z, (N,), TOL))),
+    MethodId.CONNECTION: (12.0 + 5.0j, lambda z: next(ROUTES[MethodId.CONNECTION].sums(INTEGER_PARAMS, z, (N,), TOL))),
 }
 
 #: method -> its direct call with every default taken, which evaluate's defaults must reproduce;
@@ -65,7 +68,13 @@ DEFAULT_CALLS = {
     MethodId.ONEPOINT_W: lambda z: eval_onepoint(PARAMS, z, w=W),
     MethodId.TWOPOINT: lambda z: eval_twopoint(PARAMS, z),
     MethodId.THREEPOINT: lambda z: eval_threepoint(PARAMS, z),
+    MethodId.CONNECTION: lambda z: eval_connection(INTEGER_PARAMS, z),
 }
+
+
+def _params(method):
+    """The triple each route's direct call above takes."""
+    return INTEGER_PARAMS if method is MethodId.CONNECTION else PARAMS
 
 
 def _bits(res):
@@ -82,9 +91,11 @@ class TestSelectMethod:
         assert select_method(PARAMS, Z_EXC) is MethodId.THREEPOINT
 
     def test_far_field_integer_difference(self):
-        # three- and two-point regions exclude z = -50; Re z < 1 catches it
+        # three- and two-point regions exclude z = -50; Re z < 1 catches it at rate 0.96, past the gate,
+        # and the 1/z series takes it at rate 0.02
         p = HypParams(1.2, 2.2, 3.0)
-        assert select_method(p, -50.0 + 0j) is MethodId.ONEPOINT_HALF
+        assert ROUTES[MethodId.ONEPOINT_HALF].rate(-50.0 + 0j, DEFAULT_Z0) > RATE_GATE
+        assert select_method(p, -50.0 + 0j) is MethodId.CONNECTION
 
     def test_buhring_branch(self):
         # right of Re z = 1, outside both Cassini regions, b - a non-integer
@@ -106,10 +117,12 @@ class TestSelectMethod:
         assert select_method(HypParams(1.2, 2.2, 3.0), z) is MethodId.TWOPOINT
 
     def test_no_method(self):
-        z = 1.5 + 0.01j
         p = HypParams(1.2, 2.2, 2.0)  # integer b - a and c < b
+        # on |z| = 1 neither the power series nor the 1/z series converges
         with pytest.raises(NoMethodError):
-            select_method(p, z)
+            select_method(p, 1j)
+        # past the gate, the 1/z series is the one route that accepts 1.5 + 0.01j
+        assert select_method(p, 1.5 + 0.01j) is MethodId.CONNECTION
 
     @pytest.mark.parametrize(
         "params, z, method, converges",
@@ -188,6 +201,8 @@ class TestAutoRouteAcceptsThePoint:
         # the continuation stalls (est_error 6.5) where the oracle converges;
         # reaching the oracle there is a route-ranking question, not a gate one
         (PARAMS, 0.9999999999999999 + 0.0010101007275111766j, DEFAULT_Z0, MethodId.BUHRING, None),
+        # integer b - a: the continuation refuses, and the 1/z series (rate 0.08) comes before the deferred oracle
+        (INTEGER_PARAMS, 12.0 + 5.0j, DEFAULT_Z0, MethodId.CONNECTION, True),
     ]
 
     @staticmethod
@@ -213,7 +228,7 @@ class TestAutoRouteAcceptsThePoint:
             assert z.imag == 0.0 and z.real >= 1.0, (params, z, z0)
 
     @pytest.mark.parametrize(
-        "params, z, z0, method, converges", PINNED, ids=["half-point-edge", "z0-cut", "re-z-1"]
+        "params, z, z0, method, converges", PINNED, ids=["half-point-edge", "z0-cut", "re-z-1", "integer-b-a"]
     )
     def test_pinned_points(self, params, z, z0, method, converges):
         assert select_method(params, z, z0) is method
@@ -240,6 +255,31 @@ class TestAutoRouteAcceptsThePoint:
         res, used = evaluate(params, z)
         assert used is MethodId.THREEPOINT and res.converged
         assert _bits(res) == _bits(evaluate(params, z, MethodId.THREEPOINT)[0])
+
+    def test_unconverged_connection_falls_back_to_the_oracle(self):
+        # a large a: the 1/z series, within the gate at 1/|z| = 0.42, stops at est_error 2.5e-11; the oracle,
+        # rate-less and so deferred, is the first route before it to accept
+        params, z = HypParams(5.2, 2.2, 2.9), 2.35 + 0.35j
+        assert select_method(params, z) is MethodId.CONNECTION
+        assert not evaluate(params, z, MethodId.CONNECTION)[0].converged
+        self._assert_accepted(params, z)
+        res, used = evaluate(params, z)
+        assert used is MethodId.EULER and res.converged
+        assert _bits(res) == _bits(evaluate(params, z, MethodId.EULER)[0])
+
+    def test_integer_difference_far_field(self):
+        # b - a = m, inside and outside c > b > 0, at 1 < |z| < 1e6, on and beside the cut [1, inf) too
+        rng = random.Random(18)
+        for _ in range(400):
+            a, m = rng.uniform(-4.0, 4.0), rng.randint(-4, 4)
+            c = rng.uniform(a + m, a + m + 4.0) if rng.random() < 0.5 else rng.uniform(-4.0, 4.0)
+            t = rng.choice((0.0, 1e-9, -1e-9, math.pi, rng.uniform(-math.pi, math.pi)))
+            z = 10.0 ** rng.uniform(0.01, 6.0) * complex(math.cos(t), math.sin(t))
+            if t == 0.0:  # the real ray [1, inf), where every route refuses
+                with pytest.raises(NoMethodError):
+                    evaluate(HypParams(a, a + m, c), z)
+            else:
+                self._assert_accepted(HypParams(a, a + m, c), z)
 
     def test_near_re_z_one(self):
         rng = random.Random(15)
@@ -298,7 +338,7 @@ class TestMethodMargin:
 
 
 #: The routes with a rate: the series routes auto asks.
-RATED = [MethodId.BUHRING, MethodId.ONEPOINT_HALF, MethodId.TWOPOINT, MethodId.THREEPOINT]
+RATED = [MethodId.BUHRING, MethodId.ONEPOINT_HALF, MethodId.TWOPOINT, MethodId.THREEPOINT, MethodId.CONNECTION]
 
 #: z where a rate's formula overflows, where |z| itself does, and the poles z = 1, 2; each rate there.
 RATE_EDGES = (1e200, complex(1e308, 1e308), complex(1.5e308, 1.5e308), 1.0, 2.0)
@@ -307,6 +347,7 @@ RATES_AT_EDGES = {
     MethodId.ONEPOINT_HALF: (1.0, 1.0, math.inf, 1.0, math.inf),
     MethodId.TWOPOINT: (math.inf, math.inf, math.inf, math.inf, 1.0),
     MethodId.THREEPOINT: (math.inf,) * 5,
+    MethodId.CONNECTION: (1e-200, 1.0 / abs(complex(1e308, 1e308)), math.inf, 1.0, 0.5),
 }
 
 
@@ -486,21 +527,21 @@ class TestRouteTable:
     def test_defaults_agree(self, method):
         # buhring_eval summed indices 0 .. 20 by default where evaluate summed 0 .. 40
         z = DIRECT_CALLS[method][0]
-        assert _bits(DEFAULT_CALLS[method](z)) == _bits(evaluate(PARAMS, z, method, w=W)[0])
+        assert _bits(DEFAULT_CALLS[method](z)) == _bits(evaluate(_params(method), z, method, w=W)[0])
 
     @pytest.mark.parametrize("method", [m for m in MethodId if ROUTES[m].body is not None], ids=str)
     def test_run_is_the_one_stop_of_sums(self, method):
         # the series runs go through select's one-stop runner; it must forward n, tol, w and z0 unchanged
         z, w, z0 = DIRECT_CALLS[method][0], 0.3 + 0.4j, 0.3 + 0.1j
         for n in (0, 7, 40):
-            (want,) = ROUTES[method].sums(PARAMS, z, (n,), TOL, w, z0)
-            assert _bits(ROUTES[method].run(PARAMS, z, n, TOL, w, z0)) == _bits(want), n
+            (want,) = ROUTES[method].sums(_params(method), z, (n,), TOL, w, z0)
+            assert _bits(ROUTES[method].run(_params(method), z, n, TOL, w, z0)) == _bits(want), n
 
     @pytest.mark.parametrize("method", list(MethodId), ids=str)
     def test_evaluate_forwards_every_argument(self, method):
         assert set(ROUTES) == set(MethodId) == set(DIRECT_CALLS)
         z, direct = DIRECT_CALLS[method]
-        res, used = evaluate(PARAMS, z, method, n_terms=N, tol=TOL, w=W, z0=Z0)
+        res, used = evaluate(_params(method), z, method, n_terms=N, tol=TOL, w=W, z0=Z0)
         assert used is method
         assert method_margin(method, z, w=W, z0=Z0) > 0
         assert res == direct(z)
@@ -597,10 +638,9 @@ class TestEvaluate:
         assert abs(got - 2.0 * math.log(2.0)) <= 1e-12
 
     def test_hyp2f1_warns_when_not_converged(self):
-        # auto takes onepoint-half here, which returns 0.016629 against
-        # mpmath's 0.016396 with converged=False
-        with pytest.warns(NotConvergedWarning, match=r"onepoint-half .*est_error = 0\.03"):
-            hyp2f1(1.2, 2.2, 3.0, -50.0)
+        # c < b and integer b - a: only the 1/z series accepts, at rate 0.67, and it stops short of tol
+        with pytest.warns(NotConvergedWarning, match=r"connection .*est_error = 2\.12e-07"):
+            hyp2f1(1.2, 2.2, 2.0, 1.5 + 0.01j)
 
     def test_hyp2f1_silent_when_converged(self):
         with warnings.catch_warnings():
@@ -644,6 +684,7 @@ REFUSED = {
     MethodId.ONEPOINT_W: {"ConfigError", "DomainError", "ParamDomainError", "OutsideDomain"},
     MethodId.TWOPOINT: {"DomainError", "SingularityError", "ParamDomainError", "OutsideDomain"},
     MethodId.THREEPOINT: {"DomainError", "SingularityError", "ParamDomainError", "OutsideDomain"},
+    MethodId.CONNECTION: {"ParamDomainError", "DomainError", "PoleError", "OutsideDomain", "BranchCutError"},
 }
 
 
@@ -706,7 +747,8 @@ class TestRefusal:
         def points():
             yield PARAMS, 1.9 + 0.3j  # buhring, past twopoint's rate
             yield HypParams(1.2, 2.2, 3.0), 1.9 + 0.3j  # twopoint: with an integer b - a no continuation takes it
-            yield HypParams(1.2, 2.2, 3.0), -50.0 + 0j  # onepoint-half, likewise
+            yield HypParams(1.2, 2.2, 3.0), -50.0 + 0j  # connection, ahead of onepoint-half past the gate
+            yield HypParams(1.2, 2.2 + 1e-10, 3.0), -50.0 + 0j  # onepoint-half: b - a is past the 1/z series' band
             yield HypParams(1.2, 2.2, 3.0), 1.5 + 0.01j  # euler-oracle
             for _ in range(1500):
                 try:
