@@ -36,6 +36,8 @@ is evaluate's own checks and plumbing.  Route.sums is called with all six argume
 order that every tree's route table takes.  At an integer b - a, (1.2, 2.2, 3) at z = 12 + 5i, the
 continuation refuses: the 1/z series' Route.sums is timed at n = 10 and n = 40, and auto's evaluate,
 which takes that series, beside evaluate with the quadrature oracle, which auto took there before it.
+evaluate with method buhring at z = -2 + 2i and with method connection at the integer b - a point is
+timed with the default n_terms, which stops each at tol / 10 within 40 terms, and with n_terms = 40.
 
 With --parent DIR, the gausshyp package under DIR (DIR/gausshyp, or DIR/src/gausshyp) is imported
 a second time under another name, and each round times each layer on both trees, in alternating
@@ -56,7 +58,8 @@ Each error compares what the layer computes with mpmath at 40 digits:
   - a rate: against its formula in mpmath;
   - evaluate on the fallback path: its value against 2F1 at its point;
   - the 1/z series' Route.sums, auto's evaluate and the oracle at the integer b - a point: their value
-    against 2F1 there.
+    against 2F1 there;
+  - evaluate with the continuation or the 1/z series, default or n_terms = 40: its value against 2F1 at its point.
 """
 
 import argparse
@@ -159,6 +162,12 @@ def _errors() -> dict:
         connection = ROUTES[MethodId.CONNECTION].sums(int_params, int_z, (10, 40))
         csums = {res.terms_used: _rel(res.value, want_int) for res in connection}
         integer = {m: _rel(evaluate(int_params, int_z, m)[0].value, want_int) for m in ("auto", "euler-oracle")}
+        points = (("buhring", PARAMS, Z_BUHRING, want_b), ("connection", int_params, int_z, want_int))
+        stopped = {
+            (m, n): _rel(evaluate(params, z, m, n_terms=n)[0].value, want)
+            for m, params, z, want in points
+            for n in (None, 40)
+        }
     return {
         **rates,
         "phi3": phi3,
@@ -179,6 +188,7 @@ def _errors() -> dict:
         "csums40": csums[40],
         "integer": integer["auto"],
         "integer_oracle": integer["euler-oracle"],
+        **{f"{m}[n={n}]": err for (m, n), err in stopped.items()},
     }
 
 
@@ -253,6 +263,18 @@ def _layers(pkg) -> dict:
         "select.evaluate[integer b-a]": (lambda: pkg.evaluate(int_params, int_z), 1, "us", "integer"),
         "select.evaluate[integer b-a, euler-oracle]": (
             lambda: pkg.evaluate(int_params, int_z, "euler-oracle"), 1, "us", "integer_oracle"
+        ),
+        "select.evaluate[buhring, -2+2i]": (
+            lambda: pkg.evaluate(params, Z_BUHRING, "buhring"), 1, "us", "buhring[n=None]"
+        ),
+        "select.evaluate[buhring, -2+2i, n=40]": (
+            lambda: pkg.evaluate(params, Z_BUHRING, "buhring", n_terms=40), 1, "us", "buhring[n=40]"
+        ),
+        "select.evaluate[connection]": (
+            lambda: pkg.evaluate(int_params, int_z, "connection"), 1, "us", "connection[n=None]"
+        ),
+        "select.evaluate[connection, n=40]": (
+            lambda: pkg.evaluate(int_params, int_z, "connection", n_terms=40), 1, "us", "connection[n=40]"
         ),
     }
 

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .core import HypParams, cpow_principal, gamma_real, recip_gamma_real
 from .core import require_finite_complex, stream_prefix, sum_series
-from .errors import BranchCutError, DomainError, GaussHypError, IntegerDifferenceError, OutsideDomain
+from .errors import BranchCutError, DomainError, GaussHypError, IntegerDifferenceError, OutsideDomain, ParamDomainError
 from .results import SeriesResult
 
 #: |b - a - round(b - a)| below this is treated as an exact integer difference.
@@ -99,11 +99,13 @@ def exclusion_margin(z: complex, z0: complex) -> float:
 def buhring_refusal(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> GaussHypError | None:
     """The error the continuation's Route.sums raises at (params, z, z0), or None where the continuation applies.
 
-    In order: integer b - a (IntegerDifferenceError), a non-finite z or z0
-    (DomainError), z not outside the excluded disk or |z - z0| past the
-    largest double (OutsideDomain), and z on the cut ph(z0 - z) = pi (BranchCutError).
+    In order: b - a past the double range (ParamDomainError), integer b - a (IntegerDifferenceError), a non-finite
+    z or z0 (DomainError), z not outside the excluded disk or |z - z0| past the largest double (OutsideDomain),
+    and z on the cut ph(z0 - z) = pi (BranchCutError).
     """
     diff = params.b - params.a
+    if not math.isfinite(diff):
+        return ParamDomainError("b - a = %s is past the double range", diff)
     if abs(diff - round(diff)) < INTEGER_DIFF_TOL:
         msg = "b - a = %s is an integer (within %s); the continuation coefficients are indeterminate"
         return IntegerDifferenceError(msg, diff, INTEGER_DIFF_TOL)
@@ -121,7 +123,8 @@ def buhring_refusal(params: HypParams, z: complex, z0: complex = DEFAULT_Z0) -> 
     return None
 
 
-def _buhring_sums(params: HypParams, z: complex, stops: tuple, tol: float, _w, z0: complex) -> Iterator[SeriesResult]:
+def _buhring_sums(params: HypParams, z: complex, stops: tuple, tol: float, _w, z0: complex,
+                  stop: float = 0.0) -> Iterator[SeriesResult]:
     """Both continuation series at each index in stops, from one pass past buhring_refusal; w unused.
 
     est_error is the last-term ratio of the combined value, with the two series' term sizes weighted by their
@@ -143,4 +146,4 @@ def _buhring_sums(params: HypParams, z: complex, stops: tuple, tol: float, _w, z
     terms_a = _buhring_terms(a, z0_coeffs, params, u)
     terms_b = _buhring_terms(b, z0_coeffs, params, u)
     inflation = max(1.0, 1.0 / abs(math.sin(math.pi * diff)))
-    return sum_series(stops, tol, (fac_a, terms_a), (fac_b, terms_b), inflation=inflation)
+    return sum_series(stops, tol, (fac_a, terms_a), (fac_b, terms_b), stop=stop, inflation=inflation)

@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--c", type=float, required=True)
     pe.add_argument("--z", type=parse_complex, required=True)
     pe.add_argument("--method", choices=["auto", *(m.value for m in MethodId)], default="auto")
-    pe.add_argument("--terms", type=int, default=DEFAULT_TERMS, help="truncation index for series methods")
+    pe.add_argument("--terms", type=int, help=f"largest summation index (default: at most {DEFAULT_TERMS}, buhring "
+                    "and connection stop at tol/10)")
     pe.add_argument("--tol", type=float, default=DEFAULT_TOL)
     pe.add_argument("--w", type=parse_complex, default=None, help="expansion point for onepoint-w")
     pe.add_argument("--z0", type=parse_complex, default=DEFAULT_Z0, help="continuation expansion point")

@@ -70,11 +70,12 @@ def _connection_terms(a: float, m: int, c: float, z: complex) -> Iterator[comple
         x, k = x - 1.0, k + 1.0
 
 
-def _connection_sums(params: HypParams, z: complex, stops: tuple, tol: float, *_) -> Iterator[SeriesResult]:
+def _connection_sums(params: HypParams, z: complex, stops: tuple, tol: float, _w, _z0,
+                     stop: float = 0.0) -> Iterator[SeriesResult]:
     """The 1/z series at each index in stops, from one pass past connection_refusal; w and z0 unused.  est_error
     is core.sum_series' estimate times 1 + |b - a - m| / EPS: the offset times the rounding floor's n + cond."""
     (a, b), c, z = sorted(params[:2]), params.c, complex(z)
     m = round(b - a)
     weight = gamma_real(c) * cpow_principal(-z, -a)
     terms = _connection_terms(a, m, c, z)
-    return sum_series(stops, tol, (weight, terms), inflation=1.0 + abs(b - a - m) / EPS)
+    return sum_series(stops, tol, (weight, terms), stop=stop, inflation=1.0 + abs(b - a - m) / EPS)

@@ -31,6 +31,17 @@ DEFAULT_TOL = 1e-13
 SERIES_TOL_FLOOR = 1e-12
 
 
+class Cap(int):
+    """An n_terms that caps a sum at 0 .. int(cap): buhring and connection end early at sum_series' stop = cap.stop."""
+
+    def __new__(cls, n: int, stop: float) -> "Cap":
+        (cap := int.__new__(cls, n)).stop = float(stop)
+        return cap
+
+
+DEFAULT_CAP = Cap(DEFAULT_TERMS, DEFAULT_TOL / 10)  #: what n_terms=None reads as at the default tol
+
+
 def require_finite_complex(z: complex, name: str = "z") -> complex:
     """Reject NaN/Inf components, a modulus past the largest double, or a number past the double range (an
     int, say), up front; comparisons with NaN are unordered and would otherwise slip past domain gates."""
@@ -105,22 +116,40 @@ def sum_series(
 ) -> Iterator[SeriesResult]:
     """Yield the sum of terms 0 .. n of each (weight, terms) series for each n in the ascending stops.
 
-    The running sums of one left-to-right pass give each result, bit for bit
-    that of stops = (n,).  The value is the sum of weight * (partial sum)
-    over the series, in the order given.  est_error is tail_estimate of that
-    value, with the sizes |weight| |term| of all series added into one
-    abs_sum and one last term, times inflation; converged is est_error <= tol.  A partial sum
-    or weighted value that is not finite, or an overflow, raises
-    RecurrenceBreakdown.  Every series route sums here; a one-stop caller
-    unpacks (res,) = ..., which ends the generator.  A stop > 0 (one series
-    only) ends the pass at the first index k whose term and the one before
-    are each at most stop * |partial sum|: the result at k, converged only
-    so, is the last yielded, and an overflow names its term's index.
+    The running sums of one left-to-right pass give each result, bit for bit that of stops = (n,).  The value is
+    the sum of weight * (partial sum) over the series, in the order given.  est_error is tail_estimate of that
+    value, with the sizes |weight| |term| of all series added into one abs_sum and one last term, times inflation;
+    converged is est_error <= tol.  A partial sum or weighted value that is not finite, or an overflow, raises
+    RecurrenceBreakdown.  Every series route sums here; a one-stop caller unpacks (res,) = ..., which ends the
+    generator.  A stop > 0 (one series, or two with one stop index) ends the pass at the first index k where two
+    successive sizes last are each at most stop / inflation * |value| (one series: |term| <= stop / inflation *
+    |partial sum|); the result at k, the last yielded, has the bits of stops = (k,), and an overflow names its term.
+    A stop at or above tol (the power series') is the convergence test: a result it did not end is unconverged.
     """
-    if stop and len(series) != 1:
-        raise ValueError("a stop is defined for one series")
-    running = [(0j, 0.0, 0.0)] * len(series)  # per series: partial sum, sum of sizes, last size
     start = k = below = 0  # with a stop: the index of the term being summed, and how many in a row were small
+    bound = stop / inflation
+    if stop and len(series) > 1:  # both series one index at a time; value, last and abs_sum have the bits of below
+        (cap,), ((w0, terms0), (w1, terms1)) = stops, series
+        a0, a1, s0, s1, bound2 = abs(w0), abs(w1), 0j, 0j, 2.0 * bound
+        part0 = part1 = last = reach = 0.0
+        try:
+            for k, t0, t1 in zip(range(cap + 1), terms0, terms1):
+                s0, s1 = s0 + t0, s1 + t1
+                size0, size1 = abs(t0), abs(t1)
+                part0, part1 = part0 + size0, part1 + size1
+                reach += (last := a0 * size0 + a1 * size1)  # >= |value|: the first test spares value
+                small = last <= bound2 * reach and last <= bound * abs(w0 * s0 + w1 * s1)
+                if (below := below + 1 if small else 0) == 2:
+                    break
+            require_finite_sum(abs(s0), k + 1)
+            require_finite_sum(abs(s1), k + 1)
+        except OverflowError:
+            raise RecurrenceBreakdown(f"a term or partial sum overflowed double precision by term {k}") from None
+        value = w0 * s0 + w1 * s1  # -0.0 + x and 0.0 + (x >= 0) are x
+        est = tail_estimate(abs(value), a0 * part0 + a1 * part1, last, k + 1) * inflation
+        yield SeriesResult(value, k, est, est <= tol and (below == 2 or stop < tol))
+        return
+    running = [(0j, 0.0, 0.0)] * len(series)  # per series: partial sum, sum of sizes, last size
     for n in stops:
         if n < start:
             raise ValueError(f"stops must be ascending non-negative integers, got {stops}")
@@ -134,7 +163,7 @@ def sum_series(
                     size = abs(term)
                     part_sum += size
                     if stop:
-                        below = below + 1 if size <= stop * abs(s) else 0
+                        below = below + 1 if size <= bound * abs(s) else 0
                         if below == 2:
                             n = k
                             break
@@ -149,7 +178,7 @@ def sum_series(
             last += abs(weight) * size
         start = n + 1
         est = tail_estimate(abs(value), abs_sum, last, n + 1) * inflation
-        yield SeriesResult(value, n, est, est <= tol and (below == 2 or not stop))
+        yield SeriesResult(value, n, est, est <= tol and (below == 2 or stop < tol))
         if below == 2:
             return
 

@@ -3,11 +3,13 @@
 import math
 import sys
 import warnings
+from operator import index
 from typing import Callable, Iterator, NamedTuple
 
 from .buhring import DEFAULT_Z0, _buhring_sums, buhring_refusal, exclusion_margin, exclusion_radius
 from .connection import _connection_sums, connection_margin, connection_refusal
-from .core import DEFAULT_TERMS, DEFAULT_TOL, SERIES_TOL_FLOOR, HypParams, is_count, require_finite_complex, require_tol
+from .core import DEFAULT_CAP, DEFAULT_TOL, SERIES_TOL_FLOOR, Cap, HypParams, is_count, require_finite_complex
+from .core import require_tol
 from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning, RecurrenceBreakdown, shown
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
 from .onepoint import _onepoint_sums, in_region_onepoint, onepoint_margin, onepoint_refusal
@@ -27,7 +29,7 @@ class Route(NamedTuple):
     margin: Callable[[complex, complex | None, complex], float]
     # (params, z, w, z0): the error sums (or a non-series run) raises before any work, or None where the route applies
     refusal: Callable[[HypParams, complex, complex | None, complex], GaussHypError | None]
-    run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0); a series run leaves the refusal to its caller
+    run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0), n also None or a Cap; the refusal is the caller's
     body: Callable[..., Iterator[SeriesResult]] | None = None  # (params, z, stops, tol, w, z0), past the refusal
     rate: Callable[[complex, complex], float] | None = None  # (z, z0): the terms' asymptotic ratio, < 1 iff margin > 0
 
@@ -107,10 +109,11 @@ ROUTES: dict[MethodId, Route] = {
 
 
 def _one_stop(body: Callable[..., Iterator[SeriesResult]]) -> Callable[..., SeriesResult]:
-    """A series body as one call, summed 0 .. n_terms inclusive, past the refusal that its caller asks."""
-    def run(params: HypParams, z: complex, n_terms: int = DEFAULT_TERMS, tol: float = SERIES_TOL_FLOOR,
+    """A series body as one call past its caller's refusal, summed 0 .. n_terms (None: DEFAULT_CAP; see core.Cap)."""
+    def run(params: HypParams, z: complex, n_terms: int | None = None, tol: float = SERIES_TOL_FLOOR,
             w: complex | None = None, z0: complex = DEFAULT_Z0) -> SeriesResult:
-        (res,) = body(params, z, (n_terms,), tol, w, z0)
+        n = DEFAULT_CAP if n_terms is None else n_terms
+        (res,) = body(params, z, (index(n),), tol, w, z0, getattr(n, "stop", 0.0))
         return res
     return run
 
@@ -199,32 +202,33 @@ def evaluate(
     params: HypParams,
     z: complex,
     method: MethodId | str = "auto",
-    n_terms: int = DEFAULT_TERMS,
+    n_terms: int | None = None,
     tol: float = DEFAULT_TOL,
     w: complex | None = None,
     z0: complex = DEFAULT_Z0,
 ) -> tuple[SeriesResult, MethodId]:
     """Evaluate 2F1(params; z) by the chosen (or auto-selected) route.
 
-    The route comes from ROUTES.  The series routes (buhring, onepoint-*,
-    twopoint, threepoint, connection) sum indices 0 .. n_terms and judge converged against
-    max(tol, SERIES_TOL_FLOOR), which evaluate passes to their run (ROUTES[m].run
-    and .sums take tol as given).  maclaurin (within its own 2,000 terms) and
-    euler-oracle take no n_terms and judge converged against tol itself.  An
-    n_terms that is not an integer (a bool is not one), negative or past
-    sys.maxsize - 1, and a tol that is not a finite number > 0, raise ConfigError.
-    A non-finite z0, and a given w that is non-finite or zero, raise DomainError
-    before any route is chosen, whatever the method.  A series refusal is asked once, by select_method or here.
-    Where auto's rate gate moved the point and its route returns converged=False
-    or raises RecurrenceBreakdown, the first accepting route runs instead, with the tol it would take as auto's pick.
+    The route comes from ROUTES.  The series routes (buhring, onepoint-*, twopoint, threepoint, connection) sum
+    indices 0 .. n_terms and judge converged against max(tol, SERIES_TOL_FLOOR), which evaluate passes to their run
+    (ROUTES[m].run and .sums take tol as given).  n_terms=None is a core.Cap: at most 0 .. DEFAULT_TERMS, where
+    buhring and connection end early at core.sum_series' stop = tol / 10.  maclaurin (within its own 2,000 terms)
+    and euler-oracle take no n_terms and judge converged against tol itself.  A tol that is not a finite number > 0,
+    and then an n_terms that is not None or an integer (a bool is not one), negative or past sys.maxsize - 1, raise
+    ConfigError.  A non-finite z0, and a given w that is non-finite or zero, raise DomainError before any route is
+    chosen, whatever the method.  A series refusal is asked once, by select_method or here.  Where auto's rate gate
+    moved the point and its route returns converged=False or raises RecurrenceBreakdown, the first accepting route
+    runs instead, with the tol it would take as auto's pick; its result is returned where it is converged, its
+    est_error is smaller or the gated route raised.
     """
-    if not is_count(n_terms):
-        raise ConfigError(f"n_terms must be an integer, got {shown(n_terms)}")
-    if n_terms < 0:
-        raise ConfigError(f"n_terms must be >= 0, got {shown(n_terms)}")
-    if n_terms >= sys.maxsize:  # sum_series reads n_terms + 1 terms through islice
-        raise ConfigError(f"n_terms must be <= sys.maxsize - 1 = {sys.maxsize - 1}, got a larger count")
     require_tol(tol)
+    n = (DEFAULT_CAP if tol == DEFAULT_TOL else Cap(DEFAULT_CAP, tol / 10)) if n_terms is None else n_terms
+    if not is_count(n):
+        raise ConfigError(f"n_terms must be an integer, got {shown(n_terms)}")
+    if n < 0:
+        raise ConfigError(f"n_terms must be >= 0, got {shown(n_terms)}")
+    if n >= sys.maxsize:  # sum_series reads n_terms + 1 terms through islice
+        raise ConfigError(f"n_terms must be <= sys.maxsize - 1 = {sys.maxsize - 1}, got a larger count")
     auto = method == "auto"
     z0 = z0 if auto else require_finite_complex(z0, "z0")  # auto: select_method checks it
     if w is not None:
@@ -232,18 +236,20 @@ def evaluate(
     method_id = select_method(params, z, z0) if auto else MethodId.from_string(method)
     route = ROUTES[method_id]
     if route.body is None:  # maclaurin and euler-oracle ask their own refusal, again under auto
-        return route.run(params, z, n_terms, tol, w, z0), method_id
+        return route.run(params, z, n, tol, w, z0), method_id
     if not auto and (refusal := route.refusal(params, z, w, z0)):
         raise refusal
+    res = None
     try:
-        res = route.run(params, z, n_terms, max(tol, SERIES_TOL_FLOOR), w, z0)
+        res = route.run(params, z, n, max(tol, SERIES_TOL_FLOOR), w, z0)
         if res.converged or not auto or (first := _first_accepting(params, z, z0, method_id)) is method_id:
             return res, method_id
     except RecurrenceBreakdown:
         if not auto or (first := _first_accepting(params, z, z0, method_id)) is method_id:
             raise
     fallback = ROUTES[first]  # the oracle too, past a series route after it: tol as auto's own pick takes it
-    return fallback.run(params, z, n_terms, tol if fallback.body is None else max(tol, SERIES_TOL_FLOOR), w, z0), first
+    alt = fallback.run(params, z, n, tol if fallback.body is None else max(tol, SERIES_TOL_FLOOR), w, z0)
+    return (alt, first) if res is None or alt.converged or alt.est_error < res.est_error else (res, method_id)
 
 
 def hyp2f1(

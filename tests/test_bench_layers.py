@@ -40,6 +40,10 @@ LAYERS = {
     "select.Route.sums[connection, n=40]",
     "select.evaluate[integer b-a]",
     "select.evaluate[integer b-a, euler-oracle]",
+    "select.evaluate[buhring, -2+2i]",
+    "select.evaluate[buhring, -2+2i, n=40]",
+    "select.evaluate[connection]",
+    "select.evaluate[connection, n=40]",
 }
 
 

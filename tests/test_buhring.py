@@ -10,10 +10,13 @@ from gausshyp import (
     HypParams,
     IntegerDifferenceError,
     MethodId,
+    NoMethodError,
     OutsideDomain,
+    ParamDomainError,
     ROUTES,
     buhring_coeffs,
     euler_integral,
+    evaluate,
 )
 from gausshyp.buhring import buhring_refusal
 from gausshyp.select import buhring_eval
@@ -135,13 +138,22 @@ class TestBuhringEval:
             (PARAMS, 2.0, complex(math.nan, 0.0), DomainError),
             (PARAMS, 0.7 + 0.1j, 0.5, OutsideDomain),
             (PARAMS, 10.0 + 0.5j, 0.5 + 0.5j, BranchCutError),
+            (HypParams(-1e308, 1e308, 2.0), complex(math.nan, 0.0), 0.5, ParamDomainError),
         ],
-        ids=["integer-b-a-first", "inf-z", "nan-z0", "disk", "cut"],
+        ids=["integer-b-a-first", "inf-z", "nan-z0", "disk", "cut", "b-a-past-double-range-first"],
     )
     def test_refusal_is_what_the_sums_raise(self, params, z, z0, error):
         assert type(buhring_refusal(params, z, z0)) is error
         with pytest.raises(error):
             ROUTES[MethodId.BUHRING].sums(params, z, (5,), z0=z0)
+
+    def test_b_minus_a_past_the_double_range_is_refused(self):
+        # round(b - a) on inf raised a bare OverflowError, under auto and with the method named
+        params = HypParams(-1e308, 1e308, 2.0)
+        with pytest.raises(ParamDomainError, match="b - a = inf is past the double range"):
+            evaluate(params, 10 + 1j, "buhring")
+        with pytest.raises(NoMethodError, match="buhring: ParamDomainError: b - a = inf"):
+            evaluate(params, 10 + 1j)
 
     def test_no_refusal_where_the_continuation_applies(self):
         assert buhring_refusal(PARAMS, Z_EXC, 0.5) is None

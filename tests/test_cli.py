@@ -130,6 +130,22 @@ class TestEvalCommand:
         assert payload["method"] == "threepoint"
         assert payload["in_region_margin"] > 0
 
+    def test_default_continuation_stops_at_its_tolerance(self, capsys):
+        argv = ["eval", "--a", "1.2", "--b", "2.1", "--c", "3", "--z", "-1+1i", "--method", "buhring"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is True and payload["terms"] < 40
+        # an explicit --terms 40 sums indices 0 .. 40, as the default did before the stop
+        assert main([*argv, "--terms", "40", "--format", "text"]) == 0
+        assert capsys.readouterr().out == (
+            "value      = 0.45092506457617 + 0.2071549534382342i\n"
+            "method     = buhring\n"
+            "terms      = 40\n"
+            "est_error  = 6.381e-14\n"
+            "margin     = 1.30278\n"
+            "converged  = True\n"
+        )
+
     def test_text_format(self, capsys):
         code = main(["eval", "--a", "1", "--b", "1", "--c", "2", "--z", "0.5", "--format", "text"])
         assert code == 0

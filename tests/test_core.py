@@ -8,9 +8,10 @@ from itertools import count
 
 import pytest
 
-from gausshyp import DomainError, HypParams, ParamDomainError, PoleError, RecurrenceBreakdown, evaluate
+from gausshyp import ROUTES, DomainError, HypParams, MethodId, ParamDomainError, PoleError, RecurrenceBreakdown
+from gausshyp import evaluate
 from gausshyp.core import EPS, cpow_principal, digamma, gamma_real, json_value, pochhammer, recip_gamma_real
-from gausshyp.core import stream_prefix
+from gausshyp.core import stream_prefix, sum_series
 
 
 class TestCpowPrincipal:
@@ -260,3 +261,86 @@ def test_stream_prefix_reads_indices_zero_to_n_max():
     with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
         stream_prefix(stream, -1)
     assert next(stream) == 0  # a refused prefix reads nothing
+
+
+def _bits(res):
+    return res.value.real.hex(), res.value.imag.hex(), res.terms_used, res.est_error.hex(), res.converged
+
+
+def _geometric(rng, count=60):
+    """Terms of a seeded series that shrinks at a random rate and phase, with a slow polynomial factor."""
+    size, rate, turn, lead = rng.uniform(0.5, 20.0), rng.uniform(0.1, 0.7), rng.uniform(-3.0, 3.0), rng.uniform(-2, 2)
+    return [size * rate**n * cmath.exp(1j * turn * n) * (n + 1.0) ** lead for n in range(count)]
+
+
+def _first_stop(terms, weights, stop, inflation):
+    """The first index whose combined size and the one before are each at most stop / inflation * |value|, formed
+    as the rule reads: value = -0.0 + sum of weight * partial sum, size = 0.0 + sum of |weight| |term|."""
+    sums, small = [0j] * len(terms), []
+    for k, column in enumerate(zip(*terms)):
+        value, last = complex(-0.0, -0.0), 0.0
+        for i, (weight, term) in enumerate(zip(weights, column)):
+            sums[i] += term
+            value += weight * sums[i]
+            last += abs(weight) * abs(term)
+        small.append(last <= stop / inflation * abs(value))
+        if k and small[-2] and small[-1]:
+            return k
+    return None
+
+
+class TestSumSeriesStopOverTwoSeries:
+    CAP = 40
+
+    def _cases(self):
+        rng = random.Random(38)
+        for _ in range(150):
+            terms = [_geometric(rng), _geometric(rng)]
+            weights = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(-3, 3)]
+            yield terms, weights, rng.choice((1e-14, 1e-10, 1e-6)), rng.choice((1.0, 3.7)), rng.choice((1e-12, 1e-3))
+
+    @staticmethod
+    def _sum(stops, tol, terms, weights, **kw):
+        (res,) = sum_series(stops, tol, *((w, iter(t)) for w, t in zip(weights, terms)), **kw)
+        return res
+
+    def test_the_stop_index_keeps_the_bits_of_that_stop(self):
+        fired = 0
+        for terms, weights, stop, inflation, tol in self._cases():
+            k = _first_stop(terms, weights, stop, inflation)
+            res = self._sum((self.CAP,), tol, terms, weights, stop=stop, inflation=inflation)
+            assert res.terms_used == (self.CAP if k is None else min(k, self.CAP)), (terms, weights, stop)
+            want = self._sum((res.terms_used,), tol, terms, weights, inflation=inflation)
+            if k is not None and k <= self.CAP or stop < tol:
+                assert _bits(res) == _bits(want)
+            else:  # a stop at or above tol that did not end the pass: the values, unconverged
+                assert _bits(res) == _bits(want._replace(converged=False))
+            fired += k is not None and k <= self.CAP
+        assert 50 <= fired <= 140, fired
+
+    def test_a_stop_that_never_fires_gives_the_cap_result_and_flag(self):
+        converged = []
+        for terms, weights, _, inflation, tol in self._cases():
+            want = self._sum((self.CAP,), tol, terms, weights, inflation=inflation)
+            assert _bits(self._sum((self.CAP,), tol, terms, weights, stop=1e-300, inflation=inflation)) == _bits(want)
+            converged.append(want.converged)
+        assert converged.count(True) >= 30 and converged.count(False) >= 30, converged.count(True)
+
+    def test_a_stop_takes_one_series_or_two(self):
+        series = [(1.0, iter([1.0, 0.5])) for _ in range(3)]
+        with pytest.raises(ValueError):
+            next(sum_series((1,), 1e-12, *series, stop=1e-14))
+        with pytest.raises(ValueError):  # two series take one stop index, the cap
+            next(sum_series((1, 5), 1e-12, *series[:2], stop=1e-14))
+
+    @pytest.mark.parametrize(
+        "method, params, z",
+        [("buhring", HypParams(1.2, 2.1, 3.0), -1 + 1j), ("connection", HypParams(1.2, 2.2, 3.0), 12 + 5j)],
+    )
+    def test_a_default_route_call_is_the_stops_form_at_its_stop(self, method, params, z):
+        res, _ = evaluate(params, z, method)
+        assert res.converged and res.terms_used < 40
+        (want,) = ROUTES[MethodId(method)].sums(params, z, (res.terms_used,), 1e-12)
+        assert _bits(res) == _bits(want)
+        full, _ = evaluate(params, z, method, n_terms=40)
+        assert full.terms_used == 40 and abs(full.value - res.value) <= 1e-14 * abs(full.value)

@@ -267,6 +267,17 @@ class TestAutoRouteAcceptsThePoint:
         assert used is MethodId.EULER and res.converged
         assert _bits(res) == _bits(evaluate(params, z, MethodId.EULER)[0])
 
+    def test_fallback_keeps_the_better_result(self):
+        # a large a: the 1/z series, within the gate at 1/|z| = 0.42, stops at est_error 1.0e-7; the deferred
+        # threepoint, the first route before it to accept, is worse (est_error 2.0), so auto keeps the 1/z result
+        params, z = HypParams(9.3, 4.3, 5.8), 2.1061981485368944 + 1.1506212926500872j  # 2.4 exp(0.5i)
+        assert select_method(params, z) is MethodId.CONNECTION
+        first = evaluate(params, z, MethodId.THREEPOINT)[0]
+        res, used = evaluate(params, z)
+        assert used is MethodId.CONNECTION and not res.converged and res.est_error < 1e-6
+        assert not first.converged and first.est_error > 1.0
+        assert _bits(res) == _bits(evaluate(params, z, MethodId.CONNECTION)[0])
+
     def test_integer_difference_far_field(self):
         # b - a = m, inside and outside c > b > 0, at 1 < |z| < 1e6, on and beside the cut [1, inf) too
         rng = random.Random(18)
