@@ -31,17 +31,6 @@ DEFAULT_TOL = 1e-13
 SERIES_TOL_FLOOR = 1e-12
 
 
-class Cap(int):
-    """An n_terms that caps a sum at 0 .. int(cap): buhring and connection end early at sum_series' stop = cap.stop."""
-
-    def __new__(cls, n: int, stop: float) -> "Cap":
-        (cap := int.__new__(cls, n)).stop = float(stop)
-        return cap
-
-
-DEFAULT_CAP = Cap(DEFAULT_TERMS, DEFAULT_TOL / 10)  #: what n_terms=None reads as at the default tol
-
-
 def require_finite_complex(z: complex, name: str = "z") -> complex:
     """Reject NaN/Inf components, a modulus past the largest double, or a number past the double range (an
     int, say), up front; comparisons with NaN are unordered and would otherwise slip past domain gates."""
@@ -130,16 +119,15 @@ def sum_series(
     bound = stop / inflation
     if stop and len(series) > 1:  # both series one index at a time; value, last and abs_sum have the bits of below
         (cap,), ((w0, terms0), (w1, terms1)) = stops, series
-        a0, a1, s0, s1, bound2 = abs(w0), abs(w1), 0j, 0j, 2.0 * bound
-        part0 = part1 = last = reach = 0.0
+        a0, a1, s0, s1 = abs(w0), abs(w1), 0j, 0j
+        part0 = part1 = last = 0.0
         try:
             for k, t0, t1 in zip(range(cap + 1), terms0, terms1):
                 s0, s1 = s0 + t0, s1 + t1
                 size0, size1 = abs(t0), abs(t1)
                 part0, part1 = part0 + size0, part1 + size1
-                reach += (last := a0 * size0 + a1 * size1)  # >= |value|: the first test spares value
-                small = last <= bound2 * reach and last <= bound * abs(w0 * s0 + w1 * s1)
-                if (below := below + 1 if small else 0) == 2:
+                last = a0 * size0 + a1 * size1
+                if (below := below + 1 if last <= bound * abs(w0 * s0 + w1 * s1) else 0) == 2:
                     break
             require_finite_sum(abs(s0), k + 1)
             require_finite_sum(abs(s1), k + 1)

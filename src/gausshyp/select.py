@@ -8,7 +8,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .buhring import DEFAULT_Z0, _buhring_sums, buhring_refusal, exclusion_margin, exclusion_radius
 from .connection import _connection_sums, connection_margin, connection_refusal
-from .core import DEFAULT_CAP, DEFAULT_TOL, SERIES_TOL_FLOOR, Cap, HypParams, is_count, require_finite_complex
+from .core import DEFAULT_TERMS, DEFAULT_TOL, SERIES_TOL_FLOOR, HypParams, is_count, require_finite_complex
 from .core import require_tol
 from .errors import ConfigError, GaussHypError, NoMethodError, NotConvergedWarning, RecurrenceBreakdown, shown
 # in_region_* are not called here; raster and perfbench/tracing.py take them from this module.
@@ -29,7 +29,7 @@ class Route(NamedTuple):
     margin: Callable[[complex, complex | None, complex], float]
     # (params, z, w, z0): the error sums (or a non-series run) raises before any work, or None where the route applies
     refusal: Callable[[HypParams, complex, complex | None, complex], GaussHypError | None]
-    run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0), n also None or a Cap; the refusal is the caller's
+    run: Callable[..., SeriesResult]  # (params, z, n, tol, w, z0), n also None; the refusal is the caller's
     body: Callable[..., Iterator[SeriesResult]] | None = None  # (params, z, stops, tol, w, z0), past the refusal
     rate: Callable[[complex, complex], float] | None = None  # (z, z0): the terms' asymptotic ratio, < 1 iff margin > 0
 
@@ -108,11 +108,21 @@ ROUTES: dict[MethodId, Route] = {
 }
 
 
+class _Cap(int):
+    """What n_terms=None reads as: at most 0 .. DEFAULT_TERMS, an int to a reader of n_terms as a count (the
+    benchmark's tracer), whose stop buhring and connection pass to core.sum_series."""
+
+    def __new__(cls, stop: float) -> "_Cap":
+        (cap := int.__new__(cls, DEFAULT_TERMS)).stop = stop
+        return cap
+
+
 def _one_stop(body: Callable[..., Iterator[SeriesResult]]) -> Callable[..., SeriesResult]:
-    """A series body as one call past its caller's refusal, summed 0 .. n_terms (None: DEFAULT_CAP; see core.Cap)."""
+    """A series body as one call past its caller's refusal, summed 0 .. n_terms (None: at most 0 .. DEFAULT_TERMS,
+    with the stop min(tol, DEFAULT_TOL) / 10, so below tol)."""
     def run(params: HypParams, z: complex, n_terms: int | None = None, tol: float = SERIES_TOL_FLOOR,
             w: complex | None = None, z0: complex = DEFAULT_Z0) -> SeriesResult:
-        n = DEFAULT_CAP if n_terms is None else n_terms
+        n = _Cap(min(tol, DEFAULT_TOL) / 10) if n_terms is None else n_terms
         (res,) = body(params, z, (index(n),), tol, w, z0, getattr(n, "stop", 0.0))
         return res
     return run
@@ -211,8 +221,8 @@ def evaluate(
 
     The route comes from ROUTES.  The series routes (buhring, onepoint-*, twopoint, threepoint, connection) sum
     indices 0 .. n_terms and judge converged against max(tol, SERIES_TOL_FLOOR), which evaluate passes to their run
-    (ROUTES[m].run and .sums take tol as given).  n_terms=None is a core.Cap: at most 0 .. DEFAULT_TERMS, where
-    buhring and connection end early at core.sum_series' stop = tol / 10.  maclaurin (within its own 2,000 terms)
+    (ROUTES[m].run and .sums take tol as given).  n_terms=None sums at most 0 .. DEFAULT_TERMS, where buhring and
+    connection end early at core.sum_series' stop = tol / 10.  maclaurin (within its own 2,000 terms)
     and euler-oracle take no n_terms and judge converged against tol itself.  A tol that is not a finite number > 0,
     and then an n_terms that is not None or an integer (a bool is not one), negative or past sys.maxsize - 1, raise
     ConfigError.  A non-finite z0, and a given w that is non-finite or zero, raise DomainError before any route is
@@ -222,9 +232,9 @@ def evaluate(
     est_error is smaller or the gated route raised.
     """
     require_tol(tol)
-    n = (DEFAULT_CAP if tol == DEFAULT_TOL else Cap(DEFAULT_CAP, tol / 10)) if n_terms is None else n_terms
-    if not is_count(n):
+    if n_terms is not None and not is_count(n_terms):
         raise ConfigError(f"n_terms must be an integer, got {shown(n_terms)}")
+    n = _Cap(tol / 10) if n_terms is None else index(n_terms)  # index: a plain int, so the only stop is tol / 10
     if n < 0:
         raise ConfigError(f"n_terms must be >= 0, got {shown(n_terms)}")
     if n >= sys.maxsize:  # sum_series reads n_terms + 1 terms through islice

@@ -344,3 +344,22 @@ class TestSumSeriesStopOverTwoSeries:
         assert _bits(res) == _bits(want)
         full, _ = evaluate(params, z, method, n_terms=40)
         assert full.terms_used == 40 and abs(full.value - res.value) <= 1e-14 * abs(full.value)
+
+    @pytest.mark.parametrize(
+        "method, params, z",
+        [("buhring", HypParams(1.2, 2.1, 3.0), -1 + 1j), ("connection", HypParams(1.2, 2.2, 3.0), 12 + 5j)],
+    )
+    def test_a_direct_runner_stops_below_its_tol(self, method, params, z):
+        route = ROUTES[MethodId(method)]
+        used = [route.run(params, z, None, tol, None, 0.5).terms_used for tol in (1e-12, 1e-13, 1e-15, 1e-16)]
+        assert used[0] == used[1] < used[2] < used[3] <= 40, used  # the stop is min(tol, DEFAULT_TOL) / 10
+        for tol in (1e-15, 1e-16):
+            (want,) = route.body(params, z, (40,), tol, None, 0.5, tol / 10)
+            assert _bits(route.run(params, z, None, tol, None, 0.5)) == _bits(want)
+
+    def test_a_given_n_terms_is_a_count_without_a_stop(self):
+        class Stopping(int):
+            stop = 1e-3
+
+        res, _ = evaluate(HypParams(1.2, 2.1, 3.0), -1 + 1j, "buhring", n_terms=Stopping(40))
+        assert res.terms_used == 40
